@@ -17,11 +17,20 @@
 // Reductions stay the caller's job and must be performed in task order
 // (e.g. `OnlineStats::merge` over results[0..n)), which keeps floating-point
 // summation order — and therefore every bit of the output — invariant.
+//
+// The pool is fork-join. A pool of T threads spawns T−1 workers; the thread
+// that calls `parallel_for` is the T-th runner and claims chunks alongside
+// them. Chunks are claimed from an atomic counter, so only *which* thread
+// runs a chunk varies, never the index partition. A call publishes its job
+// by bumping a generation counter; idle workers spin on it briefly with a
+// CPU pause, then park in `std::atomic::wait`, so back-to-back calls (one
+// federation window each) hand off without a futex round trip. The call
+// returns only after every worker has checked in for the round — the usual
+// OpenMP-style region barrier — so no late worker can touch a finished job.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -42,33 +51,36 @@ std::size_t default_thread_count();
 /// taken verbatim, anything else falls back to default_thread_count().
 std::size_t resolve_thread_count(std::int64_t requested);
 
-/// Fixed-size worker pool. One pool runs one parallel call at a time
+/// Fixed-size fork-join pool. One pool runs one parallel call at a time
 /// (concurrent submissions from different external threads serialize);
 /// calling back into the same pool from inside a task throws instead of
 /// deadlocking.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means default_thread_count().
+  /// `threads` runners — `threads − 1` spawned workers plus the calling
+  /// thread; 0 means default_thread_count().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
+  /// Runners per call, counting the caller.
+  std::size_t thread_count() const { return workers_.size() + 1; }
 
-  /// True when the calling thread is one of this pool's workers, i.e. the
-  /// caller is executing inside a task submitted to this pool. Lets layered
-  /// engines (the sharded DES federation runs shard windows on a pool)
-  /// reject re-entrant driving with a domain-specific error instead of the
-  /// generic nested-parallel_for one.
+  /// True when the calling thread is executing inside a task submitted to
+  /// this pool — on one of its workers, or on the submitting thread while it
+  /// runs its share of the chunks. Lets layered engines (the sharded DES
+  /// federation runs shard windows on a pool) reject re-entrant driving with
+  /// a domain-specific error instead of the generic nested-parallel_for one.
   bool on_worker_thread() const;
 
   using ChunkFn = std::function<void(std::size_t begin, std::size_t end)>;
 
   /// Runs `chunk(begin, end)` over a partition of [0, n). Chunks are
-  /// contiguous, cover every index exactly once, and may run on any worker.
-  /// Blocks until all chunks finish. The first exception thrown by a chunk
-  /// is rethrown here (remaining chunks still run to completion).
+  /// contiguous, cover every index exactly once, and may run on any worker
+  /// or on the calling thread. Blocks until all chunks finish. The first
+  /// exception thrown by a chunk is rethrown here (remaining chunks still
+  /// run to completion).
   /// Throws std::logic_error when called from inside one of this pool's own
   /// tasks (nested calls would deadlock a fixed-size pool).
   void parallel_for(std::size_t n, const ChunkFn& chunk);
@@ -105,23 +117,28 @@ class ThreadPool {
   }
 
  private:
-  struct Range {
-    std::size_t begin;
-    std::size_t end;
-  };
-
   void worker_loop();
+  /// Claims and runs chunks of the current job until none are left.
+  void run_chunks();
 
   std::vector<std::thread> workers_;
   std::mutex submit_mu_;  ///< serializes whole parallel_for calls
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::deque<Range> pending_;
+
+  // The current job. Written by the caller only while every worker is idle
+  // (before the generation bump), read by workers after they observe it.
   const ChunkFn* job_ = nullptr;
-  std::size_t in_flight_ = 0;
+  std::size_t chunks_ = 0;
+  std::size_t base_ = 0;   ///< indices per chunk
+  std::size_t extra_ = 0;  ///< the first `extra_` chunks get one more
   std::exception_ptr first_error_;
   bool stop_ = false;
+
+  std::atomic<std::size_t> next_chunk_{0};
+  std::atomic<bool> failed_{false};  ///< first_error_ claimed
+  // Idle workers poll generation_ while workers finishing a round bump
+  // checked_in_; separate cache lines keep one from stalling the other.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};  ///< bumped per call
+  alignas(64) std::atomic<std::uint32_t> checked_in_{0};  ///< workers done
 };
 
 }  // namespace epm

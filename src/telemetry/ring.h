@@ -7,7 +7,7 @@
 // sample order is the batch order at every thread count. Rings are bounded
 // (fixed capacity, no allocation after construction); a full ring applies
 // backpressure by spinning the producer, which is safe because producer and
-// drainer roles always occupy distinct pool workers (see
+// drainer roles always occupy distinct pool runners (see
 // ColumnarTelemetryStore::bulk_append).
 //
 // Memory ordering is the classic SPSC discipline: the producer publishes a
@@ -51,7 +51,7 @@ class IngestRing {
   }
 
   /// Producer side: blocking push. Spins (yielding) until space frees up;
-  /// the paired drainer is guaranteed to be running on another worker.
+  /// the paired drainer is guaranteed to be running on another runner.
   void push(const T& item) {
     std::size_t spins = 0;
     while (!try_push(item)) {

@@ -180,9 +180,10 @@ void ColumnarTelemetryStore::bulk_append(const std::vector<Sample>& samples,
   // Pipelined ingest over P x D SPSC rings. Producer p owns the p-th
   // contiguous slice of the batch and ring row p; drainer d owns the shard
   // set {shard : shard % D == d} and ring column d. P + D <= thread_count,
-  // and parallel_for splits a count <= thread_count into one-role chunks,
-  // so every producer and drainer runs concurrently — a blocked role only
-  // parks its own worker. Determinism: drainer d empties ring (p, d) fully
+  // and parallel_for splits a count <= thread_count into one-role chunks
+  // claimed by T runners (T - 1 workers plus this thread), so every
+  // producer and drainer runs concurrently — a blocked role only holds its
+  // own runner. Determinism: drainer d empties ring (p, d) fully
   // before moving to ring (p+1, d), and slices are contiguous in batch
   // order, so each shard sees its samples exactly in batch order no matter
   // how P, D, or the interleaving vary.

@@ -196,7 +196,7 @@ class ColumnarTelemetryStore {
   void record_abandoned(std::uint64_t count) { abandoned_requests_ += count; }
   void record_retried(std::uint64_t count) { retried_requests_ += count; }
 
-  /// Pipelined parallel bulk ingest. With a pool of T >= 2 workers the
+  /// Pipelined parallel bulk ingest. With a pool of T >= 2 runners the
   /// batch is split across P producers that push into P x D lock-free SPSC
   /// rings (ring.h); D shard drainers pull concurrently and append into
   /// their disjoint shard sets, P + D <= T so every role runs at once.

@@ -8,10 +8,13 @@
 // rejected loudly instead of silently corrupting the event order.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -234,6 +237,44 @@ TEST(FederationProperty, ReentrantRunRejected) {
     EXPECT_THROW(fed.run_until(5.0), std::logic_error)
         << "threads " << threads;
   }
+}
+
+TEST(FederationProperty, GuardsHoldOnTheShardTheCoordinatorRuns) {
+  // The pool's submitting thread runs shard windows too, so an event can
+  // execute on the coordinator thread itself. It must hit the same guards
+  // as a worker-run event. Worker-run events hold until the coordinator has
+  // run one; with 4 shards and 3 workers it is then guaranteed a shard.
+  const auto coordinator = std::this_thread::get_id();
+  ShardedSimulator fed(uniform_config(4, 4, 0.25));
+  std::atomic<bool> coordinator_ran{false};
+  std::string reentry_error;
+  std::string impersonation_error;
+  for (std::size_t s = 0; s < 4; ++s) {
+    fed.shard(s).schedule_at(1.0, [&, s] {
+      if (std::this_thread::get_id() != coordinator) {
+        while (!coordinator_ran.load()) std::this_thread::yield();
+        return;
+      }
+      if (coordinator_ran.load()) return;
+      try {
+        fed.run_until(10.0);
+      } catch (const std::logic_error& e) {
+        reentry_error = e.what();
+      }
+      try {
+        fed.send((s + 1) % 4, s, 9.0, [] {});
+      } catch (const std::logic_error& e) {
+        impersonation_error = e.what();
+      }
+      coordinator_ran = true;
+    });
+  }
+  fed.run_until(5.0);
+  EXPECT_TRUE(coordinator_ran.load());
+  EXPECT_NE(reentry_error.find("re-entered"), std::string::npos) << reentry_error;
+  EXPECT_NE(impersonation_error.find("tried to send as shard"), std::string::npos)
+      << impersonation_error;
+  EXPECT_EQ(fed.messages_sent(), 0u);
 }
 
 TEST(FederationProperty, ConfigValidation) {

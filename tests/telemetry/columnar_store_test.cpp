@@ -104,6 +104,29 @@ TEST(TelemetryColumnarStore, BulkAppendMatchesSerialAppendOnSharedPool) {
   EXPECT_EQ(serial.degraded_samples(), pooled.degraded_samples());
 }
 
+TEST(TelemetryColumnarStore, TinyRingsNeverDeadlockAtAnyPoolSize) {
+  // Two-slot rings make every producer block until its drainers catch up,
+  // so the batch finishes only if all P + D roles run at once. A pool of T
+  // has T - 1 workers plus the submitting thread: the caller must count as
+  // one role runner. 3 gives an uneven split, 8 more runners than cores.
+  const auto batch = reference_batch();
+  ColumnarTelemetryStore serial;
+  for (const auto& sample : batch.samples) {
+    serial.append(sample.key, sample.time_s, sample.value, sample.degraded);
+  }
+  TelemetryTuning tuning;
+  tuning.ring_capacity = 2;
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    ColumnarTelemetryStore pooled(MultiScaleConfig{}, tuning);
+    pooled.bulk_append(batch.samples, pool);
+    expect_identical_answers(serial, pooled, 40, 8, 20.0 * 15.0 + 15.0);
+    EXPECT_EQ(serial.degraded_samples(), pooled.degraded_samples())
+        << threads << " threads";
+  }
+}
+
 TEST(TelemetryColumnarStore, AnomaliesAreDeterministicAcrossThreadCounts) {
   workload::FleetCountersConfig mix;
   mix.servers = 30;
@@ -151,8 +174,9 @@ TEST(TelemetryColumnarStore, AnomaliesAreDeterministicAcrossThreadCounts) {
 
 TEST(TelemetryColumnarStore, RawRangeMatchesRawStoreScan) {
   const auto batch = reference_batch();
-  ColumnarTelemetryStore store(MultiScaleConfig{},
-                               TelemetryTuning{.block_capacity = 16});
+  TelemetryTuning tuning;
+  tuning.block_capacity = 16;
+  ColumnarTelemetryStore store(MultiScaleConfig{}, tuning);
   RawStore raw;
   for (const auto& sample : batch.samples) {
     store.append(sample.key, sample.time_s, sample.value);

@@ -54,7 +54,9 @@ TEST(FleetCounters, EmitsEverySeriesTickMajorWithMonotoneTimes) {
     last_tick_floor = tick_floor;
     // ...and per-series timestamps are strictly non-decreasing.
     const auto it = last_time.find(sample.key);
-    if (it != last_time.end()) EXPECT_GT(sample.time_s, it->second);
+    if (it != last_time.end()) {
+      EXPECT_GT(sample.time_s, it->second);
+    }
     last_time[sample.key] = sample.time_s;
     ++counts[sample.key];
     // /proc-style counters: integer-valued doubles.
