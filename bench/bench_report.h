@@ -23,9 +23,10 @@ struct BenchRecord {
   double items = 0.0;      ///< work units completed (events, samples, points)
 };
 
-inline std::string bench_report_path() {
+inline std::string bench_report_path(
+    const char* default_path = "BENCH_parallel.json") {
   if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_parallel.json";
+  return default_path;
 }
 
 namespace detail {
@@ -93,6 +94,22 @@ inline const std::string& cpu_model() {
 }
 
 }  // namespace detail
+
+/// Opens a scenario experiment's outcome-record file for appending:
+/// EPM_BENCH_REPORT if set, else `default_path`. The stream is not open
+/// (callers skip writing) when the report is suppressed with "-" or the
+/// file is unwritable.
+inline std::ofstream open_scenario_report(const char* default_path) {
+  const std::string path = bench_report_path(default_path);
+  if (path == "-") return {};
+  return std::ofstream(path, std::ios::app);
+}
+
+/// Ends a scenario record with the provenance stamp and closes the object.
+inline void end_record_with_provenance(std::ofstream& file) {
+  file << ",\"git_commit\":\"" << detail::git_commit() << "\",\"cpu_model\":\""
+       << detail::cpu_model() << "\"}\n";
+}
 
 /// Appends `record` to the report file; silently a no-op when the file is
 /// unwritable (benches must never fail on report plumbing).

@@ -17,7 +17,6 @@
 // Emits one BENCH_chaos.json record per drill (set EPM_BENCH_REPORT to
 // redirect); the checked-in copy is the reference run the CI smoke lane
 // compares against.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,26 +30,10 @@ using namespace epm;
 
 namespace {
 
-std::string chaos_report_path() {
-  if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_chaos.json";
-}
-
-std::ofstream open_report() {
-  const std::string path = chaos_report_path();
-  if (path == "-") return {};
-  return std::ofstream(path, std::ios::app);
-}
-
-void append_provenance(std::ofstream& file) {
-  file << ",\"git_commit\":\"" << bench::detail::git_commit()
-       << "\",\"cpu_model\":\"" << bench::detail::cpu_model() << "\"}\n";
-}
-
 void append_recovery_record(std::size_t dcs, const std::string& arm_name,
                             const faults::ChaosRecoveryReport& rep,
                             const faults::ChaosRecoveryArm& arm) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_chaos.json");
   if (!file) return;
   file << "{\"name\":\"chaos_fleet_recovery\",\"dcs\":" << dcs
        << ",\"arm\":\"" << arm_name << "\",\"grid_script\":\""
@@ -61,21 +44,21 @@ void append_recovery_record(std::size_t dcs, const std::string& arm_name,
        << ",\"grid_signals\":" << arm.grid_signals
        << ",\"recovered\":" << (arm.recovered ? "true" : "false")
        << ",\"conservation_ok\":" << (arm.conservation_ok ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 void append_restore_record(std::size_t threads,
                            const faults::ChaosRestoreReport& rep) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_chaos.json");
   if (!file) return;
   file << "{\"name\":\"chaos_restore_equivalence\",\"threads\":" << threads
        << ",\"snapshot_bytes\":" << rep.snapshot_bytes
        << ",\"identical\":" << (rep.identical ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 void append_partition_record(const faults::ChaosPartitionReport& rep) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_chaos.json");
   if (!file) return;
   file << "{\"name\":\"chaos_partition_zero_loss\",\"parked_at_check\":"
        << rep.parked_at_check << ",\"redelivered\":" << rep.redelivered
@@ -83,7 +66,7 @@ void append_partition_record(const faults::ChaosPartitionReport& rep) {
        << ",\"zero_loss\":" << (rep.zero_loss ? "true" : "false")
        << ",\"fifo_ok\":" << (rep.fifo_ok ? "true" : "false")
        << ",\"passed\":" << (rep.passed ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 }  // namespace

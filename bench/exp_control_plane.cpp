@@ -26,7 +26,6 @@
 // Emits one BENCH_controlplane.json record per drill (set
 // EPM_BENCH_REPORT to redirect); the checked-in copy is the reference
 // run the CI smoke lane compares against.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -39,22 +38,6 @@
 using namespace epm;
 
 namespace {
-
-std::string report_path() {
-  if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_controlplane.json";
-}
-
-std::ofstream open_report() {
-  const std::string path = report_path();
-  if (path == "-") return {};
-  return std::ofstream(path, std::ios::app);
-}
-
-void append_provenance(std::ofstream& file) {
-  file << ",\"git_commit\":\"" << bench::detail::git_commit()
-       << "\",\"cpu_model\":\"" << bench::detail::cpu_model() << "\"}\n";
-}
 
 struct ArmTotals {
   std::uint64_t fenced = 0;
@@ -76,7 +59,7 @@ void append_kill_record(std::size_t dcs, bool partition,
                         const std::string& arm_name,
                         const faults::ControlLeaderKillReport& rep,
                         const faults::ControlChaosOutcome& arm) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_controlplane.json");
   if (!file) return;
   const ArmTotals t = totals_of(arm);
   file << "{\"name\":\"controlplane_leader_kill\",\"dcs\":" << dcs
@@ -91,37 +74,37 @@ void append_kill_record(std::size_t dcs, bool partition,
        << ",\"safe_state_trips\":" << t.safe_trips
        << ",\"lease_unique\":" << (arm.lease_unique_ok ? "true" : "false")
        << ",\"gate_ok\":" << (rep.gate_ok ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 void append_split_brain_record(std::size_t dcs,
                                const faults::ControlSplitBrainReport& rep) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_controlplane.json");
   if (!file) return;
   file << "{\"name\":\"controlplane_split_brain\",\"dcs\":" << dcs
        << ",\"stale_fenced\":" << rep.stale_fenced
        << ",\"double_actuations\":" << rep.double_actuations
        << ",\"deposed\":" << (rep.stale_leader_deposed ? "true" : "false")
        << ",\"passed\":" << (rep.passed ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 void append_conformance_record(std::size_t runs, bool identical) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_controlplane.json");
   if (!file) return;
   file << "{\"name\":\"controlplane_conformance\",\"runs\":" << runs
        << ",\"identical\":" << (identical ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 void append_restore_record(std::size_t threads,
                            const faults::ControlRestoreReport& rep) {
-  auto file = open_report();
+  auto file = bench::open_scenario_report("BENCH_controlplane.json");
   if (!file) return;
   file << "{\"name\":\"controlplane_restore_equivalence\",\"threads\":"
        << threads << ",\"snapshot_bytes\":" << rep.snapshot_bytes
        << ",\"identical\":" << (rep.identical ? "true" : "false");
-  append_provenance(file);
+  bench::end_record_with_provenance(file);
 }
 
 }  // namespace
@@ -187,31 +170,20 @@ int main() {
   // Drill 3: shard/thread conformance of the leader-kill world.
   faults::ControlChaosConfig base;
   base.controller_faults = faults::make_leader_kill_plan();
-  faults::ControlChaosConfig serial = base;
-  serial.shards = 1;
-  const auto reference = faults::run_control_plane(serial);
-  bool identical = reference.lease_unique_ok && reference.fencing_clean;
-  std::size_t runs = 1;
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      faults::ControlChaosConfig c = base;
-      c.shards = shards;
-      c.threads = threads;
-      const auto out = faults::run_control_plane(c);
-      ++runs;
-      if (!faults::control_outcomes_equal(reference, out)) {
-        identical = false;
-        std::cout << "  CONFORMANCE DIVERGED at shards=" << shards
-                  << " threads=" << threads << "\n";
-      }
-    }
+  // The serial one-shard run is the reference for the sharded grid.
+  std::vector<faults::SweepPoint> points =
+      faults::sweep_grid({base.seed}, {2, 4}, {1, 2, 8});
+  points.insert(points.begin(), {base.seed, 1, 1});
+  const faults::SweepReport sweep = faults::sweep_control_plane(base, points);
+  if (!sweep.ok) {
+    std::cout << "  CONFORMANCE DIVERGED at shards=" << sweep.failed.shards
+              << " threads=" << sweep.failed.threads << "\n";
   }
-  append_conformance_record(runs, identical);
-  std::cout << "  conformance: " << runs
+  append_conformance_record(sweep.runs, sweep.ok);
+  std::cout << "  conformance: " << sweep.runs
             << " runs across shards {1,2,4} x threads {1,2,8}, "
-            << (identical ? "all bit-identical" : "DIVERGED") << "\n";
-  if (!identical) gate_ok = false;
+            << (sweep.ok ? "all bit-identical" : "DIVERGED") << "\n";
+  if (!sweep.ok) gate_ok = false;
 
   // Drill 4: mid-failover snapshot/restore equivalence.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {

@@ -20,7 +20,6 @@
 //
 // Emits one BENCH_sensing.json record per swept point (set EPM_BENCH_REPORT
 // to redirect).
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,16 +40,9 @@ struct Point {
   bool hardened = false;
 };
 
-std::string sensing_report_path() {
-  if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_sensing.json";
-}
-
 void append_sensing_record(const Point& point,
                            const sensing::DegradedScenarioOutcome& out) {
-  const std::string path = sensing_report_path();
-  if (path == "-") return;
-  std::ofstream file(path, std::ios::app);
+  auto file = bench::open_scenario_report("BENCH_sensing.json");
   if (!file) return;
   file << "{\"name\":\"degraded_sensing\",\"intensity\":" << point.intensity
        << ",\"hardened\":" << (point.hardened ? "true" : "false")

@@ -15,7 +15,6 @@
 // Emits one BENCH_faults.json record per swept point (set EPM_BENCH_REPORT
 // to redirect): intensity, arm, served/offered/shed/rerouted/dropped,
 // brown-out and trip epochs, energy.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,15 +35,8 @@ struct Point {
   bool policy = false;
 };
 
-std::string faults_report_path() {
-  if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_faults.json";
-}
-
 void append_faults_record(const Point& point, const faults::StormOutcome& out) {
-  const std::string path = faults_report_path();
-  if (path == "-") return;
-  std::ofstream file(path, std::ios::app);
+  auto file = bench::open_scenario_report("BENCH_faults.json");
   if (!file) return;
   file << "{\"name\":\"fault_storm\",\"intensity\":" << point.intensity
        << ",\"policy\":" << (point.policy ? "true" : "false")

@@ -164,18 +164,14 @@ int main() {
   auto run_fleet = [&](double reroute_fraction) {
     faults::FleetStormConfig arm = storm;
     arm.reroute_fraction = reroute_fraction;
-    sim::ShardedSimulator fed(
-        faults::make_fleet_sharded_config(net, /*shards=*/4, /*threads=*/0));
-    sim::ShardedFabric fabric(fed);
-    return faults::run_fleet_storm(arm, fabric);
+    return faults::run_fleet_storm(arm, /*shards=*/4, /*threads=*/0);
   };
   const auto alone = run_fleet(0.0);
   const auto rerouted = run_fleet(1.0);
 
   // Conformance: the rerouted arm must match the single-kernel run exactly.
-  sim::SingleKernelFabric single_fabric(storm.sites.size());
-  const auto truth = faults::run_fleet_storm(storm, single_fabric);
-  const bool match = faults::fleet_storm_outcomes_equal(rerouted, truth);
+  const auto truth = faults::run_fleet_storm(storm, faults::kSingleKernel, 1);
+  const bool match = rerouted == truth;
 
   const auto& dark_alone = alone.dcs[storm.outage_dc];
   const auto& dark_rerouted = rerouted.dcs[storm.outage_dc];

@@ -23,7 +23,6 @@
 //
 // Emits one BENCH_retrystorm.json record per swept point (set
 // EPM_BENCH_REPORT to redirect).
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -45,16 +44,9 @@ struct Point {
 
 constexpr double kRecoveryLimitS = 300.0;
 
-std::string retrystorm_report_path() {
-  if (const char* env = std::getenv("EPM_BENCH_REPORT")) return env;
-  return "BENCH_retrystorm.json";
-}
-
 void append_retrystorm_record(const Point& point,
                               const faults::RetryStormOutcome& out) {
-  const std::string path = retrystorm_report_path();
-  if (path == "-") return;
-  std::ofstream file(path, std::ios::app);
+  auto file = bench::open_scenario_report("BENCH_retrystorm.json");
   if (!file) return;
   file << "{\"name\":\"retry_storm\",\"outage_s\":" << point.outage_s
        << ",\"policy\":\"" << workload::to_string(point.backoff) << "\""

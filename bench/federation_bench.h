@@ -10,7 +10,7 @@
 //                              executed by the worker pool
 //
 // The two arms run the identical FleetStormConfig and must produce the
-// bit-identical FleetStormOutcome (fleet_storm_outcomes_equal) — a fast
+// bit-identical FleetStormOutcome (operator==) — a fast
 // federation that diverges from the single-kernel ground truth fails the
 // gate. The perf verdict is relative, interleaved best-of-N, so it does not
 // depend on machine speed: the federated arm must beat the single kernel by
@@ -33,8 +33,6 @@
 #include "bench_report.h"
 #include "core/parallel.h"
 #include "faults/fleet_storm.h"
-#include "sim/fabric.h"
-#include "sim/sharded_simulator.h"
 
 namespace epm::bench {
 
@@ -94,7 +92,6 @@ inline FederationBenchOutcome run_federation_bench(
   // Pin the populations' internal parallelism (see file comment): the only
   // difference between the arms is the fabric.
   storm.clients.threads = 1;
-  const network::InterDcNetwork net = faults::make_fleet_network(storm);
 
   // Interleaved best-of-N: the minimum wall per arm measures unhindered
   // speed and keeps the A/B ratio stable on a loaded machine.
@@ -104,21 +101,12 @@ inline FederationBenchOutcome run_federation_bench(
   faults::FleetStormOutcome fed_out;
   for (std::size_t rep = 0; rep < config.reps; ++rep) {
     double t0 = detail::fed_now_wall_s();
-    {
-      sim::SingleKernelFabric fabric(storm.sites.size());
-      single_out = faults::run_fleet_storm(storm, fabric);
-    }
+    single_out = faults::run_fleet_storm(storm, faults::kSingleKernel, 1);
     const double single = detail::fed_now_wall_s() - t0;
     single_wall = rep == 0 ? single : std::min(single_wall, single);
 
     t0 = detail::fed_now_wall_s();
-    {
-      sim::ShardedSimulator fed(
-          faults::make_fleet_sharded_config(net, config.shards,
-                                            config.threads));
-      sim::ShardedFabric fabric(fed);
-      fed_out = faults::run_fleet_storm(storm, fabric);
-    }
+    fed_out = faults::run_fleet_storm(storm, config.shards, config.threads);
     const double fed = detail::fed_now_wall_s() - t0;
     fed_wall = rep == 0 ? fed : std::min(fed_wall, fed);
   }
@@ -130,7 +118,7 @@ inline FederationBenchOutcome run_federation_bench(
   out.single_aps = static_cast<double>(out.attempts) / single_wall;
   out.federated_aps = static_cast<double>(out.attempts) / fed_wall;
   out.speedup = out.single_aps > 0.0 ? out.federated_aps / out.single_aps : 0.0;
-  out.outcomes_match = faults::fleet_storm_outcomes_equal(single_out, fed_out);
+  out.outcomes_match = single_out == fed_out;
 
   append_bench_record({"kernel_federation_single", 1, single_wall,
                        static_cast<double>(out.attempts)});

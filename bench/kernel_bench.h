@@ -144,17 +144,6 @@ inline faults::RetryStormConfig make_bench_storm_config(std::size_t clients,
   return storm;
 }
 
-/// The engines must agree on every client-visible total; a fast wrong
-/// engine must fail the bench, not pass it.
-inline bool storm_outcomes_equal(const faults::RetryStormOutcome& a,
-                                 const faults::RetryStormOutcome& b) {
-  return a.attempts == b.attempts && a.intents == b.intents &&
-         a.retries == b.retries && a.served_fresh == b.served_fresh &&
-         a.served_stale == b.served_stale && a.timed_out == b.timed_out &&
-         a.abandoned == b.abandoned && a.dark_failures == b.dark_failures &&
-         a.max_queue_depth == b.max_queue_depth;
-}
-
 template <typename Sim>
 double hold_model_wall_s(std::size_t resident, std::size_t ops,
                          std::uint64_t seed, std::size_t* fired_out) {
@@ -326,8 +315,7 @@ inline KernelBenchOutcome run_kernel_bench(const KernelBenchConfig& config) {
     out.storm_legacy_aps =
         static_cast<double>(legacy_out.attempts) / legacy_wall;
     out.storm_speedup = out.storm_engine_aps / out.storm_legacy_aps;
-    out.storm_outcomes_match = detail::storm_outcomes_equal(engine_out,
-                                                            legacy_out);
+    out.storm_outcomes_match = engine_out == legacy_out;
     append_bench_record({"kernel_retry_storm_1m", 1, engine_wall,
                          static_cast<double>(engine_out.attempts)});
     append_bench_record({"kernel_retry_storm_1m_legacy", 1, legacy_wall,

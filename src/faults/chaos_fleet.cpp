@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "core/require.h"
-#include "core/rng.h"
 #include "faults/fault_domain.h"
-#include "sim/fabric.h"
-#include "sim/sharded_simulator.h"
-#include "sim/snapshot.h"
 
 namespace epm::faults {
 namespace {
@@ -20,14 +15,6 @@ constexpr std::uint64_t kDriveTag = 1;
 constexpr std::uint64_t kWorkTag = 2;
 constexpr std::uint32_t kChaosMagic = 0x736f6163;  // "caos"
 constexpr std::uint32_t kChaosVersion = 1;
-
-/// Deterministic uniform draw for (seed, dc, counter) — one independent
-/// value per drive epoch, never shared across datacenters.
-double u01(std::uint64_t seed, std::uint64_t d, std::uint64_t ctr) {
-  const std::uint64_t z =
-      SplitMix64::mix(seed + 0x9e3779b97f4a7c15ULL * (d * 1000003ULL + ctr + 1));
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
 
 void validate(const ChaosFleetConfig& c) {
   require(c.dcs >= 1, "chaos fleet: need at least one datacenter");
@@ -42,45 +29,34 @@ void validate(const ChaosFleetConfig& c) {
 }
 
 sim::ShardedConfig make_sharded_config(const ChaosFleetConfig& c) {
-  sim::ShardedConfig sc;
-  sc.shards = c.dcs;
-  sc.threads = c.threads;
-  sc.uniform_lookahead_s = c.lookahead_s;
-  return sc;
+  return uniform_federation(c.dcs, c.threads, c.lookahead_s);
 }
 
-/// The snapshot-capable drive world: one TaggedKernel per shard, every
-/// event a (tag, payload) record, every cross-shard message tagged. All
-/// mutable state is plain data, so save()/restore() capture it exactly.
+/// The snapshot-capable drive world (a drill world, see drill.h): one
+/// TaggedKernel per shard, every event a (tag, payload) record, every
+/// cross-shard message tagged. All mutable state is plain data, so
+/// save()/restore() capture it exactly.
 class ChaosWorld {
  public:
   ChaosWorld(const ChaosFleetConfig& config, sim::ShardedSimulator& fed)
-      : config_(config), fed_(fed), dcs_(config.dcs) {
+      : config_(config), fed_(fed), dcs_(config.dcs), shards_(fed) {
     for (std::size_t d = 0; d < config_.dcs; ++d) {
       dcs_[d].fwd_seq.assign(config_.dcs, 0);
       dcs_[d].last_seen.assign(config_.dcs, 0);
-      kernels_.push_back(std::make_unique<sim::TaggedKernel>(fed_.shard(d)));
-      sim::TaggedKernel& tk = *kernels_.back();
-      tk.on(kDriveTag, [this](double now, const sim::TagPayload& p) {
+      shards_[d].on(kDriveTag, [this](double now, const sim::TagPayload& p) {
         drive(static_cast<std::size_t>(p[0]), now);
       });
-      tk.on(kWorkTag, [this, d](double, const sim::TagPayload& p) {
+      shards_[d].on(kWorkTag, [this, d](double, const sim::TagPayload& p) {
         work(d, p);
       });
     }
-    fed_.set_tagged_delivery(
-        [this](std::size_t dst, double when_s, std::uint64_t tag,
-               const std::vector<std::uint64_t>& payload) {
-          kernels_[dst]->schedule_tagged_at(when_s, tag, payload);
-        });
   }
 
-  /// Starts a fresh run (first drive tick on every shard at t = 0). NOT
-  /// called on the restore path — the snapshot carries the pending records.
+  /// First drive tick on every shard at t = 0.
   void arm() {
     for (std::size_t d = 0; d < config_.dcs; ++d) {
-      kernels_[d]->schedule_tagged_at(0.0, kDriveTag,
-                                      {static_cast<std::uint64_t>(d)});
+      shards_[d].schedule_tagged_at(0.0, kDriveTag,
+                                    {static_cast<std::uint64_t>(d)});
     }
   }
 
@@ -100,8 +76,7 @@ class ChaosWorld {
       w.write_payload(dc.fwd_seq);
       w.write_payload(dc.last_seen);
     }
-    for (std::size_t d = 0; d < config_.dcs; ++d) kernels_[d]->save(w);
-    fed_.save_state(w);
+    shards_.save(w);
   }
 
   void restore(sim::SnapshotReader& r) {
@@ -124,8 +99,7 @@ class ChaosWorld {
                   dc.last_seen.size() == config_.dcs,
               "chaos snapshot sequence tables do not match the fleet size");
     }
-    for (std::size_t d = 0; d < config_.dcs; ++d) kernels_[d]->restore(r);
-    fed_.restore_state(r);
+    shards_.restore(r);
   }
 
   ChaosFleetOutcome finish() const {
@@ -191,7 +165,7 @@ class ChaosWorld {
   void drive(std::size_t d, double now) {
     Dc& dc = dcs_[d];
     ++dc.epoch;
-    const double u = u01(config_.seed, d, dc.rng_ctr++);
+    const double u = epoch_uniform(config_.seed, d, dc.rng_ctr++);
     const auto arrivals = static_cast<std::uint64_t>(std::floor(
         config_.arrival_rate_rps * config_.epoch_s * (0.8 + 0.4 * u)));
     dc.generated += arrivals;
@@ -223,8 +197,8 @@ class ChaosWorld {
     // drive window closes; the slack to the horizon drains in-flight work.
     const double next = now + config_.epoch_s;
     if (next < config_.drive_until_s) {
-      kernels_[d]->schedule_tagged_at(next, kDriveTag,
-                                      {static_cast<std::uint64_t>(d)});
+      shards_[d].schedule_tagged_at(next, kDriveTag,
+                                    {static_cast<std::uint64_t>(d)});
     }
   }
 
@@ -242,7 +216,7 @@ class ChaosWorld {
   const ChaosFleetConfig config_;
   sim::ShardedSimulator& fed_;
   std::vector<Dc> dcs_;
-  std::vector<std::unique_ptr<sim::TaggedKernel>> kernels_;
+  TaggedShards shards_;
   bool fifo_ok_ = true;
 };
 
@@ -250,9 +224,8 @@ ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
   ChaosRecoveryArm arm;
   arm.fleet_prefault_goodput_rps = o.fleet_prefault_goodput_rps;
   arm.fleet_end_goodput_rps = o.fleet_end_goodput_rps;
-  arm.ratio = o.fleet_prefault_goodput_rps > 0.0
-                  ? o.fleet_end_goodput_rps / o.fleet_prefault_goodput_rps
-                  : 0.0;
+  arm.ratio =
+      recovery_ratio(o.fleet_prefault_goodput_rps, o.fleet_end_goodput_rps);
   for (const FleetDcOutcome& dc : o.dcs) arm.grid_signals += dc.grid_signals;
   arm.conservation_ok = o.conservation_ok;
   arm.recovered = arm.ratio >= threshold;
@@ -261,76 +234,20 @@ ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
 
 }  // namespace
 
-bool chaos_outcomes_equal(const ChaosFleetOutcome& a,
-                          const ChaosFleetOutcome& b) {
-  if (a.dcs.size() != b.dcs.size()) return false;
-  for (std::size_t d = 0; d < a.dcs.size(); ++d) {
-    const ChaosDcOutcome& x = a.dcs[d];
-    const ChaosDcOutcome& y = b.dcs[d];
-    if (x.generated != y.generated || x.served != y.served ||
-        x.dropped != y.dropped || x.backlog != y.backlog ||
-        x.forwarded_items != y.forwarded_items ||
-        x.received_items != y.received_items || x.epochs != y.epochs) {
-      return false;
-    }
-  }
-  return a.final_now_s == b.final_now_s &&
-         a.final_pending == b.final_pending && a.fifo_ok == b.fifo_ok &&
-         a.messages_redelivered == b.messages_redelivered &&
-         a.messages_parked_end == b.messages_parked_end &&
-         a.conservation_ok == b.conservation_ok &&
-         a.conservation_report == b.conservation_report;
-}
-
 ChaosFleetOutcome run_chaos_fleet(const ChaosFleetConfig& config,
                                   const network::InterDcLinkPlan* plan) {
   validate(config);
-  sim::ShardedSimulator fed(make_sharded_config(config));
-  if (plan != nullptr) fed.set_link_plan(plan);
-  ChaosWorld world(config, fed);
-  world.arm();
-  fed.run_until(config.horizon_s);
-  return world.finish();
+  return run_world<ChaosWorld>(config, make_sharded_config(config),
+                               config.horizon_s, plan);
 }
 
 ChaosRestoreReport run_chaos_fleet_with_restore(const ChaosFleetConfig& config,
                                                 double snapshot_at_s,
                                                 double kill_at_s) {
   validate(config);
-  require(snapshot_at_s > 0.0 && snapshot_at_s <= kill_at_s &&
-              kill_at_s < config.horizon_s,
-          "chaos restore drill requires 0 < snapshot_at <= kill_at < horizon");
-  ChaosRestoreReport rep;
-  rep.uninterrupted = run_chaos_fleet(config);
-
-  std::vector<std::uint8_t> snapshot;
-  {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ChaosWorld world(config, fed);
-    world.arm();
-    fed.run_until(snapshot_at_s);
-    sim::SnapshotWriter w;
-    world.save(w);
-    snapshot = w.take();
-    // Keep running past the checkpoint, then "kill": federation and world
-    // are destroyed at scope exit, everything after the snapshot discarded.
-    fed.run_until(kill_at_s);
-  }
-  rep.snapshot_bytes = snapshot.size();
-
-  {
-    // A cold process: fresh federation, fresh world (handlers registered,
-    // nothing armed), state rebuilt purely from the snapshot bytes.
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ChaosWorld world(config, fed);
-    sim::SnapshotReader r(snapshot);
-    world.restore(r);
-    require(r.at_end(), "chaos snapshot has trailing bytes");
-    fed.run_until(config.horizon_s);
-    rep.restored = world.finish();
-  }
-  rep.identical = chaos_outcomes_equal(rep.uninterrupted, rep.restored);
-  return rep;
+  return run_restore_drill<ChaosWorld>(config, make_sharded_config(config),
+                                       config.horizon_s, snapshot_at_s,
+                                       kill_at_s);
 }
 
 ChaosPartitionReport run_chaos_partition_drill(const ChaosFleetConfig& config,
@@ -401,8 +318,7 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
     c.disruptions = disruptions;
     c.grid_broadcasts = defended;
     c.defense.enabled = defended;
-    sim::SingleKernelFabric fabric(c.sites.size());
-    return summarize_arm(run_fleet_storm(c, fabric), threshold);
+    return summarize_arm(run_fleet_storm(c, kSingleKernel, 1), threshold);
   };
   rep.defended = run_arm(true);
   rep.naive = run_arm(false);

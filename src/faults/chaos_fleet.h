@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/drill.h"
 #include "faults/fleet_storm.h"
 #include "network/interdc_link.h"
 
@@ -72,6 +73,8 @@ struct ChaosDcOutcome {
   std::uint64_t forwarded_items = 0;  ///< items sent to peers
   std::uint64_t received_items = 0;   ///< items received from peers
   std::uint64_t epochs = 0;
+
+  bool operator==(const ChaosDcOutcome&) const = default;
 };
 
 struct ChaosFleetOutcome {
@@ -87,11 +90,10 @@ struct ChaosFleetOutcome {
   /// item conservation (generated == served + dropped + backlog).
   bool conservation_ok = false;
   std::string conservation_report;
-};
 
-/// Exact field-by-field equality (the restore drill demands bit-identical,
-/// not close).
-bool chaos_outcomes_equal(const ChaosFleetOutcome& a, const ChaosFleetOutcome& b);
+  /// Exact (the restore drill demands bit-identical, not close).
+  bool operator==(const ChaosFleetOutcome&) const = default;
+};
 
 /// Uninterrupted run. `plan` (optional, non-owning) degrades links; it must
 /// have site_count() == config.dcs and any open partition must be healed
@@ -99,17 +101,10 @@ bool chaos_outcomes_equal(const ChaosFleetOutcome& a, const ChaosFleetOutcome& b
 ChaosFleetOutcome run_chaos_fleet(const ChaosFleetConfig& config,
                                   const network::InterDcLinkPlan* plan = nullptr);
 
-/// Kill-and-restore drill: runs to `snapshot_at_s` (a barrier), snapshots,
-/// keeps running to `kill_at_s`, then destroys the federation and world,
-/// rebuilds both from the config, restores from the snapshot bytes, and
-/// re-runs to the horizon. Requires 0 < snapshot_at_s <= kill_at_s <
-/// horizon_s.
-struct ChaosRestoreReport {
-  ChaosFleetOutcome uninterrupted;
-  ChaosFleetOutcome restored;
-  bool identical = false;
-  std::size_t snapshot_bytes = 0;
-};
+/// Kill-and-restore drill (faults/drill.h run_restore_drill): snapshot at
+/// `snapshot_at_s`, kill at `kill_at_s`, restore cold, finish at the
+/// horizon. Requires 0 < snapshot_at_s <= kill_at_s < horizon_s.
+using ChaosRestoreReport = RestoreReport<ChaosFleetOutcome>;
 ChaosRestoreReport run_chaos_fleet_with_restore(const ChaosFleetConfig& config,
                                                 double snapshot_at_s,
                                                 double kill_at_s);

@@ -9,15 +9,12 @@
 #include <utility>
 
 #include "core/require.h"
-#include "core/rng.h"
 #include "faults/fault_domain.h"
 #include "faults/fault_plan.h"
 #include "macro/control_plane/controller.h"
 #include "macro/geo.h"
 #include "sensing/actuator_plane.h"
 #include "sensing/fencing.h"
-#include "sim/sharded_simulator.h"
-#include "sim/snapshot.h"
 
 namespace epm::faults {
 namespace {
@@ -37,14 +34,6 @@ enum class CtlFaultAction : std::uint64_t {
   kHang,
   kResume,
 };
-
-/// Deterministic uniform draw for (seed, dc, counter); same closed form as
-/// the chaos fleet so streams never depend on sharding or threading.
-double u01(std::uint64_t seed, std::uint64_t d, std::uint64_t ctr) {
-  const std::uint64_t z =
-      SplitMix64::mix(seed + 0x9e3779b97f4a7c15ULL * (d * 1000003ULL + ctr + 1));
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
 
 void validate(const ControlChaosConfig& c) {
   require(c.dcs >= 1, "control chaos: need at least one datacenter");
@@ -72,11 +61,7 @@ std::size_t effective_shards(const ControlChaosConfig& c) {
 }
 
 sim::ShardedConfig make_sharded_config(const ControlChaosConfig& c) {
-  sim::ShardedConfig sc;
-  sc.shards = effective_shards(c);
-  sc.threads = c.threads;
-  sc.uniform_lookahead_s = c.lookahead_s;
-  return sc;
+  return uniform_federation(effective_shards(c), c.threads, c.lookahead_s);
 }
 
 /// The staged eco-mode transition: enter tightens cap, raises the CRAC
@@ -187,17 +172,18 @@ sensing::ActuatorCommand to_actuator_command(const macro::ControlCommand& cmd) {
   return ac;
 }
 
-/// Snapshot-capable control-plane world: one TaggedKernel per shard, one
-/// plant + actuator endpoint per DC, one controller replica per DC (or only
-/// at DC 0 in the naive arm). All mutable state is plain data.
+/// Snapshot-capable control-plane world (a drill world, see drill.h): one
+/// TaggedKernel per shard, one plant + actuator endpoint per DC, one
+/// controller replica per DC (or only at DC 0 in the naive arm). All
+/// mutable state is plain data.
 class ControlWorld {
  public:
   ControlWorld(const ControlChaosConfig& config, sim::ShardedSimulator& fed)
       : config_(config),
         fed_(fed),
-        shards_(effective_shards(config)),
         dcs_per_shard_(config.dcs / effective_shards(config)),
         plants_(config.dcs),
+        shards_(fed),
         sent_per_shard_(effective_shards(config), 0) {
     const std::vector<macro::ProgramStep> program = make_program(config_);
     for (std::size_t d = 0; d < config_.dcs; ++d) {
@@ -205,7 +191,13 @@ class ControlWorld {
       p.active_servers = static_cast<double>(config_.servers_per_dc);
       p.cap_frac = 1.0;
       p.setpoint_c = config_.safe_setpoint_c;
-      endpoints_.push_back(std::make_unique<Endpoint>(config_, d));
+      endpoints_.push_back(std::make_unique<Endpoint>(config_));
+      // The actuator plane's applier writes this DC's plant.
+      endpoints_.back()->plane.set_applier(
+          [this, d](const sensing::ActuatorCommand& c) {
+            apply_to_plant(d, c);
+            return true;
+          });
       const bool hosted = config_.replicated || d == 0;
       if (hosted) {
         macro::ControllerConfig cc;
@@ -222,9 +214,8 @@ class ControlWorld {
         replicas_.push_back(nullptr);
       }
     }
-    for (std::size_t s = 0; s < shards_; ++s) {
-      kernels_.push_back(std::make_unique<sim::TaggedKernel>(fed_.shard(s)));
-      sim::TaggedKernel& tk = *kernels_.back();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      sim::TaggedKernel& tk = shards_[s];
       tk.on(kDriveTag, [this](double now, const sim::TagPayload& p) {
         drive(static_cast<std::size_t>(p[0]), now);
       });
@@ -242,22 +233,16 @@ class ControlWorld {
                      static_cast<CtlFaultAction>(p[1]), now);
       });
     }
-    fed_.set_tagged_delivery(
-        [this](std::size_t dst, double when_s, std::uint64_t tag,
-               const std::vector<std::uint64_t>& payload) {
-          kernels_[dst]->schedule_tagged_at(when_s, tag, payload);
-        });
   }
 
-  /// Fresh-run arming: first drive tick per DC plus every scheduled
-  /// controller fault edge. NOT called on the restore path.
+  /// First drive tick per DC plus every scheduled controller fault edge.
   void arm() {
     for (std::size_t d = 0; d < config_.dcs; ++d) {
-      kernels_[shard_of(d)]->schedule_tagged_at(
+      shards_[shard_of(d)].schedule_tagged_at(
           0.0, kDriveTag, {static_cast<std::uint64_t>(d)});
     }
     for (const ScheduledCtlFault& f : expand_controller_faults(config_)) {
-      kernels_[shard_of(f.dc)]->schedule_tagged_at(
+      shards_[shard_of(f.dc)].schedule_tagged_at(
           f.at_s, kCtlFaultTag,
           {static_cast<std::uint64_t>(f.dc),
            static_cast<std::uint64_t>(f.action)});
@@ -267,7 +252,7 @@ class ControlWorld {
   void save(sim::SnapshotWriter& w) const {
     w.begin_section(kControlMagic, kControlVersion);
     w.write_u64(config_.dcs);
-    w.write_u64(shards_);
+    w.write_u64(shards_.size());
     for (const std::uint64_t n : sent_per_shard_) w.write_u64(n);
     for (const Plant& p : plants_) {
       w.write_f64(p.active_servers);
@@ -297,15 +282,14 @@ class ControlWorld {
       w.write_u8(r != nullptr ? 1 : 0);
       if (r != nullptr) r->save(w);
     }
-    for (std::size_t s = 0; s < shards_; ++s) kernels_[s]->save(w);
-    fed_.save_state(w);
+    shards_.save(w);
   }
 
   void restore(sim::SnapshotReader& r) {
     r.expect_section(kControlMagic, kControlVersion);
     require(r.read_u64() == config_.dcs,
             "control snapshot datacenter count does not match the config");
-    require(r.read_u64() == shards_,
+    require(r.read_u64() == shards_.size(),
             "control snapshot shard count does not match the config");
     for (std::uint64_t& n : sent_per_shard_) n = r.read_u64();
     for (Plant& p : plants_) {
@@ -338,8 +322,7 @@ class ControlWorld {
               "control snapshot replica layout does not match the config");
       if (rep != nullptr) rep->restore(r);
     }
-    for (std::size_t s = 0; s < shards_; ++s) kernels_[s]->restore(r);
-    fed_.restore_state(r);
+    shards_.restore(r);
   }
 
   ControlChaosOutcome finish() const {
@@ -462,13 +445,12 @@ class ControlWorld {
 
   /// Actuator-side state at one DC: the fenced plane, the ledger, and the
   /// dead-man watchdog. The plane's applier writes the owning world's plant
-  /// (wired by the world after construction via set_applier).
+  /// (wired by the world's constructor).
   struct Endpoint {
-    Endpoint(const ControlChaosConfig& c, std::size_t dc)
+    explicit Endpoint(const ControlChaosConfig& c)
         : ledger(c.fencing),
           deadman(c.deadman ? c.deadman_ttl_s : 0.0),
           plane(sensing::ActuatorPlaneConfig{}) {
-      (void)dc;
       plane.set_fencing(&ledger);
     }
     sensing::FencingLedger ledger;
@@ -496,7 +478,7 @@ class ControlWorld {
     const std::size_t ss = shard_of(src_dc);
     const std::size_t ds = shard_of(dst_dc);
     if (ss == ds) {
-      kernels_[ds]->schedule_tagged_at(now_s + delay, tag, std::move(payload));
+      shards_[ds].schedule_tagged_at(now_s + delay, tag, std::move(payload));
     } else {
       fed_.send_tagged(ss, ds, delay, tag, std::move(payload));
     }
@@ -567,7 +549,7 @@ class ControlWorld {
 
     Plant& p = plants_[d];
     ++p.epochs;
-    const double u = u01(config_.seed, d, p.rng_ctr++);
+    const double u = epoch_uniform(config_.seed, d, p.rng_ctr++);
     const double base = now < config_.demand_rise_s ? config_.base_demand_rps
                                                     : config_.peak_demand_rps;
     const double demand =
@@ -595,7 +577,7 @@ class ControlWorld {
     }
     const double next = now + config_.epoch_s;
     if (next < config_.drive_until_s) {
-      kernels_[shard_of(d)]->schedule_tagged_at(
+      shards_[shard_of(d)].schedule_tagged_at(
           next, kDriveTag, {static_cast<std::uint64_t>(d)});
     }
   }
@@ -649,31 +631,19 @@ class ControlWorld {
 
   const ControlChaosConfig config_;
   sim::ShardedSimulator& fed_;
-  std::size_t shards_;
   std::size_t dcs_per_shard_;
   std::vector<Plant> plants_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::vector<std::unique_ptr<macro::ControllerReplica>> replicas_;
-  std::vector<std::unique_ptr<sim::TaggedKernel>> kernels_;
+  TaggedShards shards_;
   /// World-level sends, one slot per source shard (window-race-free).
   std::vector<std::uint64_t> sent_per_shard_;
-
- public:
-  /// Wires each endpoint's actuator plane into its plant. Separate from the
-  /// constructor so `this` is fully formed.
-  void wire_appliers() {
-    for (std::size_t d = 0; d < config_.dcs; ++d) {
-      endpoints_[d]->plane.set_applier(
-          [this, d](const sensing::ActuatorCommand& c) {
-            apply_to_plant(d, c);
-            return true;
-          });
-    }
-  }
 };
 
-ControlChaosOutcome run_world(const ControlChaosConfig& config,
-                              const network::InterDcLinkPlan* plan) {
+}  // namespace
+
+ControlChaosOutcome run_control_plane(const ControlChaosConfig& config,
+                                      const network::InterDcLinkPlan* plan) {
   validate(config);
   if (plan != nullptr) {
     require(effective_shards(config) == config.dcs,
@@ -681,113 +651,32 @@ ControlChaosOutcome run_world(const ControlChaosConfig& config,
     require(plan->site_count() == config.dcs,
             "control chaos: link plan site count must equal dcs");
   }
-  sim::ShardedSimulator fed(make_sharded_config(config));
-  if (plan != nullptr) fed.set_link_plan(plan);
-  ControlWorld world(config, fed);
-  world.wire_appliers();
-  world.arm();
-  fed.run_until(config.horizon_s);
-  return world.finish();
-}
-
-}  // namespace
-
-bool control_outcomes_equal(const ControlChaosOutcome& a,
-                            const ControlChaosOutcome& b) {
-  if (a.dcs.size() != b.dcs.size() || a.replicas.size() != b.replicas.size()) {
-    return false;
-  }
-  for (std::size_t d = 0; d < a.dcs.size(); ++d) {
-    const ControlDcOutcome& x = a.dcs[d];
-    const ControlDcOutcome& y = b.dcs[d];
-    const bool same =
-        x.epochs == y.epochs && x.demand_total == y.demand_total &&
-        x.served_total == y.served_total &&
-        x.sla_violation_epochs == y.sla_violation_epochs &&
-        x.thermal_alarm_epochs == y.thermal_alarm_epochs &&
-        x.max_temp_c == y.max_temp_c &&
-        x.prefault_demand == y.prefault_demand &&
-        x.prefault_served == y.prefault_served &&
-        x.end_demand == y.end_demand && x.end_served == y.end_served &&
-        x.commands_applied == y.commands_applied &&
-        x.fencing_rejections == y.fencing_rejections &&
-        x.stale_rejected == y.stale_rejected &&
-        x.double_actuations == y.double_actuations &&
-        x.stale_applied == y.stale_applied &&
-        x.safe_state_trips == y.safe_state_trips &&
-        x.heartbeats_seen == y.heartbeats_seen;
-    if (!same) return false;
-  }
-  for (std::size_t d = 0; d < a.replicas.size(); ++d) {
-    const ControlReplicaOutcome& x = a.replicas[d];
-    const ControlReplicaOutcome& y = b.replicas[d];
-    const bool same =
-        x.hosted == y.hosted && x.claims == y.claims &&
-        x.depositions == y.depositions && x.crashes == y.crashes &&
-        x.stale_heartbeats == y.stale_heartbeats &&
-        x.commands_issued == y.commands_issued &&
-        x.commands_replayed == y.commands_replayed &&
-        x.journal_entries == y.journal_entries &&
-        x.journal_rejected_stale == y.journal_rejected_stale &&
-        x.final_max_token == y.final_max_token &&
-        x.claimed_tokens == y.claimed_tokens;
-    if (!same) return false;
-  }
-  return a.final_now_s == b.final_now_s &&
-         a.final_pending == b.final_pending &&
-         a.control_messages == b.control_messages &&
-         a.max_token == b.max_token &&
-         a.lease_unique_ok == b.lease_unique_ok &&
-         a.fencing_clean == b.fencing_clean &&
-         a.fleet_prefault_frac == b.fleet_prefault_frac &&
-         a.fleet_end_frac == b.fleet_end_frac &&
-         a.total_sla_violations == b.total_sla_violations &&
-         a.total_alarms == b.total_alarms &&
-         a.conservation_ok == b.conservation_ok && a.report == b.report;
-}
-
-ControlChaosOutcome run_control_plane(const ControlChaosConfig& config,
-                                      const network::InterDcLinkPlan* plan) {
-  return run_world(config, plan);
+  return run_world<ControlWorld>(config, make_sharded_config(config),
+                                 config.horizon_s, plan);
 }
 
 ControlRestoreReport run_control_plane_with_restore(
     const ControlChaosConfig& config, double snapshot_at_s, double kill_at_s) {
   validate(config);
-  require(snapshot_at_s > 0.0 && snapshot_at_s <= kill_at_s &&
-              kill_at_s < config.horizon_s,
-          "control restore drill requires 0 < snapshot_at <= kill_at < horizon");
-  ControlRestoreReport rep;
-  rep.uninterrupted = run_world(config, nullptr);
+  return run_restore_drill<ControlWorld>(config, make_sharded_config(config),
+                                         config.horizon_s, snapshot_at_s,
+                                         kill_at_s);
+}
 
-  std::vector<std::uint8_t> snapshot;
-  {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ControlWorld world(config, fed);
-    world.wire_appliers();
-    world.arm();
-    fed.run_until(snapshot_at_s);
-    sim::SnapshotWriter w;
-    world.save(w);
-    snapshot = w.take();
-    fed.run_until(kill_at_s);
-    // "Kill": world and federation destroyed at scope exit; everything
-    // after the snapshot is discarded.
-  }
-  rep.snapshot_bytes = snapshot.size();
-
-  {
-    sim::ShardedSimulator fed(make_sharded_config(config));
-    ControlWorld world(config, fed);
-    world.wire_appliers();
-    sim::SnapshotReader r(snapshot);
-    world.restore(r);
-    require(r.at_end(), "control snapshot has trailing bytes");
-    fed.run_until(config.horizon_s);
-    rep.restored = world.finish();
-  }
-  rep.identical = control_outcomes_equal(rep.uninterrupted, rep.restored);
-  return rep;
+SweepReport sweep_control_plane(const ControlChaosConfig& base,
+                                const std::vector<SweepPoint>& points) {
+  return sweep_conformance(
+      points,
+      [&base](const SweepPoint& p) {
+        ControlChaosConfig c = base;
+        c.seed = p.seed;
+        c.shards = p.shards;
+        c.threads = p.threads;
+        return run_control_plane(c);
+      },
+      [](const ControlChaosOutcome& o) {
+        return o.lease_unique_ok && o.fencing_clean && o.conservation_ok;
+      });
 }
 
 ControlLeaderKillReport run_leader_kill_drill(std::size_t dcs,
@@ -824,8 +713,8 @@ ControlLeaderKillReport run_leader_kill_drill(std::size_t dcs,
   rep.naive = run_control_plane(naive, plan_ptr);
 
   const auto goodput_ok = [&rep](const ControlChaosOutcome& o) {
-    return o.fleet_prefault_frac > 0.0 &&
-           o.fleet_end_frac >= rep.goodput_threshold * o.fleet_prefault_frac;
+    return recovery_ratio(o.fleet_prefault_frac, o.fleet_end_frac) >=
+           rep.goodput_threshold;
   };
   rep.defended_clean = goodput_ok(rep.defended) &&
                        rep.defended.total_alarms == 0 &&

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/drill.h"
 #include "network/interdc_link.h"
 
 namespace epm::faults {
@@ -132,6 +133,8 @@ struct ControlDcOutcome {
   std::uint64_t stale_applied = 0;      ///< nonzero only with fencing off
   std::uint64_t safe_state_trips = 0;
   std::uint64_t heartbeats_seen = 0;
+
+  bool operator==(const ControlDcOutcome&) const = default;
 };
 
 struct ControlReplicaOutcome {
@@ -146,6 +149,8 @@ struct ControlReplicaOutcome {
   std::uint64_t journal_rejected_stale = 0;
   std::uint64_t final_max_token = 0;
   std::vector<std::uint64_t> claimed_tokens;
+
+  bool operator==(const ControlReplicaOutcome&) const = default;
 };
 
 struct ControlChaosOutcome {
@@ -167,11 +172,16 @@ struct ControlChaosOutcome {
   std::uint64_t total_alarms = 0;
   bool conservation_ok = false;
   std::string report;
+
+  /// Exact — the conformance and restore drills demand bit-identical.
+  bool operator==(const ControlChaosOutcome&) const = default;
 };
 
-/// Exact equality — the conformance and restore drills demand bit-identical.
-bool control_outcomes_equal(const ControlChaosOutcome& a,
-                            const ControlChaosOutcome& b);
+/// Spelled-out a == b, for callers that predate the defaulted operator.
+inline bool control_outcomes_equal(const ControlChaosOutcome& a,
+                                   const ControlChaosOutcome& b) {
+  return a == b;
+}
 
 /// Uninterrupted run. `plan` (optional, non-owning) degrades inter-DC links
 /// and requires shards == dcs (the link plan is indexed by shard).
@@ -179,17 +189,19 @@ ControlChaosOutcome run_control_plane(
     const ControlChaosConfig& config,
     const network::InterDcLinkPlan* plan = nullptr);
 
-/// Save/restore drill (mirrors chaos_fleet): snapshot at a barrier, run on,
-/// destroy everything, rebuild from config, restore, finish — the restored
-/// outcome must equal the uninterrupted one exactly.
-struct ControlRestoreReport {
-  ControlChaosOutcome uninterrupted;
-  ControlChaosOutcome restored;
-  bool identical = false;
-  std::size_t snapshot_bytes = 0;
-};
+/// Save/restore drill (faults/drill.h run_restore_drill): snapshot at a
+/// barrier, run on, destroy everything, rebuild from config, restore,
+/// finish — the restored outcome must equal the uninterrupted one exactly.
+using ControlRestoreReport = RestoreReport<ControlChaosOutcome>;
 ControlRestoreReport run_control_plane_with_restore(
     const ControlChaosConfig& config, double snapshot_at_s, double kill_at_s);
+
+/// Conformance sweep (faults/drill.h sweep_conformance): `base` run at each
+/// point's seed, shard count and thread count; every run must equal its
+/// seed's first point and keep leases unique, fencing clean and ledgers
+/// conserved.
+SweepReport sweep_control_plane(const ControlChaosConfig& base,
+                                const std::vector<SweepPoint>& points);
 
 /// The reference leader-kill drill: defended (replicas + fencing + journal
 /// + dead-man) vs naive (single controller, no defenses) under a permanent

@@ -8,7 +8,6 @@
 
 #include "cluster/remote_ref.h"
 #include "core/require.h"
-#include "faults/retry_storm_engine.h"  // retry_storm_window_mean
 
 namespace epm::faults {
 
@@ -440,9 +439,11 @@ class FleetWorld {
   FleetStormOutcome finish() {
     FleetStormOutcome out;
     out.epochs = epochs_;
-    const std::size_t window = config_.recovery_window_epochs;
-    const std::size_t clear_epoch = std::min(
-        epochs_, static_cast<std::size_t>(std::ceil(last_clear_s_ / dt_)));
+    // Pre-fault basis before the FIRST disturbance, recovery from the LAST
+    // clear (see the constructor).
+    const RecoveryCriteria criteria{dt_, outage_start_epoch_, last_clear_s_,
+                                    config_.sla_goodput_fraction,
+                                    config_.recovery_window_epochs};
 
     std::uint64_t intents = 0;
     std::uint64_t fresh = 0;
@@ -484,27 +485,13 @@ class FleetWorld {
       o.breaker_trips = dc.breaker.trips();
       o.grid_signals = dc.grid_signals;
 
-      o.prefault_goodput_rps = retry_storm_window_mean(
-          dc.goodput_rate, outage_start_epoch_,
-          outage_start_epoch_ - outage_start_epoch_ / 2);
-      const double sla_rps =
-          config_.sla_goodput_fraction * o.prefault_goodput_rps;
-      const double fail_budget_rps =
-          (1.0 - config_.sla_goodput_fraction) * o.prefault_goodput_rps;
-      std::size_t healthy_run = 0;
-      for (std::size_t e = clear_epoch; e < epochs_ && !o.recovered; ++e) {
-        const bool healthy = dc.goodput_rate[e] >= sla_rps &&
-                             dc.failure_rate[e] <= fail_budget_rps;
-        healthy_run = healthy ? healthy_run + 1 : 0;
-        if (healthy_run >= window) {
-          o.recovered = true;
-          o.recovery_s = static_cast<double>(e + 1) * dt_ - last_clear_s_;
-        }
-      }
-      o.end_offered_rps =
-          retry_storm_window_mean(dc.offered_rate, epochs_, window);
-      o.end_goodput_rps =
-          retry_storm_window_mean(dc.goodput_rate, epochs_, window);
+      const RecoveryScan scan = scan_recovery(
+          criteria, dc.offered_rate, dc.goodput_rate, dc.failure_rate);
+      o.prefault_goodput_rps = scan.prefault_goodput_rps;
+      o.recovered = scan.recovered;
+      o.recovery_s = scan.recovery_s;
+      o.end_offered_rps = scan.end_offered_rps;
+      o.end_goodput_rps = scan.end_goodput_rps;
       out.fleet_prefault_goodput_rps += o.prefault_goodput_rps;
       out.fleet_end_goodput_rps += o.end_goodput_rps;
       o.conservation_ok = dc.population.conservation_ok();
@@ -614,41 +601,16 @@ FleetStormOutcome run_fleet_storm(const FleetStormConfig& config,
   return world.run();
 }
 
-bool fleet_storm_outcomes_equal(const FleetStormOutcome& a,
-                                const FleetStormOutcome& b) {
-  if (a.dcs.size() != b.dcs.size()) return false;
-  for (std::size_t i = 0; i < a.dcs.size(); ++i) {
-    const FleetDcOutcome& x = a.dcs[i];
-    const FleetDcOutcome& y = b.dcs[i];
-    const bool same =
-        x.site == y.site && x.intents == y.intents &&
-        x.attempts == y.attempts && x.retries == y.retries &&
-        x.served_fresh == y.served_fresh && x.served_stale == y.served_stale &&
-        x.timed_out == y.timed_out && x.abandoned == y.abandoned &&
-        x.dark_failures == y.dark_failures &&
-        x.shed_breaker == y.shed_breaker && x.shed_bucket == y.shed_bucket &&
-        x.shed_queue == y.shed_queue && x.forwarded == y.forwarded &&
-        x.remote_admitted == y.remote_admitted &&
-        x.remote_served == y.remote_served && x.remote_shed == y.remote_shed &&
-        x.prefault_goodput_rps == y.prefault_goodput_rps &&
-        x.end_offered_rps == y.end_offered_rps &&
-        x.end_goodput_rps == y.end_goodput_rps &&
-        x.grid_signals == y.grid_signals &&
-        x.recovered == y.recovered && x.recovery_s == y.recovery_s &&
-        x.max_queue_depth == y.max_queue_depth &&
-        x.breaker_trips == y.breaker_trips &&
-        x.conservation_ok == y.conservation_ok;
-    if (!same) return false;
+FleetStormOutcome run_fleet_storm(const FleetStormConfig& config,
+                                  std::size_t shards, std::size_t threads) {
+  if (shards == kSingleKernel) {
+    sim::SingleKernelFabric fabric(config.sites.size());
+    return run_fleet_storm(config, fabric);
   }
-  return a.epochs == b.epochs && a.forwarded == b.forwarded &&
-         a.remote_served == b.remote_served &&
-         a.remote_shed == b.remote_shed &&
-         a.fleet_goodput_fraction == b.fleet_goodput_fraction &&
-         a.fleet_prefault_goodput_rps == b.fleet_prefault_goodput_rps &&
-         a.fleet_end_goodput_rps == b.fleet_end_goodput_rps &&
-         a.conservation_ok == b.conservation_ok &&
-         a.events_run == b.events_run &&
-         a.events_pending == b.events_pending;
+  sim::ShardedSimulator fed(make_fleet_sharded_config(
+      make_fleet_network(config), shards, threads));
+  sim::ShardedFabric fabric(fed);
+  return run_fleet_storm(config, fabric);
 }
 
 std::vector<FleetDisruption> to_fleet_disruptions(

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/drill.h"
 #include "faults/fault_domain.h"
 #include "faults/retry_storm.h"
 #include "macro/geo.h"
@@ -150,6 +151,8 @@ struct FleetDcOutcome {
   std::uint64_t breaker_trips = 0;
   bool conservation_ok = false;
   std::string conservation_report;
+
+  bool operator==(const FleetDcOutcome&) const = default;
 };
 
 struct FleetStormOutcome {
@@ -174,6 +177,10 @@ struct FleetStormOutcome {
   /// across fabrics, so the differential suite compares them too.
   std::size_t events_run = 0;
   std::size_t events_pending = 0;
+
+  /// Exact, float fields included: the runs compared are required to be
+  /// bit-identical, not merely close.
+  bool operator==(const FleetStormOutcome&) const = default;
 };
 
 /// Latency-floor network derived from the config's site coordinates.
@@ -195,10 +202,11 @@ sim::ShardedConfig make_fleet_sharded_config(const network::InterDcNetwork& net,
 FleetStormOutcome run_fleet_storm(const FleetStormConfig& config,
                                   sim::Fabric& fabric);
 
-/// Field-by-field equality (exact, including float fields — the runs being
-/// compared are required to be bit-identical, not merely close).
-bool fleet_storm_outcomes_equal(const FleetStormOutcome& a,
-                                const FleetStormOutcome& b);
+/// Runs the scenario on one kernel when shards == kSingleKernel (the
+/// ground truth), else on a `shards`-shard federation of
+/// make_fleet_sharded_config at `threads` worker threads.
+FleetStormOutcome run_fleet_storm(const FleetStormConfig& config,
+                                  std::size_t shards, std::size_t threads);
 
 /// Maps expanded fault-domain events onto fleet disruptions: outage ->
 /// dark + session drop, brownout -> capacity 1 - severity, price-spike and

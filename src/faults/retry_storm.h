@@ -129,6 +129,9 @@ struct RetryStormOutcome {
                ? static_cast<double>(served_fresh) / static_cast<double>(intents)
                : 1.0;
   }
+
+  /// Exact, float fields included (bit-identical, not close).
+  bool operator==(const RetryStormOutcome&) const = default;
 };
 
 /// Runs the scenario on the vectorized epoch engine

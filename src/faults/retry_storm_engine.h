@@ -41,6 +41,7 @@
 #include "cluster/admission.h"
 #include "core/arena.h"
 #include "core/require.h"
+#include "faults/drill.h"
 #include "faults/retry_storm.h"
 #include "macro/decision_log.h"
 #include "macro/degradation.h"
@@ -53,16 +54,6 @@
 #include "telemetry/store.h"
 
 namespace epm::faults {
-
-/// Trailing-window mean over series[end-window, end).
-inline double retry_storm_window_mean(const std::vector<double>& series,
-                                      std::size_t end, std::size_t window) {
-  const std::size_t lo = end > window ? end - window : 0;
-  if (end <= lo) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = lo; i < end; ++i) sum += series[i];
-  return sum / static_cast<double>(end - lo);
-}
 
 template <typename Population>
 class RetryStormEngine {
@@ -304,35 +295,15 @@ class RetryStormEngine {
   /// Post-loop summary: recovery scan, metastability verdict, ledger
   /// copy-out. Call exactly once, after end_epoch(epochs() - 1).
   RetryStormOutcome finish() {
-    const auto window = config_.recovery_window_epochs;
-
-    // Pre-fault SLA basis: steady-state goodput over the half of the warm
-    // period closest to the outage.
-    out_.prefault_goodput_rps =
-        retry_storm_window_mean(goodput_rate_, outage_start_epoch_,
-                                outage_start_epoch_ - outage_start_epoch_ / 2);
-    const double sla_rps =
-        config_.sla_goodput_fraction * out_.prefault_goodput_rps;
-    const double fail_budget_rps =
-        (1.0 - config_.sla_goodput_fraction) * out_.prefault_goodput_rps;
-
-    // Recovery: the first run of `window` consecutive healthy epochs after
-    // the outage clears.
-    const auto clear_epoch = std::min(
-        epochs_, static_cast<std::size_t>(std::ceil(outage_end_s_ / dt_)));
-    std::size_t healthy_run = 0;
-    for (std::size_t e = clear_epoch; e < epochs_ && !out_.recovered; ++e) {
-      const bool healthy = goodput_rate_[e] >= sla_rps &&
-                           failure_rate_[e] <= fail_budget_rps;
-      healthy_run = healthy ? healthy_run + 1 : 0;
-      if (healthy_run >= window) {
-        out_.recovered = true;
-        out_.recovery_s = static_cast<double>(e + 1) * dt_ - outage_end_s_;
-      }
-    }
-
-    out_.end_offered_rps = retry_storm_window_mean(offered_rate_, epochs_, window);
-    out_.end_goodput_rps = retry_storm_window_mean(goodput_rate_, epochs_, window);
+    const RecoveryScan scan = scan_recovery(
+        {dt_, outage_start_epoch_, outage_end_s_,
+         config_.sla_goodput_fraction, config_.recovery_window_epochs},
+        offered_rate_, goodput_rate_, failure_rate_);
+    out_.prefault_goodput_rps = scan.prefault_goodput_rps;
+    out_.recovered = scan.recovered;
+    out_.recovery_s = scan.recovery_s;
+    out_.end_offered_rps = scan.end_offered_rps;
+    out_.end_goodput_rps = scan.end_goodput_rps;
     out_.end_interactive_capacity_rps = interactive_capacity_rps_;
     out_.metastable = !out_.recovered &&
                       out_.end_offered_rps > out_.end_interactive_capacity_rps;

@@ -50,11 +50,11 @@ TEST(ChaosFleet, RunsAreDeterministicAcrossThreadCounts) {
   threaded.threads = 3;
   const ChaosFleetOutcome a = run_chaos_fleet(serial);
   const ChaosFleetOutcome b = run_chaos_fleet(threaded);
-  EXPECT_TRUE(chaos_outcomes_equal(a, b));
+  EXPECT_TRUE(a == b);
   // A different seed is a different run — the equality check has teeth.
   ChaosFleetConfig reseeded = small_config();
   reseeded.seed = 6;
-  EXPECT_FALSE(chaos_outcomes_equal(a, run_chaos_fleet(reseeded)));
+  EXPECT_FALSE(a == run_chaos_fleet(reseeded));
 }
 
 TEST(ChaosFleet, KillAndRestoreContinuationIsBitIdentical) {
@@ -62,7 +62,7 @@ TEST(ChaosFleet, KillAndRestoreContinuationIsBitIdentical) {
       run_chaos_fleet_with_restore(small_config(), 10.0, 16.0);
   EXPECT_TRUE(r.identical);
   EXPECT_GT(r.snapshot_bytes, 0U);
-  EXPECT_TRUE(chaos_outcomes_equal(r.uninterrupted, r.restored));
+  EXPECT_TRUE(r.uninterrupted == r.restored);
   EXPECT_TRUE(r.restored.conservation_ok)
       << r.restored.conservation_report;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "faults/control_chaos.h"
 #include "network/interdc_link.h"
@@ -50,20 +51,33 @@ TEST(ControlChaos, NoFaultRunIsCleanAndOnlyTheSeedLeaderActs) {
 }
 
 TEST(ControlChaos, OutcomeIsBitIdenticalAcrossShardAndThreadCounts) {
-  ControlChaosConfig serial = base_config();
-  serial.shards = 1;
-  const ControlChaosOutcome reference = run_control_plane(serial);
-  for (const std::size_t shards : {2U, 4U}) {
-    for (const std::size_t threads : {1U, 2U, 8U}) {
-      ControlChaosConfig c = base_config();
-      c.shards = shards;
-      c.threads = threads;
-      const ControlChaosOutcome out = run_control_plane(c);
-      EXPECT_TRUE(control_outcomes_equal(reference, out))
-          << "shards=" << shards << " threads=" << threads << "\nref: "
-          << reference.report << "\ngot: " << out.report;
-    }
-  }
+  // Serial one-shard reference first, then the sharded grid.
+  std::vector<SweepPoint> points = sweep_grid({7}, {2, 4}, {1, 2, 8});
+  points.insert(points.begin(), {7, 1, 1});
+  const SweepReport sweep = sweep_control_plane(base_config(), points);
+  EXPECT_EQ(7U, sweep.runs);
+  EXPECT_TRUE(sweep.ok) << "shards=" << sweep.failed.shards
+                        << " threads=" << sweep.failed.threads;
+}
+
+TEST(ControlChaos, SweepNamesTheFirstDivergentPoint) {
+  // A seed change is a different world: listed under the reference's seed
+  // it must fail the sweep, at exactly that point.
+  const ControlChaosConfig base = base_config();
+  const ControlChaosOutcome reference = run_control_plane(base);
+  ControlChaosConfig reseeded = base;
+  reseeded.seed = 8;
+  const ControlChaosOutcome other = run_control_plane(reseeded);
+  ASSERT_FALSE(reference == other);
+  const SweepReport sweep = sweep_conformance(
+      std::vector<SweepPoint>{{7, 1, 1}, {7, 2, 1}, {7, 4, 2}, {7, 2, 2}},
+      [&](const SweepPoint& p) {
+        return p.shards == 4 ? other : reference;
+      });
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_EQ(4U, sweep.runs);
+  EXPECT_EQ(4U, sweep.failed.shards);
+  EXPECT_EQ(2U, sweep.failed.threads);
 }
 
 TEST(ControlChaos, LeaderKillGateDefendedSurvivesNaiveViolates) {

@@ -16,16 +16,7 @@ namespace epm::faults {
 namespace {
 
 FleetStormOutcome run_on_single(const FleetStormConfig& config) {
-  sim::SingleKernelFabric fabric(config.sites.size());
-  return run_fleet_storm(config, fabric);
-}
-
-FleetStormOutcome run_on_federation(const FleetStormConfig& config,
-                                    std::size_t shards, std::size_t threads) {
-  const network::InterDcNetwork net = make_fleet_network(config);
-  sim::ShardedSimulator fed(make_fleet_sharded_config(net, shards, threads));
-  sim::ShardedFabric fabric(fed);
-  return run_fleet_storm(config, fabric);
+  return run_fleet_storm(config, kSingleKernel, 1);
 }
 
 TEST(FederationFleetStorm, OutcomeIsIdenticalOnEveryFabricDecomposition) {
@@ -45,16 +36,17 @@ TEST(FederationFleetStorm, OutcomeIsIdenticalOnEveryFabricDecomposition) {
                 truth.dcs[config.outage_dc].forwarded,
             0u);
 
-  const struct {
-    std::size_t shards;
-    std::size_t threads;
-  } grid[] = {{1, 1}, {2, 1}, {2, 2}, {4, 4}, {4, 8}};
-  for (const auto& g : grid) {
-    const FleetStormOutcome got = run_on_federation(config, g.shards, g.threads);
-    EXPECT_TRUE(fleet_storm_outcomes_equal(got, truth))
-        << "shards " << g.shards << " threads " << g.threads
-        << " diverged from the single-kernel ground truth";
-  }
+  // The single-kernel ground truth is the sweep's reference (listed first).
+  const SweepReport sweep = sweep_conformance(
+      {{5, kSingleKernel, 1}, {5, 1, 1}, {5, 2, 1}, {5, 2, 2}, {5, 4, 4},
+       {5, 4, 8}},
+      [&config](const SweepPoint& p) {
+        return run_fleet_storm(config, p.shards, p.threads);
+      });
+  EXPECT_EQ(6U, sweep.runs);
+  EXPECT_TRUE(sweep.ok) << "shards " << sweep.failed.shards << " threads "
+                        << sweep.failed.threads
+                        << " diverged from the single-kernel ground truth";
 }
 
 TEST(FederationFleetStorm, UndefendedFleetIsAlsoFabricInvariant) {
@@ -62,8 +54,7 @@ TEST(FederationFleetStorm, UndefendedFleetIsAlsoFabricInvariant) {
   config.defense.enabled = false;
   const FleetStormOutcome truth = run_on_single(config);
   EXPECT_TRUE(truth.conservation_ok) << truth.conservation_report;
-  EXPECT_TRUE(
-      fleet_storm_outcomes_equal(run_on_federation(config, 2, 2), truth));
+  EXPECT_TRUE(run_fleet_storm(config, 2, 2) == truth);
 }
 
 TEST(FederationFleetStorm, ReroutingOffMeansNoCrossDatacenterFlow) {
@@ -84,8 +75,7 @@ TEST(FederationFleetStorm, ReroutingOffMeansNoCrossDatacenterFlow) {
   EXPECT_GT(truth.dcs[config.outage_dc].dark_failures, 0u);
   // Fabric equality must hold in the degenerate no-traffic case too (the
   // federation still runs windows; there is just nothing in the mailboxes).
-  EXPECT_TRUE(
-      fleet_storm_outcomes_equal(run_on_federation(config, 4, 2), truth));
+  EXPECT_TRUE(run_fleet_storm(config, 4, 2) == truth);
 }
 
 TEST(FederationFleetStorm, PartialReroutingForwardsTheConfiguredFraction) {
@@ -97,20 +87,23 @@ TEST(FederationFleetStorm, PartialReroutingForwardsTheConfiguredFraction) {
   EXPECT_GT(half_out.forwarded, 0u);
   EXPECT_LT(half_out.forwarded, full_out.forwarded);
   EXPECT_TRUE(half_out.conservation_ok) << half_out.conservation_report;
-  EXPECT_TRUE(
-      fleet_storm_outcomes_equal(run_on_federation(half, 2, 2), half_out));
+  EXPECT_TRUE(run_fleet_storm(half, 2, 2) == half_out);
 }
 
 TEST(FederationFleetStorm, OutcomesEqualDetectsDivergence) {
   const FleetStormConfig config = make_reference_fleet_storm_config(2, 800, 5);
   const FleetStormOutcome a = run_on_single(config);
-  EXPECT_TRUE(fleet_storm_outcomes_equal(a, a));
+  EXPECT_TRUE(a == a);
   FleetStormOutcome b = a;
   b.dcs[1].served_fresh += 1;
-  EXPECT_FALSE(fleet_storm_outcomes_equal(a, b));
+  EXPECT_FALSE(a == b);
   FleetStormOutcome c = a;
   c.events_run += 1;
-  EXPECT_FALSE(fleet_storm_outcomes_equal(a, c));
+  EXPECT_FALSE(a == c);
+  // The defaulted comparison covers every field, the reports included.
+  FleetStormOutcome d = a;
+  d.dcs[0].conservation_report += " ";
+  EXPECT_FALSE(a == d);
 }
 
 TEST(FederationFleetStorm, ValidationRejectsBrokenConfigs) {

@@ -9,6 +9,7 @@
 //     bit-identical mid-failover.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -17,9 +18,9 @@
 namespace epm::faults {
 namespace {
 
-constexpr std::uint64_t kSeeds[] = {7, 101, 20260809};
-constexpr std::size_t kShardCounts[] = {1, 2, 4};
-constexpr std::size_t kThreadCounts[] = {1, 2, 8};
+const std::vector<std::uint64_t> kSeeds = {7, 101, 20260809};
+const std::vector<std::size_t> kShardCounts = {1, 2, 4};
+const std::vector<std::size_t> kThreadCounts = {1, 2, 8};
 
 ControlChaosConfig config_for(std::uint64_t seed, std::size_t shards,
                               std::size_t threads) {
@@ -32,36 +33,26 @@ ControlChaosConfig config_for(std::uint64_t seed, std::size_t shards,
 }
 
 TEST(ControlPlaneProperty, AtMostOneLiveLeasePerEpochUnderLeaderDeath) {
-  for (const std::uint64_t seed : kSeeds) {
-    // The sharding/threading grid must not only keep the property — it must
-    // produce the exact same world.
-    ControlChaosOutcome reference;
-    bool have_reference = false;
-    for (const std::size_t shards : kShardCounts) {
-      for (const std::size_t threads : kThreadCounts) {
-        ControlChaosConfig config = config_for(seed, shards, threads);
+  // The sharding/threading grid must not only keep the property — it must
+  // produce the exact same world.
+  const SweepReport sweep = sweep_conformance(
+      sweep_grid(kSeeds, kShardCounts, kThreadCounts),
+      [](const SweepPoint& p) {
+        ControlChaosConfig config = config_for(p.seed, p.shards, p.threads);
         config.controller_faults = make_leader_kill_plan();
-        const ControlChaosOutcome out = run_control_plane(config);
-        EXPECT_TRUE(out.lease_unique_ok)
-            << "seed=" << seed << " shards=" << shards
-            << " threads=" << threads << "\n" << out.report;
-        EXPECT_TRUE(out.fencing_clean) << out.report;
-        EXPECT_TRUE(out.conservation_ok) << out.report;
+        return run_control_plane(config);
+      },
+      [](const ControlChaosOutcome& out) {
         // Exactly one failover: the seed claim plus replica 1's takeover.
-        EXPECT_EQ(1U, out.replicas[0].claims);
-        EXPECT_EQ(1U, out.replicas[1].claims);
-        EXPECT_EQ(0U, out.replicas[2].claims + out.replicas[3].claims);
-        if (!have_reference) {
-          reference = out;
-          have_reference = true;
-        } else {
-          EXPECT_TRUE(control_outcomes_equal(reference, out))
-              << "seed=" << seed << " shards=" << shards
-              << " threads=" << threads;
-        }
-      }
-    }
-  }
+        return out.lease_unique_ok && out.fencing_clean &&
+               out.conservation_ok && out.replicas[0].claims == 1 &&
+               out.replicas[1].claims == 1 &&
+               out.replicas[2].claims + out.replicas[3].claims == 0;
+      });
+  EXPECT_EQ(27U, sweep.runs);
+  EXPECT_TRUE(sweep.ok) << "seed=" << sweep.failed.seed
+                        << " shards=" << sweep.failed.shards
+                        << " threads=" << sweep.failed.threads;
 }
 
 TEST(ControlPlaneProperty, DeposedLeaderCommandsRejectedAtBothLayers) {

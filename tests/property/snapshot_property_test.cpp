@@ -8,15 +8,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "faults/chaos_fleet.h"
 
 namespace epm::faults {
 namespace {
 
-constexpr std::uint64_t kSeeds[] = {1, 17, 424242};
-constexpr std::size_t kShards[] = {1, 2, 4};
-constexpr std::size_t kThreads[] = {1, 2, 8};
+const std::vector<std::uint64_t> kSeeds = {1, 17, 424242};
+const std::vector<std::size_t> kShards = {1, 2, 4};
+const std::vector<std::size_t> kThreads = {1, 2, 8};
 
 ChaosFleetConfig grid_config(std::uint64_t seed, std::size_t shards,
                              std::size_t threads) {
@@ -39,20 +40,19 @@ std::string label(std::uint64_t seed, std::size_t shards,
 }
 
 TEST(SnapshotProperty, OutcomesAreThreadCountInvariant) {
-  for (const std::uint64_t seed : kSeeds) {
-    for (const std::size_t shards : kShards) {
-      const ChaosFleetOutcome baseline =
-          run_chaos_fleet(grid_config(seed, shards, 1));
-      EXPECT_TRUE(baseline.conservation_ok)
-          << label(seed, shards, 1) << ": " << baseline.conservation_report;
-      for (const std::size_t threads : kThreads) {
-        const ChaosFleetOutcome out =
-            run_chaos_fleet(grid_config(seed, shards, threads));
-        EXPECT_TRUE(chaos_outcomes_equal(baseline, out))
-            << label(seed, shards, threads)
-            << " diverged from the serial run";
-      }
-    }
+  // Each shard count is its own world (dcs == shards); within it every
+  // seed's serial run is the reference for its threaded runs.
+  for (const std::size_t shards : kShards) {
+    const SweepReport sweep = sweep_conformance(
+        sweep_grid(kSeeds, {shards}, kThreads),
+        [](const SweepPoint& p) {
+          return run_chaos_fleet(grid_config(p.seed, p.shards, p.threads));
+        },
+        [](const ChaosFleetOutcome& o) { return o.conservation_ok; });
+    EXPECT_EQ(kSeeds.size() * kThreads.size(), sweep.runs);
+    EXPECT_TRUE(sweep.ok) << label(sweep.failed.seed, sweep.failed.shards,
+                                   sweep.failed.threads)
+                          << " diverged from the serial run";
   }
 }
 
@@ -64,7 +64,7 @@ TEST(SnapshotProperty, KillAndRestoreIsBitIdenticalAcrossTheGrid) {
             grid_config(seed, shards, threads), /*snapshot_at_s=*/8.0,
             /*kill_at_s=*/12.0);
         EXPECT_TRUE(r.identical) << label(seed, shards, threads);
-        EXPECT_TRUE(chaos_outcomes_equal(r.uninterrupted, r.restored))
+        EXPECT_TRUE(r.uninterrupted == r.restored)
             << label(seed, shards, threads);
         EXPECT_GT(r.snapshot_bytes, 0U) << label(seed, shards, threads);
         EXPECT_TRUE(r.restored.conservation_ok)
@@ -84,7 +84,7 @@ TEST(SnapshotProperty, SnapshotsAreSeedSensitive) {
       run_chaos_fleet_with_restore(grid_config(17, 2, 1), 8.0, 12.0);
   EXPECT_TRUE(a.identical);
   EXPECT_TRUE(b.identical);
-  EXPECT_FALSE(chaos_outcomes_equal(a.restored, b.restored));
+  EXPECT_FALSE(a.restored == b.restored);
 }
 
 }  // namespace

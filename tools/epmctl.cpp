@@ -743,15 +743,25 @@ int cmd_federation(const CliArgs& args) {
       faults::make_reference_fleet_storm_config(dcs, clients, seed);
   const network::InterDcNetwork net = faults::make_fleet_network(config);
 
-  sim::ShardedSimulator fed(
-      faults::make_fleet_sharded_config(net, shards, threads));
-  sim::ShardedFabric fabric(fed);
-  const auto outcome = faults::run_fleet_storm(config, fabric);
-
-  // Conformance: the identical world on one kernel must agree bit-for-bit.
-  sim::SingleKernelFabric single(config.sites.size());
-  const auto truth = faults::run_fleet_storm(config, single);
-  const bool match = faults::fleet_storm_outcomes_equal(outcome, truth);
+  // Conformance: the sharded run must agree bit-for-bit with the identical
+  // world on one kernel (the reference, listed first).
+  faults::FleetStormOutcome outcome;
+  std::size_t windows = 0;
+  std::uint64_t messages = 0;
+  const faults::SweepReport sweep = faults::sweep_conformance(
+      {{seed, faults::kSingleKernel, 1}, {seed, shards, threads}},
+      [&](const faults::SweepPoint& p) {
+        if (p.shards == faults::kSingleKernel) {
+          return faults::run_fleet_storm(config, p.shards, p.threads);
+        }
+        sim::ShardedSimulator fed(
+            faults::make_fleet_sharded_config(net, p.shards, p.threads));
+        sim::ShardedFabric fabric(fed);
+        outcome = faults::run_fleet_storm(config, fabric);
+        windows = fed.windows_run();
+        messages = fed.messages_sent();
+        return outcome;
+      });
 
   std::cout << "Federated fleet storm: " << dcs << " datacenters x " << clients
             << " clients on " << shards << " shard" << (shards == 1 ? "" : "s")
@@ -774,19 +784,19 @@ int cmd_federation(const CliArgs& args) {
             << fmt_percent(outcome.fleet_goodput_fraction, 1) << " ("
             << outcome.forwarded << " forwards, " << outcome.remote_served
             << " served remotely, " << outcome.remote_shed << " shed)\n"
-            << "  federation:      " << fed.windows_run() << " windows, "
-            << fed.messages_sent() << " cross-shard messages, lookahead "
+            << "  federation:      " << windows << " windows, " << messages
+            << " cross-shard messages, lookahead "
             << fmt(net.min_latency_floor_s() * 1e3, 1) << " ms\n"
             << "  conformance:     "
-            << (match ? "bit-identical to the single-kernel run"
-                      : "DIVERGED FROM THE SINGLE-KERNEL RUN")
+            << (sweep.ok ? "bit-identical to the single-kernel run"
+                         : "DIVERGED FROM THE SINGLE-KERNEL RUN")
             << "\n  ledgers:         "
             << (outcome.conservation_ok ? "clean" : "VIOLATED") << "\n";
   if (!outcome.conservation_ok) std::cout << outcome.conservation_report;
-  if (!match || !outcome.conservation_ok) {
+  if (!sweep.ok || !outcome.conservation_ok) {
     return conformance_fail(
-        match ? "federation conservation ledgers violated"
-              : "federation diverged from the single-kernel run",
+        sweep.ok ? "federation conservation ledgers violated"
+                 : "federation diverged from the single-kernel run",
         seed, shards, threads);
   }
   return 0;
@@ -931,31 +941,9 @@ int cmd_controlplane(const CliArgs& args) {
   base.dcs = dcs;
   base.seed = seed;
   base.controller_faults = faults::make_leader_kill_plan();
-  faults::ControlChaosConfig serial = base;
-  serial.shards = 1;
-  const auto reference = faults::run_control_plane(serial);
-  bool sweep_ok = reference.lease_unique_ok && reference.fencing_clean &&
-                  reference.conservation_ok;
-  std::size_t sweep_runs = 1;
-  std::size_t bad_shards = 0;
-  std::size_t bad_threads = 0;
-  for (const std::size_t shards : shard_counts) {
-    for (const std::size_t sweep_threads : thread_counts) {
-      if (shards == 1 && sweep_threads == 1) continue;
-      faults::ControlChaosConfig c = base;
-      c.shards = shards;
-      c.threads = sweep_threads;
-      const auto out = faults::run_control_plane(c);
-      ++sweep_runs;
-      if (!faults::control_outcomes_equal(reference, out) ||
-          !out.lease_unique_ok || !out.fencing_clean || !out.conservation_ok) {
-        sweep_ok = false;
-        bad_shards = shards;
-        bad_threads = sweep_threads;
-      }
-    }
-  }
-  std::cout << "  conformance:      " << sweep_runs << " runs across shards {";
+  const faults::SweepReport sweep = faults::sweep_control_plane(
+      base, faults::sweep_grid({seed}, shard_counts, thread_counts));
+  std::cout << "  conformance:      " << sweep.runs << " runs across shards {";
   for (std::size_t i = 0; i < shard_counts.size(); ++i) {
     std::cout << (i ? "," : "") << shard_counts[i];
   }
@@ -964,7 +952,7 @@ int cmd_controlplane(const CliArgs& args) {
     std::cout << (i ? "," : "") << thread_counts[i];
   }
   std::cout << "}, "
-            << (sweep_ok ? "all bit-identical" : "DIVERGED") << "\n";
+            << (sweep.ok ? "all bit-identical" : "DIVERGED") << "\n";
 
   // Drill 4: snapshot mid-failover (after the kill, before the successor's
   // claim), restore, finish — must equal the uninterrupted run exactly.
@@ -983,9 +971,10 @@ int cmd_controlplane(const CliArgs& args) {
                                                                    : "FAILED"))
             << ", split-brain " << (sb.passed ? "pass" : "FAILED") << "\n";
 
-  if (!sweep_ok) {
+  if (!sweep.ok) {
     return conformance_fail("control plane diverged across shard/thread counts",
-                            seed, bad_shards, bad_threads);
+                            sweep.failed.seed, sweep.failed.shards,
+                            sweep.failed.threads);
   }
   if (!restore.identical) {
     return conformance_fail("control plane restore continuation diverged", seed,
