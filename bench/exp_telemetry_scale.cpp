@@ -9,11 +9,12 @@
 //    reducing storage requirements."
 //
 // Emits BENCH_telemetry.json (one record per section, see telemetry_bench.h)
-// and exits non-zero when any gate fails: >= 100M points/minute ring-pipeline
-// ingest, >= 8x sealed-block compression on the reference counter mix,
-// bit-identical answers vs the legacy store at 1/2/8 threads, and full
-// recall of injected spikes by the in-stream detector. The Release CI lane
-// runs `--smoke` (reduced mix, loose throughput floor) on every push.
+// and exits non-zero when any gate fails: >= 100M points/minute shard-
+// parallel ingest, >= 8x sealed-block compression on the reference counter
+// mix, bit-identical answers vs the per-sample legacy reference store at
+// 1/2/8 threads, and full recall of injected spikes by the in-stream
+// detector. The Release CI lane runs `--smoke` (reduced mix, loose
+// throughput floor) on every push.
 #include <cstdio>
 
 #include "core/cli_args.h"

@@ -4,9 +4,10 @@
 // Measured sections (records appended to BENCH_telemetry.json):
 //
 //   telemetry_ingest           bulk_append of the reference counter mix
-//                              (workload/fleet_counters.h) through the
-//                              lock-free ring pipeline, at 1 thread and at
-//                              `threads`; gated on absolute points/minute
+//                              (workload/fleet_counters.h) — partition by
+//                              shard, then append whole shards in parallel
+//                              — at 1 thread and at `threads`; gated on
+//                              absolute points/minute
 //   telemetry_raw_bytes /      footprint of the same samples raw (16 B per
 //   telemetry_compressed_bytes point) vs the sealed-block payload; the
 //                              ratio is gated (>= min_compression_ratio)
@@ -17,8 +18,8 @@
 // Verdict sections (no timing, gate only):
 //
 //   * legacy equivalence — the columnar store at 1/2/8 threads must answer
-//     range / daily_trend / hourly_pattern bit-identically to the legacy
-//     per-sample store on the same batch;
+//     range / daily_trend / hourly_pattern bit-identically to
+//     LegacyTelemetryStore, the per-sample reference, on the same batch;
 //   * anomaly recall — every spike injected by the generator must surface
 //     in anomalies(), and the event list must be identical at 1 vs
 //     `threads` ingest threads.
@@ -51,8 +52,8 @@ struct TelemetryBenchConfig {
   std::uint32_t counters_per_server = 50;
   std::uint32_t ticks = 200;  // 10M points
 
-  /// Smaller mix for the legacy-equivalence section (the legacy store pays
-  /// the full cascade per sample, so this bounds the A/B cost).
+  /// Smaller mix for the legacy-equivalence section (the reference store
+  /// pays the full cascade per sample, so this bounds the check's cost).
   std::uint32_t equiv_servers = 150;
   std::uint32_t equiv_counters = 20;
   std::uint32_t equiv_ticks = 120;
@@ -245,7 +246,7 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
 
     telemetry::LegacyTelemetryStore legacy;
     for (const auto& sample : batch.samples) {
-      legacy.append(sample.key, sample.time_s, sample.value, sample.degraded);
+      legacy.append(sample.key, sample.time_s, sample.value);
     }
     out.legacy_identical = true;
     for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

@@ -18,12 +18,11 @@
 //    ClosureArena for oversized captures), and cancellation is an O(1)
 //    status flip on the node — no hash set, no tombstone arithmetic.
 //  * HeapSimulator — the original binary-heap + std::function + hash-set-
-//    tombstone implementation, kept as the A/B baseline for the kernel
-//    microbench and the cross-validation property suite.
+//    tombstone implementation, kept only as a reference: the cross-
+//    validation property suite, the ShardedSimKernel *OnHeap tests and the
+//    kernel bench's hold-model A/B name it directly.
 //
-// `Simulator` aliases the calendar backend; define EPM_SIM_BINARY_HEAP to
-// point the whole system at the binary-heap path instead (both backends are
-// always compiled).
+// `Simulator` always aliases the calendar backend.
 #pragma once
 
 #include <cstddef>
@@ -339,10 +338,6 @@ class HeapSimulator {
   std::unordered_set<std::uint64_t> cancelled_;
 };
 
-#ifdef EPM_SIM_BINARY_HEAP
-using Simulator = HeapSimulator;
-#else
 using Simulator = CalendarSimulator;
-#endif
 
 }  // namespace epm::sim

@@ -29,15 +29,15 @@
 
 namespace epm::telemetry {
 
-/// Columnar-store knobs. The defaults serve the §5.3 reference mix; tests
-/// shrink block_capacity to exercise many seal boundaries cheaply.
+/// Per-series block knobs of the columnar store. The defaults serve the
+/// §5.3 reference mix; tests shrink block_capacity to exercise many seal
+/// boundaries cheaply. Bulk ingest takes no knob: it partitions by the pool
+/// size and the fixed 64-shard layout (store.h).
 struct TelemetryTuning {
   /// Samples per block; seal triggers when the open block reaches this.
   /// Block boundaries depend only on the per-series sample count, so the
   /// layout is identical at every thread count.
   std::size_t block_capacity = 1024;
-  /// Slots per ingest ring (ring.h) on the parallel bulk path.
-  std::size_t ring_capacity = 4096;
   StreamingAnomalyConfig anomaly;
 };
 

@@ -2,26 +2,18 @@
 // sharded by server so the §5.3 firehose (10,000 servers x 100 counters
 // @ 15 s = 2.4M+ points/minute) can be ingested in parallel.
 //
-// Two implementations share one query API:
+//   * ColumnarTelemetryStore (alias TelemetryStore) — the store every
+//     consumer uses: each counter accumulates plain columnar blocks
+//     (block.h) and the banding / downsampling / anomaly / compression work
+//     runs per sealed block over contiguous arrays instead of per sample.
+//     Bulk ingest is one two-phase path at every pool and batch size:
+//     partition the batch by shard, then append whole shards in parallel.
 //
-//   * LegacyTelemetryStore — the original design: every sample cascades
-//     through a MultiScaleSeries immediately; bulk ingest partitions the
-//     batch by shard and applies whole shards per worker. Kept as the
-//     bit-identity baseline.
-//
-//   * ColumnarTelemetryStore — the firehose path: producers push samples
-//     through lock-free SPSC ingest rings (ring.h) into shard drainers;
-//     each counter accumulates plain columnar blocks (block.h) and the
-//     banding / downsampling / anomaly / compression work runs per sealed
-//     block over contiguous arrays instead of per sample.
-//
-// Both stores give every series its samples in batch order at any thread
-// count, and both run the same LevelBins fold, so band queries answer
-// bit-identically across the two (enforced by tests and EXP-AA).
-//
-// `TelemetryStore` aliases the columnar store; build with
-// -DEPM_TELEMETRY_LEGACY to flip the whole binary onto the legacy path for
-// A/B comparison (same pattern as EPM_SIM_BINARY_HEAP, PR 5).
+//   * LegacyTelemetryStore — the original per-sample design, where every
+//     sample cascades through a MultiScaleSeries immediately. It is only a
+//     reference: tests and EXP-AA check that the columnar store's band
+//     queries answer bit-identically to it (both run the same LevelBins
+//     fold).
 #pragma once
 
 #include <array>
@@ -85,71 +77,23 @@ struct Sample {
   bool degraded = false;
 };
 
-/// Multi-scale store for a whole fleet, sharded by server (original
-/// per-sample cascade design; the columnar store's A/B baseline).
+/// Per-sample reference store (see the header comment): appends cascade
+/// through one MultiScaleSeries per counter, sharded like the columnar store.
 class LegacyTelemetryStore {
  public:
-  static constexpr std::size_t kShards = kTelemetryShards;
-
   static constexpr std::size_t shard_of(CounterKey key) {
     return telemetry_shard_of(key);
   }
 
-  /// `tuning` is accepted for signature parity with the columnar store (so
-  /// the TelemetryStore alias is a drop-in either way) and ignored here.
-  explicit LegacyTelemetryStore(MultiScaleConfig per_counter_config = {},
-                                const TelemetryTuning& tuning = {});
+  explicit LegacyTelemetryStore(MultiScaleConfig per_counter_config = {});
 
   /// Appends one sample; creates the series lazily.
-  void append(CounterKey key, double time_s, double value, bool degraded = false);
-
-  /// Fault hook: accounts `count` samples that a sensor dropout swallowed
-  /// (they were never produced, so nothing is stored).
-  void record_dropout(std::uint64_t count) { dropped_samples_ += count; }
-
-  /// Overload-defense accounting (closed-loop workloads): requests refused
-  /// by the admission stack, intents abandoned by clients, and re-offered
-  /// retry attempts. Counters, not series — the per-epoch rates flow
-  /// through the sensor plane as kShedRate/kRetryRate channels.
-  void record_shed(std::uint64_t count) { shed_requests_ += count; }
-  void record_abandoned(std::uint64_t count) { abandoned_requests_ += count; }
-  void record_retried(std::uint64_t count) { retried_requests_ += count; }
-
-  /// Parallel bulk ingest: partitions `samples` by shard, then lets each
-  /// worker apply whole shards (one shard is never split across threads, so
-  /// no locking is needed and per-series order is the input order). Requires
-  /// the same per-series timestamp monotonicity as append(). Bit-identical
-  /// to appending `samples` serially, at every thread count.
-  void bulk_append(const std::vector<Sample>& samples, ThreadPool& pool);
-  /// Convenience overload: a private pool with `threads` workers
-  /// (0 = default_thread_count()).
-  void bulk_append(const std::vector<Sample>& samples, std::size_t threads = 0);
-
-  /// No deferred state on this path; provided for alias parity.
-  void flush() {}
+  void append(CounterKey key, double time_s, double value);
 
   std::size_t series_count() const;
   std::uint64_t total_samples() const { return total_samples_; }
-  /// Stored samples flagged degraded (sensor stuck-at).
-  std::uint64_t degraded_samples() const { return degraded_samples_; }
-  /// Samples lost to sensor dropouts (never stored).
-  std::uint64_t dropped_samples() const { return dropped_samples_; }
-  /// Requests refused by the admission stack (queue/bucket/breaker).
-  std::uint64_t shed_requests() const { return shed_requests_; }
-  /// Client intents abandoned after exhausting their retry budget.
-  std::uint64_t abandoned_requests() const { return abandoned_requests_; }
-  /// Re-offered (retry) attempts beyond each intent's first.
-  std::uint64_t retried_requests() const { return retried_requests_; }
-  /// Series lookup; throws for unknown keys. (Legacy-only: the columnar
-  /// store has no MultiScaleSeries to hand out — use the query methods.)
-  const MultiScaleSeries& series(CounterKey key) const;
-  bool contains(CounterKey key) const {
-    return shards_[shard_of(key)].count(key) > 0;
-  }
 
-  std::size_t memory_bytes() const;
-
-  /// §5.3 band queries over one counter (shared query API):
+  /// §5.3 band queries over one counter (the columnar store's query API):
   /// Aggregate over [t0, t1) from the finest level still covering t0.
   Aggregate range(CounterKey key, double t0_s, double t1_s) const;
   /// Long-term trend: daily means over [t0, t1).
@@ -158,26 +102,21 @@ class LegacyTelemetryStore {
   MultiScaleSeries::BinnedMeans hourly_pattern(CounterKey key, double t0_s,
                                                double t1_s) const;
 
-  /// In-stream anomaly detection is columnar-only; empty here (alias parity).
-  std::vector<AnomalyEvent> anomalies() const { return {}; }
-
  private:
   using ShardMap = std::unordered_map<CounterKey, MultiScaleSeries>;
 
+  /// Series lookup; throws for unknown keys.
+  const MultiScaleSeries& series(CounterKey key) const;
+
   MultiScaleConfig config_;
-  std::array<ShardMap, kShards> shards_;
+  std::array<ShardMap, kTelemetryShards> shards_;
   std::uint64_t total_samples_ = 0;
-  std::uint64_t degraded_samples_ = 0;
-  std::uint64_t dropped_samples_ = 0;
-  std::uint64_t shed_requests_ = 0;
-  std::uint64_t abandoned_requests_ = 0;
-  std::uint64_t retried_requests_ = 0;
   std::size_t daily_level_ = 0;
   std::size_t hourly_level_ = 0;
 };
 
-/// Columnar firehose store: ring-fed shard drainers, compressed sealed
-/// blocks, block-seal banding/downsampling/anomaly detection (block.h).
+/// Columnar firehose store: per-counter compressed sealed blocks with
+/// block-seal banding/downsampling/anomaly detection (block.h).
 class ColumnarTelemetryStore {
  public:
   static constexpr std::size_t kShards = kTelemetryShards;
@@ -196,15 +135,18 @@ class ColumnarTelemetryStore {
   void record_abandoned(std::uint64_t count) { abandoned_requests_ += count; }
   void record_retried(std::uint64_t count) { retried_requests_ += count; }
 
-  /// Pipelined parallel bulk ingest. With a pool of T >= 2 runners the
-  /// batch is split across P producers that push into P x D lock-free SPSC
-  /// rings (ring.h); D shard drainers pull concurrently and append into
-  /// their disjoint shard sets, P + D <= T so every role runs at once.
-  /// Drainer d consumes producer rings in producer order, and producers own
-  /// contiguous input slices, so per-series sample order is the batch order
-  /// at every thread count — bit-identical to serial append. T == 1 falls
-  /// back to the serial loop (same result by the same argument).
+  /// Parallel bulk ingest, one path for every pool size T and batch size.
+  /// Phase one splits the batch into T contiguous slices, and each slice
+  /// lists its sample indices per shard. Phase two runs the shards in
+  /// parallel; each appends its samples slice by slice. A shard is never
+  /// split across threads, so no locking is needed, and every series
+  /// receives its samples in batch order — bit-identical to appending
+  /// `samples` serially, at any T. Requires the same per-series timestamp
+  /// monotonicity as append(); a violating batch throws
+  /// std::invalid_argument and leaves the store partly ingested.
   void bulk_append(const std::vector<Sample>& samples, ThreadPool& pool);
+  /// Convenience overload: a private pool with `threads` runners
+  /// (0 = default_thread_count()).
   void bulk_append(const std::vector<Sample>& samples, std::size_t threads = 0);
 
   /// Seals every open block (partial blocks included) so all samples are in
@@ -233,7 +175,7 @@ class ColumnarTelemetryStore {
   /// Samples living in sealed (compressed) blocks.
   std::uint64_t sealed_samples() const;
 
-  /// Shared query API (bit-identical to the legacy store on equal input).
+  /// Band queries (bit-identical to the legacy reference on equal input).
   Aggregate range(CounterKey key, double t0_s, double t1_s) const;
   MultiScaleSeries::BinnedMeans daily_trend(CounterKey key, double t0_s, double t1_s) const;
   MultiScaleSeries::BinnedMeans hourly_pattern(CounterKey key, double t0_s,
@@ -268,14 +210,7 @@ class ColumnarTelemetryStore {
   std::size_t hourly_level_ = 0;
 };
 
-/// Build-time A/B switch, same pattern as EPM_SIM_BINARY_HEAP: the default
-/// build runs columnar; -DEPM_TELEMETRY_LEGACY flips every consumer onto
-/// the legacy per-sample cascade.
-#ifdef EPM_TELEMETRY_LEGACY
-using TelemetryStore = LegacyTelemetryStore;
-#else
 using TelemetryStore = ColumnarTelemetryStore;
-#endif
 
 /// Plain raw storage (15 s samples kept forever) used as the baseline in
 /// EXP-F: linear-scan queries and un-aggregated memory footprint.

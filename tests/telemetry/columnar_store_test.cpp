@@ -1,15 +1,18 @@
-// ColumnarTelemetryStore vs LegacyTelemetryStore: the two implementations
-// must answer the shared band-query API bit-identically on equal input, at
-// every ingest thread count (1/2/8 exercises the serial path, the minimal
-// 1-producer/1-drainer pipeline, and a 4x4 ring matrix). Also the shard-mix
-// fix: stride-64 server enumerations must spread across shards instead of
-// serializing on one. Suite names match the TSan/ASan CI regexes
-// ("Telemetry") so the ring pipeline races under both sanitizers.
+// ColumnarTelemetryStore vs the LegacyTelemetryStore reference: the
+// columnar store must answer the band-query API bit-identically on equal
+// input, at every ingest pool size (1/2/3/8 covers one slice, an even and
+// an uneven slice split, and more runners than cores). Also the bulk-ingest
+// error path, and the shard-mix fix: stride-64 server enumerations must
+// spread across shards instead of serializing on one. Suite names match the
+// TSan/ASan CI regexes ("Telemetry") so the two-phase ingest races under
+// both sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/parallel.h"
@@ -32,7 +35,7 @@ workload::FleetCountersBatch reference_batch() {
   workload::FleetCountersConfig mix;
   mix.servers = 40;
   mix.counters_per_server = 8;
-  mix.ticks = 20;  // 6,400 samples: above the 4,096 pipelined-path floor
+  mix.ticks = 20;  // 6,400 samples over 320 series
   mix.seed = 0xabc;
   return workload::synthesize_fleet_counters(mix);
 }
@@ -69,26 +72,15 @@ TEST(TelemetryColumnarStore, BitIdenticalToLegacyAtEveryThreadCount) {
 
   LegacyTelemetryStore legacy;
   for (const auto& sample : batch.samples) {
-    legacy.append(sample.key, sample.time_s, sample.value, sample.degraded);
+    legacy.append(sample.key, sample.time_s, sample.value);
   }
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
     ColumnarTelemetryStore columnar;
     columnar.bulk_append(batch.samples, threads);
     expect_identical_answers(legacy, columnar, 40, 8, horizon_s);
   }
-}
-
-TEST(TelemetryColumnarStore, LegacyBulkAppendMatchesLegacySerial) {
-  const auto batch = reference_batch();
-  const double horizon_s = 20.0 * 15.0 + 15.0;
-  LegacyTelemetryStore serial;
-  for (const auto& sample : batch.samples) {
-    serial.append(sample.key, sample.time_s, sample.value, sample.degraded);
-  }
-  LegacyTelemetryStore parallel;
-  parallel.bulk_append(batch.samples, /*threads=*/2);
-  expect_identical_answers(serial, parallel, 40, 8, horizon_s);
 }
 
 TEST(TelemetryColumnarStore, BulkAppendMatchesSerialAppendOnSharedPool) {
@@ -104,22 +96,27 @@ TEST(TelemetryColumnarStore, BulkAppendMatchesSerialAppendOnSharedPool) {
   EXPECT_EQ(serial.degraded_samples(), pooled.degraded_samples());
 }
 
-TEST(TelemetryColumnarStore, TinyRingsNeverDeadlockAtAnyPoolSize) {
-  // Two-slot rings make every producer block until its drainers catch up,
-  // so the batch finishes only if all P + D roles run at once. A pool of T
-  // has T - 1 workers plus the submitting thread: the caller must count as
-  // one role runner. 3 gives an uneven split, 8 more runners than cores.
+TEST(TelemetryColumnarStore, BulkAppendRejectsBackwardsTimestampsAtEveryPoolSize) {
+  // One series steps back in time mid-batch: every pool size must surface
+  // the append error, and the pool must stay usable for the next batch.
   const auto batch = reference_batch();
+  auto backwards = batch.samples;
+  const std::size_t mid = backwards.size() / 2;
+  Sample step_back = backwards[mid];
+  step_back.time_s -= 15.0;
+  backwards.insert(backwards.begin() + static_cast<std::ptrdiff_t>(mid) + 1, step_back);
+
   ColumnarTelemetryStore serial;
   for (const auto& sample : batch.samples) {
     serial.append(sample.key, sample.time_s, sample.value, sample.degraded);
   }
-  TelemetryTuning tuning;
-  tuning.ring_capacity = 2;
   for (const std::size_t threads :
-       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     ThreadPool pool(threads);
-    ColumnarTelemetryStore pooled(MultiScaleConfig{}, tuning);
+    ColumnarTelemetryStore rejected;
+    EXPECT_THROW(rejected.bulk_append(backwards, pool), std::invalid_argument)
+        << threads << " threads";
+    ColumnarTelemetryStore pooled;
     pooled.bulk_append(batch.samples, pool);
     expect_identical_answers(serial, pooled, 40, 8, 20.0 * 15.0 + 15.0);
     EXPECT_EQ(serial.degraded_samples(), pooled.degraded_samples())
@@ -242,7 +239,7 @@ TEST(TelemetryShardBalance, HashMixSpreadsStride64Enumerations) {
 
 TEST(TelemetryShardBalance, ShardOfDependsOnlyOnServer) {
   // All counters of one server land on one shard (per-series order needs a
-  // single drainer per server), and the two stores agree on the layout.
+  // single ingest task per server), and the two stores agree on the layout.
   for (std::uint32_t server : {0u, 1u, 63u, 64u, 1000u, 0xffffffffu}) {
     const std::size_t shard = telemetry_shard_of(make_key(server, 0));
     for (std::uint32_t counter : {1u, 2u, 99u}) {

@@ -153,7 +153,8 @@ TEST(TelemetryStoreParallel, BitIdenticalAcrossThreadCounts) {
 
   TelemetryStore at1;
   at1.bulk_append(batch, 1);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
     TelemetryStore at;
     at.bulk_append(batch, threads);
     expect_stores_identical(at1, at, servers, counters, steps * 15.0);

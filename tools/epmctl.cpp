@@ -80,7 +80,7 @@ int cmd_help() {
                                                         (SPEC: "outage:region/americas@
                                                         32+16;brownout:feed/grid-eu@...")
   epmctl telemetry    [--threads T] [--seed S] [--smoke] columnar telemetry firehose
-                                                        bench: ring-pipeline ingest,
+                                                        bench: shard-parallel ingest,
                                                         sealed-block compression,
                                                         legacy bit-identity at 1/2/8
                                                         threads, in-stream anomaly
