@@ -20,17 +20,10 @@ int main(int argc, char** argv) {
       args.get("seed", static_cast<std::int64_t>(42)));
   epm::bench::FederationBenchConfig fed_config;
   fed_config.seed = config.seed;
-  // --smoke: the reduced CI configuration — a 100k-client storm and a
-  // 40k-client fleet under loose absolute wall ceilings instead of the full
-  // 1M A/B + 10M sections, so the Release lane catches order-of-magnitude
-  // regressions without paying the full bench on every push.
+  // --smoke adds a 40k-client fleet under a loose absolute wall ceiling to
+  // the kernel bench's smoke preset.
   if (args.get_switch("smoke")) {
-    config.storm_clients = 100'000;
-    config.storm_reps = 1;
-    config.min_storm_speedup = 0.0;  // relative gate needs the full size
-    config.max_storm_wall_s = 5.0;
-    config.sweep_clients = 100'000;
-    config.storm_10m_clients = 0;
+    epm::bench::apply_smoke_preset(config);
     fed_config.clients_per_dc = 10'000;
     fed_config.reps = 1;
     fed_config.min_federation_speedup = 0.0;  // small worlds are barrier-bound

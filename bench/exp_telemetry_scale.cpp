@@ -26,19 +26,7 @@ int main(int argc, char** argv) {
   config.threads = args.threads();
   config.seed = static_cast<std::uint64_t>(
       args.get("seed", static_cast<std::int64_t>(42)));
-  // --smoke: the reduced CI configuration — ~5% of the full mix under a
-  // loose absolute throughput floor, so the Release lane catches
-  // order-of-magnitude regressions (and any correctness-gate break) without
-  // paying the 10M-point run on every push.
-  if (args.get_switch("smoke")) {
-    config.servers = 200;
-    config.counters_per_server = 25;
-    config.ticks = 100;
-    config.equiv_servers = 60;
-    config.equiv_counters = 10;
-    config.equiv_ticks = 100;
-    config.min_points_per_min = 10e6;
-  }
+  if (args.get_switch("smoke")) epm::bench::apply_smoke_preset(config);
 
   std::printf("==== EXP-AA: sec. 5.3 telemetry firehose (seed %llu%s) ====\n",
               static_cast<unsigned long long>(config.seed),

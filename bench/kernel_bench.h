@@ -81,6 +81,19 @@ struct KernelBenchConfig {
   double max_storm_10m_wall_s = 10.0;
 };
 
+/// `--smoke`, the reduced CI configuration: a 100k-client storm under a
+/// loose absolute wall ceiling instead of the full 1M A/B and the 10M
+/// sections, so the Release lane catches order-of-magnitude regressions
+/// without paying the full bench on every push.
+inline void apply_smoke_preset(KernelBenchConfig& config) {
+  config.storm_clients = 100'000;
+  config.storm_reps = 1;
+  config.min_storm_speedup = 0.0;  // relative gate needs the full size
+  config.max_storm_wall_s = 5.0;
+  config.sweep_clients = 100'000;
+  config.storm_10m_clients = 0;
+}
+
 struct KernelBenchOutcome {
   double hold_calendar_eps = 0.0;  ///< hold-model events/sec, calendar queue
   double hold_heap_eps = 0.0;      ///< hold-model events/sec, binary heap

@@ -67,6 +67,20 @@ struct TelemetryBenchConfig {
   double min_compression_ratio = 8.0;
 };
 
+/// `--smoke`, the reduced CI configuration: ~5% of the full mix under a
+/// loose absolute throughput floor, so the Release lane catches
+/// order-of-magnitude regressions (and any correctness-gate break) without
+/// paying the 10M-point run on every push.
+inline void apply_smoke_preset(TelemetryBenchConfig& config) {
+  config.servers = 200;
+  config.counters_per_server = 25;
+  config.ticks = 100;
+  config.equiv_servers = 60;
+  config.equiv_counters = 10;
+  config.equiv_ticks = 100;
+  config.min_points_per_min = 10e6;
+}
+
 struct TelemetryBenchOutcome {
   double ingest_wall_1t_s = 0.0;
   double ingest_wall_nt_s = 0.0;

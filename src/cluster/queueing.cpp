@@ -39,36 +39,6 @@ double mg1ps_response_time_s(double mean_service_s, double utilization) {
   return mean_service_s / (1.0 - utilization);
 }
 
-double mmnk_blocking_probability(double offered, std::size_t servers,
-                                 std::size_t queue_capacity) {
-  require(servers > 0, "mmnk_blocking_probability: need at least one server");
-  require(offered >= 0.0, "mmnk_blocking_probability: negative offered load");
-  if (offered == 0.0) return 0.0;
-  // Birth-death chain over 0..n+K jobs: p_{k} = p_{k-1} * a / min(k, n).
-  // Track the last unnormalized term and the running sum, rescaling when the
-  // term grows large so deep overload (a >> n) cannot overflow a double.
-  const std::size_t states = servers + queue_capacity;
-  double term = 1.0;
-  double sum = 1.0;
-  for (std::size_t k = 1; k <= states; ++k) {
-    term *= offered / static_cast<double>(std::min(k, servers));
-    sum += term;
-    if (term > 1e280) {
-      sum /= term;
-      term = 1.0;
-    }
-  }
-  return term / sum;
-}
-
-double mmnk_throughput_per_s(double lambda, double mu, std::size_t servers,
-                             std::size_t queue_capacity) {
-  require(mu > 0.0, "mmnk_throughput_per_s: service rate must be positive");
-  require(lambda >= 0.0, "mmnk_throughput_per_s: negative arrival rate");
-  return lambda *
-         (1.0 - mmnk_blocking_probability(lambda / mu, servers, queue_capacity));
-}
-
 double response_quantile_s(double mean_response_s, double q) {
   require(mean_response_s >= 0.0, "response_quantile_s: negative mean");
   require(q > 0.0 && q < 1.0, "response_quantile_s: q outside (0,1)");

@@ -27,17 +27,4 @@ double mg1ps_response_time_s(double mean_service_s, double utilization);
 /// using the exponential-tail approximation T_q = T_mean * ln(1/(1-q)).
 double response_quantile_s(double mean_response_s, double q);
 
-/// Blocking probability of an M/M/n/K loss-queue system (n servers plus a
-/// waiting room of K; an arrival finding n+K jobs is shed). Valid in
-/// overload — `offered` = lambda/mu may exceed n — which is exactly the
-/// regime the finite-horizon overload DES is validated against. Computed
-/// with the normalized birth-death recurrence, so it neither overflows nor
-/// loses precision for large offered loads.
-double mmnk_blocking_probability(double offered, std::size_t servers,
-                                 std::size_t queue_capacity);
-
-/// Accepted throughput of the same M/M/n/K system: lambda * (1 - P_block).
-double mmnk_throughput_per_s(double lambda, double mu, std::size_t servers,
-                             std::size_t queue_capacity);
-
 }  // namespace epm::cluster

@@ -232,70 +232,6 @@ RequestDesResult simulate_requests(const RequestDesConfig& config) {
                                                        : run_ps(config);
 }
 
-OverloadDesResult simulate_overload(const OverloadDesConfig& config) {
-  require(config.arrival_rate_per_s > 0.0,
-          "simulate_overload: rate must be positive");
-  require(config.mean_service_s > 0.0,
-          "simulate_overload: service must be positive");
-  require(config.servers >= 1, "simulate_overload: need at least one server");
-  require(config.horizon_s > 0.0, "simulate_overload: horizon must be positive");
-  require(config.deadline_s >= 0.0, "simulate_overload: negative deadline");
-
-  // Reuse the service-time sampler through its RequestDesConfig face.
-  RequestDesConfig sampler_config;
-  sampler_config.mean_service_s = config.mean_service_s;
-  sampler_config.service_cv = config.service_cv;
-  sampler_config.distribution = config.distribution;
-
-  Rng rng(config.seed);
-  Rng arrivals_rng = rng.fork();
-  Rng service_rng = rng.fork();
-  ServiceSampler sampler(sampler_config, service_rng);
-
-  OverloadDesResult result;
-  FreeAtHeap free_at(config.servers);
-  // Occupancy via kernel departure events (see run_fcfs).
-  sim::Simulator timeline;
-  std::size_t in_system = 0;
-  const std::size_t room = config.servers + config.queue_capacity;
-
-  double busy_time = 0.0;
-  double t = arrivals_rng.exponential(config.arrival_rate_per_s);
-  while (t <= config.horizon_s) {
-    timeline.run_until(t);
-    ++result.offered;
-    if (in_system >= room) {
-      ++result.shed;
-    } else {
-      ++result.admitted;
-      const double earliest_free = free_at.pop_min();
-      const double start = std::max(t, earliest_free);
-      const double service = sampler.next();
-      const double finish = start + service;
-      free_at.push(finish);
-      ++in_system;
-      timeline.schedule_at(finish, [&in_system] { --in_system; });
-      busy_time += std::max(0.0, std::min(finish, config.horizon_s) -
-                                     std::min(start, config.horizon_s));
-      if (finish <= config.horizon_s) {
-        ++result.completed;
-        const double sojourn = finish - t;
-        result.response_s.add(sojourn);
-        if (config.deadline_s <= 0.0 || sojourn <= config.deadline_s) {
-          ++result.goodput;
-        }
-      }
-    }
-    t += arrivals_rng.exponential(config.arrival_rate_per_s);
-  }
-  result.throughput_per_s =
-      static_cast<double>(result.completed) / config.horizon_s;
-  result.goodput_per_s = static_cast<double>(result.goodput) / config.horizon_s;
-  result.utilization =
-      busy_time / (static_cast<double>(config.servers) * config.horizon_s);
-  return result;
-}
-
 ReplicationResult simulate_replications(const ReplicationConfig& config) {
   require(config.replications >= 1,
           "simulate_replications: need at least one replication");

@@ -82,46 +82,4 @@ struct ReplicationResult {
 /// bit-identical for any thread count, including 1.
 ReplicationResult simulate_replications(const ReplicationConfig& config);
 
-/// Finite-horizon overload mode: unlike simulate_requests there is no
-/// stability precondition — arrival rate may exceed capacity — because the
-/// system is an M/G/n/K loss queue (n servers plus a waiting room of
-/// queue_capacity) observed over a fixed horizon. Instead of diverging, an
-/// overloaded system sheds; the result measures shed fraction, throughput,
-/// and goodput, which is what the closed-form M/M/n/K blocking probability
-/// and the retry-storm defense are validated against.
-struct OverloadDesConfig {
-  double arrival_rate_per_s = 100.0;
-  double mean_service_s = 0.05;
-  double service_cv = 1.0;  ///< used by the lognormal distribution
-  std::size_t servers = 4;
-  /// Waiting-room slots beyond the servers; an arrival finding
-  /// servers + queue_capacity jobs in the system is shed. 0 = pure loss.
-  std::size_t queue_capacity = 16;
-  ServiceDistribution distribution = ServiceDistribution::kExponential;
-  double horizon_s = 2000.0;
-  /// Completions slower than this do not count toward goodput
-  /// (0 = every completion counts).
-  double deadline_s = 0.0;
-  std::uint64_t seed = 123;
-};
-
-struct OverloadDesResult {
-  std::uint64_t offered = 0;    ///< arrivals within the horizon
-  std::uint64_t admitted = 0;   ///< entered the system
-  std::uint64_t shed = 0;       ///< blocked at a full system
-  std::uint64_t completed = 0;  ///< finished within the horizon
-  std::uint64_t goodput = 0;    ///< completed within deadline_s
-  OnlineStats response_s;       ///< sojourn times of completed requests
-  double throughput_per_s = 0.0;
-  double goodput_per_s = 0.0;
-  double utilization = 0.0;  ///< busy-server-time / (servers * horizon)
-
-  double shed_fraction() const {
-    return offered > 0 ? static_cast<double>(shed) / static_cast<double>(offered)
-                       : 0.0;
-  }
-};
-
-OverloadDesResult simulate_overload(const OverloadDesConfig& config);
-
 }  // namespace epm::cluster

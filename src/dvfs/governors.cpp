@@ -1,13 +1,10 @@
 #include "dvfs/governors.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/require.h"
 
 namespace epm::dvfs {
-
-StaticGovernor::StaticGovernor(std::size_t pstate) : pstate_(pstate) {}
 
 OndemandGovernor::OndemandGovernor(std::size_t initial_pstate, OndemandConfig config)
     : pstate_(initial_pstate), config_(config) {
@@ -30,51 +27,6 @@ std::size_t OndemandGovernor::decide(const cluster::ServiceCluster& cluster,
     ++pstate_;
   }
   return pstate_;
-}
-
-ResponseTimePiGovernor::ResponseTimePiGovernor(ResponseTimePiConfig config)
-    : config_(config) {
-  require(config_.kp >= 0.0 && config_.ki >= 0.0,
-          "ResponseTimePiGovernor: negative gains");
-  require(config_.integral_clamp > 0.0, "ResponseTimePiGovernor: bad clamp");
-}
-
-std::size_t ResponseTimePiGovernor::decide(const cluster::ServiceCluster& cluster,
-                                           const cluster::EpochResult& last) {
-  const double target = cluster.config().sla.target_mean_response_s;
-  // Relative error > 0 means we are too slow and must speed up.
-  const double error = (last.mean_response_s - target) / target;
-  integral_ = std::clamp(integral_ + error, -config_.integral_clamp,
-                         config_.integral_clamp);
-  speed_ = std::clamp(speed_ + config_.kp * error + config_.ki * integral_, 0.0, 1.0);
-  // Pick the slowest P-state whose relative capacity covers `speed_`.
-  return cluster.power_model().lowest_pstate_with_capacity(speed_);
-}
-
-PerfSettingGovernor::PerfSettingGovernor(double headroom) : headroom_(headroom) {
-  require(headroom > 0.0 && headroom <= 1.0,
-          "PerfSettingGovernor: headroom outside (0,1]");
-}
-
-std::size_t PerfSettingGovernor::decide(const cluster::ServiceCluster& cluster,
-                                        const cluster::EpochResult& last) {
-  const auto& model = cluster.power_model();
-  const double target = cluster.config().sla.target_mean_response_s * headroom_;
-  const std::size_t serving = std::max<std::size_t>(last.serving, 1);
-  // Predict next epoch's per-server load from the last arrival rate, then
-  // choose the slowest state for which M/G/1-PS response stays under target:
-  //   demand/c / (1 - lambda*demand/(n*c)) <= target.
-  const double lambda = last.arrival_rate_per_s;
-  const double demand = last.service_demand_s;
-  for (std::size_t p = model.pstate_count(); p-- > 0;) {
-    const double c = model.relative_capacity(p);
-    const double per_server_rate = c / demand;  // requests/s at this state
-    const double rho = lambda / (static_cast<double>(serving) * per_server_rate);
-    if (rho >= 0.95) continue;  // unstable or too close; try faster
-    const double response = (demand / c) / (1.0 - rho);
-    if (response <= target) return p;
-  }
-  return 0;  // nothing slow enough works; run flat out
 }
 
 }  // namespace epm::dvfs

@@ -1,95 +1,33 @@
-// DVFS governors (paper §4.2).
+// DVFS governor (paper §4.2).
 //
-// Each governor observes the last epoch and chooses the uniform P-state for
-// the next one. Three of the surveyed policy families are implemented:
-//   * StaticGovernor            — pin a P-state (baseline)
-//   * OndemandGovernor          — utilization-band frequency stepping; the
-//                                 "DVS oblivious to On/Off" actor in §5.1's
-//                                 instability scenario
-//   * ResponseTimePiGovernor    — feedback control on response time with
-//                                 request batching flavor (ref [21],
-//                                 Elnozahy et al.)
-//   * PerfSettingGovernor       — deadline-style performance setting: the
-//                                 slowest state predicted to still meet the
-//                                 response target (ref [22], Vertigo)
+// OndemandGovernor observes the last epoch and chooses the uniform P-state
+// for the next one by utilization-band frequency stepping. It is the "DVS
+// oblivious to On/Off" actor of §5.1's instability scenario: the
+// uncoordinated stack runs one per service, and EXP-A pairs it with a
+// delay-threshold On/Off provisioner to reproduce the cycle.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "cluster/service_cluster.h"
 
 namespace epm::dvfs {
-
-/// Interface: observe the finished epoch, command the next P-state.
-class DvfsGovernor {
- public:
-  virtual ~DvfsGovernor() = default;
-  virtual std::string name() const = 0;
-  /// Returns the P-state to apply for the next epoch.
-  virtual std::size_t decide(const cluster::ServiceCluster& cluster,
-                             const cluster::EpochResult& last) = 0;
-};
-
-class StaticGovernor final : public DvfsGovernor {
- public:
-  explicit StaticGovernor(std::size_t pstate);
-  std::string name() const override { return "static"; }
-  std::size_t decide(const cluster::ServiceCluster&, const cluster::EpochResult&) override {
-    return pstate_;
-  }
-
- private:
-  std::size_t pstate_;
-};
 
 struct OndemandConfig {
   double upscale_utilization = 0.80;   ///< above this, step faster
   double downscale_utilization = 0.45; ///< below this, step slower
 };
 
-class OndemandGovernor final : public DvfsGovernor {
+class OndemandGovernor {
  public:
   OndemandGovernor(std::size_t initial_pstate, OndemandConfig config);
-  std::string name() const override { return "ondemand"; }
+  /// Returns the P-state to apply for the next epoch.
   std::size_t decide(const cluster::ServiceCluster& cluster,
-                     const cluster::EpochResult& last) override;
-  std::size_t current() const { return pstate_; }
+                     const cluster::EpochResult& last);
 
  private:
   std::size_t pstate_;
   OndemandConfig config_;
-};
-
-struct ResponseTimePiConfig {
-  double kp = 0.6;  ///< proportional gain on relative response error
-  double ki = 0.2;  ///< integral gain
-  double integral_clamp = 2.0;
-};
-
-class ResponseTimePiGovernor final : public DvfsGovernor {
- public:
-  explicit ResponseTimePiGovernor(ResponseTimePiConfig config = {});
-  std::string name() const override { return "pi-response"; }
-  std::size_t decide(const cluster::ServiceCluster& cluster,
-                     const cluster::EpochResult& last) override;
-
- private:
-  ResponseTimePiConfig config_;
-  double integral_ = 0.0;
-  double speed_ = 1.0;  ///< continuous speed fraction, mapped to a P-state
-};
-
-class PerfSettingGovernor final : public DvfsGovernor {
- public:
-  /// `headroom` < 1 keeps predicted response below target by that factor.
-  explicit PerfSettingGovernor(double headroom = 0.8);
-  std::string name() const override { return "perf-setting"; }
-  std::size_t decide(const cluster::ServiceCluster& cluster,
-                     const cluster::EpochResult& last) override;
-
- private:
-  double headroom_;
 };
 
 }  // namespace epm::dvfs

@@ -6,17 +6,6 @@
 
 namespace epm::onoff {
 
-EwmaPredictor::EwmaPredictor(double alpha) : level_(alpha) {}
-
-void EwmaPredictor::observe(double, double value) {
-  if (!level_.empty()) residuals_.add(value - level_.value());
-  level_.add(value);
-}
-
-double EwmaPredictor::predict(double) const { return level_.empty() ? 0.0 : level_.value(); }
-
-double EwmaPredictor::residual_stddev() const { return residuals_.stddev(); }
-
 SeasonalPredictor::SeasonalPredictor(SeasonalPredictorConfig config)
     : config_(config), residual_level_(config.residual_alpha) {
   require(config_.bucket_s > 0.0, "SeasonalPredictor: bucket must be positive");

@@ -1,4 +1,4 @@
-// Demand predictors used by predictive provisioning and the macro layer.
+// Demand predictor used by predictive provisioning and the macro layer.
 //
 // SeasonalPredictor implements the multi-scale idea of §5.3: a time-of-week
 // profile (hourly buckets) captures the diurnal/weekly trend, an EWMA tracks
@@ -11,20 +11,6 @@
 #include "core/stats.h"
 
 namespace epm::onoff {
-
-/// Plain EWMA level predictor (no seasonality).
-class EwmaPredictor {
- public:
-  explicit EwmaPredictor(double alpha = 0.3);
-  void observe(double time_s, double value);
-  /// Prediction for any future time (EWMA is horizon-free).
-  double predict(double future_time_s) const;
-  double residual_stddev() const;
-
- private:
-  Ewma level_;
-  OnlineStats residuals_;
-};
 
 struct SeasonalPredictorConfig {
   /// Bucket width of the time-of-week profile.

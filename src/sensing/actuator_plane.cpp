@@ -207,6 +207,8 @@ bool ActuatorPlane::on_fault(const faults::FaultEvent& event, bool onset,
 namespace {
 constexpr std::uint32_t kActuatorMagic = 0x74756361;  // "acut"
 constexpr std::uint32_t kActuatorVersion = 1;
+/// Bytes of one serialized pending command with an empty `values` vector.
+constexpr std::size_t kPendingCommandBytes = 4 + 7 * 8;
 
 void write_f64_vec(sim::SnapshotWriter& w, const std::vector<double>& v) {
   w.write_u64(v.size());
@@ -214,7 +216,7 @@ void write_f64_vec(sim::SnapshotWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_f64_vec(sim::SnapshotReader& r) {
-  std::vector<double> v(r.read_u64());
+  std::vector<double> v(r.read_count(8));
   for (double& x : v) x = r.read_f64();
   return v;
 }
@@ -253,7 +255,7 @@ void ActuatorPlane::restore(sim::SnapshotReader& r) {
   superseded_ = r.read_u64();
   fencing_rejections_ = r.read_u64();
   for (auto& domain : fail_severity_) domain = read_f64_vec(r);
-  pending_.assign(r.read_u64(), PendingCommand{});
+  pending_.assign(r.read_count(kPendingCommandBytes), PendingCommand{});
   for (PendingCommand& p : pending_) {
     p.command.kind = static_cast<CommandKind>(r.read_u32());
     p.command.target = static_cast<std::size_t>(r.read_u64());

@@ -109,14 +109,23 @@ std::string SnapshotReader::read_string() {
 }
 
 std::vector<std::uint64_t> SnapshotReader::read_payload() {
-  const std::uint64_t n = read_u64();
-  // Each element takes 8 bytes; bound before allocating so a corrupt length
-  // cannot drive a huge allocation.
-  need(n * 8);
+  const std::size_t n = read_count(8);
   std::vector<std::uint64_t> p;
-  p.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) p.push_back(read_u64());
+  p.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) p.push_back(read_u64());
   return p;
+}
+
+std::size_t SnapshotReader::read_count(std::size_t element_bytes) {
+  const std::uint64_t n = read_u64();
+  // Divide rather than multiply: n * element_bytes can wrap.
+  if (n > remaining() / element_bytes) {
+    throw std::runtime_error("snapshot count " + std::to_string(n) + " of " +
+                             std::to_string(element_bytes) +
+                             "-byte elements exceeds the " +
+                             std::to_string(remaining()) + " bytes left");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 void SnapshotReader::expect_section(std::uint32_t magic,

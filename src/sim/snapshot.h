@@ -68,6 +68,10 @@ class SnapshotReader {
   double read_f64();
   std::string read_string();
   std::vector<std::uint64_t> read_payload();
+  /// Reads an element count and checks that that many elements of at least
+  /// `element_bytes` (> 0) bytes each fit in the bytes left, so a corrupt
+  /// count throws before a container is sized from it.
+  std::size_t read_count(std::size_t element_bytes);
   void expect_section(std::uint32_t magic, std::uint32_t version);
 
   std::size_t remaining() const { return size_ - pos_; }

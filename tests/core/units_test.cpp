@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/logging.h"
 #include "core/require.h"
 
 namespace epm {
@@ -44,21 +43,6 @@ TEST(Require, ThrowsTypedExceptions) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "the message");
   }
-}
-
-TEST(Logging, LevelGating) {
-  const auto restore = log_level();
-  set_log_level(LogLevel::kWarn);
-  EXPECT_EQ(log_level(), LogLevel::kWarn);
-  // Below-threshold calls are cheap no-ops; above-threshold calls emit to
-  // stderr. Both must simply not crash and must honor the level.
-  log_debug("dropped ", 1);
-  log_info("dropped ", 2.5);
-  log_warn("emitted");
-  log_error("emitted too");
-  set_log_level(LogLevel::kOff);
-  log_error("dropped again");
-  set_log_level(restore);
 }
 
 }  // namespace

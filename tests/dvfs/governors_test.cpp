@@ -19,14 +19,6 @@ workload::OfferedLoad load_of(double rate) {
   return load;
 }
 
-TEST(StaticGovernor, AlwaysReturnsPinnedState) {
-  cluster::ServiceCluster cluster(cluster_config());
-  StaticGovernor gov(2);
-  const auto r = cluster.run_epoch(60.0, load_of(100.0));
-  EXPECT_EQ(gov.decide(cluster, r), 2u);
-  EXPECT_EQ(gov.name(), "static");
-}
-
 TEST(OndemandGovernor, StepsDownWhenUnderloaded) {
   cluster::ServiceCluster cluster(cluster_config());
   OndemandGovernor gov(0, OndemandConfig{});
@@ -60,55 +52,6 @@ TEST(OndemandGovernor, RejectsBadBand) {
   OndemandConfig bad;
   bad.downscale_utilization = 0.9;
   EXPECT_THROW(OndemandGovernor(0, bad), std::invalid_argument);
-}
-
-TEST(ResponseTimePiGovernor, SpeedsUpWhenSlow) {
-  cluster::ServiceClusterConfig config = cluster_config();
-  config.sla.target_mean_response_s = 0.011;  // essentially always "slow"
-  cluster::ServiceCluster cluster(config);
-  cluster.set_uniform_pstate(4);
-  ResponseTimePiGovernor gov;
-  auto r = cluster.run_epoch(60.0, load_of(450.0));  // rho 0.9 at half speed
-  // Error positive -> speed rises -> a faster P-state.
-  const auto p = gov.decide(cluster, r);
-  EXPECT_LT(p, 4u);
-}
-
-TEST(ResponseTimePiGovernor, SlowsDownWhenFast) {
-  cluster::ServiceClusterConfig config = cluster_config();
-  config.sla.target_mean_response_s = 1.0;  // hugely relaxed
-  cluster::ServiceCluster cluster(config);
-  ResponseTimePiGovernor gov;
-  std::size_t p = 0;
-  for (int i = 0; i < 20; ++i) {
-    const auto r = cluster.run_epoch(60.0, load_of(100.0));
-    p = gov.decide(cluster, r);
-    cluster.set_uniform_pstate(p);
-  }
-  EXPECT_EQ(p, cluster.power_model().pstate_count() - 1);
-}
-
-TEST(PerfSettingGovernor, PicksSlowestMeetingTarget) {
-  cluster::ServiceClusterConfig config = cluster_config();
-  config.sla.target_mean_response_s = 0.5;  // loose: slowest state fine
-  cluster::ServiceCluster cluster(config);
-  PerfSettingGovernor gov;
-  const auto r = cluster.run_epoch(60.0, load_of(100.0));
-  EXPECT_EQ(gov.decide(cluster, r), cluster.power_model().pstate_count() - 1);
-}
-
-TEST(PerfSettingGovernor, RunsFlatOutWhenTargetTight) {
-  cluster::ServiceClusterConfig config = cluster_config();
-  config.sla.target_mean_response_s = 0.011;  // barely above service time
-  cluster::ServiceCluster cluster(config);
-  PerfSettingGovernor gov(1.0);
-  const auto r = cluster.run_epoch(60.0, load_of(900.0));
-  EXPECT_EQ(gov.decide(cluster, r), 0u);
-}
-
-TEST(PerfSettingGovernor, RejectsBadHeadroom) {
-  EXPECT_THROW(PerfSettingGovernor(0.0), std::invalid_argument);
-  EXPECT_THROW(PerfSettingGovernor(1.5), std::invalid_argument);
 }
 
 }  // namespace

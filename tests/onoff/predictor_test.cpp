@@ -10,21 +10,6 @@
 namespace epm::onoff {
 namespace {
 
-TEST(EwmaPredictor, TracksLevel) {
-  EwmaPredictor p(0.5);
-  for (int i = 0; i < 50; ++i) p.observe(static_cast<double>(i), 10.0);
-  EXPECT_NEAR(p.predict(100.0), 10.0, 1e-9);
-  EXPECT_NEAR(p.residual_stddev(), 0.0, 1e-9);
-}
-
-TEST(EwmaPredictor, ResidualsReflectNoise) {
-  EwmaPredictor p(0.3);
-  for (int i = 0; i < 200; ++i) {
-    p.observe(static_cast<double>(i), i % 2 == 0 ? 8.0 : 12.0);
-  }
-  EXPECT_GT(p.residual_stddev(), 1.0);
-}
-
 TEST(SeasonalPredictor, LearnsDailySinusoid) {
   SeasonalPredictorConfig config;
   config.period_s = kSecondsPerDay;

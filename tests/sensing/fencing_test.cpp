@@ -211,6 +211,50 @@ TEST(ActuatorPlane, SaveRestoreRoundTripsCountersAndPending) {
   EXPECT_EQ(0U, b.pending_count());
 }
 
+TEST(ActuatorPlane, RestoreRejectsCountsLargerThanTheSnapshot) {
+  // Patches the little-endian u64 at `offset` and restores the result.
+  const auto restore_patched = [](std::vector<std::uint8_t> bytes,
+                                  std::size_t offset, std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      bytes.at(offset + byte) = static_cast<std::uint8_t>(value >> (byte * 8));
+    }
+    ActuatorPlane plane(ActuatorPlaneConfig{});
+    sim::SnapshotReader r(bytes);
+    plane.restore(r);
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+
+  // An idle plane: section header, 7 counters, two empty fault-severity
+  // vectors and an empty pending queue.
+  sim::SnapshotWriter idle_writer;
+  ActuatorPlane(ActuatorPlaneConfig{}).save(idle_writer);
+  const std::vector<std::uint8_t> idle = idle_writer.take();
+  ASSERT_EQ(88U, idle.size());
+  for (const std::size_t offset : {64U, 72U, 80U}) {
+    EXPECT_THROW(restore_patched(idle, offset, kHuge), std::runtime_error)
+        << "count at byte " << offset;
+  }
+
+  // One pending command carrying two values; its `values` count sits after
+  // the command's kind, target and value.
+  ActuatorPlaneConfig config;
+  config.max_attempts = 3;
+  ActuatorPlane busy(config);
+  busy.set_applier([](const ActuatorCommand&) { return false; });
+  ActuatorCommand cmd;
+  cmd.kind = CommandKind::kCracSupply;
+  cmd.values = {1.0, 2.0};
+  busy.issue(cmd, 5.0);
+  ASSERT_EQ(1U, busy.pending_count());
+  sim::SnapshotWriter busy_writer;
+  busy.save(busy_writer);
+  const std::vector<std::uint8_t> pending = busy_writer.take();
+  constexpr std::size_t kValuesCount = 88 + 4 + 8 + 8;
+  ASSERT_EQ(2U, sim::SnapshotReader(pending.data() + kValuesCount, 8).read_u64());
+  EXPECT_THROW(restore_patched(pending, kValuesCount, kHuge),
+               std::runtime_error);
+}
+
 TEST(ActuatorPlane, ConsolidationKindRoutesTheComputeDomain) {
   EXPECT_EQ(0U, actuation_domain(CommandKind::kConsolidation));
   EXPECT_EQ("consolidation", to_string(CommandKind::kConsolidation));

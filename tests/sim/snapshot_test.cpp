@@ -52,6 +52,29 @@ TEST(Snapshot, ReaderRejectsCorruption) {
   EXPECT_THROW(truncated.read_u64(), std::runtime_error);
 }
 
+TEST(Snapshot, ReaderBoundsCountsBeforeAllocating) {
+  // A count is accepted only if that many elements fit in the bytes left.
+  SnapshotWriter w;
+  w.write_u64(3);
+  for (int i = 0; i < 3; ++i) w.write_u64(0);
+  SnapshotReader exact(w.bytes());
+  EXPECT_EQ(3U, exact.read_count(8));
+  SnapshotReader too_wide(w.bytes());
+  EXPECT_THROW(too_wide.read_count(9), std::runtime_error);
+
+  // 2^61 + 1 elements of 8 bytes is 2^64 + 8 bytes, which wraps to 8 when
+  // multiplied: the check must still refuse the count.
+  SnapshotWriter huge;
+  huge.write_payload({7});
+  std::vector<std::uint8_t> bytes = huge.take();
+  const std::uint64_t count = (std::uint64_t{1} << 61) + 1;
+  for (int byte = 0; byte < 8; ++byte) {
+    bytes[byte] = static_cast<std::uint8_t>(count >> (byte * 8));
+  }
+  SnapshotReader r(bytes);
+  EXPECT_THROW(r.read_payload(), std::runtime_error);
+}
+
 TEST(TaggedKernel, FiresRecordsAndSurvivesSaveRestore) {
   Simulator sim;
   TaggedKernel tk(sim);

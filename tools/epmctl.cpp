@@ -664,14 +664,7 @@ int cmd_kernelbench(const CliArgs& args) {
   bench::KernelBenchConfig config;
   config.threads = args.threads();
   config.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
-  if (args.get_switch("smoke")) {
-    config.storm_clients = 100'000;
-    config.storm_reps = 1;
-    config.min_storm_speedup = 0.0;
-    config.max_storm_wall_s = 5.0;
-    config.sweep_clients = 100'000;
-    config.storm_10m_clients = 0;
-  }
+  if (args.get_switch("smoke")) bench::apply_smoke_preset(config);
   if (const int rc = check_unused(args)) return rc;
 
   std::cout << "DES kernel throughput (seed " << config.seed << "):\n";
@@ -691,17 +684,7 @@ int cmd_telemetry(const CliArgs& args) {
   bench::TelemetryBenchConfig config;
   config.threads = args.threads();
   config.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
-  if (args.get_switch("smoke")) {
-    // Mirror bench/exp_telemetry_scale --smoke: ~5% of the full mix under a
-    // loose absolute throughput floor.
-    config.servers = 200;
-    config.counters_per_server = 25;
-    config.ticks = 100;
-    config.equiv_servers = 60;
-    config.equiv_counters = 10;
-    config.equiv_ticks = 100;
-    config.min_points_per_min = 10e6;
-  }
+  if (args.get_switch("smoke")) bench::apply_smoke_preset(config);
   if (const int rc = check_unused(args)) return rc;
 
   std::cout << "Columnar telemetry firehose (seed " << config.seed << "):\n";
