@@ -12,8 +12,8 @@
 // and exits non-zero when any gate fails: >= 100M points/minute shard-
 // parallel ingest, >= 8x sealed-block compression on the reference counter
 // mix, bit-identical answers vs the per-sample legacy reference store at
-// 1/2/8 threads, and full recall of injected spikes by the in-stream
-// detector. The Release CI lane runs `--smoke` (reduced mix, loose
+// 1/2/8 threads before and after flush, and full recall of injected spikes
+// by the in-stream detector. The flushed store's bytes are reported. The Release CI lane runs `--smoke` (reduced mix, loose
 // throughput floor) on every push.
 #include <cstdio>
 

@@ -11,6 +11,9 @@
 //   telemetry_raw_bytes /      footprint of the same samples raw (16 B per
 //   telemetry_compressed_bytes point) vs the sealed-block payload; the
 //                              ratio is gated (>= min_compression_ratio)
+//   telemetry_store_bytes      memory_bytes() of the flushed store: chain,
+//                              stored bin rows and series objects (report
+//                              only)
 //   telemetry_band_query       trailing-hour band query over every series,
 //                              columnar store vs RawStore linear scan
 //                              (report only)
@@ -19,7 +22,9 @@
 //
 //   * legacy equivalence — the columnar store at 1/2/8 threads must answer
 //     range / daily_trend / hourly_pattern bit-identically to
-//     LegacyTelemetryStore, the per-sample reference, on the same batch;
+//     LegacyTelemetryStore, the per-sample reference, on the same batch,
+//     both over open blocks and after flush() (where the derived 15 s and
+//     1 min levels fold the sealed blocks alone);
 //   * anomaly recall — every spike injected by the generator must surface
 //     in anomalies(), and the event list must be identical at 1 vs
 //     `threads` ingest threads.
@@ -86,6 +91,7 @@ struct TelemetryBenchOutcome {
   double ingest_wall_nt_s = 0.0;
   double points_per_min = 0.0;  ///< at `threads`
   double compression_ratio = 0.0;
+  double store_bytes = 0.0;  ///< memory_bytes() after flush
   double band_query_s = 0.0;
   double raw_scan_s = 0.0;
   bool legacy_identical = false;
@@ -201,8 +207,10 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
     const double raw_bytes = static_cast<double>(store.sealed_samples()) * 16.0;
     const double payload = static_cast<double>(store.compressed_payload_bytes());
     out.compression_ratio = payload > 0.0 ? raw_bytes / payload : 0.0;
+    out.store_bytes = static_cast<double>(store.memory_bytes());
     append_bench_record({"telemetry_raw_bytes", threads, 0.0, raw_bytes});
     append_bench_record({"telemetry_compressed_bytes", threads, 0.0, payload});
+    append_bench_record({"telemetry_store_bytes", threads, 0.0, out.store_bytes});
 
     std::printf("  ingest %.2fM points: %.0f ms @ 1 thread, %.0f ms @ %zu "
                 "(%.1fM points/min)\n",
@@ -210,6 +218,8 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
                 out.ingest_wall_nt_s * 1e3, threads, out.points_per_min / 1e6);
     std::printf("  sealed compression: %.2f MB raw -> %.2f MB (%.1fx)\n",
                 raw_bytes / 1e6, payload / 1e6, out.compression_ratio);
+    std::printf("  flushed store holds %.2f MB (%.2f B/point)\n",
+                out.store_bytes / 1e6, out.store_bytes / points);
 
     // Trailing-hour band query over every series, columnar pyramid vs a raw
     // linear scan over the same samples (report only; the query-speed claim
@@ -266,15 +276,18 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
     for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       telemetry::ColumnarTelemetryStore columnar;
       columnar.bulk_append(batch.samples, t);
-      if (!td::stores_answer_identically(legacy, columnar, mix, horizon_s)) {
+      const bool open_ok = td::stores_answer_identically(legacy, columnar, mix, horizon_s);
+      columnar.flush();
+      if (!open_ok || !td::stores_answer_identically(legacy, columnar, mix, horizon_s)) {
         out.legacy_identical = false;
-        std::printf("  legacy equivalence: MISMATCH at %zu threads\n", t);
+        std::printf("  legacy equivalence: MISMATCH at %zu threads (%s)\n", t,
+                    open_ok ? "after flush" : "open blocks");
         break;
       }
     }
     if (out.legacy_identical) {
-      std::printf("  legacy equivalence: bit-identical at 1/2/8 threads "
-                  "(%zu series x 4 queries)\n",
+      std::printf("  legacy equivalence: bit-identical at 1/2/8 threads, open and "
+                  "flushed (%zu series x 4 queries)\n",
                   static_cast<std::size_t>(mix.servers) * mix.counters_per_server);
     }
   }

@@ -17,48 +17,17 @@ void SealedBlock::decode(std::vector<double>& times_s, std::vector<double>& valu
   decode_values(vr, values.data(), samples);
 }
 
-Aggregate lane_summary(const double* values, std::size_t n) {
-  Aggregate out;
-  if (n == 0) return out;
-  out.count = n;
-  std::size_t i = 0;
-  if (n >= 4) {
-    // Four independent min/max lanes over the contiguous column; each lane's
-    // dependency chain is its own, so the loop vectorizes to packed
-    // min/max. (Assumes no NaN/-0.0 in the column — true for the counter
-    // mix; lane order would otherwise be observable.)
-    double mn0 = values[0], mn1 = values[1], mn2 = values[2], mn3 = values[3];
-    double mx0 = mn0, mx1 = mn1, mx2 = mn2, mx3 = mn3;
-    for (i = 4; i + 4 <= n; i += 4) {
-      mn0 = std::min(mn0, values[i + 0]);
-      mn1 = std::min(mn1, values[i + 1]);
-      mn2 = std::min(mn2, values[i + 2]);
-      mn3 = std::min(mn3, values[i + 3]);
-      mx0 = std::max(mx0, values[i + 0]);
-      mx1 = std::max(mx1, values[i + 1]);
-      mx2 = std::max(mx2, values[i + 2]);
-      mx3 = std::max(mx3, values[i + 3]);
-    }
-    out.min = std::min(std::min(mn0, mn1), std::min(mn2, mn3));
-    out.max = std::max(std::max(mx0, mx1), std::max(mx2, mx3));
-    for (; i < n; ++i) {
-      out.min = std::min(out.min, values[i]);
-      out.max = std::max(out.max, values[i]);
-    }
-  } else {
-    out.min = out.max = values[0];
-    for (i = 1; i < n; ++i) {
-      out.min = std::min(out.min, values[i]);
-      out.max = std::max(out.max, values[i]);
-    }
-  }
-  // Strict left fold for the sum: the one reduction where grouping changes
-  // bits, so it is never laned.
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) sum += values[j];
-  out.sum = sum;
-  return out;
+namespace {
+
+/// The storage rule: a level keeps a bin row only when it reaches back more
+/// than a day (or forever). Finer levels are folded from the blocks at query
+/// time, which costs at most a day of one series' samples.
+bool keeps_stored_row(const LevelSpec& spec) {
+  return spec.retention_bins == 0 ||
+         static_cast<double>(spec.retention_bins) * spec.resolution_s > 86400.0;
 }
+
+}  // namespace
 
 ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning)
     : block_capacity_(tuning.block_capacity),
@@ -67,8 +36,6 @@ ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning
       first_ever_bin_(levels_.size(), 0),
       detector_(tuning.anomaly) {
   require(block_capacity_ >= 1, "ColumnSeries: block_capacity must be >= 1");
-  open_times_.reserve(block_capacity_);
-  open_values_.reserve(block_capacity_);
 }
 
 void ColumnSeries::append(double time_s, double value) {
@@ -94,8 +61,10 @@ void ColumnSeries::seal() {
   const double* times = open_times_.data();
   const double* values = open_values_.data();
 
-  // [banding] Same fold the legacy cascade runs, one level row at a time.
-  for (auto& lvl : levels_) lvl.add_column(times, values, n);
+  // [banding] Same fold the legacy cascade runs, one stored row at a time.
+  for (auto& lvl : levels_) {
+    if (keeps_stored_row(lvl.spec)) lvl.add_column(times, values, n);
+  }
 
   // [detect] Events carry key=0 here; the store stamps the owning counter.
   if (anomaly_config_.enabled) {
@@ -105,12 +74,11 @@ void ColumnSeries::seal() {
     }
   }
 
-  // [downsample] + [compress]
+  // [compress]
   SealedBlock block;
   block.first_time_s = times[0];
   block.last_time_s = times[n - 1];
   block.samples = static_cast<std::uint32_t>(n);
-  block.summary = lane_summary(values, n);
   BitWriter tw;
   encode_times(times, n, tw);
   block.time_bytes = tw.finish();
@@ -121,8 +89,10 @@ void ColumnSeries::seal() {
   block.value_bytes.shrink_to_fit();
   blocks_.push_back(std::move(block));
 
-  open_times_.clear();
-  open_values_.clear();
+  // The next block grows its columns from nothing; a sealed series holds
+  // no open capacity.
+  std::vector<double>().swap(open_times_);
+  std::vector<double>().swap(open_values_);
 }
 
 ColumnSeries::LevelWindow ColumnSeries::effective_window(std::size_t level) const {
@@ -142,37 +112,62 @@ ColumnSeries::LevelWindow ColumnSeries::effective_window(std::size_t level) cons
   return w;
 }
 
-Aggregate ColumnSeries::sealed_bin(std::size_t level, std::int64_t bin) const {
-  const LevelBins& lvl = levels_[level];
-  if (lvl.bins.empty()) return {};
-  const std::int64_t idx = bin - lvl.first_bin;
-  if (idx < 0 || idx >= static_cast<std::int64_t>(lvl.bins.size())) return {};
-  return lvl.bins[static_cast<std::size_t>(idx)];
-}
-
-Aggregate ColumnSeries::range_at_level(std::size_t level, double t0_s, double t1_s) const {
+template <typename Visit>
+void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
+                                Visit&& visit) const {
   require(level < levels_.size(), "ColumnSeries: level out of range");
   require(t1_s >= t0_s, "ColumnSeries: inverted range");
-  Aggregate out;
-  if (total_samples_ == 0) return out;
+  if (total_samples_ == 0) return;
   const LevelBins& lvl = levels_[level];
   const LevelWindow w = effective_window(level);
   const std::int64_t lo = std::max(lvl.bin_index(t0_s), w.first);
   const std::int64_t hi = std::min(lvl.bin_index(std::nextafter(t1_s, t0_s)), w.last);
-  // Walk the open column once alongside the bin loop; open samples extend
-  // the per-bin fold exactly where the legacy cascade would have put them
-  // (they are the newest samples, so they fold after the sealed content).
-  std::size_t oi = 0;
-  const std::size_t on = open_times_.size();
-  while (oi < on && lvl.bin_index(open_times_[oi]) < lo) ++oi;
-  for (std::int64_t b = lo; b <= hi; ++b) {
-    Aggregate agg = sealed_bin(level, b);
-    while (oi < on && lvl.bin_index(open_times_[oi]) == b) {
-      agg.add(open_values_[oi]);
-      ++oi;
+  if (lo > hi) return;
+
+  // Each bin's fold starts from the row's content (empty for a derived
+  // level) and continues with the samples the row has not seen, in time
+  // order — exactly the legacy cascade's per-bin left fold.
+  std::int64_t bin = lo;
+  Aggregate agg = lvl.at(bin);
+  const auto advance_to = [&](std::int64_t next) {
+    while (bin < next) {
+      if (agg.count > 0) visit(bin, agg);
+      ++bin;
+      agg = lvl.at(bin);
     }
-    out.merge(agg);
+  };
+  // Folds a time-ordered column; false once a sample lies past `hi`.
+  const auto fold = [&](const double* times, const double* values, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t b = lvl.bin_index(times[i]);
+      if (b < lo) continue;
+      if (b > hi) return false;
+      advance_to(b);
+      agg.add(values[i]);
+    }
+    return true;
+  };
+
+  bool more = true;
+  if (!keeps_stored_row(lvl.spec)) {
+    // Derived level: decode the sealed blocks overlapping [lo, hi].
+    auto it = std::partition_point(
+        blocks_.begin(), blocks_.end(),
+        [&](const SealedBlock& block) { return lvl.bin_index(block.last_time_s) < lo; });
+    std::vector<double> times, values;
+    for (; more && it != blocks_.end() && lvl.bin_index(it->first_time_s) <= hi; ++it) {
+      it->decode(times, values);
+      more = fold(times.data(), values.data(), it->samples);
+    }
   }
+  if (more) fold(open_times_.data(), open_values_.data(), open_times_.size());
+  advance_to(hi + 1);
+}
+
+Aggregate ColumnSeries::range_at_level(std::size_t level, double t0_s, double t1_s) const {
+  Aggregate out;
+  for_each_bin(level, t0_s, t1_s,
+               [&](std::int64_t, const Aggregate& agg) { out.merge(agg); });
   return out;
 }
 
@@ -191,61 +186,44 @@ Aggregate ColumnSeries::range(double t0_s, double t1_s) const {
 MultiScaleSeries::BinnedMeans ColumnSeries::means_at_level(std::size_t level,
                                                            double t0_s,
                                                            double t1_s) const {
-  require(level < levels_.size(), "ColumnSeries: level out of range");
-  require(t1_s >= t0_s, "ColumnSeries: inverted range");
   MultiScaleSeries::BinnedMeans out;
-  if (total_samples_ == 0) return out;
-  const LevelBins& lvl = levels_[level];
-  const LevelWindow w = effective_window(level);
-  const std::int64_t lo = std::max(lvl.bin_index(t0_s), w.first);
-  const std::int64_t hi = std::min(lvl.bin_index(std::nextafter(t1_s, t0_s)), w.last);
-  std::size_t oi = 0;
-  const std::size_t on = open_times_.size();
-  while (oi < on && lvl.bin_index(open_times_[oi]) < lo) ++oi;
-  for (std::int64_t b = lo; b <= hi; ++b) {
-    Aggregate agg = sealed_bin(level, b);
-    while (oi < on && lvl.bin_index(open_times_[oi]) == b) {
-      agg.add(open_values_[oi]);
-      ++oi;
-    }
-    if (agg.count == 0) continue;
-    out.times_s.push_back(static_cast<double>(b) * lvl.spec.resolution_s);
+  for_each_bin(level, t0_s, t1_s, [&](std::int64_t bin, const Aggregate& agg) {
+    out.times_s.push_back(static_cast<double>(bin) * levels_[level].spec.resolution_s);
     out.means.push_back(agg.mean());
-  }
+  });
   return out;
 }
 
 Aggregate ColumnSeries::raw_range(double t0_s, double t1_s) const {
   require(t1_s >= t0_s, "ColumnSeries: inverted range");
   Aggregate out;
-  std::vector<double> times, values;
-  for (const SealedBlock& block : blocks_) {
-    if (block.samples == 0) continue;
-    if (block.last_time_s < t0_s || block.first_time_s >= t1_s) continue;
-    if (block.first_time_s >= t0_s && block.last_time_s < t1_s) {
-      // Whole block inside the window: its summary stands in for the
-      // samples, so the block is never decompressed. (Sum association is
-      // block-granular; min/max/count are exact.)
-      out.merge(block.summary);
-      continue;
-    }
-    block.decode(times, values);
-    for (std::uint32_t i = 0; i < block.samples; ++i) {
+  const auto fold = [&](const double* times, const double* values, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (times[i] >= t0_s && times[i] < t1_s) out.add(values[i]);
     }
+  };
+  auto it = std::partition_point(
+      blocks_.begin(), blocks_.end(),
+      [&](const SealedBlock& block) { return block.last_time_s < t0_s; });
+  std::vector<double> times, values;
+  for (; it != blocks_.end() && it->first_time_s < t1_s; ++it) {
+    it->decode(times, values);
+    fold(times.data(), values.data(), it->samples);
   }
-  for (std::size_t i = 0; i < open_times_.size(); ++i) {
-    if (open_times_[i] >= t0_s && open_times_[i] < t1_s) out.add(open_values_[i]);
-  }
+  fold(open_times_.data(), open_values_.data(), open_times_.size());
   return out;
 }
 
 std::size_t ColumnSeries::memory_bytes() const {
-  std::size_t bytes = open_times_.capacity() * sizeof(double) +
-                      open_values_.capacity() * sizeof(double) +
+  std::size_t bytes = sizeof(ColumnSeries) + levels_.capacity() * sizeof(LevelBins) +
+                      first_ever_bin_.capacity() * sizeof(std::int64_t) +
+                      blocks_.capacity() * sizeof(SealedBlock) +
+                      (open_times_.capacity() + open_values_.capacity()) * sizeof(double) +
                       events_.capacity() * sizeof(AnomalyEvent);
-  for (const SealedBlock& block : blocks_) bytes += block.memory_bytes();
-  for (const LevelBins& lvl : levels_) bytes += lvl.bins.size() * sizeof(Aggregate);
+  for (const SealedBlock& block : blocks_) {
+    bytes += block.time_bytes.capacity() + block.value_bytes.capacity();
+  }
+  for (const LevelBins& lvl : levels_) bytes += lvl.bins.capacity() * sizeof(Aggregate);
   return bytes;
 }
 

@@ -3,21 +3,24 @@
 // One counter's history is a chain of sealed, immutable, compressed blocks
 // plus one open block of plain contiguous columns (times[], values[]).
 // Ingest is two vector pushes; all the per-sample work the legacy store did
-// synchronously — the multiscale banding cascade, downsampling, anomaly
-// scoring — runs once per block at seal time, over contiguous arrays:
+// synchronously — the multiscale banding cascade, anomaly scoring — runs
+// once per block at seal time, over contiguous arrays:
 //
-//   seal:  [banding]   LevelBins::add_column per level (the same fold the
-//                      legacy store runs per sample, so band queries answer
-//                      bit-identically),
-//          [downsample] 4-wide-lane min/max + strict-order sum summary,
+//   seal:  [banding]   LevelBins::add_column per stored level (the same
+//                      fold the legacy store runs per sample, so band
+//                      queries answer bit-identically),
 //          [detect]    StreamingSpikeDetector::observe per sample,
 //          [compress]  predictive delta-of-delta timestamps + Gorilla XOR
-//                      values (compress.h), ~2 bytes/point on the reference
-//                      counter mix vs 16 raw.
+//                      values (compress.h), ~0.85 bytes/point on the
+//                      reference counter mix vs 16 raw.
 //
-// Sealed blocks answer raw-history queries without touching the open
-// block: a block fully inside the query window contributes its summary
-// (no decompression); only window-edge blocks are decoded.
+// A series holds only what its data needs. The open columns grow with the
+// block and are freed when it seals. Only levels that reach back more than
+// a day (or forever) keep a stored bin row; the finer ones (by default
+// 15 s and 1 min) are derived at query time by folding the sealed blocks
+// that overlap the query's bins, plus the open block — at most a day of one
+// series. Raw-history queries decode the blocks their window overlaps, so
+// they equal a strict scan for any doubles.
 #pragma once
 
 #include <cstddef>
@@ -45,31 +48,19 @@ struct TelemetryTuning {
 struct SealedBlock {
   double first_time_s = 0.0;
   double last_time_s = 0.0;
-  /// Block-level downsample: min/max folded in 4-wide lanes, sum as a
-  /// strict left fold (see block.cpp).
-  Aggregate summary;
   std::uint32_t samples = 0;
   std::vector<std::uint8_t> time_bytes;
   std::vector<std::uint8_t> value_bytes;
 
   /// Compressed payload only (the compression-ratio numerator's rival).
   std::size_t payload_bytes() const { return time_bytes.size() + value_bytes.size(); }
-  std::size_t memory_bytes() const {
-    return sizeof(SealedBlock) + time_bytes.capacity() + value_bytes.capacity();
-  }
   /// Bit-exact reconstruction of the block's columns.
   void decode(std::vector<double>& times_s, std::vector<double>& values) const;
 };
 
-/// Block-level downsample over a contiguous column: min/max reduce across
-/// four independent lanes (auto-vectorizable), count is trivial, and the
-/// sum stays a strict left fold so every derived number is reproducible
-/// bit-for-bit regardless of how the compiler vectorizes.
-Aggregate lane_summary(const double* values, std::size_t n);
-
-/// One counter's columnar history: sealed chain + open block + banding rows
-/// + streaming detector state. Appends must have non-decreasing timestamps
-/// (same contract as MultiScaleSeries).
+/// One counter's columnar history: sealed chain + open block + stored
+/// banding rows + streaming detector state. Appends must have non-decreasing
+/// timestamps (same contract as MultiScaleSeries).
 class ColumnSeries {
  public:
   ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning);
@@ -77,7 +68,8 @@ class ColumnSeries {
   void append(double time_s, double value);
   /// Seals a partial open block (no-op when empty). Queries are correct
   /// without flushing — the open block is scanned directly — but flushing
-  /// moves its samples into the compressed chain and the banding rows.
+  /// moves its samples into the compressed chain and the stored rows, and
+  /// frees the open columns.
   void flush();
 
   std::uint64_t total_samples() const { return total_samples_; }
@@ -87,18 +79,20 @@ class ColumnSeries {
   std::size_t open_samples() const { return open_times_.size(); }
 
   /// Band queries, answer-for-answer bit-identical to a MultiScaleSeries
-  /// fed the same samples (the open block contributes via an on-the-fly
-  /// continuation of the same fold).
+  /// fed the same samples. A stored level continues its row's fold with the
+  /// open block; a derived level runs the whole per-bin fold over the
+  /// sealed blocks overlapping the query's bins, then the open block.
   Aggregate range(double t0_s, double t1_s) const;
   Aggregate range_at_level(std::size_t level, double t0_s, double t1_s) const;
   MultiScaleSeries::BinnedMeans means_at_level(std::size_t level, double t0_s,
                                                double t1_s) const;
 
   /// Exact raw-history aggregate over [t0, t1) — the query the legacy
-  /// design had to keep a separate RawStore for. Whole blocks inside the
-  /// window contribute their summaries without decompression.
+  /// design had to keep a separate RawStore for. Decodes the blocks the
+  /// window overlaps and folds in time order, so it equals a strict scan.
   Aggregate raw_range(double t0_s, double t1_s) const;
 
+  /// Heap bytes held (every vector's capacity) plus the object itself.
   std::size_t memory_bytes() const;
   std::size_t compressed_payload_bytes() const;
   /// Raw footprint of every ingested sample (two doubles each).
@@ -116,11 +110,15 @@ class ColumnSeries {
   /// Effective retained-bin window for `level`, accounting for open-block
   /// samples exactly as the legacy per-append eviction would have.
   LevelWindow effective_window(std::size_t level) const;
-  /// Sealed bin content for `bin` (empty aggregate outside the deque).
-  Aggregate sealed_bin(std::size_t level, std::int64_t bin) const;
+  /// Calls visit(bin, aggregate) for each non-empty bin of `level` that
+  /// lies in [t0, t1) and in the effective window, in bin order.
+  template <typename Visit>
+  void for_each_bin(std::size_t level, double t0_s, double t1_s, Visit&& visit) const;
 
   std::size_t block_capacity_;
   StreamingAnomalyConfig anomaly_config_;
+  /// One row per level. Rows of levels retained for a day or less stay
+  /// empty: those levels are derived from the blocks at query time.
   std::vector<LevelBins> levels_;
   /// Bin of the first sample ever, per level (fixed after first append).
   std::vector<std::int64_t> first_ever_bin_;

@@ -34,6 +34,12 @@ std::int64_t LevelBins::bin_index(double time_s) const {
   return static_cast<std::int64_t>(std::floor(time_s / spec.resolution_s));
 }
 
+Aggregate LevelBins::at(std::int64_t bin) const {
+  const std::int64_t idx = bin - first_bin;
+  if (idx < 0 || idx >= static_cast<std::int64_t>(bins.size())) return {};
+  return bins[static_cast<std::size_t>(idx)];
+}
+
 namespace {
 
 /// Grows `lvl.bins` (padding with empties) so `bin` is addressable, and
@@ -79,11 +85,12 @@ void LevelBins::add_column(const double* times_s, const double* values,
 }
 
 void LevelBins::evict() {
-  if (spec.retention_bins == 0) return;
-  while (bins.size() > spec.retention_bins) {
-    bins.pop_front();
-    ++first_bin;
-  }
+  // One front erase per call: the columnar store evicts once per sealed
+  // block; the legacy cascade, a reference only, once per new bin.
+  if (spec.retention_bins == 0 || bins.size() <= spec.retention_bins) return;
+  const std::size_t excess = bins.size() - spec.retention_bins;
+  bins.erase(bins.begin(), bins.begin() + static_cast<std::ptrdiff_t>(excess));
+  first_bin += static_cast<std::int64_t>(excess);
 }
 
 std::vector<LevelBins> make_level_bins(const MultiScaleConfig& config) {

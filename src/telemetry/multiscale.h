@@ -17,12 +17,12 @@
 // The per-level fold lives in `LevelBins`, shared verbatim between the
 // legacy per-sample cascade here and the columnar store's block-seal
 // banding (block.h) — one code path, so the two stores answer band queries
-// bit-identically by construction.
+// bit-identically by construction. A row is a plain vector: an empty row
+// allocates nothing, which matters at a million series.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace epm::telemetry {
@@ -61,9 +61,12 @@ struct LevelBins {
   LevelSpec spec{1.0, 0};
   /// Index of the first retained bin.
   std::int64_t first_bin = 0;
-  std::deque<Aggregate> bins;
+  /// Retained bins, oldest first: bins[i] is bin first_bin + i.
+  std::vector<Aggregate> bins;
 
   std::int64_t bin_index(double time_s) const;
+  /// Content of `bin`; empty outside the retained row.
+  Aggregate at(std::int64_t bin) const;
   /// Left-folds one sample into its bin (padding forward as needed), then
   /// evicts beyond retention — the legacy per-append discipline.
   void add(double time_s, double value);

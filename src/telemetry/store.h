@@ -4,10 +4,13 @@
 //
 //   * ColumnarTelemetryStore (alias TelemetryStore) — the store every
 //     consumer uses: each counter accumulates plain columnar blocks
-//     (block.h) and the banding / downsampling / anomaly / compression work
-//     runs per sealed block over contiguous arrays instead of per sample.
-//     Bulk ingest is one two-phase path at every pool and batch size:
-//     partition the batch by shard, then append whole shards in parallel.
+//     (block.h) and the banding / anomaly / compression work runs per
+//     sealed block over contiguous arrays instead of per sample. A series
+//     holds its compressed chain, the bin rows of levels kept longer than a
+//     day, and an open block sized to its samples; finer levels are folded
+//     from the chain at query time. Bulk ingest is one two-phase path at
+//     every pool and batch size: partition the batch by shard, then append
+//     whole shards in parallel.
 //
 //   * LegacyTelemetryStore — the original per-sample design, where every
 //     sample cascades through a MultiScaleSeries immediately. It is only a
@@ -116,7 +119,7 @@ class LegacyTelemetryStore {
 };
 
 /// Columnar firehose store: per-counter compressed sealed blocks with
-/// block-seal banding/downsampling/anomaly detection (block.h).
+/// block-seal banding and anomaly detection (block.h).
 class ColumnarTelemetryStore {
  public:
   static constexpr std::size_t kShards = kTelemetryShards;
@@ -150,9 +153,9 @@ class ColumnarTelemetryStore {
   void bulk_append(const std::vector<Sample>& samples, std::size_t threads = 0);
 
   /// Seals every open block (partial blocks included) so all samples are in
-  /// the compressed chain and the banding rows. Queries do not require a
-  /// flush — open blocks are scanned directly — but benchmarks and memory
-  /// accounting call it to finalize.
+  /// the compressed chain and the stored rows, and frees the open columns.
+  /// Serial. Queries do not require a flush — open blocks are scanned
+  /// directly — but benchmarks and memory accounting call it to finalize.
   void flush();
 
   std::size_t series_count() const;
@@ -168,6 +171,8 @@ class ColumnarTelemetryStore {
   /// Columnar series lookup; throws for unknown keys.
   const ColumnSeries& column_series(CounterKey key) const;
 
+  /// Bytes the series hold: every vector's capacity plus the series
+  /// objects (the shard maps' own nodes are not counted).
   std::size_t memory_bytes() const;
   /// Compressed payload across all sealed blocks (compression-ratio
   /// denominator; the numerator is 16 bytes x sealed_samples()).
@@ -181,9 +186,9 @@ class ColumnarTelemetryStore {
   MultiScaleSeries::BinnedMeans hourly_pattern(CounterKey key, double t0_s,
                                                double t1_s) const;
 
-  /// Exact aggregate over the raw (uncompacted) history of one counter —
-  /// whole interior blocks answer from their summaries without
-  /// decompression. The legacy design needed a separate RawStore for this.
+  /// Exact aggregate over the raw (uncompacted) history of one counter:
+  /// decodes the blocks the window overlaps and folds in time order, equal
+  /// to a strict scan. The legacy design needed a separate RawStore for this.
   Aggregate raw_range(CounterKey key, double t0_s, double t1_s) const;
 
   /// All band-escape events so far, keys stamped, ordered by (time, key)

@@ -1,11 +1,15 @@
 // ColumnSeries / SealedBlock (block.h): the seal pipeline must answer band
-// queries bit-identically to a MultiScaleSeries fed the same samples, keep
-// exact raw history through compression, downsample with the laned summary,
-// and surface spikes through the streaming detector. Suite name "SeriesBlock"
-// keeps these under the TSan/ASan CI regexes.
+// queries bit-identically to a MultiScaleSeries fed the same samples (also
+// on the levels derived from the blocks at query time), keep exact raw
+// history through compression, hold no more memory than its data needs,
+// and surface spikes through the streaming detector. Suite name
+// "SeriesBlock" keeps these under the TSan/ASan CI regexes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/rng.h"
@@ -15,26 +19,17 @@
 namespace epm::telemetry {
 namespace {
 
+/// Bit-pattern equality, so NaN and signed zeros compare exactly.
 bool aggregates_identical(const Aggregate& a, const Aggregate& b) {
-  return a.count == b.count && a.sum == b.sum && a.min == b.min && a.max == b.max;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.count == b.count && bits(a.sum) == bits(b.sum) &&
+         bits(a.min) == bits(b.min) && bits(a.max) == bits(b.max);
 }
 
 TelemetryTuning tiny_blocks(std::size_t capacity) {
   TelemetryTuning tuning;
   tuning.block_capacity = capacity;
   return tuning;
-}
-
-TEST(SeriesBlock, LaneSummaryMatchesStrictScalarFold) {
-  Rng rng(5);
-  for (std::size_t n = 0; n <= 33; ++n) {
-    std::vector<double> values(n);
-    for (auto& v : values) v = rng.uniform(-1e6, 1e6);
-    const Aggregate laned = lane_summary(values.data(), n);
-    Aggregate strict;
-    for (const double v : values) strict.add(v);
-    EXPECT_TRUE(aggregates_identical(laned, strict)) << "n=" << n;
-  }
 }
 
 TEST(SeriesBlock, SealsAtCapacityAndFlushSealsTheRemainder) {
@@ -85,58 +80,81 @@ TEST(SeriesBlock, RejectsTimeRegressions) {
 }
 
 TEST(SeriesBlock, BandQueriesMatchMultiScaleSeriesBitForBit) {
-  // A day of 15 s samples through a 7-sample block (many seals + a partial
-  // open block) must answer every band query exactly as the legacy cascade.
+  // Three days of 15 s samples through a 7-sample block (many seals + a
+  // partial open block) must answer every band query exactly as the legacy
+  // cascade — past the 1 min level's one-day retention, so the derived
+  // 15 s and 1 min levels fold only the blocks inside their windows — and
+  // keep answering identically once the open block is sealed. Two gaps,
+  // one inside each derived level's window, leave empty bins and blocks
+  // that straddle them.
   MultiScaleConfig config;
   ColumnSeries columnar(config, tiny_blocks(7));
   MultiScaleSeries legacy(config);
   Rng rng(11);
   double value = 40.0;
-  const auto samples = static_cast<std::size_t>(86400.0 / 15.0);
+  constexpr double kDay = 86400.0;
+  const auto in_gap = [&](double t) {
+    return (t >= 2 * kDay + 3600.0 && t < 2 * kDay + 3 * 3600.0) ||
+           (t >= 3 * kDay - 7200.0 && t < 3 * kDay - 5400.0);
+  };
+  const auto samples = static_cast<std::size_t>(3.0 * kDay / 15.0);
   for (std::size_t i = 0; i < samples; ++i) {
     const double t = 15.0 * static_cast<double>(i);
+    if (in_gap(t)) continue;
     value += rng.uniform(-0.75, 0.75);
     columnar.append(t, value);
     legacy.append(t, value);
   }
   ASSERT_EQ(columnar.level_count(), legacy.level_count());
+  ASSERT_GT(columnar.open_samples(), 0u);
 
-  const double windows[][2] = {{0.0, 86400.0},        {86400.0 - 3600.0, 86400.0},
-                               {1000.0, 2000.0},      {0.0, 15.0},
-                               {80000.0, 90000.0},    {86399.0, 86400.0},
-                               {20000.0, 20000.0}};
-  for (const auto& w : windows) {
-    EXPECT_TRUE(aggregates_identical(columnar.range(w[0], w[1]),
-                                     legacy.range(w[0], w[1])))
-        << "range [" << w[0] << ", " << w[1] << ")";
-    for (std::size_t level = 0; level < legacy.level_count(); ++level) {
-      EXPECT_TRUE(
-          aggregates_identical(columnar.range_at_level(level, w[0], w[1]),
-                               legacy.range_at_level(level, w[0], w[1])))
-          << "level " << level << " [" << w[0] << ", " << w[1] << ")";
-      const auto a = columnar.means_at_level(level, w[0], w[1]);
-      const auto b = legacy.means_at_level(level, w[0], w[1]);
-      EXPECT_EQ(a.times_s, b.times_s) << "level " << level;
-      EXPECT_EQ(a.means, b.means) << "level " << level;
+  const double windows[][2] = {{0.0, 3 * kDay},
+                               {3 * kDay - 3600.0, 3 * kDay},
+                               {1000.0, 2000.0},
+                               {0.0, 15.0},
+                               {80000.0, 90000.0},
+                               {86399.0, 86400.0},
+                               {20000.0, 20000.0},
+                               {2 * kDay - 7.0, 3 * kDay + 7.0},
+                               {3 * kDay - 14400.0 - 15.0, 3 * kDay - 14400.0 + 60.0},
+                               {2 * kDay + 123.0, 2 * kDay + 4567.0},
+                               {3 * kDay - 20.0, 4 * kDay},
+                               {2 * kDay + 3000.0, 2 * kDay + 4 * 3600.0},
+                               {2 * kDay + 4000.0, 2 * kDay + 5000.0},
+                               {3 * kDay - 7300.0, 3 * kDay - 5300.0}};
+  const auto expect_identical = [&](const char* phase) {
+    for (const auto& w : windows) {
+      EXPECT_TRUE(aggregates_identical(columnar.range(w[0], w[1]),
+                                       legacy.range(w[0], w[1])))
+          << phase << " range [" << w[0] << ", " << w[1] << ")";
+      for (std::size_t level = 0; level < legacy.level_count(); ++level) {
+        EXPECT_TRUE(
+            aggregates_identical(columnar.range_at_level(level, w[0], w[1]),
+                                 legacy.range_at_level(level, w[0], w[1])))
+            << phase << " level " << level << " [" << w[0] << ", " << w[1] << ")";
+        const auto a = columnar.means_at_level(level, w[0], w[1]);
+        const auto b = legacy.means_at_level(level, w[0], w[1]);
+        EXPECT_EQ(a.times_s, b.times_s) << phase << " level " << level;
+        EXPECT_EQ(a.means, b.means) << phase << " level " << level;
+      }
     }
-  }
-
-  // Flushing moves the open block into the chain without changing answers.
-  const Aggregate before = columnar.range(0.0, 86400.0);
+  };
+  expect_identical("open tail");
   columnar.flush();
-  EXPECT_TRUE(aggregates_identical(before, columnar.range(0.0, 86400.0)));
+  ASSERT_EQ(columnar.open_samples(), 0u);
+  expect_identical("flushed");
 }
 
 TEST(SeriesBlock, RawRangeIsExactAcrossSealedAndOpenSamples) {
-  // Integer values make the sum association-free, so the reference fold is
-  // exact whatever block granularity contributes summaries.
+  // Sealed blocks are decoded and folded in time order, so raw_range equals
+  // a strict scan bit-for-bit, sum included, for arbitrary real values.
   ColumnSeries series(MultiScaleConfig{}, tiny_blocks(16));
   Rng rng(21);
   std::vector<double> times;
   std::vector<double> values;
   for (int i = 0; i < 100; ++i) {  // 6 sealed blocks + 4 open samples
     times.push_back(15.0 * i);
-    values.push_back(static_cast<double>(rng.uniform_int(0, 1000)));
+    values.push_back(rng.uniform(-1000.0, 1000.0));
     series.append(times.back(), values.back());
   }
   const double queries[][2] = {{0.0, 1500.0},  {0.0, 10.0},    {100.0, 900.0},
@@ -146,13 +164,36 @@ TEST(SeriesBlock, RawRangeIsExactAcrossSealedAndOpenSamples) {
     for (std::size_t i = 0; i < times.size(); ++i) {
       if (times[i] >= q[0] && times[i] < q[1]) expect.add(values[i]);
     }
-    const Aggregate got = series.raw_range(q[0], q[1]);
-    EXPECT_EQ(got.count, expect.count) << "[" << q[0] << ", " << q[1] << ")";
-    EXPECT_EQ(got.sum, expect.sum);
-    if (expect.count > 0) {
-      EXPECT_EQ(got.min, expect.min);
-      EXPECT_EQ(got.max, expect.max);
+    EXPECT_TRUE(aggregates_identical(series.raw_range(q[0], q[1]), expect))
+        << "[" << q[0] << ", " << q[1] << ")";
+  }
+}
+
+TEST(SeriesBlock, RawRangeAgreesSealedAndOpenOnNanAndSignedZeros) {
+  // min/max of NaN and ±0 depend on fold order. The same eight samples must
+  // answer identically whether they sit in one sealed block or in the open
+  // block, and both must equal the strict left fold.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> cases = {
+      {5.0, nan, 1.0, 1.0, 1.0, 0.0, 9.0, 9.0},
+      {1.0, -0.0, 0.0, 1.0, 0.0, 2.0, 3.0, 4.0},
+      {-1.0, 0.0, -0.0, -1.0, -0.0, -2.0, -3.0, -4.0},
+      {nan, -0.0, 0.0, nan, 0.0, -0.0, nan, 0.0}};
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    ColumnSeries sealed(MultiScaleConfig{}, tiny_blocks(8));
+    ColumnSeries open(MultiScaleConfig{}, tiny_blocks(16));
+    Aggregate strict;
+    for (std::size_t i = 0; i < cases[c].size(); ++i) {
+      sealed.append(15.0 * static_cast<double>(i), cases[c][i]);
+      open.append(15.0 * static_cast<double>(i), cases[c][i]);
+      strict.add(cases[c][i]);
     }
+    ASSERT_EQ(sealed.blocks().size(), 1u);
+    ASSERT_EQ(open.open_samples(), 8u);
+    EXPECT_TRUE(aggregates_identical(sealed.raw_range(0.0, 1e9), strict))
+        << "sealed, case " << c;
+    EXPECT_TRUE(aggregates_identical(open.raw_range(0.0, 1e9), strict))
+        << "open, case " << c;
   }
 }
 
@@ -194,6 +235,25 @@ TEST(SeriesBlock, MemoryAccountingShrinksBelowRaw) {
   series.flush();
   EXPECT_EQ(series.raw_sample_bytes(), 4096u * 16u);
   EXPECT_LT(series.compressed_payload_bytes(), series.raw_sample_bytes() / 8);
+}
+
+TEST(SeriesBlock, MemoryFollowsTheData) {
+  // Default config and block size. One open sample must not pay for a
+  // 1,024-sample block up front; a flushed 200-sample series holds its
+  // compressed chain and the coarse stored rows, not the open columns or
+  // the derived 15 s / 1 min rows.
+  ColumnSeries one(MultiScaleConfig{}, TelemetryTuning{});
+  one.append(0.0, 42.0);
+  EXPECT_LT(one.memory_bytes(), 1024u);
+
+  ColumnSeries series(MultiScaleConfig{}, TelemetryTuning{});
+  Rng rng(4);
+  for (int i = 0; i < 200; ++i) {
+    series.append(15.0 * i, std::floor(rng.uniform(0.0, 100.0)));
+  }
+  series.flush();
+  EXPECT_LE(series.memory_bytes(), 2048u);
+  EXPECT_EQ(series.range(0.0, 3000.0).count, 200u);
 }
 
 }  // namespace

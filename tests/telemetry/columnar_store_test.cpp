@@ -67,6 +67,9 @@ void expect_identical_answers(const StoreA& a, const StoreB& b,
 }
 
 TEST(TelemetryColumnarStore, BitIdenticalToLegacyAtEveryThreadCount) {
+  // Default blocks never seal in 20 ticks; 7-sample blocks seal twice per
+  // series. After flush() every sample is in the compressed chain, so the
+  // derived 15 s and 1 min levels are answered from decoded blocks alone.
   const auto batch = reference_batch();
   const double horizon_s = 20.0 * 15.0 + 15.0;
 
@@ -75,11 +78,18 @@ TEST(TelemetryColumnarStore, BitIdenticalToLegacyAtEveryThreadCount) {
     legacy.append(sample.key, sample.time_s, sample.value);
   }
 
+  TelemetryTuning small_blocks;
+  small_blocks.block_capacity = 7;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
-    ColumnarTelemetryStore columnar;
-    columnar.bulk_append(batch.samples, threads);
-    expect_identical_answers(legacy, columnar, 40, 8, horizon_s);
+    for (const TelemetryTuning& tuning : {TelemetryTuning{}, small_blocks}) {
+      ColumnarTelemetryStore columnar(MultiScaleConfig{}, tuning);
+      columnar.bulk_append(batch.samples, threads);
+      expect_identical_answers(legacy, columnar, 40, 8, horizon_s);
+      columnar.flush();
+      ASSERT_EQ(columnar.sealed_samples(), batch.samples.size());
+      expect_identical_answers(legacy, columnar, 40, 8, horizon_s);
+    }
   }
 }
 
@@ -187,7 +197,6 @@ TEST(TelemetryColumnarStore, RawRangeMatchesRawStoreScan) {
     EXPECT_EQ(got.count, expect.count);
     EXPECT_EQ(got.min, expect.min);
     EXPECT_EQ(got.max, expect.max);
-    // Fleet counters are integer-valued, so the sum is grouping-free.
     EXPECT_EQ(got.mean(), expect.mean);
   }
 }
