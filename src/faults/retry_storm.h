@@ -134,9 +134,8 @@ struct RetryStormOutcome {
   bool operator==(const RetryStormOutcome&) const = default;
 };
 
-/// Runs the scenario on the vectorized epoch engine
-/// (workload::ClientPopulation): arena-backed completion cohorts delivered
-/// as one batch-scheduled kernel event per epoch.
+/// Runs the scenario on the vectorized epoch engine: one answer_due call and
+/// one batch-scheduled completion event per epoch.
 RetryStormOutcome run_retry_storm(const RetryStormConfig& config);
 
 /// Same scenario on the PR 5 heap engine (workload::LegacyClientPopulation)

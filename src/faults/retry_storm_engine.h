@@ -28,7 +28,9 @@
 //     the "degenerate federation" golden tests assert.
 //
 // Population is the client engine (workload::ClientPopulation or the PR 5
-// legacy heap engine); see retry_storm.cpp for the drive protocol.
+// legacy heap engine); see retry_storm.cpp for the drive protocol. Admission
+// verdicts never read client state, so begin_epoch decides them in batch
+// order first and answers the whole batch in one answer_due call.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "cluster/admission.h"
-#include "core/arena.h"
 #include "core/require.h"
 #include "faults/drill.h"
 #include "faults/retry_storm.h"
@@ -138,24 +139,24 @@ class RetryStormEngine {
     shed_bucket_ = 0;
     shed_queue_ = 0;
 
-    // 1. Client attempts due this epoch, through the admission stack.
-    for (const std::uint32_t id : population_.collect_due(t0, dt_)) {
+    // 1. Client attempts due this epoch, through the admission stack: one
+    // verdict byte per batch position, then one answer for the batch.
+    const std::vector<std::uint32_t>& due = population_.collect_due(t0, dt_);
+    verdicts_.assign(due.size(), 0);
+    for (std::size_t i = 0; i < due.size(); ++i) {
       if (config_.defense.enabled && !breaker_.allow()) {
         ++shed_breaker_;
-        population_.on_rejected(id, t0);
       } else if (outage) {
         ++dark_;  // reached a dark service: connection failure
-        population_.on_rejected(id, t0);
       } else if (config_.defense.enabled && !bucket_.try_acquire()) {
         ++shed_bucket_;
-        population_.on_rejected(id, t0);
-      } else if (!queue_.try_push(id, t0)) {
+      } else if (!queue_.try_push(due[i], t0)) {
         ++shed_queue_;
-        population_.on_rejected(id, t0);
       } else {
-        population_.on_admitted(id, t0);
+        verdicts_[i] = 1;  // admitted
       }
     }
+    population_.answer_due(verdicts_, t0);
     out_.max_queue_depth = std::max(out_.max_queue_depth, queue_.size());
 
     // 2. Interactive capacity: total minus the surviving batch tier (the
@@ -172,22 +173,20 @@ class RetryStormEngine {
     stale0_ = population_.ledger().stale_served;
     double credit = serve_carry_ + interactive_capacity_rps_ * dt_;
     if constexpr (Population::kBatchServe) {
-      // One id span for the whole cohort, reused epoch over epoch via the
-      // arena; the single event keeps the kernel O(1) per epoch instead of
-      // O(completions).
-      cohort_arena_.reset();
-      const std::size_t budget =
-          std::min(static_cast<std::size_t>(credit), queue_.size());
-      std::uint32_t* cohort = cohort_arena_.template alloc<std::uint32_t>(budget);
-      std::size_t cohort_n = 0;
+      // One id vector for the whole cohort, reused epoch over epoch (the
+      // event at t1 fires before begin_epoch(e + 1) refills it); one event
+      // keeps the kernel O(1) per epoch instead of O(completions).
+      cohort_.clear();
       while (credit >= 1.0 && !queue_.empty()) {
-        cohort[cohort_n++] = queue_.front().id;
+        cohort_.push_back(queue_.front().id);
         queue_.pop();
         credit -= 1.0;
       }
       serve_carry_ = queue_.empty() ? 0.0 : credit;
-      if (cohort_n > 0) {
+      if (!cohort_.empty()) {
         Population* population = &population_;
+        const std::uint32_t* cohort = cohort_.data();
+        const std::size_t cohort_n = cohort_.size();
         sim::EventFn event{[population, cohort, cohort_n, t1] {
           population->on_served_batch(cohort, cohort_n, t1);
         }};
@@ -361,8 +360,9 @@ class RetryStormEngine {
   std::vector<double> goodput_rate_;
   std::vector<double> failure_rate_;
   bool sessions_dropped_ = false;
+  std::vector<std::uint8_t> verdicts_;  ///< admission verdict per due position
   std::vector<sim::EventFn> completion_batch_;
-  EpochArena cohort_arena_;
+  std::vector<std::uint32_t> cohort_;
   double serve_carry_ = 0.0;
   double batch_shed_frac_ = 0.0;  // from last epoch's policy reaction
   double interactive_capacity_rps_ = 0.0;

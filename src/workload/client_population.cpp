@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ranges>
 #include <sstream>
 #include <stdexcept>
 
@@ -61,7 +62,8 @@ RetryBackoff retry_backoff_from_string(const std::string& token) {
 }
 
 void validate_client_population_config(const ClientPopulationConfig& config) {
-  require(config.clients > 0, "ClientPopulation: no clients");
+  require(config.clients > 0 && config.clients <= UINT32_MAX,
+          "ClientPopulation: clients must be 1 to 2^32 - 1 (32-bit ids)");
   require(config.think_time_s > 0.0,
           "ClientPopulation: think time must be positive");
   require(config.request_timeout_s > 0.0,
@@ -132,10 +134,12 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
   disconnect_rng_ = SplitMix64(seeder.next());
 
   const std::size_t n = config_.clients;
-  state_.assign(n, State::kThinking);
-  attempt_.assign(n, 0);
-  due_s_.assign(n, 0.0);
-  rng_.resize(n);
+  for (std::size_t s = 0; s <= kShards; ++s) bounds_[s] = s * n / kShards;
+  // Uninitialized: the sharded fill below first-touches them on the pool.
+  state_ = std::make_unique_for_overwrite<State[]>(n);
+  attempt_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+  due_s_ = std::make_unique_for_overwrite<double[]>(n);
+  rng_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
 
   const RetryPolicyConfig& retry = config_.retry;
   // Pre-jitter exponential-backoff delays, computed with the identical
@@ -152,9 +156,10 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
   draw_on_cooldown_ = retry.jitter_frac > 0.0;
 
   const double spread = config_.start_spread_s;
-  for_shards([&](std::size_t s) {
-    const std::size_t hi = shard_end(s);
-    for (std::size_t id = shard_begin(s); id < hi; ++id) {
+  for_each_index(kShards, [&](std::size_t s) {
+    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
+      state_[id] = State::kThinking;
+      attempt_[id] = 0;
       rng_[id] = SplitMix64::mix(
           config_.seed + (static_cast<std::uint64_t>(id) + 2) *
                              SplitMix64::kGamma);
@@ -166,20 +171,74 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
 ClientPopulation::~ClientPopulation() = default;
 
 template <typename Fn>
-void ClientPopulation::for_shards(Fn&& fn) {
+void ClientPopulation::for_each_index(std::size_t n, Fn&& fn) {
   if (pool_) {
-    pool_->parallel_for(kShards, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) fn(s);
+    pool_->parallel_for(n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) fn(i);
     });
   } else {
-    for (std::size_t s = 0; s < kShards; ++s) fn(s);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
   }
+}
+
+template <typename Fn>
+void ClientPopulation::sweep_shards(Fn&& fn) {
+  std::array<Tally, kShards> tallies{};
+  for_each_index(kShards, [&](std::size_t s) { fn(s, tallies[s]); });
+  for (const Tally& t : tallies) apply_tally(t);
+}
+
+template <typename Fn>
+void ClientPopulation::sweep_grouped(const Offsets& offset, Fn&& fn) {
+  sweep_shards([&](std::size_t s, Tally& t) {
+    for (std::size_t i = offset[s]; i < offset[s + 1]; ++i) {
+      // Ids come in random order: fetch the client 8 entries ahead.
+      if (i + 8 < offset[s + 1]) {
+        const std::uint32_t next = by_shard_[i + 8];
+        __builtin_prefetch(&state_[next], 1);
+        __builtin_prefetch(&attempt_[next], 1);
+        __builtin_prefetch(&due_s_[next], 1);
+        __builtin_prefetch(&rng_[next], 1);
+      }
+      fn(i, t);
+    }
+  });
+}
+
+ClientPopulation::Offsets ClientPopulation::group_by_shard(
+    const std::uint32_t* ids, std::size_t count,
+    const std::uint8_t* verdicts) {
+  // Counting sort by shard: stable, so entries of one client keep order.
+  // id * kShards / clients is the owner or one off (or below, past empty
+  // shards) and costs less than a division per id.
+  const double scale = static_cast<double>(kShards) / config_.clients;
+  const auto shard_of = [&](std::uint32_t id) {
+    auto s = std::min(static_cast<std::size_t>(id * scale), kShards - 1);
+    while (id < bounds_[s]) --s;
+    while (id >= bounds_[s + 1]) ++s;
+    return s;
+  };
+  Offsets offset{};
+  for (std::size_t i = 0; i < count; ++i) ++offset[shard_of(ids[i]) + 1];
+  for (std::size_t s = 0; s < kShards; ++s) offset[s + 1] += offset[s];
+  by_shard_.resize(count);
+  if (verdicts != nullptr) by_shard_verdict_.resize(count);
+  Offsets next = offset;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = next[shard_of(ids[i])]++;
+    by_shard_[k] = ids[i];
+    if (verdicts != nullptr) by_shard_verdict_[k] = verdicts[i];
+  }
+  return offset;
 }
 
 void ClientPopulation::apply_tally(const Tally& t) {
   ledger_.intents += t.intents;
   ledger_.attempts += t.attempts;
   ledger_.retries += t.retries;
+  ledger_.served += t.served;
+  ledger_.stale_served += t.stale_served;
+  ledger_.rejected += t.rejected;
   ledger_.timed_out += t.timed_out;
   ledger_.abandoned += t.abandoned;
   ledger_.dropped += t.dropped;
@@ -194,28 +253,56 @@ void ClientPopulation::apply_tally(const Tally& t) {
       static_cast<std::int64_t>(lost_count_) + t.lost_delta);
 }
 
+namespace {
+
+/// Sorts candidates collected in id order by (due, id) into `out`: a
+/// counting pass spreads them over buckets of equal due width (keeping id
+/// order), leaving only short buckets to sort unless the dues are skewed.
+template <typename Candidate>
+void sort_by_due(const std::vector<Candidate>& in, Candidate* out) {
+  constexpr std::size_t kMaxBuckets = 1024;
+  const std::size_t buckets =
+      std::clamp<std::size_t>(in.size() / 4, 1, kMaxBuckets);
+  const auto [min, max] = std::minmax_element(in.begin(), in.end());
+  const double lo = in.empty() ? 0.0 : min->due_s;
+  const double span = in.empty() ? 0.0 : max->due_s - lo;
+  double scale = span > 0.0 ? static_cast<double>(buckets) / span : 0.0;
+  if (!std::isfinite(scale)) scale = 0.0;
+  const auto bucket = [&](double due) {  // monotone in due
+    return std::min(static_cast<std::size_t>((due - lo) * scale),
+                    buckets - 1);
+  };
+  std::array<std::uint32_t, kMaxBuckets + 1> start{};
+  for (const Candidate& c : in) ++start[bucket(c.due_s) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+  // The scatter leaves each start[b] at bucket b's end (the old start[b+1]).
+  for (const Candidate& c : in) out[start[bucket(c.due_s)]++] = c;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    std::sort(out + (b == 0 ? 0 : start[b - 1]), out + start[b]);
+  }
+}
+
+/// How many of the first d elements of merge(a, b) come from `a`.
+template <typename Candidate>
+std::size_t co_rank(std::size_t d, const Candidate* a, std::size_t na,
+                    const Candidate* b, std::size_t nb) {
+  const std::size_t lo = d > nb ? d - nb : 0;
+  const auto from_a = std::views::iota(lo, std::min(d, na));
+  const auto split = std::ranges::partition_point(
+      from_a, [&](std::size_t i) { return a[i] < b[d - i - 1]; });
+  return lo + static_cast<std::size_t>(split - from_a.begin());
+}
+
+}  // namespace
+
 const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
                                                                 double dt) {
   require(dt > 0.0, "ClientPopulation: epoch must be positive");
-  batch_.clear();
   const double end = t0 + dt;
-
-  // Shard spans come out of the arena serially (it is not thread-safe);
-  // workers then fill disjoint spans.
-  arena_.reset();
-  std::array<Candidate*, kShards> spans;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    spans[s] = arena_.alloc<Candidate>(shard_end(s) - shard_begin(s));
-  }
-  std::array<std::size_t, kShards> counts{};
-  std::array<Tally, kShards> tallies{};
-
-  for_shards([&](std::size_t s) {
-    Tally& t = tallies[s];
-    Candidate* out = spans[s];
-    std::size_t found = 0;
-    const std::size_t hi = shard_end(s);
-    for (std::size_t id = shard_begin(s); id < hi; ++id) {
+  sweep_shards([&](std::size_t s, Tally& t) {
+    std::vector<Candidate>& out = shard_due_[s];
+    out.clear();
+    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
       const State st = state_[id];
       if (st == State::kWaiting || st == State::kLost) continue;
       const double due = due_s_[id];
@@ -236,56 +323,56 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
       // attempt is in flight, so it counts as waiting with no deadline yet.
       state_[id] = State::kWaiting;
       due_s_[id] = kNever;
-      out[found++] = Candidate{due, static_cast<std::uint32_t>(id)};
+      out.push_back(Candidate{due, static_cast<std::uint32_t>(id)});
     }
-    std::sort(out, out + found, [](const Candidate& a, const Candidate& b) {
-      if (a.due_s != b.due_s) return a.due_s < b.due_s;
-      return a.id < b.id;
-    });
-    counts[s] = found;
   });
 
-  std::size_t total = 0;
+  Offsets offset{};
   for (std::size_t s = 0; s < kShards; ++s) {
-    apply_tally(tallies[s]);
-    total += counts[s];
+    offset[s + 1] = offset[s] + shard_due_[s].size();
   }
+  const std::size_t total = offset[kShards];
+  merge_a_.resize(total);
+  merge_b_.resize(total);
+  std::array<const Candidate*, kShards> run;
+  for_each_index(kShards, [&](std::size_t s) {
+    run[s] = merge_b_.data() + offset[s];
+    sort_by_due(shard_due_[s], merge_b_.data() + offset[s]);
+  });
 
-  // Deterministic k-way merge of the sorted shard spans reproduces the
-  // legacy heap's (due, id) pop order exactly — the property suite
-  // checksums batch order, so this is contractual, not cosmetic.
-  struct Head {
-    double due_s;
-    std::uint32_t id;
-    std::uint32_t shard;
-  };
-  const auto later = [](const Head& a, const Head& b) {
-    if (a.due_s != b.due_s) return a.due_s > b.due_s;
-    return a.id > b.id;
-  };
-  batch_.reserve(total);
-  std::array<std::size_t, kShards> pos{};
-  Head heap[kShards];
-  std::size_t heads = 0;
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    if (counts[s] > 0) {
-      heap[heads++] = Head{spans[s][0].due_s, spans[s][0].id, s};
-    }
+  // A pairwise merge tree gives the legacy heap's (due, id) pop order (ids
+  // are unique). Six rounds merge run pairs `width` shards wide (run[s]
+  // starts at shard s) into the other buffer as kShards co-ranked slices.
+  Candidate* dst = merge_a_.data();
+  Candidate* spare = merge_b_.data();
+  for (std::size_t width = 1; width < kShards; width *= 2) {
+    const std::size_t slices = 2 * width;  // per pair: kShards tasks a round
+    for_each_index(kShards, [&](std::size_t task) {
+      const std::size_t first = task / slices * slices;
+      const std::size_t slice = task % slices;
+      const Candidate* a = run[first];
+      const Candidate* b = run[first + width];
+      const std::size_t na = offset[first + width] - offset[first];
+      const std::size_t nb = offset[first + slices] - offset[first + width];
+      const std::size_t d0 = (na + nb) * slice / slices;
+      const std::size_t d1 = (na + nb) * (slice + 1) / slices;
+      const std::size_t i0 = co_rank(d0, a, na, b, nb);
+      const std::size_t i1 = co_rank(d1, a, na, b, nb);
+      std::merge(a + i0, a + i1, b + (d0 - i0), b + (d1 - i1),
+                 dst + offset[first] + d0);
+    });
+    for (std::size_t s = 0; s < kShards; s += slices) run[s] = dst + offset[s];
+    std::swap(dst, spare);
   }
-  std::make_heap(heap, heap + heads, later);
-  while (heads > 0) {
-    std::pop_heap(heap, heap + heads, later);
-    const Head head = heap[heads - 1];
-    batch_.push_back(head.id);
-    const std::size_t next = ++pos[head.shard];
-    if (next < counts[head.shard]) {
-      const Candidate& cand = spans[head.shard][next];
-      heap[heads - 1] = Head{cand.due_s, cand.id, head.shard};
-      std::push_heap(heap, heap + heads, later);
-    } else {
-      --heads;
+  batch_.resize(total);
+  const Candidate* merged = run[0];
+  for_each_index(kShards, [&](std::size_t c) {
+    const std::size_t last = (c + 1) * total / kShards;
+    for (std::size_t i = c * total / kShards; i < last; ++i) {
+      batch_[i] = merged[i].id;
     }
-  }
+  });
+  batch_answered_ = false;
   return batch_;
 }
 
@@ -329,73 +416,81 @@ void ClientPopulation::fail_attempt(std::uint32_t id, double now_s,
   ++t.backoff_delta;
 }
 
-void ClientPopulation::on_rejected(std::uint32_t id, double now_s) {
-  require(id < state_.size(), "ClientPopulation: client id out of range");
+void ClientPopulation::answer(std::uint32_t id, bool admitted, double now_s,
+                              Tally& t) {
   ensure(state_[id] == State::kWaiting,
-         "ClientPopulation: rejected a client with no attempt in flight");
-  ++ledger_.rejected;
-  Tally t;
-  fail_attempt(id, now_s, t);
-  apply_tally(t);
+         "ClientPopulation: answered a client with no attempt in flight");
+  if (admitted) {
+    due_s_[id] = now_s + config_.request_timeout_s;
+  } else {
+    ++t.rejected;
+    fail_attempt(id, now_s, t);
+  }
 }
 
-void ClientPopulation::on_admitted(std::uint32_t id, double now_s) {
-  require(id < state_.size(), "ClientPopulation: client id out of range");
-  ensure(state_[id] == State::kWaiting,
-         "ClientPopulation: admitted a client with no attempt in flight");
-  due_s_[id] = now_s + config_.request_timeout_s;
-}
-
-void ClientPopulation::on_served(std::uint32_t id, double now_s) {
-  require(id < state_.size(), "ClientPopulation: client id out of range");
+void ClientPopulation::serve(std::uint32_t id, double now_s, Tally& t) {
   if (state_[id] != State::kWaiting) {
     // The client gave up on this attempt long ago; the service's work on it
     // was wasted — the defining loss of a retry storm.
-    ++ledger_.stale_served;
+    ++t.stale_served;
     return;
   }
-  ++ledger_.served;
-  --waiting_count_;
+  ++t.served;
+  --t.waiting_delta;
   attempt_[id] = 0;
   state_[id] = State::kThinking;
   due_s_[id] = now_s + exponential_draw(rng_[id], config_.think_time_s);
 }
 
+void ClientPopulation::on_rejected(std::uint32_t id, double now_s) {
+  require(id < config_.clients, "ClientPopulation: client id out of range");
+  Tally t;
+  answer(id, false, now_s, t);
+  apply_tally(t);
+}
+
+void ClientPopulation::on_admitted(std::uint32_t id, double now_s) {
+  require(id < config_.clients, "ClientPopulation: client id out of range");
+  Tally untouched;  // admission changes no counter
+  answer(id, true, now_s, untouched);
+}
+
+void ClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
+                                  double now_s) {
+  require(admitted.size() == batch_.size() && !batch_answered_,
+          "ClientPopulation: one answer_due per batch, one verdict per due");
+  batch_answered_ = true;
+  const Offsets offset =
+      group_by_shard(batch_.data(), batch_.size(), admitted.data());
+  sweep_grouped(offset, [&](std::size_t i, Tally& t) {
+    answer(by_shard_[i], by_shard_verdict_[i] != 0, now_s, t);
+  });
+}
+
+void ClientPopulation::on_served(std::uint32_t id, double now_s) {
+  require(id < config_.clients, "ClientPopulation: client id out of range");
+  Tally t;
+  serve(id, now_s, t);
+  apply_tally(t);
+}
+
 void ClientPopulation::on_served_batch(const std::uint32_t* ids,
                                        std::size_t count, double now_s) {
-  if (count == 0) return;
-  // `ids` must not point into this population's arena: the classify pass
-  // below resets it. (The retry-storm driver keeps cohorts in its own.)
-  arena_.reset();
-  std::uint32_t* fresh = arena_.alloc<std::uint32_t>(count);
-  std::size_t n_fresh = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t id = ids[i];
-    require(id < state_.size(), "ClientPopulation: client id out of range");
-    if (state_[id] != State::kWaiting) {
-      ++ledger_.stale_served;
-      continue;
-    }
-    ++ledger_.served;
-    attempt_[id] = 0;
-    state_[id] = State::kThinking;
-    fresh[n_fresh++] = id;
-  }
-  waiting_count_ -= n_fresh;
-  // Think-time draws as one branch-free block over the raw counter states.
-  const double mean = config_.think_time_s;
-  for (std::size_t i = 0; i < n_fresh; ++i) {
-    const std::uint32_t id = fresh[i];
-    due_s_[id] = now_s + exponential_draw(rng_[id], mean);
-  }
+  const std::size_t n = config_.clients;
+  require(std::all_of(ids, ids + count,
+                      [n](std::uint32_t id) { return id < n; }),
+          "ClientPopulation: client id out of range");
+  // by_shard_ is a copy, so `ids` may alias batch_; a client listed twice
+  // keeps its order, served fresh and then stale, as on_served would.
+  const Offsets offset = group_by_shard(ids, count, nullptr);
+  sweep_grouped(offset, [&](std::size_t i, Tally& t) {
+    serve(by_shard_[i], now_s, t);
+  });
 }
 
 void ClientPopulation::expire_timeouts(double now_s) {
-  std::array<Tally, kShards> tallies{};
-  for_shards([&](std::size_t s) {
-    Tally& t = tallies[s];
-    const std::size_t hi = shard_end(s);
-    for (std::size_t id = shard_begin(s); id < hi; ++id) {
+  sweep_shards([&](std::size_t s, Tally& t) {
+    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
       // Limbo clients (due = inf) and admitted clients with a live deadline
       // both fail the due test; only expired waiters fall through.
       if (state_[id] != State::kWaiting || due_s_[id] > now_s) continue;
@@ -403,11 +498,10 @@ void ClientPopulation::expire_timeouts(double now_s) {
       fail_attempt(static_cast<std::uint32_t>(id), now_s, t);
     }
   });
-  for (const Tally& t : tallies) apply_tally(t);
 }
 
-void ClientPopulation::disconnect_client(std::uint32_t id, double now_s) {
-  Tally t;
+void ClientPopulation::disconnect_client(std::uint32_t id, double now_s,
+                                         Tally& t) {
   switch (state_[id]) {
     case State::kWaiting:
       ++t.dropped;
@@ -431,40 +525,14 @@ void ClientPopulation::disconnect_client(std::uint32_t id, double now_s) {
   // the aggregate login surge decays like the Fig. 3 flash-crowd spikes.
   state_[id] = State::kThinking;
   due_s_[id] = now_s + exponential_draw(rng_[id], config_.reconnect_spread_s);
-  apply_tally(t);
 }
 
 void ClientPopulation::disconnect_all(double now_s) {
-  std::array<Tally, kShards> tallies{};
-  for_shards([&](std::size_t s) {
-    Tally& t = tallies[s];
-    const std::size_t hi = shard_end(s);
-    for (std::size_t id = shard_begin(s); id < hi; ++id) {
-      switch (state_[id]) {
-        case State::kWaiting:
-          ++t.dropped;
-          ++t.disconnected_intents;
-          --t.waiting_delta;
-          break;
-        case State::kBackoff:
-          ++t.retry_cancelled;
-          ++t.disconnected_intents;
-          --t.backoff_delta;
-          break;
-        case State::kThinking:
-        case State::kCooldown:
-          break;
-        case State::kLost:
-          continue;  // gone for good; no session to drop
-      }
-      ++t.disconnects;
-      attempt_[id] = 0;
-      state_[id] = State::kThinking;
-      due_s_[id] =
-          now_s + exponential_draw(rng_[id], config_.reconnect_spread_s);
+  sweep_shards([&](std::size_t s, Tally& t) {
+    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
+      disconnect_client(static_cast<std::uint32_t>(id), now_s, t);
     }
   });
-  for (const Tally& t : tallies) apply_tally(t);
 }
 
 void ClientPopulation::disconnect_fraction(double fraction, double now_s) {
@@ -476,11 +544,11 @@ void ClientPopulation::disconnect_fraction(double fraction, double now_s) {
   }
   // Serial by necessity: the selection draws come from one shared stream
   // that must advance in id order to stay bit-compatible.
-  for (std::uint32_t id = 0; id < state_.size(); ++id) {
-    if (uniform01(disconnect_rng_) < fraction) {
-      disconnect_client(id, now_s);
-    }
+  Tally t;
+  for (std::uint32_t id = 0; id < config_.clients; ++id) {
+    if (uniform01(disconnect_rng_) < fraction) disconnect_client(id, now_s, t);
   }
+  apply_tally(t);
 }
 
 bool ClientPopulation::conservation_ok() const {

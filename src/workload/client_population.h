@@ -16,15 +16,16 @@
 //
 // The engine is the vectorized epoch sweep introduced for the 10M-client
 // regime: client state lives in flat SoA arrays (state / attempt / due /
-// raw SplitMix64 counter), each epoch operation is a linear sweep over
-// fixed client-range shards (parallelizable on a core::ThreadPool, merged
-// in deterministic shard order, bit-identical at any thread count), RNG is
-// drawn as branch-free block transforms over the raw counter states, and
-// per-epoch scratch comes from an EpochArena instead of the heap. The
-// per-event heap engine it replaced is preserved as
-// LegacyClientPopulation (client_population_legacy.h) for the in-run A/B
-// bench; the equivalence suite asserts both engines produce bit-identical
-// attempt streams and ledgers.
+// raw SplitMix64 counter) in 64 fixed client-range shards, and every
+// per-client phase of an epoch (due scan, answer, serve, deadlines, outage
+// drop) is a sweep over shard-local slices, on a core::ThreadPool when one
+// is configured. Tallies merge in shard order and due lists in a pairwise
+// (due, id) tree, so results are bit-identical at any thread count; RNG is
+// drawn as branch-free transforms over the raw counter states. The
+// per-event heap engine it replaced is preserved as LegacyClientPopulation
+// (client_population_legacy.h) for the in-run A/B bench; the equivalence
+// suite asserts both engines produce bit-identical attempt streams and
+// ledgers.
 //
 // Everything is per-client and seeded, so a population replayed against the
 // same service responses reproduces the same attempt stream bit-for-bit.
@@ -34,10 +35,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/rng.h"
 
 namespace epm {
@@ -129,7 +130,7 @@ std::string client_conservation_report(const ClientLedger& ledger,
 /// granularity by a service loop:
 ///
 ///   1. collect_due(t, dt)      -> attempt batch for this epoch
-///   2. on_rejected/on_admitted -> admission verdict per attempt
+///   2. answer_due (or per id)  -> admission verdict per attempt
 ///   3. (service drains queue)  -> on_served / on_served_batch per completion
 ///   4. expire_timeouts(t + dt) -> client deadlines fire, retries scheduled
 class ClientPopulation {
@@ -151,8 +152,13 @@ class ClientPopulation {
 
   /// Clients whose next action falls in [t0, t0 + dt), in deterministic
   /// (due time, id) order. Each returned id has issued one attempt at t0;
-  /// the caller must answer every id with on_rejected or on_admitted.
+  /// the caller must answer every id (answer_due, or per id).
   const std::vector<std::uint32_t>& collect_due(double t0, double dt);
+
+  /// on_admitted (admitted[i] != 0) or on_rejected for every batch position
+  /// i, as one sweep. Throws std::invalid_argument before any client changes
+  /// unless there is one verdict per position and the batch is unanswered.
+  void answer_due(std::span<const std::uint8_t> admitted, double now_s);
 
   /// Fast failure (admission control / full queue / open breaker / dark
   /// service): the client backs off per policy or abandons.
@@ -164,7 +170,9 @@ class ClientPopulation {
   /// the client is still waiting; stale work otherwise.
   void on_served(std::uint32_t id, double now_s);
   /// Batch completion: equivalent to on_served(ids[i], now_s) for i in
-  /// order, with the think-time draws performed as one RNG block.
+  /// order, applied as one shard-local sweep. Every id is checked before
+  /// any client changes. `ids` may alias the last collect_due batch, and
+  /// one id may appear more than once (the earlier entry is served first).
   void on_served_batch(const std::uint32_t* ids, std::size_t count,
                        double now_s);
 
@@ -208,64 +216,66 @@ class ClientPopulation {
     kLost,      ///< abandoned forever (no cooldown)
   };
 
-  /// (due, id) candidate produced by the collect sweep; spans of these are
-  /// sorted per shard and k-way merged into the global batch order.
+  /// (due, id) candidate produced by the collect sweep; the lists of these
+  /// are sorted per shard and merged pairwise into the global batch order.
   struct Candidate {
     double due_s;
     std::uint32_t id;
+    bool operator<(const Candidate& o) const {
+      return due_s < o.due_s || (due_s == o.due_s && id < o.id);
+    }
   };
 
   /// Per-shard counter ledger for one sweep, merged in shard order.
-  struct Tally {
-    std::uint64_t intents = 0;
-    std::uint64_t attempts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t abandoned = 0;
+  struct Tally : ClientLedger {
     std::int64_t waiting_delta = 0;
     std::int64_t backoff_delta = 0;
     std::int64_t lost_delta = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t retry_cancelled = 0;
-    std::uint64_t disconnected_intents = 0;
-    std::uint64_t disconnects = 0;
   };
 
-  std::size_t shard_begin(std::size_t shard) const {
-    return shard * config_.clients / kShards;
-  }
-  std::size_t shard_end(std::size_t shard) const {
-    return (shard + 1) * config_.clients / kShards;
-  }
+  using Offsets = std::array<std::size_t, kShards + 1>;
 
-  /// Runs fn(shard) for every shard — on the pool when one exists, serially
-  /// otherwise. Shards touch disjoint client ranges and disjoint tally
-  /// slots, so the parallel execution is race-free by construction.
+  /// Runs fn(i) for every i in [0, n) — on the pool when one exists,
+  /// serially otherwise. Callers give each i disjoint clients and disjoint
+  /// output slots, so the parallel execution is race-free by construction.
   template <typename Fn>
-  void for_shards(Fn&& fn);
+  void for_each_index(std::size_t n, Fn&& fn);
+  /// fn(shard, tally) for every shard; tallies apply in shard order.
+  template <typename Fn>
+  void sweep_shards(Fn&& fn);
+  /// fn(i, tally) for every entry i of by_shard_, a shard's group per task.
+  template <typename Fn>
+  void sweep_grouped(const Offsets& offset, Fn&& fn);
+  /// Stable-groups `ids` by shard into by_shard_ (and `verdicts`, when
+  /// given, into by_shard_verdict_); group s is [offset[s], offset[s + 1]).
+  Offsets group_by_shard(const std::uint32_t* ids, std::size_t count,
+                         const std::uint8_t* verdicts);
 
   /// Backoff delay (before jitter) after failing attempt `attempt` — the
   /// table/mask replacement for the per-event std::pow in the legacy path.
   double base_backoff_s(std::uint32_t attempt) const;
-  /// Attempt failure shared by the timeout sweep and on_rejected; updates
-  /// the given tally instead of global counters.
+  // Per-client transitions for the per-id calls and the sweeps, counted in
+  // the given tally. fail_attempt follows a timeout or a rejection.
   void fail_attempt(std::uint32_t id, double now_s, Tally& tally);
+  void answer(std::uint32_t id, bool admitted, double now_s, Tally& tally);
+  void serve(std::uint32_t id, double now_s, Tally& tally);
+  void disconnect_client(std::uint32_t id, double now_s, Tally& tally);
   void apply_tally(const Tally& tally);
-  void disconnect_client(std::uint32_t id, double now_s);
 
   ClientPopulationConfig config_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when sweeping serially
-  EpochArena arena_;
+  /// bounds_[s] = s * clients / kShards is the first client of shard s.
+  std::array<std::size_t, kShards + 1> bounds_{};
 
   // Client state, structure-of-arrays: every sweep touches one field across
   // many clients, so parallel arrays stream linearly. rng_ holds the raw
   // SplitMix64 counter per client; draws advance it by kGamma and mix,
   // which block loops do branch-free (and bit-identically to a SplitMix64
   // object — the stream-equivalence regression test pins this).
-  std::vector<State> state_;
-  std::vector<std::uint32_t> attempt_;
-  std::vector<double> due_s_;
-  std::vector<std::uint64_t> rng_;
+  std::unique_ptr<State[]> state_;
+  std::unique_ptr<std::uint32_t[]> attempt_;
+  std::unique_ptr<double[]> due_s_;
+  std::unique_ptr<std::uint64_t[]> rng_;
 
   /// delay_table_[a] = capped pre-jitter delay after failing attempt a
   /// (exponential policy); attempts past the table fall back to the same
@@ -274,7 +284,16 @@ class ClientPopulation {
   bool draw_on_retry_ = false;     ///< retry backoff consumes a jitter draw
   bool draw_on_cooldown_ = false;  ///< abandon-to-cooldown consumes one
 
+  // Per-epoch scratch, reused across epochs: each shard's due candidates,
+  // the merge tree's two buffers, and ids (with verdicts) grouped by shard.
+  std::array<std::vector<Candidate>, kShards> shard_due_;
+  std::vector<Candidate> merge_a_;
+  std::vector<Candidate> merge_b_;
+  std::vector<std::uint32_t> by_shard_;
+  std::vector<std::uint8_t> by_shard_verdict_;
+
   std::vector<std::uint32_t> batch_;
+  bool batch_answered_ = true;  ///< answer_due already applied to batch_
   ClientLedger ledger_;
   SplitMix64 disconnect_rng_{0};
   std::size_t waiting_count_ = 0;

@@ -119,7 +119,19 @@ const std::vector<std::uint32_t>& LegacyClientPopulation::collect_due(
     token_[id] = next_token_++;
     batch_.push_back(id);
   }
+  batch_answered_ = false;
   return batch_;
+}
+
+void LegacyClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
+                                        double now_s) {
+  require(admitted.size() == batch_.size() && !batch_answered_,
+          "ClientPopulation: one answer_due per batch, one verdict per due");
+  batch_answered_ = true;
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    admitted[i] != 0 ? on_admitted(batch_[i], now_s)
+                     : on_rejected(batch_[i], now_s);
+  }
 }
 
 void LegacyClientPopulation::fail_attempt(std::uint32_t id, double now_s) {

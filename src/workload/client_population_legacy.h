@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -31,6 +32,8 @@ class LegacyClientPopulation {
   explicit LegacyClientPopulation(ClientPopulationConfig config);
 
   const std::vector<std::uint32_t>& collect_due(double t0, double dt);
+  /// Reference answer_due: on_admitted / on_rejected per position, in order.
+  void answer_due(std::span<const std::uint8_t> admitted, double now_s);
   void on_rejected(std::uint32_t id, double now_s);
   void on_admitted(std::uint32_t id, double now_s);
   void on_served(std::uint32_t id, double now_s);
@@ -88,6 +91,7 @@ class LegacyClientPopulation {
   MinHeap due_heap_;
   MinHeap deadline_heap_;
   std::vector<std::uint32_t> batch_;
+  bool batch_answered_ = true;
   ClientLedger ledger_;
   SplitMix64 disconnect_rng_{0};
   std::uint64_t next_token_ = 1;

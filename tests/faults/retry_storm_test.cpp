@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/parallel.h"
 
@@ -143,6 +144,29 @@ TEST(RetryStormParallelDeterminism, SweepIsBitIdenticalAcrossThreadCounts) {
     for (std::size_t i = 0; i < base.size(); ++i) {
       EXPECT_TRUE(base[i] == other[i]) << "point " << i << " at " << threads
                                         << " threads";
+    }
+  }
+}
+
+// The population's own pool: the epoch engine answers, serves and sweeps
+// shard-parallel when clients.threads > 1, and every grid point must still
+// equal the per-id heap engine at 1, 2, and 8 sweep threads.
+TEST(RetryStormParallelDeterminism, ThreadedPopulationMatchesLegacyEngine) {
+  const std::pair<RetryBackoff, bool> grid[] = {
+      {RetryBackoff::kImmediate, false},
+      {RetryBackoff::kImmediate, true},
+      {RetryBackoff::kExponential, false},
+      {RetryBackoff::kExponential, true},
+  };
+  for (const auto& [backoff, defended] : grid) {
+    RetryStormConfig config = small_config(backoff, defended);
+    const RetryStormOutcome legacy = run_retry_storm_legacy(config);
+    EXPECT_TRUE(legacy.conservation_ok) << legacy.conservation_report;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      config.clients.threads = threads;
+      EXPECT_TRUE(run_retry_storm(config) == legacy)
+          << to_string(backoff) << (defended ? " defended" : " naive")
+          << " at " << threads << " sweep threads";
     }
   }
 }

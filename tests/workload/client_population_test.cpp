@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "workload/client_population_legacy.h"
 
 namespace epm::workload {
 namespace {
@@ -281,6 +284,20 @@ TEST(ClientPopulation, RejectsBadConfigAndBadCalls) {
   // Answering a client that has no attempt in flight is a driver bug.
   EXPECT_THROW(pop.on_rejected(0, 0.0), std::logic_error);
   EXPECT_THROW(pop.on_admitted(0, 0.0), std::logic_error);
+}
+
+// Client ids are 32-bit: a larger population would truncate them (and the
+// disconnect_fraction id loop would never end), so it is refused before any
+// state is allocated.
+TEST(ClientPopulation, RejectsMoreClientsThan32BitIdsCanName) {
+  ClientPopulationConfig config = tiny_config();
+  config.clients = std::size_t{1} << 32;
+  EXPECT_THROW(validate_client_population_config(config),
+               std::invalid_argument);
+  EXPECT_THROW(ClientPopulation{config}, std::invalid_argument);
+  EXPECT_THROW(LegacyClientPopulation{config}, std::invalid_argument);
+  config.clients = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(validate_client_population_config(config));
 }
 
 }  // namespace

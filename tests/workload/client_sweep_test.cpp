@@ -5,8 +5,12 @@
 //     draws reproduce a SplitMix64 object's stream bit-for-bit, per client;
 //   * ClientSweepEquivalence — the sweep engine reproduces the legacy heap
 //     engine's batches (order included), ledger, and occupancy exactly
-//     under randomized drives, and the templated storm driver produces
+//     under randomized drives (answered with answer_due on the sweep engine
+//     and per id on the legacy one), a cohort that lists one client twice
+//     serves it fresh then stale, and the templated storm driver produces
 //     identical outcomes on both engines;
+//   * ClientSweepContract    — answer_due and on_served_batch check their
+//     whole input before any client changes;
 //   * ClientSweepDeterminism — the sharded sweep is bit-identical at 1, 2,
 //     and 8 threads (fixed shard partition, deterministic merge);
 //   * ClientSweepProperty    — the 12-counter ledger and all four
@@ -14,6 +18,7 @@
 //     storm driven through the branch-free transitions.
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +100,7 @@ TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
     Rng drive(meta.next_u64());
     std::deque<std::uint32_t> queued;
     std::vector<std::uint32_t> cohort;
+    std::vector<std::uint8_t> verdicts;
     for (int epoch = 0; epoch < 80; ++epoch) {
       const double t0 = epoch;
       const double t1 = t0 + 1.0;
@@ -110,16 +116,20 @@ TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
       const auto batch = sweep.collect_due(t0, 1.0);  // copy: batch_ reused
       const auto& legacy_batch = legacy.collect_due(t0, 1.0);
       ASSERT_EQ(batch, legacy_batch) << "round " << round << " epoch " << epoch;
+      // The sweep engine takes the verdicts as one answer; the legacy engine
+      // is answered one id at a time.
+      verdicts.clear();
       for (const std::uint32_t id : batch) {
         if (drive.uniform(0.0, 1.0) < 0.3) {
-          sweep.on_rejected(id, t0);
+          verdicts.push_back(0);
           legacy.on_rejected(id, t0);
         } else {
-          sweep.on_admitted(id, t0);
+          verdicts.push_back(1);
           legacy.on_admitted(id, t0);
           queued.push_back(id);
         }
       }
+      sweep.answer_due(verdicts, t0);
       const auto serves = static_cast<std::size_t>(
           drive.uniform_int(0, static_cast<std::int64_t>(queued.size())));
       cohort.assign(queued.begin(),
@@ -184,20 +194,20 @@ SweepDigest drive_sharded(const workload::ClientPopulationConfig& base,
   Rng drive(drive_seed);
   std::deque<std::uint32_t> queued;
   std::vector<std::uint32_t> cohort;
+  std::vector<std::uint8_t> verdicts;
   SweepDigest digest;
   for (int epoch = 0; epoch < 60; ++epoch) {
     const double t0 = epoch;
     const double t1 = t0 + 1.0;
     if (epoch == 30) pop.disconnect_all(t0);
+    verdicts.clear();
     for (const std::uint32_t id : pop.collect_due(t0, 1.0)) {
       digest.batch_checksum = digest.batch_checksum * 1315423911u + id;
-      if (drive.uniform(0.0, 1.0) < 0.3) {
-        pop.on_rejected(id, t0);
-      } else {
-        pop.on_admitted(id, t0);
-        queued.push_back(id);
-      }
+      const bool admitted = drive.uniform(0.0, 1.0) >= 0.3;
+      verdicts.push_back(admitted ? 1 : 0);
+      if (admitted) queued.push_back(id);
     }
+    pop.answer_due(verdicts, t0);
     const auto serves = static_cast<std::size_t>(
         drive.uniform_int(0, static_cast<std::int64_t>(queued.size())));
     cohort.assign(queued.begin(),
@@ -216,7 +226,9 @@ SweepDigest drive_sharded(const workload::ClientPopulationConfig& base,
 
 // The fixed 64-shard partition and deterministic shard-order merge mean the
 // thread count can never leak into results: 1, 2, and 8 workers must agree
-// on every bit of the batch stream and ledger, across seeds.
+// on every bit of the batch stream and ledger, across seeds. The drive
+// answers through answer_due, so the answer and serve sweeps run on the
+// pool too.
 TEST(ClientSweepDeterminism, BitIdenticalAcrossThreadCounts) {
   Rng meta(77);
   for (const std::uint64_t seed : {11ull, 222ull, 3333ull}) {
@@ -233,6 +245,164 @@ TEST(ClientSweepDeterminism, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(one.backoff, other->backoff);
       EXPECT_EQ(one.lost, other->lost);
     }
+  }
+}
+
+workload::ClientPopulationConfig all_due_at_zero(std::size_t clients) {
+  workload::ClientPopulationConfig config;
+  config.clients = clients;
+  config.think_time_s = 10.0;
+  config.request_timeout_s = 1.5;
+  config.start_spread_s = 0.0;  // everyone due at t = 0
+  config.retry.backoff = workload::RetryBackoff::kImmediate;
+  config.retry.max_attempts = 4;
+  config.seed = 99;
+  return config;
+}
+
+// A client admitted, timed out and admitted again sits in the service queue
+// twice, so one cohort can list it twice. Served in cohort order, the first
+// entry completes its open attempt (fresh) and the second finds it thinking
+// (stale) — exactly what the legacy engine's per-id serves give, at every
+// thread count.
+TEST(ClientSweepEquivalence, DuplicateCohortEntryServesFreshThenStale) {
+  const std::size_t clients = 1000;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    auto config = all_due_at_zero(clients);
+    config.threads = threads;
+    workload::ClientPopulation sweep(config);
+    workload::LegacyClientPopulation legacy(config);
+    std::vector<std::uint32_t> queue;
+    for (const double t0 : {0.0, 2.0}) {
+      const auto batch = sweep.collect_due(t0, 1.0);
+      ASSERT_EQ(batch, legacy.collect_due(t0, 1.0));
+      // t = 2 re-offers every client that timed out.
+      ASSERT_EQ(batch.size(), clients);
+      const std::vector<std::uint8_t> admit_all(batch.size(), 1);
+      sweep.answer_due(admit_all, t0);
+      legacy.answer_due(admit_all, t0);
+      queue.insert(queue.end(), batch.begin(), batch.end());
+      sweep.expire_timeouts(t0 + 1.0);
+      legacy.expire_timeouts(t0 + 1.0);
+      if (t0 == 0.0) {
+        // Nobody served in time: every first attempt expires by t = 2.
+        sweep.expire_timeouts(2.0);
+        legacy.expire_timeouts(2.0);
+        ASSERT_EQ(sweep.backoff_count(), clients);
+      }
+    }
+    // Serve the odd clients from both queue entries, the even ones from the
+    // second only.
+    std::vector<std::uint32_t> cohort;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      if (i >= clients || queue[i] % 2 == 1) cohort.push_back(queue[i]);
+    }
+    const auto before = sweep.ledger();
+    sweep.on_served_batch(cohort.data(), cohort.size(), 3.0);
+    for (const std::uint32_t id : cohort) legacy.on_served(id, 3.0);
+    EXPECT_EQ(sweep.ledger().served - before.served, clients) << threads;
+    EXPECT_EQ(sweep.ledger().stale_served - before.stale_served, clients / 2)
+        << threads;
+    EXPECT_TRUE(ledgers_equal(sweep.ledger(), legacy.ledger())) << threads;
+    EXPECT_EQ(sweep.waiting_count(), legacy.waiting_count());
+    // One think-time draw per fresh serve: the next intents line up.
+    for (double t = 3.0; t < 40.0; t += 1.0) {
+      const auto batch = sweep.collect_due(t, 1.0);
+      ASSERT_EQ(batch, legacy.collect_due(t, 1.0)) << threads << " t " << t;
+      const std::vector<std::uint8_t> reject_all(batch.size(), 0);
+      sweep.answer_due(reject_all, t);
+      legacy.answer_due(reject_all, t);
+    }
+    EXPECT_TRUE(ledgers_equal(sweep.ledger(), legacy.ledger())) << threads;
+    EXPECT_TRUE(sweep.conservation_ok()) << sweep.conservation_report();
+  }
+}
+
+/// Everything a caller can observe of a population, for before/after checks.
+struct Observed {
+  workload::ClientLedger ledger;
+  std::size_t waiting = 0;
+  std::size_t backoff = 0;
+  std::size_t lost = 0;
+};
+
+Observed observe(const workload::ClientPopulation& pop) {
+  return {pop.ledger(), pop.waiting_count(), pop.backoff_count(),
+          pop.lost_count()};
+}
+
+void expect_same(const Observed& a, const Observed& b) {
+  EXPECT_TRUE(ledgers_equal(a.ledger, b.ledger));
+  EXPECT_EQ(a.waiting, b.waiting);
+  EXPECT_EQ(a.backoff, b.backoff);
+  EXPECT_EQ(a.lost, b.lost);
+}
+
+// A wrong-length answer, or a second answer to one batch, is a driver bug
+// that must be refused before any client moves: the population then behaves
+// exactly like a twin that never saw the bad calls.
+TEST(ClientSweepContract, AnswerDueRejectsWrongLengthAndSecondAnswer) {
+  for (const std::size_t threads : {1u, 2u}) {
+    auto config = all_due_at_zero(500);
+    config.threads = threads;
+    workload::ClientPopulation pop(config);
+    workload::ClientPopulation twin(config);
+    EXPECT_THROW(pop.answer_due({}, 0.0), std::invalid_argument);  // no batch
+
+    const auto batch = pop.collect_due(0.0, 1.0);
+    ASSERT_EQ(batch, twin.collect_due(0.0, 1.0));
+    std::vector<std::uint8_t> verdicts(batch.size());
+    for (std::size_t i = 0; i < verdicts.size(); ++i) verdicts[i] = i % 3 != 0;
+
+    const Observed collected = observe(pop);
+    const std::vector<std::uint8_t> short_answer(batch.size() - 1, 1);
+    EXPECT_THROW(pop.answer_due(short_answer, 0.0), std::invalid_argument);
+    std::vector<std::uint8_t> long_answer = verdicts;
+    long_answer.push_back(1);
+    EXPECT_THROW(pop.answer_due(long_answer, 0.0), std::invalid_argument);
+    expect_same(observe(pop), collected);
+
+    pop.answer_due(verdicts, 0.0);
+    twin.answer_due(verdicts, 0.0);
+    const Observed answered = observe(pop);
+    EXPECT_EQ(answered.ledger.rejected, (batch.size() + 2) / 3);
+    EXPECT_THROW(pop.answer_due(verdicts, 0.0), std::invalid_argument);
+    expect_same(observe(pop), answered);
+
+    for (double t = 1.0; t < 20.0; t += 1.0) {
+      pop.expire_timeouts(t);
+      twin.expire_timeouts(t);
+      const auto next = pop.collect_due(t, 1.0);
+      ASSERT_EQ(next, twin.collect_due(t, 1.0)) << "t " << t;
+      const std::vector<std::uint8_t> reject_all(next.size(), 0);
+      pop.answer_due(reject_all, t);
+      twin.answer_due(reject_all, t);
+    }
+    expect_same(observe(pop), observe(twin));
+  }
+}
+
+// An out-of-range id in the middle of a cohort is refused before the ids
+// ahead of it are served.
+TEST(ClientSweepContract, ServedBatchChecksEveryIdBeforeServing) {
+  for (const std::size_t threads : {1u, 2u}) {
+    auto config = all_due_at_zero(300);
+    config.threads = threads;
+    workload::ClientPopulation pop(config);
+    const auto batch = pop.collect_due(0.0, 1.0);
+    pop.answer_due(std::vector<std::uint8_t>(batch.size(), 1), 0.0);
+
+    const Observed admitted = observe(pop);
+    std::vector<std::uint32_t> cohort(batch.begin(), batch.begin() + 100);
+    cohort.insert(cohort.begin() + 50, 300);  // one past the last client
+    EXPECT_THROW(pop.on_served_batch(cohort.data(), cohort.size(), 1.0),
+                 std::invalid_argument);
+    expect_same(observe(pop), admitted);
+
+    cohort.erase(cohort.begin() + 50);
+    pop.on_served_batch(cohort.data(), cohort.size(), 1.0);
+    EXPECT_EQ(pop.ledger().served, 100u);
+    EXPECT_EQ(pop.waiting_count(), admitted.waiting - 100);
   }
 }
 

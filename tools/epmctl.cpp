@@ -595,12 +595,12 @@ int cmd_sensing(const CliArgs& args) {
 int cmd_retrystorm(const CliArgs& args) {
   const double outage_s = args.get("outage", 120.0);
   const std::string policy = args.get("policy", std::string{"immediate"});
-  const auto clients = static_cast<std::size_t>(
-      args.get("clients", std::int64_t{20000}));
+  const std::int64_t clients_flag = args.get("clients", std::int64_t{20000});
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{7}));
   if (const int rc = check_unused(args)) return rc;
   if (outage_s <= 0.0) return fail("--outage must be > 0 seconds");
-  if (clients == 0) return fail("--clients must be > 0");
+  if (clients_flag < 1) return fail("--clients must be > 0");
+  const auto clients = static_cast<std::size_t>(clients_flag);
   workload::RetryBackoff backoff;
   try {
     backoff = workload::retry_backoff_from_string(policy);
@@ -709,15 +709,16 @@ int cmd_telemetry(const CliArgs& args) {
 int cmd_federation(const CliArgs& args) {
   const bool smoke = args.get_switch("smoke");
   const auto dcs = static_cast<std::size_t>(args.get("dcs", std::int64_t{4}));
-  const auto clients = static_cast<std::size_t>(
-      args.get("clients", std::int64_t{smoke ? 2'000 : 20'000}));
+  const std::int64_t clients_flag =
+      args.get("clients", std::int64_t{smoke ? 2'000 : 20'000});
   auto shards = static_cast<std::size_t>(args.get("shards", std::int64_t{0}));
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{2009}));
   const std::size_t threads = args.threads();
   if (const int rc = check_unused(args)) return rc;
   if (shards == 0) shards = dcs;
   if (dcs < 2 || dcs > 6) return fail("--dcs must be 2..6");
-  if (clients == 0) return fail("--clients must be > 0");
+  if (clients_flag < 1) return fail("--clients must be > 0");
+  const auto clients = static_cast<std::size_t>(clients_flag);
   if (shards > dcs || dcs % shards != 0) {
     return fail("--shards must divide --dcs");
   }
@@ -788,15 +789,16 @@ int cmd_federation(const CliArgs& args) {
 int cmd_chaos(const CliArgs& args) {
   const bool smoke = args.get_switch("smoke");
   const auto dcs = static_cast<std::size_t>(args.get("dcs", std::int64_t{4}));
-  const auto clients = static_cast<std::size_t>(
-      args.get("clients", std::int64_t{smoke ? 2'000 : 20'000}));
+  const std::int64_t clients_flag =
+      args.get("clients", std::int64_t{smoke ? 2'000 : 20'000});
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{42}));
   const std::size_t threads = args.threads();
   const std::string script =
       args.get("script", faults::make_reference_grid_script());
   if (const int rc = check_unused(args)) return rc;
   if (dcs < 2 || dcs > 6) return fail("--dcs must be 2..6");
-  if (clients == 0) return fail("--clients must be > 0");
+  if (clients_flag < 1) return fail("--clients must be > 0");
+  const auto clients = static_cast<std::size_t>(clients_flag);
 
   std::cout << "Chaos drills: " << dcs << " datacenters x " << clients
             << " clients, grid script \"" << script << "\":\n";
