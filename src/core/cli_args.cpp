@@ -1,7 +1,8 @@
 #include "core/cli_args.h"
 
+#include <string>
+
 #include "core/parallel.h"
-#include "core/require.h"
 
 namespace epm {
 namespace {
@@ -18,9 +19,9 @@ CliArgs::CliArgs(int argc, const char* const argv[]) {
   }
   while (i < argc) {
     const std::string arg = argv[i];
-    require(is_flag(arg), "CliArgs: expected --flag, got '" + arg + "'");
+    if (!is_flag(arg)) throw UsageError("CliArgs: expected --flag, got '" + arg + "'");
     const std::string key = arg.substr(2);
-    require(!key.empty(), "CliArgs: empty flag name");
+    if (key.empty()) throw UsageError("CliArgs: empty flag name");
     if (i + 1 < argc && !is_flag(argv[i + 1])) {
       values_[key] = argv[i + 1];
       i += 2;
@@ -50,14 +51,16 @@ double CliArgs::get(const std::string& flag, double fallback) const {
   used_.insert(flag);
   std::size_t pos = 0;
   double v = 0.0;
+  bool parsed = false;
   try {
     v = std::stod(it->second, &pos);
+    parsed = pos == it->second.size();
   } catch (const std::exception&) {
-    throw std::invalid_argument("CliArgs: --" + flag + " expects a number, got '" +
-                                it->second + "'");
+    // No number at all, or out of range: `parsed` stays false.
   }
-  require(pos == it->second.size(),
-          "CliArgs: --" + flag + " expects a number, got '" + it->second + "'");
+  if (!parsed) {
+    throw UsageError("CliArgs: --" + flag + " expects a number, got '" + it->second + "'");
+  }
   return v;
 }
 
@@ -67,14 +70,17 @@ std::int64_t CliArgs::get(const std::string& flag, std::int64_t fallback) const 
   used_.insert(flag);
   std::size_t pos = 0;
   long long v = 0;
+  bool parsed = false;
   try {
     v = std::stoll(it->second, &pos);
+    parsed = pos == it->second.size();
   } catch (const std::exception&) {
-    throw std::invalid_argument("CliArgs: --" + flag + " expects an integer, got '" +
-                                it->second + "'");
+    // No number at all, or out of range: `parsed` stays false.
   }
-  require(pos == it->second.size(),
-          "CliArgs: --" + flag + " expects an integer, got '" + it->second + "'");
+  if (!parsed) {
+    throw UsageError("CliArgs: --" + flag + " expects an integer, got '" + it->second +
+                     "'");
+  }
   return v;
 }
 
@@ -82,15 +88,19 @@ bool CliArgs::get_switch(const std::string& flag) const {
   auto it = values_.find(flag);
   if (it == values_.end()) return false;
   used_.insert(flag);
-  require(it->second.empty(),
-          "CliArgs: --" + flag + " is a switch and takes no value");
+  if (!it->second.empty()) {
+    throw UsageError("CliArgs: --" + flag + " is a switch and takes no value");
+  }
   return true;
 }
 
 std::size_t CliArgs::threads() const {
   const std::int64_t requested = get("threads", std::int64_t{0});
-  require(values_.count("threads") == 0 || requested >= 1,
-          "CliArgs: --threads must be a positive integer");
+  if (values_.count("threads") > 0 &&
+      (requested < 1 || requested > static_cast<std::int64_t>(kMaxThreads))) {
+    throw UsageError("CliArgs: --threads must be an integer in 1.." +
+                     std::to_string(kMaxThreads));
+  }
   return resolve_thread_count(requested);
 }
 

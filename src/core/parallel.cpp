@@ -68,7 +68,8 @@ std::size_t default_thread_count() {
   if (const char* env = std::getenv("EPM_THREADS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<std::size_t>(v);
+    const bool in_range = v > 0 && v <= static_cast<long>(kMaxThreads);
+    if (end != env && *end == '\0' && in_range) return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -42,9 +42,14 @@
 
 namespace epm {
 
+/// Largest thread count a user-facing knob (`--threads`, `EPM_THREADS`) may
+/// ask for: far above any core count a run can use, and far below a spawn
+/// count the OS refuses.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Thread count used when a caller passes 0: the `EPM_THREADS` environment
-/// variable when set to a positive integer, else `hardware_concurrency`
-/// (minimum 1).
+/// variable when set to an integer in 1..kMaxThreads, else
+/// `hardware_concurrency` (minimum 1).
 std::size_t default_thread_count();
 
 /// Maps a user-facing `--threads` value to an actual count: values >= 1 are

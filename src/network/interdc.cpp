@@ -76,9 +76,10 @@ void InterDcNetwork::validate() {
         require(f == 0.0, "InterDcNetwork: diagonal floors must be zero");
         continue;
       }
-      require(f > 0.0 && std::isfinite(f),
-              "InterDcNetwork: floor " + sites_[i].name + " -> " +
-                  sites_[j].name + " must be positive and finite");
+      require(f > 0.0 && std::isfinite(f), [&] {
+        return "InterDcNetwork: floor " + sites_[i].name + " -> " +
+               sites_[j].name + " must be positive and finite";
+      });
       min_floor_s_ = std::min(min_floor_s_, f);
     }
   }

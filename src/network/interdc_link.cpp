@@ -56,9 +56,10 @@ InterDcLinkPlan::InterDcLinkPlan(std::size_t sites, LinkPolicy policy)
 }
 
 void InterDcLinkPlan::check_pair(std::size_t src, std::size_t dst) const {
-  require(src < sites_ && dst < sites_,
-          "InterDcLinkPlan: site index out of range (sites = " +
-              std::to_string(sites_) + ")");
+  require(src < sites_ && dst < sites_, [&] {
+    return "InterDcLinkPlan: site index out of range (sites = " +
+           std::to_string(sites_) + ")";
+  });
   require(src != dst, "InterDcLinkPlan: a site has no link to itself");
 }
 

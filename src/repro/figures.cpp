@@ -269,8 +269,9 @@ Fig4Outcome fig4_run_week(macro::Facility& facility, Stack& stack,
   out.mean_pue = pue_sum / epochs;
   out.alarms = facility.total_thermal_alarms();
   out.mean_servers = servers_sum / epochs / 2.0;
-  require(monitor.ok(),
-          "fig4: runtime invariant violated:\n" + monitor.report());
+  require(monitor.ok(), [&] {
+    return "fig4: runtime invariant violated:\n" + monitor.report();
+  });
   return out;
 }
 

@@ -49,9 +49,10 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config) {
     for (std::size_t dst = 0; dst < n; ++dst) {
       if (src == dst) continue;
       const double l = lookahead_[src * n + dst];
-      require(l > 0.0 && std::isfinite(l),
-              "ShardedSimulator: lookahead[" + std::to_string(src) + "][" +
-                  std::to_string(dst) + "] must be positive and finite");
+      require(l > 0.0 && std::isfinite(l), [&] {
+        return "ShardedSimulator: lookahead[" + std::to_string(src) + "][" +
+               std::to_string(dst) + "] must be positive and finite";
+      });
       min_lookahead_s_ = std::min(min_lookahead_s_, l);
     }
   }
@@ -66,10 +67,12 @@ ShardedSimulator::ShardedSimulator(ShardedConfig config) {
     shards_.push_back(std::move(s));
   }
 
-  const std::size_t threads =
-      config.threads == 1 ? 1 : resolve_thread_count(
-                                    static_cast<std::int64_t>(config.threads));
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  // No more runners than shards: a window has one task per shard, and an
+  // extra runner would only spin through every window with nothing to claim.
+  threads_ = config.threads == 1
+                 ? 1
+                 : std::min(n, resolve_thread_count(
+                                   static_cast<std::int64_t>(config.threads)));
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -96,13 +99,12 @@ void ShardedSimulator::send(std::size_t src, std::size_t dst, double delay_s,
   require(src < shards_.size() && dst < shards_.size(),
           "ShardedSimulator: shard index out of range");
   require(static_cast<bool>(fn), "ShardedSimulator: empty event function");
-  if (t_current_shard != kNoShard) {
-    ensure(t_current_shard == src,
-           "ShardedSimulator::send: an event executing on shard " +
-               std::to_string(t_current_shard) +
-               " tried to send as shard " + std::to_string(src) +
-               " — cross-shard sends must originate from their own kernel");
-  }
+  ensure(t_current_shard == kNoShard || t_current_shard == src, [&] {
+    return "ShardedSimulator::send: an event executing on shard " +
+           std::to_string(t_current_shard) + " tried to send as shard " +
+           std::to_string(src) +
+           " — cross-shard sends must originate from their own kernel";
+  });
   Shard& s = *shards_[src];
   if (src == dst) {
     // Loopback: an ordinary local schedule, no conservative constraint.
@@ -131,12 +133,11 @@ void ShardedSimulator::send_tagged(std::size_t src, std::size_t dst,
                                    std::vector<std::uint64_t> payload) {
   require(src < shards_.size() && dst < shards_.size(),
           "ShardedSimulator: shard index out of range");
-  if (t_current_shard != kNoShard) {
-    ensure(t_current_shard == src,
-           "ShardedSimulator::send_tagged: an event executing on shard " +
-               std::to_string(t_current_shard) + " tried to send as shard " +
-               std::to_string(src));
-  }
+  ensure(t_current_shard == kNoShard || t_current_shard == src, [&] {
+    return "ShardedSimulator::send_tagged: an event executing on shard " +
+           std::to_string(t_current_shard) + " tried to send as shard " +
+           std::to_string(src);
+  });
   require(static_cast<bool>(tagged_delivery_),
           "ShardedSimulator::send_tagged: no tagged-delivery hook installed");
   Shard& s = *shards_[src];
@@ -252,10 +253,30 @@ std::size_t ShardedSimulator::run_window(double stop_s, bool inclusive) {
     }
   };
   try {
-    if (pool_) {
-      pool_->parallel_for(n, chunk);
-    } else {
+    if (threads_ == 1) {
       chunk(0, n);
+    } else {
+      // Pool or coordinator, by the cost of recent windows. On a 4-vCPU
+      // host a pooled window pays ~5 us of fork-join hand-off and shard
+      // state moving between cores, while the control-plane drills' windows
+      // hold ~2 us of events (4.7 events each) and the 4-DC fleet storm's
+      // 0.4-10 ms; event counts cannot tell them apart (5.7 per fleet
+      // window), wall time can. 50 us keeps the drills inline and the
+      // fleet on the pool. The estimate halves instead of resetting: with
+      // a last-window-only rule, the fleet's heavy windows that follow
+      // 1-4 us message windows at an outage onset ran inline and fleet reps
+      // were 10-18% slower; halving sends 186 of its 187 windows to the
+      // pool.
+      const auto start = std::chrono::steady_clock::now();
+      if (window_cost_ >= kPoolWindowCost) {
+        if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
+        ++windows_pooled_;
+        pool_->parallel_for(n, chunk);
+      } else {
+        chunk(0, n);
+      }
+      window_cost_ = std::max(std::chrono::steady_clock::now() - start,
+                              window_cost_ / 2);
     }
   } catch (...) {
     running_ = false;
@@ -286,12 +307,13 @@ std::size_t ShardedSimulator::drain_parked(double min_legal_when_s) {
         double when = std::max(dv.when_s, s.down_floor[dst]);
         s.down_floor[dst] = when;
         if (dv.redeliveries > 0) ++s.redelivered;
-        ensure(when >= min_legal_when_s,
-               "ShardedSimulator: a healed link released a message for t=" +
-                   std::to_string(when) +
-                   " inside the already-executed horizon t=" +
-                   std::to_string(min_legal_when_s) +
-                   " — heal() must be called with end_s >= horizon_s()");
+        ensure(when >= min_legal_when_s, [&] {
+          return "ShardedSimulator: a healed link released a message for t=" +
+                 std::to_string(when) +
+                 " inside the already-executed horizon t=" +
+                 std::to_string(min_legal_when_s) +
+                 " — heal() must be called with end_s >= horizon_s()";
+        });
         Message m;
         m.fn = std::move(p.fn);
         m.tagged = p.tagged;
@@ -312,11 +334,12 @@ std::size_t ShardedSimulator::deliver_all(double min_legal_when_s) {
     for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
       auto& box = src->outbox[dst];
       for (Message& m : box) {
-        ensure(m.when_s >= min_legal_when_s,
-               "ShardedSimulator: conservative horizon violated — a message "
-               "for t=" + std::to_string(m.when_s) +
-                   " arrived after the window ending at t=" +
-                   std::to_string(min_legal_when_s) + " was already executed");
+        ensure(m.when_s >= min_legal_when_s, [&] {
+          return "ShardedSimulator: conservative horizon violated — a message "
+                 "for t=" + std::to_string(m.when_s) +
+                 " arrived after the window ending at t=" +
+                 std::to_string(min_legal_when_s) + " was already executed";
+        });
         deliver_message(dst, m.when_s, m);
         ++delivered;
       }
@@ -472,10 +495,10 @@ void ShardedSimulator::restore_state(SnapshotReader& r) {
   ensure(!running_, "ShardedSimulator: restore_state during a run");
   r.expect_section(kFederationMagic, kFederationVersion);
   const std::uint64_t n = r.read_u64();
-  require(n == shards_.size(),
-          "ShardedSimulator: snapshot has " + std::to_string(n) +
-              " shards but this federation has " +
-              std::to_string(shards_.size()));
+  require(n == shards_.size(), [&] {
+    return "ShardedSimulator: snapshot has " + std::to_string(n) +
+           " shards but this federation has " + std::to_string(shards_.size());
+  });
   const double now = r.read_f64();
   const double horizon = r.read_f64();
   require(std::isfinite(now) && std::isfinite(horizon) && horizon <= now,

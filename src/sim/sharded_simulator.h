@@ -13,23 +13,32 @@
 //
 //     ng = min over shards of shard.next_time()
 //
-// and lets every shard run, in parallel on a ThreadPool, all events with
-// timestamp strictly inside the window [ng, ng + L), where L is the minimum
-// cross-shard lookahead — the smallest inter-datacenter network latency
-// floor. Conservative safety: an event at time t >= ng can only emit a
-// cross-shard message with delivery time >= t + L >= ng + L, i.e. beyond
-// the window, so no message ever arrives for a time range a shard has
-// already executed. At the barrier the coordinator drains the mailboxes
-// serially in (src, dst, send-order) order, which pins the destination
-// kernel's sequence numbers — and therefore every same-timestamp tie —
-// independently of thread count. Results are bit-identical at any
-// shard/thread count by construction.
+// and lets every shard run all events with timestamp strictly inside the
+// window [ng, ng + L), where L is the minimum cross-shard lookahead — the
+// smallest inter-datacenter network latency floor. Conservative safety: an
+// event at time t >= ng can only emit a cross-shard message with delivery
+// time >= t + L >= ng + L, i.e. beyond the window, so no message ever
+// arrives for a time range a shard has already executed. At the barrier the
+// coordinator drains the mailboxes serially in (src, dst, send-order)
+// order, which pins the destination kernel's sequence numbers — and
+// therefore every same-timestamp tie — independently of thread count.
+// Results are bit-identical at any shard/thread count by construction.
+//
+// Thread dispatch: with threads > 1 a window runs its shards in parallel on
+// a ThreadPool only when recent windows were expensive (kPoolWindowCost);
+// a cheap window runs its shards in order on the coordinator, because a
+// fork-join round trip costs more than a few microseconds of events. The
+// pool is built by the first window that needs it, so a barrier-bound world
+// never builds one.
 //
 // Determinism contract (same bar as every subsystem in this repo):
 //   * within a window, a shard touches only its own kernel and its own
 //     outbox row — no shared mutable state, no locks, no atomics;
 //   * window boundaries are a pure function of event timestamps and the
 //     lookahead matrix — never of wall-clock or thread scheduling;
+//   * which thread runs a window (the coordinator, or the pool) depends on
+//     the wall-clock cost of recent windows, but nothing a shard computes
+//     does: the inline path runs the same per-shard windows in shard order;
 //   * mailbox drain order is (src shard asc, dst shard asc, append order),
 //     fixed regardless of which worker ran which shard.
 //
@@ -38,6 +47,7 @@
 // tests replay fig1-fig4 and the retry-storm scenario anchors through it).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -57,8 +67,10 @@ namespace epm::sim {
 struct ShardedConfig {
   /// Number of shards (federated kernels); one per datacenter/zone.
   std::size_t shards = 1;
-  /// Worker threads driving shard windows: 1 = serial (default, runs inline
-  /// with no pool), 0 = default_thread_count(), n>1 = a pool of n.
+  /// Threads that may run one window's shards: 1 = always on the calling
+  /// thread (default, no pool), 0 = default_thread_count(), n > 1 = a pool
+  /// of min(n, shards) runners, built by the first window costly enough to
+  /// use it (see ShardedSimulator::kPoolWindowCost).
   std::size_t threads = 1;
   /// Uniform cross-shard lookahead floor (seconds), used when the full
   /// matrix below is empty. Must be > 0 when shards > 1: this is the
@@ -82,15 +94,16 @@ struct ShardedConfig {
 /// from an event callback throws.
 class ShardedSimulator {
  public:
+  /// A window goes to the pool only when the recent-window cost estimate
+  /// (see run_window) is at least this; cheaper ones run on the coordinator.
+  static constexpr std::chrono::microseconds kPoolWindowCost{50};
+
   explicit ShardedSimulator(ShardedConfig config);
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
   ~ShardedSimulator();
 
   std::size_t shard_count() const { return shards_.size(); }
-  std::size_t thread_count() const {
-    return pool_ ? pool_->thread_count() : 1;
-  }
 
   /// Direct access to shard i's kernel, for world construction and for
   /// shard-local scheduling from that shard's own event callbacks.
@@ -180,6 +193,9 @@ class ShardedSimulator {
 
   /// Diagnostics.
   std::uint64_t windows_run() const { return windows_run_; }
+  /// Windows handed to the pool rather than run on the coordinator. Depends
+  /// on wall-clock window costs, so it varies between runs; results do not.
+  std::uint64_t windows_pooled() const { return windows_pooled_; }
   std::uint64_t messages_sent() const;
   /// Messages currently parked behind open partition windows.
   std::uint64_t messages_parked() const;
@@ -254,7 +270,8 @@ class ShardedSimulator {
   /// barrier, in (src, dst, FIFO) order. Returns messages delivered.
   std::size_t drain_parked(double min_legal_when_s);
 
-  /// Runs one window on every shard (parallel when a pool exists).
+  /// Runs one window on every shard: on the pool when recent windows cost
+  /// at least kPoolWindowCost, else in shard order on the calling thread.
   /// `inclusive` windows use run_until (events at exactly `stop_s` fire and
   /// clocks advance to it — the final stretch of a run_until call);
   /// exclusive windows use run_before. Returns events executed.
@@ -268,13 +285,18 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<double> lookahead_;  ///< row-major shards x shards
   double min_lookahead_s_ = 0.0;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 1
+  std::size_t threads_ = 1;  ///< pool runners, min(threads, shards)
+  std::unique_ptr<ThreadPool> pool_;  ///< built by the first pooled window
+  /// Decaying estimate of recent window cost (wall clock); read only when
+  /// threads_ > 1.
+  std::chrono::steady_clock::duration window_cost_{};
   const network::InterDcLinkPlan* link_plan_ = nullptr;  ///< non-owning
   TaggedDelivery tagged_delivery_;
   double now_s_ = 0.0;
   double horizon_s_ = 0.0;
   bool running_ = false;
   std::uint64_t windows_run_ = 0;
+  std::uint64_t windows_pooled_ = 0;
 };
 
 }  // namespace epm::sim

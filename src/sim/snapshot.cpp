@@ -151,14 +151,16 @@ void TaggedKernel::on(std::uint64_t tag, TagHandler handler) {
   require(static_cast<bool>(handler), "TaggedKernel: empty handler");
   const auto [it, inserted] = handlers_.emplace(tag, std::move(handler));
   (void)it;
-  require(inserted, "TaggedKernel: tag " + std::to_string(tag) +
-                        " already has a handler");
+  require(inserted, [&] {
+    return "TaggedKernel: tag " + std::to_string(tag) + " already has a handler";
+  });
 }
 
 std::uint64_t TaggedKernel::add_record(double when_s, double period_s,
                                        std::uint64_t tag, TagPayload payload) {
-  require(handlers_.count(tag) > 0,
-          "TaggedKernel: no handler registered for tag " + std::to_string(tag));
+  require(handlers_.count(tag) > 0, [&] {
+    return "TaggedKernel: no handler registered for tag " + std::to_string(tag);
+  });
   const std::uint64_t id = next_id_++;
   Record rec;
   rec.when_s = when_s;
@@ -211,8 +213,9 @@ void TaggedKernel::fire(std::uint64_t id) {
     add_record(now + rec.period_s, rec.period_s, rec.tag, rec.payload);
   }
   const auto hit = handlers_.find(rec.tag);
-  ensure(hit != handlers_.end(), "TaggedKernel: handler vanished for tag " +
-                                     std::to_string(rec.tag));
+  ensure(hit != handlers_.end(), [&] {
+    return "TaggedKernel: handler vanished for tag " + std::to_string(rec.tag);
+  });
   hit->second(now, rec.payload);
 }
 

@@ -122,9 +122,10 @@ std::string client_conservation_report(const ClientLedger& led,
 ClientPopulation::ClientPopulation(ClientPopulationConfig config)
     : config_(config) {
   validate_client_population_config(config_);
-  const std::size_t resolved =
-      resolve_thread_count(static_cast<std::int64_t>(config_.threads));
-  if (resolved > 1) pool_ = std::make_unique<ThreadPool>(resolved);
+  // One runner per shard range at most: every sweep has kShards tasks.
+  const std::size_t runners = std::min(
+      kShards, resolve_thread_count(static_cast<std::int64_t>(config_.threads)));
+  if (runners > 1) pool_ = std::make_unique<ThreadPool>(runners);
 
   // Stream layout matches the legacy engine's sequential seeder exactly:
   // seeder draw 1 seeds the disconnect-selection stream, draw id + 2 seeds

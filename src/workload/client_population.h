@@ -92,8 +92,8 @@ struct ClientPopulationConfig {
   std::uint64_t seed = 7;
   /// Worker threads for the sharded epoch sweeps: 1 (default) sweeps
   /// serially, 0 resolves EPM_THREADS / hardware_concurrency, N >= 2 runs
-  /// the fixed shard partition on an internal ThreadPool. Results are
-  /// bit-identical at every value.
+  /// the fixed shard partition on an internal ThreadPool of min(N, kShards)
+  /// runners. Results are bit-identical at every value.
   std::size_t threads = 1;
 };
 

@@ -25,7 +25,8 @@ double parse_number(const std::string& cell) {
   } catch (const std::exception&) {
     throw std::invalid_argument("trace_io: non-numeric cell '" + cell + "'");
   }
-  require(pos == cell.size(), "trace_io: trailing junk in cell '" + cell + "'");
+  require(pos == cell.size(),
+          [&] { return "trace_io: trailing junk in cell '" + cell + "'"; });
   return v;
 }
 
@@ -54,9 +55,9 @@ void write_csv(std::ostream& out, const std::vector<NamedSeries>& columns) {
 
 void write_csv_file(const std::string& path, const std::vector<NamedSeries>& columns) {
   std::ofstream f(path);
-  require(f.good(), "write_csv_file: cannot open " + path);
+  require(f.good(), [&] { return "write_csv_file: cannot open " + path; });
   write_csv(f, columns);
-  require(f.good(), "write_csv_file: write failed for " + path);
+  require(f.good(), [&] { return "write_csv_file: write failed for " + path; });
 }
 
 std::vector<NamedSeries> read_csv(std::istream& in) {
@@ -99,7 +100,7 @@ std::vector<NamedSeries> read_csv(std::istream& in) {
 
 std::vector<NamedSeries> read_csv_file(const std::string& path) {
   std::ifstream f(path);
-  require(f.good(), "read_csv_file: cannot open " + path);
+  require(f.good(), [&] { return "read_csv_file: cannot open " + path; });
   return read_csv(f);
 }
 

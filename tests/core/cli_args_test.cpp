@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
+
 namespace epm {
 namespace {
 
@@ -54,11 +56,22 @@ TEST(CliArgs, NumericParsing) {
 }
 
 TEST(CliArgs, MalformedInputs) {
-  EXPECT_THROW(parse({"run", "stray-positional"}), std::invalid_argument);
-  EXPECT_THROW(parse({"run", "--"}), std::invalid_argument);
-  const auto args = parse({"x", "--rate", "abc", "--flagval", "7"});
-  EXPECT_THROW(args.get("rate", 0.0), std::invalid_argument);
-  EXPECT_THROW(args.get_switch("flagval"), std::invalid_argument);
+  // Every rejection is a UsageError, which a CLI reports as exit 2.
+  EXPECT_THROW(parse({"run", "stray-positional"}), UsageError);
+  EXPECT_THROW(parse({"run", "--"}), UsageError);
+  const auto args = parse({"x", "--rate", "abc", "--count", "7x", "--flagval", "7"});
+  EXPECT_THROW(args.get("rate", 0.0), UsageError);
+  EXPECT_THROW(args.get("count", std::int64_t{0}), UsageError);
+  EXPECT_THROW(args.get_switch("flagval"), UsageError);
+}
+
+TEST(CliArgs, ThreadsMustLieWithinTheBound) {
+  // Only threads() is called: nothing here builds a pool.
+  EXPECT_EQ(parse({"x", "--threads", "3"}).threads(), 3u);
+  EXPECT_EQ(parse({"x", "--threads", "1024"}).threads(), kMaxThreads);
+  for (const char* bad : {"1025", "100000", "0", "-3", "abc"}) {
+    EXPECT_THROW(parse({"x", "--threads", bad}).threads(), UsageError) << bad;
+  }
 }
 
 TEST(CliArgs, UnusedFlagsReported) {

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,27 @@ TEST(ThreadPool, ThreadCountResolution) {
   EXPECT_EQ(resolve_thread_count(-5), default_thread_count());
   ThreadPool pool(5);
   EXPECT_EQ(pool.thread_count(), 5u);
+}
+
+TEST(ThreadPool, DefaultThreadCountIgnoresOutOfRangeEnv) {
+  // Only default_thread_count() is called: nothing here builds a pool.
+  const char* saved = std::getenv("EPM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  unsetenv("EPM_THREADS");
+  const std::size_t fallback = default_thread_count();
+  setenv("EPM_THREADS", "3", 1);
+  EXPECT_EQ(default_thread_count(), 3u);
+  setenv("EPM_THREADS", "1024", 1);
+  EXPECT_EQ(default_thread_count(), kMaxThreads);
+  for (const char* bad : {"1025", "100000", "99999999999999999999", "0", "-2", "abc"}) {
+    setenv("EPM_THREADS", bad, 1);
+    EXPECT_EQ(default_thread_count(), fallback) << bad;
+  }
+  if (saved != nullptr) {
+    setenv("EPM_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("EPM_THREADS");
+  }
 }
 
 TEST(ThreadPool, EmptyRangeRunsNothing) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/require.h"
 
 namespace epm {
@@ -43,6 +47,28 @@ TEST(Require, ThrowsTypedExceptions) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "the message");
   }
+}
+
+TEST(Require, FormatsACallableMessageOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return "value " + std::to_string(built);
+  };
+  require(true, message);
+  ensure(true, message);
+  EXPECT_EQ(built, 0);
+  try {
+    require(false, message);
+    ADD_FAILURE() << "require(false) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "value 1");
+  }
+  EXPECT_THROW(ensure(false, message), std::logic_error);
+  EXPECT_EQ(built, 2);
+  // The condition is evaluated as written: a NaN comparison still fails.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(require(nan > 0.0, message), std::invalid_argument);
 }
 
 }  // namespace

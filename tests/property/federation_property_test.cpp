@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -244,8 +245,16 @@ TEST(FederationProperty, GuardsHoldOnTheShardTheCoordinatorRuns) {
   // execute on the coordinator thread itself. It must hit the same guards
   // as a worker-run event. Worker-run events hold until the coordinator has
   // run one; with 4 shards and 3 workers it is then guaranteed a shard.
+  // A first window that busy-waits past the pool threshold sends the t = 1
+  // window to the pool (cheap windows run inline on the coordinator).
   const auto coordinator = std::this_thread::get_id();
   ShardedSimulator fed(uniform_config(4, 4, 0.25));
+  fed.shard(0).schedule_at(0.5, [] {
+    const auto until = std::chrono::steady_clock::now() +
+                       2 * ShardedSimulator::kPoolWindowCost;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
   std::atomic<bool> coordinator_ran{false};
   std::string reentry_error;
   std::string impersonation_error;
@@ -270,6 +279,7 @@ TEST(FederationProperty, GuardsHoldOnTheShardTheCoordinatorRuns) {
     });
   }
   fed.run_until(5.0);
+  EXPECT_EQ(fed.windows_pooled(), 1u);
   EXPECT_TRUE(coordinator_ran.load());
   EXPECT_NE(reentry_error.find("re-entered"), std::string::npos) << reentry_error;
   EXPECT_NE(impersonation_error.find("tried to send as shard"), std::string::npos)

@@ -9,17 +9,24 @@
 // executions see the very same event tree even though their interleavings
 // differ.
 //
-// Also here: the "degenerate federation" golden invariants (figure tables
-// and the retry-storm scenario replayed through a 1-shard federation are
-// bit-identical to their direct computations), concurrent storms on
-// different shards of one federation, and the cross-kernel regression tests
-// for faults::FaultInjector and sensing::ActuatorPlane.
+// Also here: the thread-dispatch suite (windows costlier than
+// ShardedSimulator::kPoolWindowCost run on the pool, cheaper ones on the
+// coordinator, with identical results), the "degenerate federation" golden
+// invariants (figure tables and the retry-storm scenario replayed through a
+// 1-shard federation are bit-identical to their direct computations),
+// concurrent storms on different shards of one federation, and the
+// cross-kernel regression tests for faults::FaultInjector and
+// sensing::ActuatorPlane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,16 +51,38 @@ namespace {
 
 /// Distinct per-pair lookahead floors; the continuous event times the
 /// script draws never coincide across shards, so the merged fire order the
-/// single kernel produces is unambiguous.
-std::vector<double> script_floors(std::size_t shards) {
+/// single kernel produces is unambiguous. `scale` widens every window.
+std::vector<double> script_floors(std::size_t shards, double scale = 1.0) {
   std::vector<double> floors(shards * shards, 0.0);
   for (std::size_t s = 0; s < shards; ++s) {
     for (std::size_t d = 0; d < shards; ++d) {
-      if (s != d) floors[s * shards + d] = 0.011 + 0.003 * (s * shards + d);
+      if (s != d) floors[s * shards + d] = scale * (0.011 + 0.003 * (s * shards + d));
     }
   }
   return floors;
 }
+
+/// Busy-waits for `d` of wall-clock time: an event this long makes its
+/// window cost more than the federation's inline-dispatch threshold.
+void spin_for(std::chrono::steady_clock::duration d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Twice the pool threshold: a window holding one such event sends the
+/// federation's next window to the pool.
+constexpr auto kHeavyEvent = 2 * ShardedSimulator::kPoolWindowCost;
+
+/// The shape of a randomized script; the defaults are the conformance
+/// script's.
+struct ScriptShape {
+  std::uint64_t roots_per_shard = 800;
+  /// Scales every lookahead floor (see script_floors).
+  double floor_scale = 1.0;
+  /// Wall-clock busy-wait per event (zero: none).
+  std::chrono::steady_clock::duration spin{};
+};
 
 /// A self-expanding event forest over a Fabric. Event (shard, id) logs its
 /// firing, then spawns 0-2 local children and possibly one cross-shard
@@ -63,23 +92,27 @@ std::vector<double> script_floors(std::size_t shards) {
 /// which bounds every tree without any order-dependent state.
 struct ScriptWorld {
   static constexpr std::uint64_t kMaxSpawnId = 500000;
-  static constexpr std::uint64_t kRootsPerShard = 800;
 
   Fabric& fab;
   std::uint64_t seed;
   std::size_t shards;
+  ScriptShape shape;
   std::vector<double> floors;
   /// Per-shard logs: only the shard's own kernel appends to its log, so
   /// multi-threaded federation runs are race-free, and the per-kernel order
   /// is exactly the kernel's execution order.
   std::vector<std::vector<std::pair<double, std::uint64_t>>> logs;
+  /// Per-shard ids of the threads that ran each firing (same ownership).
+  std::vector<std::vector<std::thread::id>> ran_on;
 
-  ScriptWorld(Fabric& fabric, std::uint64_t s)
+  ScriptWorld(Fabric& fabric, std::uint64_t s, ScriptShape script_shape = {})
       : fab(fabric),
         seed(s),
         shards(fabric.shard_count()),
-        floors(script_floors(shards)),
-        logs(shards) {}
+        shape(script_shape),
+        floors(script_floors(shards, shape.floor_scale)),
+        logs(shards),
+        ran_on(shards) {}
 
   static double uniform(SplitMix64& rng) {
     return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
@@ -87,7 +120,7 @@ struct ScriptWorld {
 
   void seed_roots() {
     for (std::size_t s = 0; s < shards; ++s) {
-      for (std::uint64_t r = 0; r < kRootsPerShard; ++r) {
+      for (std::uint64_t r = 0; r < shape.roots_per_shard; ++r) {
         SplitMix64 rng(seed ^ 0x5eedULL ^ (s * SplitMix64::kGamma) ^
                        (r * 0x94d049bb133111ebULL));
         const double start = uniform(rng);
@@ -100,6 +133,8 @@ struct ScriptWorld {
   void fire(std::size_t shard, std::uint64_t id) {
     const double now = fab.kernel(shard).now();
     logs[shard].emplace_back(now, id);
+    ran_on[shard].push_back(std::this_thread::get_id());
+    spin_for(shape.spin);
     if (id > kMaxSpawnId) return;
     SplitMix64 rng(seed ^ (0xbf58476d1ce4e5b9ULL * (shard + 1)) ^
                    (id * 0x94d049bb133111ebULL));
@@ -130,10 +165,11 @@ struct ScriptResult {
   std::vector<std::pair<std::size_t, double>> probes;  ///< (pending, now)
   std::vector<double> final_clocks;
   std::size_t fires = 0;
+  std::set<std::thread::id> threads_seen;
 };
 
-ScriptResult run_script(Fabric& fab, std::uint64_t seed) {
-  ScriptWorld world(fab, seed);
+ScriptResult run_script(Fabric& fab, std::uint64_t seed, ScriptShape shape = {}) {
+  ScriptWorld world(fab, seed, shape);
   world.seed_roots();
   ScriptResult result;
   // A ladder of partial runs exercises run_until's inclusive final-stretch
@@ -146,8 +182,27 @@ ScriptResult run_script(Fabric& fab, std::uint64_t seed) {
   for (std::size_t s = 0; s < fab.shard_count(); ++s) {
     result.final_clocks.push_back(fab.kernel(s).now());
     result.fires += result.logs[s].size();
+    result.threads_seen.insert(world.ran_on[s].begin(), world.ran_on[s].end());
   }
   return result;
+}
+
+/// Asserts a federation run fired exactly what the single kernel fired,
+/// reporting the first fire that differs.
+void expect_same_run(const ScriptResult& got, const ScriptResult& truth,
+                     const std::string& label) {
+  ASSERT_EQ(got.logs.size(), truth.logs.size()) << label;
+  for (std::size_t s = 0; s < truth.logs.size(); ++s) {
+    ASSERT_EQ(got.logs[s].size(), truth.logs[s].size()) << label << " shard " << s;
+    for (std::size_t i = 0; i < got.logs[s].size(); ++i) {
+      ASSERT_EQ(got.logs[s][i].first, truth.logs[s][i].first)
+          << label << " shard " << s << " fire " << i;
+      ASSERT_EQ(got.logs[s][i].second, truth.logs[s][i].second)
+          << label << " shard " << s << " fire " << i;
+    }
+  }
+  EXPECT_EQ(got.probes, truth.probes) << label;
+  EXPECT_EQ(got.final_clocks, truth.final_clocks) << label;
 }
 
 TEST(FederationDifferential, ShardedMatchesSingleKernelOnRandomScripts) {
@@ -170,25 +225,11 @@ TEST(FederationDifferential, ShardedMatchesSingleKernelOnRandomScripts) {
         ShardedFabric fabric(fed);
         const ScriptResult got = run_script(fabric, seed);
 
-        const auto label = [&] {
-          return ::testing::Message()
-                 << "seed " << seed << " shards " << shards << " threads "
-                 << threads;
-        };
-        ASSERT_EQ(got.logs.size(), truth.logs.size()) << label();
-        for (std::size_t s = 0; s < shards; ++s) {
-          ASSERT_EQ(got.logs[s].size(), truth.logs[s].size())
-              << label() << " shard " << s;
-          for (std::size_t i = 0; i < got.logs[s].size(); ++i) {
-            ASSERT_EQ(got.logs[s][i].first, truth.logs[s][i].first)
-                << label() << " shard " << s << " fire " << i;
-            ASSERT_EQ(got.logs[s][i].second, truth.logs[s][i].second)
-                << label() << " shard " << s << " fire " << i;
-          }
-        }
-        EXPECT_EQ(got.probes, truth.probes) << label();
-        EXPECT_EQ(got.final_clocks, truth.final_clocks) << label();
-        EXPECT_EQ(got.probes.back().first, 0u) << label();
+        const std::string label = "seed " + std::to_string(seed) + " shards " +
+                                  std::to_string(shards) + " threads " +
+                                  std::to_string(threads);
+        expect_same_run(got, truth, label);
+        EXPECT_EQ(got.probes.back().first, 0u) << label;
       }
     }
   }
@@ -215,6 +256,144 @@ TEST(FederationDifferential, RunAllDrainsEverythingIdentically) {
   EXPECT_EQ(fed.pending(), 0u);
   EXPECT_GT(fed.messages_sent(), 0u);
   EXPECT_GT(fed.windows_run(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Thread dispatch: costly windows on the pool, cheap ones on the coordinator
+// ---------------------------------------------------------------------------
+
+TEST(FederationDispatch, HeavyWindowsRunOnThePoolAndMatchTheSingleKernel) {
+  // Every event busy-waits past twice the pool threshold, so every window
+  // after the first (which always runs inline: there is no cost estimate
+  // yet) goes to the pool, whatever the host's speed. Floors 20x the
+  // conformance script's widen the windows until most hold events on
+  // several shards, which the pool's workers then share.
+  const std::uint64_t seed = 31337;
+  const std::size_t shards = 4;
+  ScriptShape shape;
+  shape.roots_per_shard = 2;
+  shape.floor_scale = 20.0;
+  SingleKernelFabric single(shards);
+  const ScriptResult truth = run_script(single, seed, shape);
+  ASSERT_GE(truth.fires, 100u) << "script too small to be meaningful";
+  shape.spin = kHeavyEvent;
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ShardedConfig config;
+    config.shards = shards;
+    config.threads = threads;
+    config.lookahead_s = script_floors(shards, shape.floor_scale);
+    ShardedSimulator fed(config);
+    ShardedFabric fabric(fed);
+    const ScriptResult got = run_script(fabric, seed, shape);
+    const std::string label = "threads " + std::to_string(threads);
+    expect_same_run(got, truth, label);
+    ASSERT_GT(fed.windows_run(), 1u) << label;
+    EXPECT_EQ(fed.windows_pooled(), threads == 1 ? 0 : fed.windows_run() - 1)
+        << label;
+    if (threads == 1) {
+      EXPECT_EQ(got.threads_seen.size(), 1u) << label;
+    } else if (threads == 8) {
+      EXPECT_GT(got.threads_seen.size(), 1u) << label;
+    }
+  }
+}
+
+TEST(FederationDispatch, AlternatingHeavyAndLightWindowsBuildThePoolMidRun) {
+  // One light window, then heavy windows (every shard busy-waits) that
+  // alternate with 1-event windows, each of which forwards a message to the
+  // next shard. The first window runs inline and builds no pool; every
+  // window after a heavy one goes to the pool, and light ones drift back to
+  // the coordinator as the cost estimate halves. The fire order must not
+  // notice any of it.
+  constexpr std::size_t kShards = 4;
+  constexpr int kRounds = 12;
+  using Log = std::vector<std::vector<std::pair<double, int>>>;
+  struct Run {
+    Log logs;
+    std::uint64_t windows = 0;
+    std::uint64_t pooled = 0;
+    std::uint64_t pooled_after_first_run = 0;
+  };
+  const auto run = [&](std::size_t threads) {
+    ShardedConfig config;
+    config.shards = kShards;
+    config.threads = threads;
+    config.uniform_lookahead_s = 0.25;
+    ShardedSimulator fed(config);
+    Run out;
+    out.logs.resize(kShards);
+    const auto log = [&fed, &out](std::size_t s, int what) {
+      out.logs[s].emplace_back(fed.shard(s).now(), what);
+    };
+    fed.shard(0).schedule_at(1.0, [log] { log(0, -1); });
+    for (int k = 0; k < kRounds; ++k) {
+      const double heavy_s = 10.0 + 2.0 * k;
+      for (std::size_t s = 0; s < kShards; ++s) {
+        fed.shard(s).schedule_at(heavy_s, [log, s, k] {
+          spin_for(kHeavyEvent);
+          log(s, 100 + k);
+        });
+      }
+      const std::size_t light = static_cast<std::size_t>(k) % kShards;
+      const std::size_t next = (light + 1) % kShards;
+      fed.shard(light).schedule_at(heavy_s + 1.0, [&fed, log, light, next, k] {
+        log(light, 200 + k);
+        fed.send(light, next, 0.5, [log, next, k] { log(next, 300 + k); });
+      });
+    }
+    fed.run_until(5.0);
+    out.pooled_after_first_run = fed.windows_pooled();
+    fed.run_all();
+    out.windows = fed.windows_run();
+    out.pooled = fed.windows_pooled();
+    return out;
+  };
+
+  const Run serial = run(1);
+  ASSERT_EQ(serial.logs[0].front(), (std::pair<double, int>{1.0, -1}));
+  EXPECT_EQ(serial.windows, 1u + 3u * kRounds);
+  EXPECT_EQ(serial.pooled, 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const Run got = run(threads);
+    EXPECT_EQ(got.logs, serial.logs) << "threads " << threads;
+    EXPECT_EQ(got.windows, serial.windows) << "threads " << threads;
+    EXPECT_EQ(got.pooled_after_first_run, 0u) << "threads " << threads;
+    // Each heavy window sends the one after it to the pool; the first
+    // window always runs inline.
+    EXPECT_GE(got.pooled, static_cast<std::uint64_t>(kRounds))
+        << "threads " << threads;
+    EXPECT_LT(got.pooled, got.windows) << "threads " << threads;
+  }
+}
+
+/// A 2-shard federation on 2 threads whose t = 2 window runs on the pool
+/// (a heavy t = 1 window precedes it), where shard 0 makes `bad` at t = 2.
+template <typename Error>
+void expect_rejected_in_pooled_window(void (*bad)(ShardedSimulator&),
+                                      const char* what) {
+  ShardedConfig config;
+  config.shards = 2;
+  config.threads = 2;
+  config.uniform_lookahead_s = 0.25;
+  ShardedSimulator fed(config);
+  fed.shard(0).schedule_at(1.0, [] { spin_for(kHeavyEvent); });
+  fed.shard(0).schedule_at(2.0, [&fed, bad] { bad(fed); });
+  fed.shard(1).schedule_at(2.0, [] {});  // keep both shards busy
+  EXPECT_THROW(fed.run_until(5.0), Error) << what;
+  EXPECT_EQ(fed.windows_pooled(), 1u) << what;
+}
+
+TEST(FederationDispatch, GuardsHoldInsideAPooledWindow) {
+  expect_rejected_in_pooled_window<std::logic_error>(
+      [](ShardedSimulator& fed) { fed.send(1, 0, 9.0, [] {}); },
+      "impersonation");
+  expect_rejected_in_pooled_window<std::invalid_argument>(
+      [](ShardedSimulator& fed) { fed.send(0, 1, 0.1, [] {}); },
+      "undersized send");
+  expect_rejected_in_pooled_window<std::logic_error>(
+      [](ShardedSimulator& fed) { fed.run_until(10.0); }, "re-entrant run");
 }
 
 // ---------------------------------------------------------------------------

@@ -96,9 +96,10 @@ int cmd_help() {
                                                         restore. --smoke = reduced sweep,
                                                         no partition variant
 
-  --threads T applies to the commands with parallel backends (availability,
-  replications); it defaults to the EPM_THREADS environment variable, else
-  the machine's hardware concurrency. Results never depend on T.
+  --threads T (1..1024) applies to the commands with parallel backends
+  (availability, replications); it defaults to the EPM_THREADS environment
+  variable, else the machine's hardware concurrency. Results never depend
+  on T.
 
   Exit codes: 0 success; 1 scenario verdict failed (e.g. the defended arm
   did not recover); 2 usage error; 3 conformance/gate failure (federation
@@ -999,6 +1000,8 @@ int main(int argc, char** argv) {
     if (cmd == "chaos") return cmd_chaos(args);
     if (cmd == "controlplane") return cmd_controlplane(args);
     return fail("unknown command '" + cmd + "' (see 'epmctl help')");
+  } catch (const UsageError& e) {
+    return fail(e.what());
   } catch (const std::exception& e) {
     std::cerr << "epmctl: runtime error: " << e.what() << "\n";
     return 4;
