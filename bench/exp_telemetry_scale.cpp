@@ -11,9 +11,11 @@
 // Emits BENCH_telemetry.json (one record per section, see telemetry_bench.h)
 // and exits non-zero when any gate fails: >= 100M points/minute shard-
 // parallel ingest, >= 8x sealed-block compression on the reference counter
-// mix, bit-identical answers vs the per-sample legacy reference store at
-// 1/2/8 threads before and after flush, and full recall of injected spikes
-// by the in-stream detector. The flushed store's bytes are reported. The Release CI lane runs `--smoke` (reduced mix, loose
+// mix, the same sealed bytes and anomaly events from a 1-runner and a
+// shard-parallel flush, bit-identical answers vs the per-sample legacy
+// reference store at 1/2/8 threads before and after flush, and full recall
+// of injected spikes by the in-stream detector. The flushed store's bytes
+// are reported. The Release CI lane runs `--smoke` (reduced mix, loose
 // throughput floor) on every push.
 #include <cstdio>
 

@@ -8,6 +8,11 @@
 //                              shard, then append whole shards in parallel
 //                              — at 1 thread and at `threads`; gated on
 //                              absolute points/minute
+//   telemetry_flush            shard-parallel flush() sealing every open
+//                              block of two identically ingested stores, one
+//                              on a 1-runner pool and one on `threads`;
+//                              both must seal the same payload bytes and
+//                              anomaly events
 //   telemetry_raw_bytes /      footprint of the same samples raw (16 B per
 //   telemetry_compressed_bytes point) vs the sealed-block payload; the
 //                              ratio is gated (>= min_compression_ratio)
@@ -20,19 +25,19 @@
 //
 // Verdict sections (no timing, gate only):
 //
-//   * legacy equivalence — the columnar store at 1/2/8 threads must answer
-//     range / daily_trend / hourly_pattern bit-identically to
-//     LegacyTelemetryStore, the per-sample reference, on the same batch,
-//     both over open blocks and after flush() (where the derived 15 s and
-//     1 min levels fold the sealed blocks alone);
+//   * legacy equivalence — the columnar store ingested and flushed on a
+//     1/2/8-thread pool must answer range / daily_trend / hourly_pattern
+//     bit-identically to LegacyTelemetryStore, the per-sample reference, on
+//     the same batch, both over open blocks and after flush() (where the
+//     derived 15 s and 1 min levels fold the sealed blocks alone);
 //   * anomaly recall — every spike injected by the generator must surface
 //     in anomalies(), and the event list must be identical at 1 vs
 //     `threads` ingest threads.
 //
 // The throughput gate is absolute (the paper's firehose is an absolute
 // claim: 2.4M points/minute for the 10k-server fleet; the store is gated at
-// >= 100M/minute, ~40 such fleets on one node). Compression and the two
-// verdicts are machine-independent.
+// >= 100M/minute, ~40 such fleets on one node). Compression, the flush
+// agreement and the two verdicts are machine-independent.
 #pragma once
 
 #include <algorithm>
@@ -89,11 +94,14 @@ inline void apply_smoke_preset(TelemetryBenchConfig& config) {
 struct TelemetryBenchOutcome {
   double ingest_wall_1t_s = 0.0;
   double ingest_wall_nt_s = 0.0;
+  double flush_wall_1t_s = 0.0;
+  double flush_wall_nt_s = 0.0;
   double points_per_min = 0.0;  ///< at `threads`
   double compression_ratio = 0.0;
   double store_bytes = 0.0;  ///< memory_bytes() after flush
   double band_query_s = 0.0;
   double raw_scan_s = 0.0;
+  bool flush_identical = false;  ///< 1 vs `threads` flush: same bytes, events
   bool legacy_identical = false;
   bool anomalies_recalled = false;
   bool anomalies_deterministic = false;
@@ -184,26 +192,34 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
     const auto batch = workload::synthesize_fleet_counters(mix);
     const auto points = static_cast<double>(batch.samples.size());
 
-    {
-      telemetry::ColumnarTelemetryStore store;
-      const double t0 = td::now_wall_s();
-      store.bulk_append(batch.samples, /*threads=*/1);
-      out.ingest_wall_1t_s = td::now_wall_s() - t0;
-      append_bench_record({"telemetry_ingest", 1, out.ingest_wall_1t_s, points});
-    }
-
+    // Ingest, then seal with flush(), on a 1-runner pool and on `threads`.
+    // Each store is flushed right after its own ingest, so only one store
+    // holds open columns at a time.
+    const auto ingest_and_flush = [&](telemetry::ColumnarTelemetryStore& store,
+                                      std::size_t runners, double& ingest_s,
+                                      double& flush_s) {
+      ThreadPool pool(runners);
+      double t0 = td::now_wall_s();
+      store.bulk_append(batch.samples, pool);
+      ingest_s = td::now_wall_s() - t0;
+      t0 = td::now_wall_s();
+      store.flush(pool);
+      flush_s = td::now_wall_s() - t0;
+      append_bench_record({"telemetry_ingest", runners, ingest_s, points});
+      append_bench_record({"telemetry_flush", runners, flush_s, points});
+    };
     telemetry::ColumnarTelemetryStore store;
     {
-      ThreadPool pool(threads);
-      const double t0 = td::now_wall_s();
-      store.bulk_append(batch.samples, pool);
-      out.ingest_wall_nt_s = td::now_wall_s() - t0;
-      append_bench_record({"telemetry_ingest", threads, out.ingest_wall_nt_s, points});
+      telemetry::ColumnarTelemetryStore serial;
+      ingest_and_flush(serial, 1, out.ingest_wall_1t_s, out.flush_wall_1t_s);
+      ingest_and_flush(store, threads, out.ingest_wall_nt_s, out.flush_wall_nt_s);
+      out.flush_identical =
+          serial.compressed_payload_bytes() == store.compressed_payload_bytes() &&
+          td::events_equal(serial.anomalies(), store.anomalies());
     }
     out.points_per_min =
         out.ingest_wall_nt_s > 0.0 ? points / out.ingest_wall_nt_s * 60.0 : 0.0;
 
-    store.flush();
     const double raw_bytes = static_cast<double>(store.sealed_samples()) * 16.0;
     const double payload = static_cast<double>(store.compressed_payload_bytes());
     out.compression_ratio = payload > 0.0 ? raw_bytes / payload : 0.0;
@@ -216,6 +232,10 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
                 "(%.1fM points/min)\n",
                 points / 1e6, out.ingest_wall_1t_s * 1e3,
                 out.ingest_wall_nt_s * 1e3, threads, out.points_per_min / 1e6);
+    std::printf("  flush (seal) %.2fM points: %.0f ms @ 1 thread, %.0f ms @ %zu "
+                "(payload and anomalies identical: %s)\n",
+                points / 1e6, out.flush_wall_1t_s * 1e3, out.flush_wall_nt_s * 1e3,
+                threads, out.flush_identical ? "yes" : "NO");
     std::printf("  sealed compression: %.2f MB raw -> %.2f MB (%.1fx)\n",
                 raw_bytes / 1e6, payload / 1e6, out.compression_ratio);
     std::printf("  flushed store holds %.2f MB (%.2f B/point)\n",
@@ -274,10 +294,11 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
     }
     out.legacy_identical = true;
     for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool(t);
       telemetry::ColumnarTelemetryStore columnar;
-      columnar.bulk_append(batch.samples, t);
+      columnar.bulk_append(batch.samples, pool);
       const bool open_ok = td::stores_answer_identically(legacy, columnar, mix, horizon_s);
-      columnar.flush();
+      columnar.flush(pool);
       if (!open_ok || !td::stores_answer_identically(legacy, columnar, mix, horizon_s)) {
         out.legacy_identical = false;
         std::printf("  legacy equivalence: MISMATCH at %zu threads (%s)\n", t,
@@ -339,13 +360,15 @@ inline TelemetryBenchOutcome run_telemetry_bench(const TelemetryBenchConfig& con
   const bool rate_ok = config.min_points_per_min <= 0.0 ||
                        out.points_per_min >= config.min_points_per_min;
   const bool compression_ok = out.compression_ratio >= config.min_compression_ratio;
-  out.gate_ok = rate_ok && compression_ok && out.legacy_identical &&
-                out.anomalies_recalled && out.anomalies_deterministic;
+  out.gate_ok = rate_ok && compression_ok && out.flush_identical &&
+                out.legacy_identical && out.anomalies_recalled &&
+                out.anomalies_deterministic;
   std::printf("  gates: ingest %s (%.1fM/min vs %.0fM), compression %s "
-              "(%.1fx vs %.0fx), equivalence %s, anomalies %s => %s\n",
+              "(%.1fx vs %.0fx), flush %s, equivalence %s, anomalies %s => %s\n",
               rate_ok ? "ok" : "FAIL", out.points_per_min / 1e6,
               config.min_points_per_min / 1e6, compression_ok ? "ok" : "FAIL",
               out.compression_ratio, config.min_compression_ratio,
+              out.flush_identical ? "ok" : "FAIL",
               out.legacy_identical ? "ok" : "FAIL",
               out.anomalies_recalled && out.anomalies_deterministic ? "ok"
                                                                     : "FAIL",

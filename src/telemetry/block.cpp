@@ -39,7 +39,8 @@ ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning
 }
 
 void ColumnSeries::append(double time_s, double value) {
-  require(time_s >= 0.0, "ColumnSeries: negative time");
+  require(time_s >= 0.0 && time_s <= max_binnable_time_s(levels_.front()),
+          "ColumnSeries: time must be finite, non-negative and within the bin range");
   require(time_s >= last_time_s_, "ColumnSeries: timestamps must be non-decreasing");
   if (total_samples_ == 0) {
     for (std::size_t l = 0; l < levels_.size(); ++l) {
@@ -116,7 +117,7 @@ template <typename Visit>
 void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
                                 Visit&& visit) const {
   require(level < levels_.size(), "ColumnSeries: level out of range");
-  require(t1_s >= t0_s, "ColumnSeries: inverted range");
+  check_band_window(levels_.front(), t0_s, t1_s);
   if (total_samples_ == 0) return;
   const LevelBins& lvl = levels_[level];
   const LevelWindow w = effective_window(level);
@@ -136,8 +137,18 @@ void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
       agg = lvl.at(bin);
     }
   };
-  // Folds a time-ordered column; false once a sample lies past `hi`.
+  // Folds a time-ordered column; false once a sample lies past `hi`. A
+  // column whose first and last samples share a bin inside [lo, hi] — an
+  // open tail answered from a coarse level, say — folds straight into that
+  // bin, in the same order, without re-binning every sample.
   const auto fold = [&](const double* times, const double* values, std::size_t n) {
+    if (n == 0) return true;
+    const std::int64_t b0 = lvl.bin_index(times[0]);
+    if (b0 >= lo && b0 <= hi && b0 == lvl.bin_index(times[n - 1])) {
+      advance_to(b0);
+      for (std::size_t i = 0; i < n; ++i) agg.add(values[i]);
+      return true;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t b = lvl.bin_index(times[i]);
       if (b < lo) continue;
@@ -172,6 +183,7 @@ Aggregate ColumnSeries::range_at_level(std::size_t level, double t0_s, double t1
 }
 
 Aggregate ColumnSeries::range(double t0_s, double t1_s) const {
+  check_band_window(levels_.front(), t0_s, t1_s);
   if (total_samples_ == 0) return {};
   // Finest level whose retained window still reaches back to t0_s — the
   // legacy selection rule, with the window in closed form.

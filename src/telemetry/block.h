@@ -14,13 +14,21 @@
 //                      values (compress.h), ~0.85 bytes/point on the
 //                      reference counter mix vs 16 raw.
 //
-// A series holds only what its data needs. The open columns grow with the
-// block and are freed when it seals. Only levels that reach back more than
-// a day (or forever) keep a stored bin row; the finer ones (by default
-// 15 s and 1 min) are derived at query time by folding the sealed blocks
-// that overlap the query's bins, plus the open block — at most a day of one
-// series. Raw-history queries decode the blocks their window overlaps, so
-// they equal a strict scan for any doubles.
+// A block seals when it fills or at flush() (the store seals its shards in
+// parallel, store.h). A series holds only what its data needs. The open
+// columns grow with the block and are freed when it seals. Only levels that
+// reach back more than a day (or forever) keep a stored bin row; the finer
+// ones (by default 15 s and 1 min) are derived at query time by folding the
+// sealed blocks that overlap the query's bins, plus the open block — at
+// most a day of one series. A column (the open block or a decoded sealed
+// block) whose first and last samples share one bin of the answering level
+// inside the query window folds straight into that bin: the same left fold,
+// continuing the bin's stored content in sample order, without binning each
+// sample. An open tail answered from the daily level — a trailing-hour
+// window that starts before the series does — takes that path. Raw-history
+// queries decode the blocks their window overlaps, so they equal a strict
+// scan for any doubles. Timestamps and band-query bounds must be finite and
+// binnable (multiscale.h, max_binnable_time_s).
 #pragma once
 
 #include <cstddef>
@@ -59,8 +67,8 @@ struct SealedBlock {
 };
 
 /// One counter's columnar history: sealed chain + open block + stored
-/// banding rows + streaming detector state. Appends must have non-decreasing
-/// timestamps (same contract as MultiScaleSeries).
+/// banding rows + streaming detector state. Appends must have non-decreasing,
+/// binnable timestamps (same contract as MultiScaleSeries).
 class ColumnSeries {
  public:
   ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning);

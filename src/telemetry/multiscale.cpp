@@ -59,6 +59,13 @@ std::size_t reserve_bin(LevelBins& lvl, std::int64_t bin) {
 
 }  // namespace
 
+void check_band_window(const LevelBins& finest, double t0_s, double t1_s) {
+  const double limit = max_binnable_time_s(finest);
+  require(std::abs(t0_s) <= limit && std::abs(t1_s) <= limit,
+          "band query: bounds must be finite and within the bin range");
+  require(t1_s >= t0_s, "band query: inverted range");
+}
+
 void LevelBins::add(double time_s, double value) {
   const std::size_t idx = reserve_bin(*this, bin_index(time_s));
   bins[idx].add(value);
@@ -115,7 +122,9 @@ MultiScaleSeries::MultiScaleSeries(MultiScaleConfig config)
     : levels_(make_level_bins(config)) {}
 
 void MultiScaleSeries::append(double time_s, double value) {
-  require(time_s >= 0.0, "MultiScaleSeries: negative time");
+  require(time_s >= 0.0 && time_s <= max_binnable_time_s(levels_.front()),
+          "MultiScaleSeries: time must be finite, non-negative and within the bin "
+          "range");
   require(time_s >= last_time_s_, "MultiScaleSeries: timestamps must be non-decreasing");
   last_time_s_ = time_s;
   ++total_samples_;
@@ -137,7 +146,7 @@ std::size_t MultiScaleSeries::level_bins(std::size_t level) const {
 Aggregate MultiScaleSeries::range_at_level(std::size_t level, double t0_s,
                                            double t1_s) const {
   require(level < levels_.size(), "MultiScaleSeries: level out of range");
-  require(t1_s >= t0_s, "MultiScaleSeries: inverted range");
+  check_band_window(levels_.front(), t0_s, t1_s);
   const LevelBins& lvl = levels_[level];
   Aggregate out;
   if (lvl.bins.empty()) return out;
@@ -168,7 +177,7 @@ MultiScaleSeries::BinnedMeans MultiScaleSeries::means_at_level(std::size_t level
                                                                double t0_s,
                                                                double t1_s) const {
   require(level < levels_.size(), "MultiScaleSeries: level out of range");
-  require(t1_s >= t0_s, "MultiScaleSeries: inverted range");
+  check_band_window(levels_.front(), t0_s, t1_s);
   const LevelBins& lvl = levels_[level];
   BinnedMeans out;
   if (lvl.bins.empty()) return out;

@@ -79,7 +79,7 @@ struct LevelBins {
 };
 
 /// One counter's multi-resolution history. Samples must arrive with
-/// non-decreasing timestamps.
+/// non-decreasing, binnable timestamps (max_binnable_time_s below).
 class MultiScaleSeries {
  public:
   explicit MultiScaleSeries(MultiScaleConfig config = {});
@@ -115,6 +115,19 @@ class MultiScaleSeries {
   double last_time_s_ = -1.0;
   std::uint64_t total_samples_ = 0;
 };
+
+/// Largest |time| that a series whose finest level is `finest` can bin:
+/// every level's bin index then lies within ±2^62, which leaves int64 room
+/// for the window arithmetic (hi + 1, last − retention + 1). NaN and ±inf
+/// lie outside it. Appends and band-query bounds are checked against it.
+inline double max_binnable_time_s(const LevelBins& finest) {
+  return finest.spec.resolution_s * 0x1p62;
+}
+
+/// Throws std::invalid_argument unless [t0_s, t1_s) is an ordered window of
+/// binnable times; every band query of MultiScaleSeries and ColumnSeries
+/// checks its bounds here.
+void check_band_window(const LevelBins& finest, double t0_s, double t1_s);
 
 /// Validates a MultiScaleConfig (positive resolutions, integer >1 level
 /// ratios) and returns the level rows ready for folding. Shared by

@@ -136,14 +136,25 @@ void ColumnarTelemetryStore::bulk_append(const std::vector<Sample>& samples,
 
 void ColumnarTelemetryStore::bulk_append(const std::vector<Sample>& samples,
                                          std::size_t threads) {
-  ThreadPool pool(resolve_thread_count(static_cast<std::int64_t>(threads)));
+  // One runner per shard at most: phase two has kShards tasks.
+  ThreadPool pool(
+      std::min(resolve_thread_count(static_cast<std::int64_t>(threads)), kShards));
   bulk_append(samples, pool);
 }
 
+void ColumnarTelemetryStore::flush(ThreadPool& pool) {
+  // Sealing is per series, so each shard map is touched by exactly one task
+  // and every sealed byte is the same at any pool size.
+  pool.parallel_for(kShards, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t shard = begin; shard < end; ++shard) {
+      for (auto& [key, s] : shards_[shard]) s.flush();
+    }
+  });
+}
+
 void ColumnarTelemetryStore::flush() {
-  for (auto& shard : shards_) {
-    for (auto& [key, s] : shard) s.flush();
-  }
+  ThreadPool pool(std::min(default_thread_count(), kShards));
+  flush(pool);
 }
 
 std::size_t ColumnarTelemetryStore::series_count() const {

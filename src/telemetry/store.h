@@ -10,7 +10,8 @@
 //     day, and an open block sized to its samples; finer levels are folded
 //     from the chain at query time. Bulk ingest is one two-phase path at
 //     every pool and batch size: partition the batch by shard, then append
-//     whole shards in parallel.
+//     whole shards in parallel. flush() seals whole shards in parallel the
+//     same way.
 //
 //   * LegacyTelemetryStore — the original per-sample design, where every
 //     sample cascades through a MultiScaleSeries immediately. It is only a
@@ -149,13 +150,19 @@ class ColumnarTelemetryStore {
   /// std::invalid_argument and leaves the store partly ingested.
   void bulk_append(const std::vector<Sample>& samples, ThreadPool& pool);
   /// Convenience overload: a private pool with `threads` runners
-  /// (0 = default_thread_count()).
+  /// (0 = default_thread_count()), at most one per shard.
   void bulk_append(const std::vector<Sample>& samples, std::size_t threads = 0);
 
   /// Seals every open block (partial blocks included) so all samples are in
   /// the compressed chain and the stored rows, and frees the open columns.
-  /// Serial. Queries do not require a flush — open blocks are scanned
-  /// directly — but benchmarks and memory accounting call it to finalize.
+  /// Shard-parallel like bulk_append's phase two: one task per shard seals
+  /// its series, so sealed bytes, stored rows and anomaly events are
+  /// identical at any pool size. Queries do not require a flush — open
+  /// blocks are scanned directly — but benchmarks and memory accounting
+  /// call it to finalize.
+  void flush(ThreadPool& pool);
+  /// Convenience overload: a private pool of min(default_thread_count(),
+  /// kShards) runners.
   void flush();
 
   std::size_t series_count() const;

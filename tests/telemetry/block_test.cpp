@@ -1,8 +1,9 @@
 // ColumnSeries / SealedBlock (block.h): the seal pipeline must answer band
 // queries bit-identically to a MultiScaleSeries fed the same samples (also
-// on the levels derived from the blocks at query time), keep exact raw
-// history through compression, hold no more memory than its data needs,
-// and surface spikes through the streaming detector. Suite name
+// on the levels derived from the blocks at query time and through the
+// single-bin fold), reject timestamps and bounds it cannot bin, keep exact
+// raw history through compression, hold no more memory than its data
+// needs, and surface spikes through the streaming detector. Suite name
 // "SeriesBlock" keeps these under the TSan/ASan CI regexes.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -24,6 +27,16 @@ bool aggregates_identical(const Aggregate& a, const Aggregate& b) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   return a.count == b.count && bits(a.sum) == bits(b.sum) &&
          bits(a.min) == bits(b.min) && bits(a.max) == bits(b.max);
+}
+
+bool means_identical(const MultiScaleSeries::BinnedMeans& a,
+                     const MultiScaleSeries::BinnedMeans& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (a.times_s != b.times_s || a.means.size() != b.means.size()) return false;
+  for (std::size_t i = 0; i < a.means.size(); ++i) {
+    if (bits(a.means[i]) != bits(b.means[i])) return false;
+  }
+  return true;
 }
 
 TelemetryTuning tiny_blocks(std::size_t capacity) {
@@ -77,6 +90,120 @@ TEST(SeriesBlock, RejectsTimeRegressions) {
   EXPECT_THROW(series.append(-1.0, 1.0), std::invalid_argument);
   series.append(100.0, 2.0);  // equal timestamps are allowed
   EXPECT_EQ(series.total_samples(), 2u);
+}
+
+TEST(SeriesBlock, RejectsNonFiniteAndOutOfRangeTimestamps) {
+  // +inf passes both `>= 0` and the monotonicity check, and 1e300's bin
+  // index does not fit in int64; either one, once stored, made the next band
+  // query overflow the retained-window arithmetic. Appends and band-query
+  // bounds must be finite and binnable, a rejected append leaves the series
+  // as it was, and a NaN bound is named as such, not as an inverted range.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ColumnSeries series(MultiScaleConfig{}, tiny_blocks(4));
+  for (int i = 0; i < 6; ++i) series.append(15.0 * i, static_cast<double>(i));
+  for (const double t : {inf, nan, 1e300, -inf, -1.0}) {
+    EXPECT_THROW(series.append(t, 1.0), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(series.total_samples(), 6u);
+  EXPECT_EQ(series.open_samples(), 2u);
+  EXPECT_EQ(series.range(0.0, 90.0).count, 6u);
+
+  for (const double t : {inf, -inf, nan, 1e300, -1e300}) {
+    EXPECT_THROW(series.range(t, 90.0), std::invalid_argument) << t;
+    EXPECT_THROW(series.range(0.0, t), std::invalid_argument) << t;
+    EXPECT_THROW(series.range_at_level(4, t, 90.0), std::invalid_argument) << t;
+    EXPECT_THROW(series.means_at_level(1, 0.0, t), std::invalid_argument) << t;
+  }
+  try {
+    series.range(0.0, nan);
+    ADD_FAILURE() << "NaN bound accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).find("inverted"), std::string::npos) << e.what();
+  }
+  // An empty series checks its bounds too.
+  ColumnSeries empty(MultiScaleConfig{}, tiny_blocks(4));
+  EXPECT_THROW(empty.range(nan, 0.0), std::invalid_argument);
+
+  // The largest binnable time (finest level 15 s: 15 * 2^62 s) is accepted,
+  // and queries reaching it stay inside int64 (UBSan runs this suite).
+  const double limit = 15.0 * 0x1p62;
+  ColumnSeries edge(MultiScaleConfig{}, tiny_blocks(4));
+  EXPECT_THROW(edge.append(std::nextafter(limit, inf), 1.0), std::invalid_argument);
+  edge.append(limit, 5.0);
+  EXPECT_THROW(edge.range(std::nextafter(-limit, -inf), limit), std::invalid_argument);
+  for (int flushed = 0; flushed < 2; ++flushed) {
+    EXPECT_EQ(edge.range(-limit, limit).count, 1u) << "flushed " << flushed;
+    EXPECT_EQ(edge.means_at_level(4, 0.0, limit).means.size(), 1u);
+    EXPECT_EQ(edge.range_at_level(0, 0.0, limit).count, 0u);  // [t0, t1) ends before it
+    edge.flush();
+  }
+}
+
+TEST(SeriesBlock, OpenTailInOneBinFoldsLikeTheCascade) {
+  // An open block whose first and last samples share a bin of the answering
+  // level folds straight into that bin. Pin the edges against the legacy
+  // cascade, bit for bit: the bin's row already holds sealed samples from
+  // the same bin (the fold must continue it, not restart), tails straddling
+  // a daily and an hourly edge (the shortcut must not fire), windows that
+  // start or end inside the bin or before t = 0, and NaN / ±0.0 in the tail,
+  // whose min/max depend on fold order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kDay = 86400.0;
+  struct Tail {
+    const char* name;
+    double start_s;  ///< first sample; 15 s cadence
+    int samples;
+  };
+  // 8-sample blocks: each series seals one block and keeps the rest open.
+  const Tail tails[] = {{"inside one day", 0.0, 14},
+                        {"straddles a day", kDay - 8 * 15.0 - 45.0, 14},
+                        {"straddles an hour", 3600.0 - 8 * 15.0 - 45.0, 14},
+                        {"one open sample", 2 * kDay + 600.0, 9}};
+  const double specials[] = {nan, -0.0, 0.0, 3.5, -0.0, nan, 0.0, -2.25};
+  for (const Tail& tail : tails) {
+    ColumnSeries columnar(MultiScaleConfig{}, tiny_blocks(8));
+    MultiScaleSeries legacy{MultiScaleConfig{}};
+    Rng rng(17);
+    for (int i = 0; i < tail.samples; ++i) {
+      const double t = tail.start_s + 15.0 * i;
+      // Sealed samples are plain; the open tail is NaN and signed zeros.
+      const double v = i >= 8 ? specials[i - 8] : rng.uniform(-10.0, 10.0);
+      columnar.append(t, v);
+      legacy.append(t, v);
+    }
+    ASSERT_EQ(columnar.blocks().size(), 1u) << tail.name;
+    ASSERT_GT(columnar.open_samples(), 0u) << tail.name;
+
+    const double a = tail.start_s;
+    const double z = tail.start_s + 15.0 * tail.samples;
+    const double windows[][2] = {{a - 3600.0, z},      {-kDay, 3 * kDay},
+                                 {a + 7.0, z},         {a, a + 8 * 15.0 + 20.0},
+                                 {a + 100.0, z - 10.0}, {a + 8 * 15.0, z + kDay},
+                                 {z - 1.0, z + 1.0},   {kDay - 30.0, kDay + 30.0},
+                                 {3590.0, 3610.0},     {-3600.0, 0.0}};
+    const auto expect_identical = [&](const char* phase) {
+      for (const auto& w : windows) {
+        EXPECT_TRUE(aggregates_identical(columnar.range(w[0], w[1]),
+                                         legacy.range(w[0], w[1])))
+            << tail.name << ", " << phase << ": range [" << w[0] << ", " << w[1] << ")";
+        for (std::size_t level = 0; level < legacy.level_count(); ++level) {
+          EXPECT_TRUE(
+              aggregates_identical(columnar.range_at_level(level, w[0], w[1]),
+                                   legacy.range_at_level(level, w[0], w[1])))
+              << tail.name << ", " << phase << ": level " << level << " [" << w[0]
+              << ", " << w[1] << ")";
+          EXPECT_TRUE(means_identical(columnar.means_at_level(level, w[0], w[1]),
+                                      legacy.means_at_level(level, w[0], w[1])))
+              << tail.name << ", " << phase << ": means, level " << level << " ["
+              << w[0] << ", " << w[1] << ")";
+        }
+      }
+    };
+    expect_identical("open tail");
+    columnar.flush();
+    expect_identical("flushed");
+  }
 }
 
 TEST(SeriesBlock, BandQueriesMatchMultiScaleSeriesBitForBit) {

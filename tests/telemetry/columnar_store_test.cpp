@@ -2,15 +2,17 @@
 // columnar store must answer the band-query API bit-identically on equal
 // input, at every ingest pool size (1/2/3/8 covers one slice, an even and
 // an uneven slice split, and more runners than cores). Also the bulk-ingest
-// error path, and the shard-mix fix: stride-64 server enumerations must
-// spread across shards instead of serializing on one. Suite names match the
-// TSan/ASan CI regexes ("Telemetry") so the two-phase ingest races under
-// both sanitizers.
+// error paths, the shard-parallel flush at every pool size, and the
+// shard-mix fix: stride-64 server enumerations must spread across shards
+// instead of serializing on one. Suite names match the TSan/ASan CI regexes
+// ("Telemetry") so the two-phase ingest and the flush race under both
+// sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -131,6 +133,100 @@ TEST(TelemetryColumnarStore, BulkAppendRejectsBackwardsTimestampsAtEveryPoolSize
     expect_identical_answers(serial, pooled, 40, 8, 20.0 * 15.0 + 15.0);
     EXPECT_EQ(serial.degraded_samples(), pooled.degraded_samples())
         << threads << " threads";
+  }
+}
+
+TEST(TelemetryColumnarStore, BulkAppendRejectsInfiniteTimestampsAtEveryPoolSize) {
+  // +inf passes the monotonicity check; the append must still refuse it on
+  // every pool size, and the pool must stay usable for the next batch.
+  const auto batch = reference_batch();
+  auto infinite = batch.samples;
+  Sample bad = infinite[infinite.size() / 2];
+  bad.time_s = std::numeric_limits<double>::infinity();
+  infinite.push_back(bad);
+
+  ColumnarTelemetryStore serial;
+  for (const auto& sample : batch.samples) {
+    serial.append(sample.key, sample.time_s, sample.value, sample.degraded);
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    ColumnarTelemetryStore rejected;
+    EXPECT_THROW(rejected.bulk_append(infinite, pool), std::invalid_argument)
+        << threads << " threads";
+    ColumnarTelemetryStore pooled;
+    pooled.bulk_append(batch.samples, pool);
+    expect_identical_answers(serial, pooled, 40, 8, 20.0 * 15.0 + 15.0);
+  }
+}
+
+TEST(TelemetryColumnarStore, FlushOnAnyPoolSealsIdentically) {
+  // Sealing is per series, so a flush on any pool — or through the
+  // no-argument flush() and its private pool — must seal the same bytes,
+  // hold the same memory, raise the same anomaly events and answer the same
+  // band queries as a 1-runner flush. 80 ticks arm the 32-sample detector;
+  // 7-sample blocks leave a partial open block in every series.
+  workload::FleetCountersConfig mix;
+  mix.servers = 30;
+  mix.counters_per_server = 6;
+  mix.ticks = 80;
+  mix.seed = 0xf1a5;
+  mix.spike_probability = 0.05;
+  const auto batch = workload::synthesize_fleet_counters(mix);
+  const double horizon_s = 80.0 * 15.0 + 15.0;
+
+  TelemetryTuning small_blocks;
+  small_blocks.block_capacity = 7;
+  for (const TelemetryTuning& tuning : {TelemetryTuning{}, small_blocks}) {
+    ColumnarTelemetryStore reference(MultiScaleConfig{}, tuning);
+    reference.bulk_append(batch.samples, 1);
+    {
+      ThreadPool one(1);
+      reference.flush(one);
+    }
+    const auto reference_events = reference.anomalies();
+    ASSERT_FALSE(reference_events.empty());
+    ASSERT_EQ(reference.sealed_samples(), batch.samples.size());
+
+    // 0 stands for the no-argument flush().
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{8}, std::size_t{0}}) {
+      ColumnarTelemetryStore store(MultiScaleConfig{}, tuning);
+      store.bulk_append(batch.samples, 1);
+      if (threads == 0) {
+        store.flush();
+      } else {
+        ThreadPool pool(threads);
+        store.flush(pool);
+      }
+      for (std::uint32_t s = 0; s < mix.servers; ++s) {
+        for (std::uint32_t c = 0; c < mix.counters_per_server; ++c) {
+          const auto& got = store.column_series(make_key(s, c)).blocks();
+          const auto& want = reference.column_series(make_key(s, c)).blocks();
+          ASSERT_EQ(got.size(), want.size())
+              << tuning.block_capacity << "-sample blocks, " << threads << " threads";
+          for (std::size_t b = 0; b < got.size(); ++b) {
+            EXPECT_EQ(got[b].first_time_s, want[b].first_time_s);
+            EXPECT_EQ(got[b].last_time_s, want[b].last_time_s);
+            EXPECT_EQ(got[b].samples, want[b].samples);
+            EXPECT_EQ(got[b].time_bytes, want[b].time_bytes);
+            EXPECT_EQ(got[b].value_bytes, want[b].value_bytes);
+          }
+        }
+      }
+      EXPECT_EQ(store.compressed_payload_bytes(), reference.compressed_payload_bytes());
+      EXPECT_EQ(store.memory_bytes(), reference.memory_bytes());
+      const auto events = store.anomalies();
+      ASSERT_EQ(events.size(), reference_events.size()) << threads << " threads";
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].key, reference_events[i].key);
+        EXPECT_EQ(events[i].time_s, reference_events[i].time_s);
+        EXPECT_EQ(events[i].value, reference_events[i].value);
+        EXPECT_EQ(events[i].zscore, reference_events[i].zscore);
+      }
+      expect_identical_answers(reference, store, mix.servers, mix.counters_per_server,
+                               horizon_s);
+    }
   }
 }
 

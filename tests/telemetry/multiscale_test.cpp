@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/rng.h"
 
 namespace epm::telemetry {
@@ -130,6 +135,39 @@ TEST(MultiScaleSeries, RejectsTimeTravelAndBadConfig) {
   EXPECT_THROW(MultiScaleSeries{bad}, std::invalid_argument);
   EXPECT_THROW(series.range_at_level(99, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(series.range(10.0, 5.0), std::invalid_argument);
+}
+
+TEST(MultiScaleSeries, RejectsNonFiniteTimestamps) {
+  // +inf and NaN, and finite times whose finest-level bin index does not fit
+  // in int64, are rejected at append and as query bounds; a NaN bound is
+  // named as such, not as an inverted range.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MultiScaleSeries series(tiny_config());
+  series.append(100.0, 1.0);
+  for (const double t : {inf, nan, 1e300, 10.0 * 0x1p63}) {
+    EXPECT_THROW(series.append(t, 1.0), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(series.total_samples(), 1u);
+  EXPECT_EQ(series.range(0.0, 200.0).count, 1u);
+  for (const double t : {inf, -inf, nan, 1e300, -1e300}) {
+    EXPECT_THROW(series.range(t, 200.0), std::invalid_argument) << t;
+    EXPECT_THROW(series.range_at_level(2, 0.0, t), std::invalid_argument) << t;
+    EXPECT_THROW(series.means_at_level(1, t, 200.0), std::invalid_argument) << t;
+  }
+  try {
+    series.range(nan, 200.0);
+    ADD_FAILURE() << "NaN bound accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).find("inverted"), std::string::npos) << e.what();
+  }
+  // The largest binnable time (default 15 s finest level: 15 * 2^62 s) is
+  // accepted, and a query reaching it is answered from the daily level.
+  const double limit = 15.0 * 0x1p62;
+  MultiScaleSeries edge;
+  EXPECT_THROW(edge.append(std::nextafter(limit, inf), 2.0), std::invalid_argument);
+  edge.append(limit, 2.0);
+  EXPECT_EQ(edge.range(-limit, limit).count, 1u);
 }
 
 TEST(MultiScaleSeries, DefaultConfigPaperScales) {

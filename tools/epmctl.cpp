@@ -696,7 +696,8 @@ int cmd_telemetry(const CliArgs& args) {
     return conformance_fail(
         "telemetry bench missed a gate (ingest " +
             fmt(outcome.points_per_min / 1e6, 1) + "M/min, compression " +
-            fmt(outcome.compression_ratio, 1) + "x, equivalence " +
+            fmt(outcome.compression_ratio, 1) + "x, flush " +
+            (outcome.flush_identical ? "ok" : "FAIL") + ", equivalence " +
             (outcome.legacy_identical ? "ok" : "FAIL") + ", anomalies " +
             (outcome.anomalies_recalled && outcome.anomalies_deterministic
                  ? "ok"
