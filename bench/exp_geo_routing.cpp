@@ -174,15 +174,16 @@ int main() {
   const auto truth = faults::run_fleet_storm(storm, faults::kSingleKernel, 1);
   const bool match = routed == truth;
 
+  const std::size_t dark_dc = storm.disruptions.front().dc;
   Table fleet({"datacenter", "floor to pnw", "intents", "forwarded",
                "remote served", "goodput at end", "recovery"});
   for (std::size_t d = 0; d < routed.dcs.size(); ++d) {
     const auto& dc = routed.dcs[d];
     fleet.add_row(
         {dc.site,
-         d == storm.outage_dc
+         d == dark_dc
              ? "-"
-             : fmt(net.latency_floor_s(d, storm.outage_dc) * 1e3, 1) + " ms",
+             : fmt(net.latency_floor_s(d, dark_dc) * 1e3, 1) + " ms",
          std::to_string(dc.intents), std::to_string(dc.forwarded),
          std::to_string(dc.remote_served), fmt(dc.end_goodput_rps, 0) + "/s",
          dc.recovered ? fmt(dc.recovery_s, 0) + " s" : "never"});

@@ -173,8 +173,9 @@ int main() {
   const auto truth = faults::run_fleet_storm(storm, faults::kSingleKernel, 1);
   const bool match = rerouted == truth;
 
-  const auto& dark_alone = alone.dcs[storm.outage_dc];
-  const auto& dark_rerouted = rerouted.dcs[storm.outage_dc];
+  const std::size_t dark_dc = storm.disruptions.front().dc;
+  const auto& dark_alone = alone.dcs[dark_dc];
+  const auto& dark_rerouted = rerouted.dcs[dark_dc];
   Table fleet({"arm", "fleet goodput", "dark failures", "forwarded",
                "remote served", "outage DC recovery"});
   auto add_fleet_arm = [&](const char* name,
@@ -191,7 +192,7 @@ int main() {
   std::cout << fleet.render();
 
   std::cout << "  200k clients, 20 s outage at '"
-            << storm.sites[storm.outage_dc].name
+            << storm.sites[dark_dc].name
             << "': re-routing converts dark failures into "
             << rerouted.remote_served << " remote completions over "
             << fmt(net.min_latency_floor_s() * 1e3, 1)

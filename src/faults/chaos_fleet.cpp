@@ -60,46 +60,15 @@ class ChaosWorld {
     }
   }
 
-  void save(sim::SnapshotWriter& w) const {
-    w.begin_section(kChaosMagic, kChaosVersion);
-    w.write_u64(config_.dcs);
-    w.write_u8(fifo_ok_ ? 1 : 0);
-    for (const Dc& dc : dcs_) {
-      w.write_u64(dc.generated);
-      w.write_u64(dc.served);
-      w.write_u64(dc.dropped);
-      w.write_u64(dc.backlog);
-      w.write_u64(dc.forwarded_items);
-      w.write_u64(dc.received_items);
-      w.write_u64(dc.epoch);
-      w.write_u64(dc.rng_ctr);
-      w.write_payload(dc.fwd_seq);
-      w.write_payload(dc.last_seen);
-    }
-    shards_.save(w);
-  }
+  void save(sim::SnapshotWriter& w) const { fields(*this, w); }
 
   void restore(sim::SnapshotReader& r) {
-    r.expect_section(kChaosMagic, kChaosVersion);
-    require(r.read_u64() == config_.dcs,
-            "chaos snapshot datacenter count does not match the config");
-    fifo_ok_ = r.read_u8() != 0;
-    for (Dc& dc : dcs_) {
-      dc.generated = r.read_u64();
-      dc.served = r.read_u64();
-      dc.dropped = r.read_u64();
-      dc.backlog = r.read_u64();
-      dc.forwarded_items = r.read_u64();
-      dc.received_items = r.read_u64();
-      dc.epoch = r.read_u64();
-      dc.rng_ctr = r.read_u64();
-      dc.fwd_seq = r.read_payload();
-      dc.last_seen = r.read_payload();
+    fields(*this, r);
+    for (const Dc& dc : dcs_) {
       require(dc.fwd_seq.size() == config_.dcs &&
                   dc.last_seen.size() == config_.dcs,
               "chaos snapshot sequence tables do not match the fleet size");
     }
-    shards_.restore(r);
   }
 
   ChaosFleetOutcome finish() const {
@@ -146,6 +115,29 @@ class ChaosWorld {
   }
 
  private:
+  /// The "caos" snapshot section, ending with the kernels' and the
+  /// federation's sections.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.section(kChaosMagic, kChaosVersion);
+    io.expect(self.config_.dcs,
+              "chaos snapshot datacenter count does not match the config");
+    io.field(self.fifo_ok_);
+    for (auto& dc : self.dcs_) {
+      io.field(dc.generated);
+      io.field(dc.served);
+      io.field(dc.dropped);
+      io.field(dc.backlog);
+      io.field(dc.forwarded_items);
+      io.field(dc.received_items);
+      io.field(dc.epoch);
+      io.field(dc.rng_ctr);
+      io.field(dc.fwd_seq);
+      io.field(dc.last_seen);
+    }
+    io.nested(self.shards_);
+  }
+
   struct Dc {
     std::uint64_t generated = 0;
     std::uint64_t served = 0;
@@ -315,7 +307,8 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
 
   const auto run_arm = [&](bool defended) {
     FleetStormConfig c = base;
-    c.disruptions = disruptions;
+    c.disruptions.insert(c.disruptions.end(), disruptions.begin(),
+                         disruptions.end());
     c.grid_broadcasts = defended;
     c.defense.enabled = defended;
     return summarize_arm(run_fleet_storm(c, kSingleKernel, 1), threshold);

@@ -249,81 +249,9 @@ class ControlWorld {
     }
   }
 
-  void save(sim::SnapshotWriter& w) const {
-    w.begin_section(kControlMagic, kControlVersion);
-    w.write_u64(config_.dcs);
-    w.write_u64(shards_.size());
-    for (const std::uint64_t n : sent_per_shard_) w.write_u64(n);
-    for (const Plant& p : plants_) {
-      w.write_f64(p.active_servers);
-      w.write_f64(p.cap_frac);
-      w.write_f64(p.setpoint_c);
-      w.write_u8(p.paused ? 1 : 0);
-      w.write_u64(p.rng_ctr);
-      w.write_u64(p.epochs);
-      w.write_f64(p.demand_total);
-      w.write_f64(p.served_total);
-      w.write_u64(p.sla_violation_epochs);
-      w.write_u64(p.thermal_alarm_epochs);
-      w.write_f64(p.max_temp_c);
-      w.write_f64(p.prefault_demand);
-      w.write_f64(p.prefault_served);
-      w.write_f64(p.end_demand);
-      w.write_f64(p.end_served);
-    }
-    for (const auto& e : endpoints_) {
-      w.write_u64(e->hb_token_floor);
-      w.write_u64(e->heartbeats_seen);
-      e->ledger.save(w);
-      e->deadman.save(w);
-      e->plane.save(w);
-    }
-    for (const auto& r : replicas_) {
-      w.write_u8(r != nullptr ? 1 : 0);
-      if (r != nullptr) r->save(w);
-    }
-    shards_.save(w);
-  }
+  void save(sim::SnapshotWriter& w) const { fields(*this, w); }
 
-  void restore(sim::SnapshotReader& r) {
-    r.expect_section(kControlMagic, kControlVersion);
-    require(r.read_u64() == config_.dcs,
-            "control snapshot datacenter count does not match the config");
-    require(r.read_u64() == shards_.size(),
-            "control snapshot shard count does not match the config");
-    for (std::uint64_t& n : sent_per_shard_) n = r.read_u64();
-    for (Plant& p : plants_) {
-      p.active_servers = r.read_f64();
-      p.cap_frac = r.read_f64();
-      p.setpoint_c = r.read_f64();
-      p.paused = r.read_u8() != 0;
-      p.rng_ctr = r.read_u64();
-      p.epochs = r.read_u64();
-      p.demand_total = r.read_f64();
-      p.served_total = r.read_f64();
-      p.sla_violation_epochs = r.read_u64();
-      p.thermal_alarm_epochs = r.read_u64();
-      p.max_temp_c = r.read_f64();
-      p.prefault_demand = r.read_f64();
-      p.prefault_served = r.read_f64();
-      p.end_demand = r.read_f64();
-      p.end_served = r.read_f64();
-    }
-    for (auto& e : endpoints_) {
-      e->hb_token_floor = r.read_u64();
-      e->heartbeats_seen = r.read_u64();
-      e->ledger.restore(r);
-      e->deadman.restore(r);
-      e->plane.restore(r);
-    }
-    for (auto& rep : replicas_) {
-      const bool hosted = r.read_u8() != 0;
-      require(hosted == (rep != nullptr),
-              "control snapshot replica layout does not match the config");
-      if (rep != nullptr) rep->restore(r);
-    }
-    shards_.restore(r);
-  }
+  void restore(sim::SnapshotReader& r) { fields(*this, r); }
 
   ControlChaosOutcome finish() const {
     ControlChaosOutcome out;
@@ -425,6 +353,49 @@ class ControlWorld {
   }
 
  private:
+  /// The "ctlw" snapshot section: per-DC plant state, each endpoint's
+  /// ledger, dead-man switch and actuator plane, each hosted replica, then
+  /// the kernels' and the federation's sections.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io) {
+    io.section(kControlMagic, kControlVersion);
+    io.expect(self.config_.dcs,
+              "control snapshot datacenter count does not match the config");
+    io.expect(self.shards_.size(),
+              "control snapshot shard count does not match the config");
+    for (auto& n : self.sent_per_shard_) io.field(n);
+    for (auto& p : self.plants_) {
+      io.field(p.active_servers);
+      io.field(p.cap_frac);
+      io.field(p.setpoint_c);
+      io.field(p.paused);
+      io.field(p.rng_ctr);
+      io.field(p.epochs);
+      io.field(p.demand_total);
+      io.field(p.served_total);
+      io.field(p.sla_violation_epochs);
+      io.field(p.thermal_alarm_epochs);
+      io.field(p.max_temp_c);
+      io.field(p.prefault_demand);
+      io.field(p.prefault_served);
+      io.field(p.end_demand);
+      io.field(p.end_served);
+    }
+    for (auto& e : self.endpoints_) {
+      io.field(e->hb_token_floor);
+      io.field(e->heartbeats_seen);
+      io.nested(e->ledger);
+      io.nested(e->deadman);
+      io.nested(e->plane);
+    }
+    for (auto& replica : self.replicas_) {
+      io.expect(replica != nullptr,
+                "control snapshot replica layout does not match the config");
+      if (replica != nullptr) io.nested(*replica);
+    }
+    io.nested(self.shards_);
+  }
+
   struct Plant {
     double active_servers = 0.0;
     double cap_frac = 1.0;

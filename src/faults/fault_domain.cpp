@@ -1,17 +1,13 @@
 #include "faults/fault_domain.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "core/require.h"
 #include "core/rng.h"
+#include "faults/script_text.h"
 
 namespace epm::faults {
 namespace {
@@ -20,60 +16,21 @@ constexpr std::size_t kDomainLevelCount = 4;
 const char* kLevelTokens[kDomainLevelCount] = {"feed", "region", "dc",
                                                "cluster"};
 
+constexpr const char* kNoun = "grid event";
+
 constexpr std::size_t kGridEventKindCount = 5;
 const char* kKindTokens[kGridEventKindCount] = {"outage", "brownout",
                                                 "price-spike",
                                                 "demand-response", "ctl-kill"};
 
-std::string trim(const std::string& s) {
-  std::size_t lo = 0;
-  std::size_t hi = s.size();
-  while (lo < hi && std::isspace(static_cast<unsigned char>(s[lo]))) ++lo;
-  while (hi > lo && std::isspace(static_cast<unsigned char>(s[hi - 1]))) --hi;
-  return s.substr(lo, hi - lo);
-}
-
-std::string format_double(double value) {
-  // Shortest representation that parses back to the same double (same
-  // contract as FaultPlan::to_string); "e+06" would collide with the
-  // '+duration' separator, so rewrite it as "e6".
-  const auto normalize = [](std::string text) {
-    const auto e = text.find("e+");
-    if (e != std::string::npos) {
-      std::size_t digits = e + 2;
-      while (digits + 1 < text.size() && text[digits] == '0') ++digits;
-      text = text.substr(0, e + 1) + text.substr(digits);
-    }
-    return text;
-  };
-  std::string best;
-  for (int precision : {6, 15, 16, 17}) {
-    std::ostringstream out;
-    out << std::setprecision(precision) << value;
-    best = normalize(out.str());
-    if (std::strtod(best.c_str(), nullptr) == value) {
-      return best;
-    }
+/// "a, b, or c" over a token table, for diagnostics.
+std::string token_list(const char* const* tokens, std::size_t count) {
+  std::string out;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) out += i + 1 < count ? ", " : ", or ";
+    out += tokens[i];
   }
-  return best;
-}
-
-double parse_number(const std::string& raw, const char* field,
-                    const std::string& entry) {
-  const std::string token = trim(raw);
-  if (token.empty()) {
-    throw std::invalid_argument(std::string("grid event has empty ") + field +
-                                " in '" + entry + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument(std::string("bad ") + field + " token '" +
-                                token + "' in grid event '" + entry + "'");
-  }
-  return value;
+  return out;
 }
 
 void validate_event(const DomainFault& event) {
@@ -132,7 +89,7 @@ DomainLevel domain_level_from_string(const std::string& token) {
   }
   throw std::invalid_argument(
       "unknown fault-domain level token: '" + token +
-      "' (expected feed, region, dc, or cluster)");
+      "' (expected " + token_list(kLevelTokens, kDomainLevelCount) + ")");
 }
 
 std::string to_string(GridEventKind kind) {
@@ -150,8 +107,8 @@ GridEventKind grid_event_from_string(const std::string& token) {
     }
   }
   throw std::invalid_argument(
-      "unknown grid event token: '" + token +
-      "' (expected outage, brownout, price-spike, or demand-response)");
+      "unknown grid event token: '" + token + "' (expected " +
+      token_list(kKindTokens, kGridEventKindCount) + ")");
 }
 
 void FaultDomainTree::check_fresh(DomainLevel level,
@@ -327,17 +284,8 @@ DomainFaultPlan DomainFaultPlan::scripted(std::vector<DomainFault> events) {
 
 DomainFaultPlan DomainFaultPlan::parse(const std::string& spec) {
   std::vector<DomainFault> events;
-  std::stringstream stream(spec);
-  std::string entry;
-  while (std::getline(stream, entry, ';')) {
-    entry = trim(entry);
-    if (entry.empty()) continue;
-    const auto at = entry.find('@');
-    if (at == std::string::npos) {
-      throw std::invalid_argument("grid event missing '@': '" + entry + "'");
-    }
-    std::string head = entry.substr(0, at);
-    std::string tail = entry.substr(at + 1);
+  for (const std::string& entry : script_entries(spec)) {
+    const std::string head = script_head(entry, kNoun);
     const auto colon = head.find(':');
     if (colon == std::string::npos) {
       throw std::invalid_argument(
@@ -358,19 +306,10 @@ DomainFaultPlan DomainFaultPlan::parse(const std::string& spec) {
       throw std::invalid_argument("grid event has empty target name: '" +
                                   entry + "'");
     }
-    const auto plus = tail.find('+');
-    if (plus == std::string::npos) {
-      throw std::invalid_argument("grid event missing '+duration': '" + entry +
-                                  "'");
-    }
-    event.start_s = parse_number(tail.substr(0, plus), "start", entry);
-    std::string rest = tail.substr(plus + 1);
-    const auto x = rest.find('x');
-    if (x != std::string::npos) {
-      event.severity = parse_number(rest.substr(x + 1), "severity", entry);
-      rest = rest.substr(0, x);
-    }
-    event.duration_s = parse_number(rest, "duration", entry);
+    const ScriptTiming timing = script_timing(entry, kNoun);
+    event.start_s = timing.start_s;
+    event.duration_s = timing.duration_s;
+    event.severity = timing.severity;
     events.push_back(std::move(event));
   }
   return scripted(std::move(events));
@@ -382,11 +321,8 @@ std::string DomainFaultPlan::to_string() const {
     if (!out.empty()) out += ';';
     out += faults::to_string(event.kind);
     out += ':' + faults::to_string(event.level) + '/' + event.target;
-    out += '@' + format_double(event.start_s);
-    out += '+' + format_double(event.duration_s);
-    if (event.severity != 1.0) {
-      out += 'x' + format_double(event.severity);
-    }
+    out += format_script_timing(event.start_s, event.duration_s,
+                                event.severity);
   }
   return out;
 }

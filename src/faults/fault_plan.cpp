@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "core/rng.h"
+#include "faults/script_text.h"
 
 namespace epm::faults {
 namespace {
+
+constexpr const char* kNoun = "fault entry";
 
 const char* kTypeTokens[kFaultTypeCount] = {
     "crash", "psu", "crac", "derate", "sensor-drop", "sensor-stuck",
@@ -42,61 +42,6 @@ void sort_events(std::vector<FaultEvent>& events) {
                      std::make_tuple(b.start_s, static_cast<int>(b.type),
                                      b.target, b.duration_s, b.severity);
             });
-}
-
-std::string trim(const std::string& s) {
-  std::size_t lo = 0;
-  std::size_t hi = s.size();
-  while (lo < hi && std::isspace(static_cast<unsigned char>(s[lo]))) ++lo;
-  while (hi > lo && std::isspace(static_cast<unsigned char>(s[hi - 1]))) --hi;
-  return s.substr(lo, hi - lo);
-}
-
-std::string format_double(double value) {
-  // Shortest representation that parses back to the exact same double, so
-  // to_string() -> parse() round-trips fingerprint-equal even for sampled
-  // plans whose times carry full mantissas.
-  // A "+" inside scientific notation ("2e+06") would collide with the
-  // '+duration' separator on re-parse, so rewrite "e+06" as "e6".
-  const auto normalize = [](std::string text) {
-    const auto e = text.find("e+");
-    if (e != std::string::npos) {
-      std::size_t digits = e + 2;
-      while (digits + 1 < text.size() && text[digits] == '0') ++digits;
-      text = text.substr(0, e + 1) + text.substr(digits);
-    }
-    return text;
-  };
-  std::string best;
-  for (int precision : {6, 15, 16, 17}) {
-    std::ostringstream out;
-    out << std::setprecision(precision) << value;
-    best = normalize(out.str());
-    if (std::strtod(best.c_str(), nullptr) == value) {
-      return best;
-    }
-  }
-  return best;
-}
-
-/// Parses a full token as a finite double; rejects empty tokens, trailing
-/// garbage ("12abc"), inf, and NaN with a message naming the bad token.
-double parse_number(const std::string& raw, const char* field,
-                    const std::string& entry) {
-  const std::string token = trim(raw);
-  if (token.empty()) {
-    throw std::invalid_argument(std::string("fault entry has empty ") + field +
-                                " in '" + entry + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument(std::string("bad ") + field + " token '" +
-                                token + "' in fault entry '" + entry + "'");
-  }
-  return value;
 }
 
 /// Parses a full token as an unsigned target index; rejects signs, trailing
@@ -191,23 +136,8 @@ FaultPlan FaultPlan::sampled(const FaultPlanConfig& config) {
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   std::vector<FaultEvent> events;
-  std::stringstream stream(spec);
-  std::string entry;
-  while (std::getline(stream, entry, ';')) {
-    entry = trim(entry);
-    if (entry.empty()) {
-      continue;
-    }
-    const auto at = entry.find('@');
-    if (at == std::string::npos) {
-      throw std::invalid_argument("fault entry missing '@': " + entry);
-    }
-    if (entry.find('@', entry.find('@') + 1) != std::string::npos) {
-      throw std::invalid_argument("fault entry has duplicate '@': '" + entry +
-                                  "'");
-    }
-    std::string head = entry.substr(0, at);
-    std::string tail = entry.substr(at + 1);
+  for (const std::string& entry : script_entries(spec)) {
+    std::string head = script_head(entry, kNoun);
     FaultEvent event;
     const auto colon = head.find(':');
     if (colon != std::string::npos) {
@@ -219,19 +149,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       throw std::invalid_argument("fault entry missing type: '" + entry + "'");
     }
     event.type = fault_type_from_string(type_token);
-    const auto plus = tail.find('+');
-    if (plus == std::string::npos) {
-      throw std::invalid_argument("fault entry missing '+duration': '" + entry +
-                                  "'");
-    }
-    event.start_s = parse_number(tail.substr(0, plus), "start", entry);
-    std::string rest = tail.substr(plus + 1);
-    const auto x = rest.find('x');
-    if (x != std::string::npos) {
-      event.severity = parse_number(rest.substr(x + 1), "severity", entry);
-      rest = rest.substr(0, x);
-    }
-    event.duration_s = parse_number(rest, "duration", entry);
+    const ScriptTiming timing = script_timing(entry, kNoun);
+    event.start_s = timing.start_s;
+    event.duration_s = timing.duration_s;
+    event.severity = timing.severity;
     if (event.start_s < 0.0) {
       throw std::invalid_argument("fault entry start must be >= 0: '" + entry +
                                   "'");
@@ -328,11 +249,8 @@ std::string FaultPlan::to_string() const {
     if (event.target != 0) {
       out += ':' + std::to_string(event.target);
     }
-    out += '@' + format_double(event.start_s);
-    out += '+' + format_double(event.duration_s);
-    if (event.severity != 1.0) {
-      out += 'x' + format_double(event.severity);
-    }
+    out += format_script_timing(event.start_s, event.duration_s,
+                                event.severity);
   }
   return out;
 }

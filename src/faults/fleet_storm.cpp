@@ -98,12 +98,8 @@ class FleetWorld {
     require(config.epoch_s > 0.0, "FleetStorm: epoch must be positive");
     require(config.service_capacity_rps > 0.0,
             "FleetStorm: service capacity must be positive");
-    require(config.outage_dc < dcs, "FleetStorm: outage_dc out of range");
-    require(config.outage_start_s > 0.0 && config.outage_duration_s > 0.0,
-            "FleetStorm: outage must have positive start and duration");
-    require(config.horizon_s >
-                config.outage_start_s + config.outage_duration_s,
-            "FleetStorm: horizon must extend past the outage");
+    require(!config.disruptions.empty(),
+            "FleetStorm: need at least one disruption");
     for (const FleetDisruption& dis : config.disruptions) {
       require(dis.dc < dcs, "FleetStorm: disruption dc out of range");
       require(dis.start_s > 0.0 && dis.duration_s > 0.0,
@@ -131,21 +127,17 @@ class FleetWorld {
 
     dt_ = config.epoch_s;
     epochs_ = static_cast<std::size_t>(std::ceil(config.horizon_s / dt_));
-    // The pre-fault window ends at the FIRST disturbance (legacy outage or
-    // any disruption); recovery is judged from the LAST clear. With no
-    // disruptions both collapse to the legacy outage bounds.
-    double first_start_s = config.outage_start_s;
-    double last_end_s = config.outage_start_s + config.outage_duration_s;
+    // The pre-fault window ends at the FIRST disturbance; recovery is
+    // judged from the LAST clear.
+    double first_start_s = config.disruptions.front().start_s;
     for (const FleetDisruption& dis : config.disruptions) {
       first_start_s = std::min(first_start_s, dis.start_s);
-      last_end_s = std::max(last_end_s, dis.end_s());
+      last_clear_s_ = std::max(last_clear_s_, dis.end_s());
     }
     outage_start_epoch_ = static_cast<std::size_t>(first_start_s / dt_);
     require(outage_start_epoch_ / 2 + config.recovery_window_epochs <=
                 outage_start_epoch_,
             "FleetStorm: outage starts too early for a pre-fault SLA window");
-    outage_end_s_ = config.outage_start_s + config.outage_duration_s;
-    last_clear_s_ = last_end_s;
 
     const std::size_t per_shard = dcs / fabric.shard_count();
     for (std::size_t d = 0; d < dcs; ++d) {
@@ -165,8 +157,7 @@ class FleetWorld {
     // Defended fleets hear the grid: every broadcast disruption announces
     // its onset and clear to the peers, one latency floor later. The ++/--
     // arrivals commute, so the fabric-equality argument is untouched; with
-    // broadcasts off (or no disruptions) nothing is scheduled and the
-    // legacy event sequence is bit-identical.
+    // broadcasts off (or none broadcast) nothing is scheduled.
     if (config_.grid_broadcasts) {
       for (const FleetDisruption& dis : config_.disruptions) {
         if (!dis.broadcast) continue;
@@ -225,8 +216,8 @@ class FleetWorld {
     if (dc.reroute_acc < 1.0) return false;
     dc.reroute_acc -= 1.0;
     // Steer around peers with an active broadcast disruption. With nothing
-    // avoided k == 0 and this is exactly the legacy rotation (pick rr_peer,
-    // advance by one).
+    // avoided k == 0 and this is the plain rotation (pick rr_peer, advance
+    // by one).
     const std::size_t n = dc.peers.size();
     std::size_t k = 0;
     while (k < n && dc.avoid[dc.peers[(dc.rr_peer + k) % n]] != 0) ++k;
@@ -260,25 +251,21 @@ class FleetWorld {
     FleetDc& dc = *dcs_[d];
     const double t0 = static_cast<double>(e) * dt_;
     const double t1 = t0 + dt_;
-    const bool legacy_dark = d == config_.outage_dc &&
-                             t0 >= config_.outage_start_s &&
-                             t0 < outage_end_s_;
     double factor = 1.0;
-    bool drop_wanted = legacy_dark;
+    bool drop_wanted = false;
     for (const FleetDisruption& dis : config_.disruptions) {
       if (dis.dc != d || t0 < dis.start_s || t0 >= dis.end_s()) continue;
       factor *= dis.capacity_factor;
       if (dis.drop_sessions) drop_wanted = true;
     }
-    const bool dark = legacy_dark || factor == 0.0;
+    const bool dark = factor == 0.0;
     const bool defended = config_.defense.enabled;
 
     if (dark && drop_wanted && !dc.sessions_dropped) {
       dc.population.disconnect_all(t0);
       dc.sessions_dropped = true;
     } else if (!dark && dc.sessions_dropped) {
-      // Re-arm for a later disruption; a no-op under the legacy single
-      // outage, where dark never returns.
+      // Re-arm for a later disruption.
       dc.sessions_dropped = false;
     }
     if (defended) {
@@ -543,8 +530,7 @@ class FleetWorld {
   double dt_ = 1.0;
   std::size_t epochs_ = 0;
   std::size_t outage_start_epoch_ = 0;
-  double outage_end_s_ = 0.0;   ///< legacy scripted outage clear
-  double last_clear_s_ = 0.0;   ///< latest clear over outage + disruptions
+  double last_clear_s_ = 0.0;  ///< latest clear over the disruptions
   std::vector<std::unique_ptr<FleetDc>> dcs_;
   std::size_t events_run_ = 0;
 };
@@ -674,9 +660,13 @@ FleetStormConfig make_reference_fleet_storm_config(std::size_t dcs,
       static_cast<std::size_t>(capacity * 1.8) + 1;
   config.epoch_s = 1.0;
   config.horizon_s = 120.0;
-  config.outage_dc = 0;
-  config.outage_start_s = 30.0;
-  config.outage_duration_s = 20.0;
+  FleetDisruption outage;
+  outage.dc = 0;
+  outage.start_s = 30.0;
+  outage.duration_s = 20.0;
+  outage.capacity_factor = 0.0;
+  outage.drop_sessions = true;
+  config.disruptions = {outage};
   config.reroute_fraction = 1.0;
   config.latency_detour_factor = 1.3;
   config.min_latency_floor_s = 1e-3;

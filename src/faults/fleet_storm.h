@@ -7,7 +7,7 @@
 // at epoch granularity by a driver-event chain on that datacenter's shard
 // of a sim::Fabric. Datacenters interact only through fabric.send():
 //
-//   * forwards  — when a datacenter is dark (scripted outage) or its accept
+//   * forwards  — when a datacenter is dark (an outage) or its accept
 //     queue overflows, a configured fraction of the affected attempts is
 //     re-routed to peers (round-robin) as packed remote refs
 //     (cluster::pack_remote_ref) arriving one latency floor later;
@@ -55,9 +55,10 @@
 
 namespace epm::faults {
 
-/// One datacenter's share of a correlated grid event (the expansion of a
-/// fault-domain draw — see faults/fault_domain.h). Composes with the legacy
-/// scripted outage: capacity factors of overlapping disruptions multiply.
+/// A disturbance at one datacenter: a scripted outage, or one datacenter's
+/// share of a correlated grid event (the expansion of a fault-domain draw —
+/// see faults/fault_domain.h). Capacity factors of overlapping disruptions
+/// multiply.
 struct FleetDisruption {
   std::size_t dc = 0;
   double start_s = 0.0;
@@ -65,8 +66,8 @@ struct FleetDisruption {
   /// Remaining service-capacity fraction while active: 0 = dark (outage),
   /// (0, 1) = brownout, 1 = signal-only (price spike / demand response).
   double capacity_factor = 1.0;
-  /// Drop every session at onset (reconnect storm), as the legacy outage
-  /// does. Typically true for outages, false for brownouts.
+  /// Drop every session at onset (reconnect storm). Typically true for
+  /// outages, false for brownouts.
   bool drop_sessions = false;
   /// Announce onset/clear to every peer one latency floor later; peers with
   /// grid_broadcasts enabled then steer forwards away from this datacenter
@@ -88,12 +89,6 @@ struct FleetStormConfig {
   double service_capacity_rps = 1000.0;
   double epoch_s = 1.0;
   double horizon_s = 120.0;
-  /// Scripted utility outage at one datacenter: dark over
-  /// [outage_start_s, outage_start_s + outage_duration_s), sessions drop at
-  /// onset (reconnect storm), and inbound forwarded work is shed.
-  std::size_t outage_dc = 0;
-  double outage_start_s = 30.0;
-  double outage_duration_s = 20.0;
   /// Per-datacenter admission stack; disabled = naive arm (big queue, no
   /// bucket/breaker).
   RetryStormDefenseConfig defense;
@@ -109,10 +104,9 @@ struct FleetStormConfig {
   /// Per-datacenter recovery verdict, as in the single-DC storm.
   double sla_goodput_fraction = 0.9;
   std::size_t recovery_window_epochs = 10;
-  /// Correlated grid-event disruptions on top of the legacy outage (empty =
-  /// the legacy scenario, bit-identical). The pre-fault SLA window ends at
-  /// the earliest of any disruption/outage start; recovery is judged from
-  /// the latest clear.
+  /// Every scripted disturbance; at least one. A dark datacenter (capacity
+  /// 0) sheds inbound forwarded work. The pre-fault SLA window ends at the
+  /// earliest start; recovery is judged from the latest clear.
   std::vector<FleetDisruption> disruptions;
   /// Defended-fleet behavior: honor broadcast disruptions by steering
   /// forwards away from the affected datacenter while it is degraded. Off =
@@ -217,8 +211,9 @@ std::vector<FleetDisruption> to_fleet_disruptions(
 
 /// Reference fleet scenario: `dcs` datacenters from
 /// macro::make_reference_fleet_sites, `clients_per_dc` clients each,
-/// defended admission stacks, a 20 s outage at the first site 30 s in, and
-/// full re-routing of dark/overflow attempts.
+/// defended admission stacks, a 20 s outage at the first site 30 s in (the
+/// first disruption: dark, sessions dropped, not broadcast), and full
+/// re-routing of dark/overflow attempts.
 FleetStormConfig make_reference_fleet_storm_config(std::size_t dcs,
                                                    std::size_t clients_per_dc,
                                                    std::uint64_t seed);

@@ -5,6 +5,7 @@
 
 #include "core/require.h"
 #include "faults/injector.h"
+#include "macro/coordinator.h"
 #include "sensing/telemetry_feed.h"
 #include "sim/simulator.h"
 #include "telemetry/store.h"
@@ -112,34 +113,8 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
     log.record({now_s, macro::DecisionKind::kActuation, "", text});
   });
   actuators.set_applier([&facility](const sensing::ActuatorCommand& command) {
-    switch (command.kind) {
-      case sensing::CommandKind::kFleetSize:
-        facility.service(command.target)
-            .set_target_committed(
-                static_cast<std::size_t>(std::llround(command.value)),
-                /*use_sleep=*/false);
-        return true;
-      case sensing::CommandKind::kPstate:
-      case sensing::CommandKind::kPowerCap:
-        facility.service(command.target)
-            .set_uniform_pstate(
-                static_cast<std::size_t>(std::llround(command.value)));
-        return true;
-      case sensing::CommandKind::kCracReturnSetpoint:
-        facility.room().crac(command.target).set_return_setpoint_c(command.value);
-        return true;
-      case sensing::CommandKind::kCracSupply:
-        facility.room().set_crac_auto(command.target, false);
-        facility.room().crac(command.target).set_supply_temp_c(command.value);
-        return true;
-      case sensing::CommandKind::kZoneShare:
-        facility.set_zone_share(command.target, command.values);
-        return true;
-      case sensing::CommandKind::kConsolidation:
-        // No migration machinery in the storm facility; ack the pause.
-        return true;
-    }
-    return false;
+    return macro::apply_actuator_command(facility, command,
+                                         /*use_sleep_states=*/false);
   });
 
   macro::DegradationPolicy policy(config.policy, services, &log);

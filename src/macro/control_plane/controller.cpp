@@ -94,22 +94,18 @@ void ControllerReplica::on_journal_record(const ControlCommand& cmd) {
   journal_.merge(cmd, lease_.max_token_seen());
 }
 
-void ControllerReplica::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kControllerMagic, kControllerVersion);
-  w.write_u64(commands_issued_);
-  w.write_u64(commands_replayed_);
-  w.write_u64(journal_drops_);
-  lease_.save(w);
-  journal_.save(w);
+template <typename Self, typename Io>
+void ControllerReplica::fields(Self& self, Io& io) {
+  io.section(kControllerMagic, kControllerVersion);
+  io.field(self.commands_issued_);
+  io.field(self.commands_replayed_);
+  io.field(self.journal_drops_);
+  io.nested(self.lease_);
+  io.nested(self.journal_);
 }
 
-void ControllerReplica::restore(sim::SnapshotReader& r) {
-  r.expect_section(kControllerMagic, kControllerVersion);
-  commands_issued_ = r.read_u64();
-  commands_replayed_ = r.read_u64();
-  journal_drops_ = r.read_u64();
-  lease_.restore(r);
-  journal_.restore(r);
-}
+void ControllerReplica::save(sim::SnapshotWriter& w) const { fields(*this, w); }
+
+void ControllerReplica::restore(sim::SnapshotReader& r) { fields(*this, r); }
 
 }  // namespace epm::macro

@@ -87,6 +87,10 @@ class ControllerReplica {
   void restore(sim::SnapshotReader& r);
 
  private:
+  /// The "ctrl" snapshot section: counters, then the lease and the journal.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
+
   void issue_due_steps(double now_s, std::vector<Outbound>& out);
 
   ControllerConfig config_;

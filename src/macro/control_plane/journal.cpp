@@ -9,6 +9,8 @@ namespace {
 
 constexpr std::uint32_t kJournalMagic = 0x6e72756a;  // "jurn"
 constexpr std::uint32_t kJournalVersion = 1;
+/// Bytes of one serialized record: a 7-word command payload and its count.
+constexpr std::size_t kRecordBytes = 8 * 8;
 
 }  // namespace
 
@@ -85,27 +87,32 @@ std::vector<ControlCommand> CommandJournal::replay_order() const {
   return out;
 }
 
+template <typename Self, typename Io>
+void CommandJournal::fields(Self& self, Io& io,
+                            std::vector<sim::TagPayload>& records) {
+  io.section(kJournalMagic, kJournalVersion);
+  io.field(self.next_seq_);
+  io.field(self.max_token_);
+  io.field(self.rejected_stale_);
+  io.field(self.duplicates_);
+  io.size(records, kRecordBytes);
+  for (auto& record : records) io.field(record);
+}
+
 void CommandJournal::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kJournalMagic, kJournalVersion);
-  w.write_u64(next_seq_);
-  w.write_u64(max_token_);
-  w.write_u64(rejected_stale_);
-  w.write_u64(duplicates_);
-  w.write_u64(entries_.size());
-  for (const auto& [key, cmd] : entries_) w.write_payload(encode_command(cmd));
+  std::vector<sim::TagPayload> records;
+  records.reserve(entries_.size());
+  for (const auto& [key, cmd] : entries_) records.push_back(encode_command(cmd));
+  fields(*this, w, records);
 }
 
 void CommandJournal::restore(sim::SnapshotReader& r) {
-  r.expect_section(kJournalMagic, kJournalVersion);
-  next_seq_ = r.read_u64();
-  max_token_ = r.read_u64();
-  rejected_stale_ = r.read_u64();
-  duplicates_ = r.read_u64();
-  const std::uint64_t count = r.read_u64();
+  std::vector<sim::TagPayload> records;
+  fields(*this, r, records);
   entries_.clear();
   by_uid_.clear();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ControlCommand cmd = decode_command(r.read_payload());
+  for (const sim::TagPayload& record : records) {
+    const ControlCommand cmd = decode_command(record);
     entries_.emplace(std::make_pair(cmd.seq, cmd.uid), cmd);
     by_uid_.emplace(cmd.uid, cmd.seq);
   }

@@ -86,6 +86,10 @@ class CommandJournal {
   void restore(sim::SnapshotReader& r);
 
  private:
+  /// The "jurn" snapshot section; `records` carries the entries, encoded.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io, std::vector<sim::TagPayload>& records);
+
   /// Keyed by (seq, uid): replay order with a total tie-break, so two
   /// leaders racing the same slot replay deterministically.
   std::map<std::pair<std::uint64_t, std::uint64_t>, ControlCommand> entries_;

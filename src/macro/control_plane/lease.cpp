@@ -107,38 +107,27 @@ void LeaseState::restart(double now_s, std::uint64_t journal_token) {
   last_heartbeat_s_ = now_s;
 }
 
-void LeaseState::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kLeaseMagic, kLeaseVersion);
-  w.write_u64(config_.replicas);
-  w.write_u64(config_.id);
-  w.write_u8(static_cast<std::uint8_t>(role_));
-  w.write_u8(hung_ ? 1 : 0);
-  w.write_u64(token_);
-  w.write_u64(max_token_);
-  w.write_u64(leader_);
-  w.write_f64(last_heartbeat_s_);
-  w.write_payload(claimed_);
-  w.write_u64(depositions_);
-  w.write_u64(stale_heartbeats_);
-  w.write_u64(crashes_);
+template <typename Self, typename Io>
+void LeaseState::fields(Self& self, Io& io) {
+  io.section(kLeaseMagic, kLeaseVersion);
+  io.expect(self.config_.replicas,
+            "lease snapshot replica count does not match the config");
+  io.expect(self.config_.id,
+            "lease snapshot replica id does not match the config");
+  io.field(self.role_);
+  io.field(self.hung_);
+  io.field(self.token_);
+  io.field(self.max_token_);
+  io.field(self.leader_);
+  io.field(self.last_heartbeat_s_);
+  io.field(self.claimed_);
+  io.field(self.depositions_);
+  io.field(self.stale_heartbeats_);
+  io.field(self.crashes_);
 }
 
-void LeaseState::restore(sim::SnapshotReader& r) {
-  r.expect_section(kLeaseMagic, kLeaseVersion);
-  require(r.read_u64() == config_.replicas,
-          "lease snapshot replica count does not match the config");
-  require(r.read_u64() == config_.id,
-          "lease snapshot replica id does not match the config");
-  role_ = static_cast<LeaseRole>(r.read_u8());
-  hung_ = r.read_u8() != 0;
-  token_ = r.read_u64();
-  max_token_ = r.read_u64();
-  leader_ = r.read_u64();
-  last_heartbeat_s_ = r.read_f64();
-  claimed_ = r.read_payload();
-  depositions_ = r.read_u64();
-  stale_heartbeats_ = r.read_u64();
-  crashes_ = r.read_u64();
-}
+void LeaseState::save(sim::SnapshotWriter& w) const { fields(*this, w); }
+
+void LeaseState::restore(sim::SnapshotReader& r) { fields(*this, r); }
 
 }  // namespace epm::macro

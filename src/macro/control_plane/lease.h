@@ -114,6 +114,10 @@ class LeaseState {
   void restore(sim::SnapshotReader& r);
 
  private:
+  /// The "leas" snapshot section.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
+
   std::uint64_t next_eligible_token(std::uint64_t above) const;
   std::uint64_t next_eligible_token_seed() const;
 

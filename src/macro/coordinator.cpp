@@ -38,7 +38,8 @@ MacroResourceManager::MacroResourceManager(Facility& facility,
   sensors_ = sensors;
   actuators_ = actuators;
   actuators_->set_applier([this](const sensing::ActuatorCommand& command) {
-    return apply_command(command);
+    return apply_actuator_command(facility_, command,
+                                  config_.use_sleep_states);
   });
   actuators_->set_logger([this](double now_s, const std::string& text) {
     log_.record({now_s, DecisionKind::kActuation, "", text});
@@ -60,29 +61,31 @@ sensing::Estimate MacroResourceManager::estimate(sensing::ChannelKind kind,
   return estimator_.update(key, sensors_->sample(key, truth, now_s), now_s);
 }
 
-bool MacroResourceManager::apply_command(const sensing::ActuatorCommand& command) {
+bool apply_actuator_command(Facility& facility,
+                            const sensing::ActuatorCommand& command,
+                            bool use_sleep_states) {
   switch (command.kind) {
     case sensing::CommandKind::kFleetSize:
-      facility_.service(command.target)
+      facility.service(command.target)
           .set_target_committed(
               static_cast<std::size_t>(std::llround(command.value)),
-              config_.use_sleep_states);
+              use_sleep_states);
       return true;
     case sensing::CommandKind::kPstate:
     case sensing::CommandKind::kPowerCap:
-      facility_.service(command.target)
+      facility.service(command.target)
           .set_uniform_pstate(
               static_cast<std::size_t>(std::llround(command.value)));
       return true;
     case sensing::CommandKind::kCracSupply:
-      facility_.room().set_crac_auto(command.target, false);
-      facility_.room().crac(command.target).set_supply_temp_c(command.value);
+      facility.room().set_crac_auto(command.target, false);
+      facility.room().crac(command.target).set_supply_temp_c(command.value);
       return true;
     case sensing::CommandKind::kCracReturnSetpoint:
-      facility_.room().crac(command.target).set_return_setpoint_c(command.value);
+      facility.room().crac(command.target).set_return_setpoint_c(command.value);
       return true;
     case sensing::CommandKind::kZoneShare:
-      facility_.set_zone_share(command.target, command.values);
+      facility.set_zone_share(command.target, command.values);
       return true;
     case sensing::CommandKind::kConsolidation:
       // Consolidation pausing is a control-plane concern; the storm facility

@@ -60,6 +60,13 @@ struct MacroManagerConfig {
   sensing::EstimatorConfig estimator;
 };
 
+/// Executes one actuator command against the facility's plant; fleet-size
+/// commands park servers in sleep states when `use_sleep_states`, else
+/// power them off. Returns false for an unknown command kind.
+bool apply_actuator_command(Facility& facility,
+                            const sensing::ActuatorCommand& command,
+                            bool use_sleep_states);
+
 /// The manager never touches ground truth directly: every observation goes
 /// through a SensorPlane + ValidatedEstimator, and every command (fleet
 /// size, P-state, CRAC setpoint, power cap, zone share) is issued through an
@@ -96,7 +103,6 @@ class MacroResourceManager {
   void coordinate();
   sensing::Estimate estimate(sensing::ChannelKind kind, std::uint32_t index,
                              double truth, double now_s);
-  bool apply_command(const sensing::ActuatorCommand& command);
   void issue(sensing::CommandKind kind, std::size_t target, double value,
              std::vector<double> values = {});
 

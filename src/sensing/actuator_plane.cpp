@@ -209,63 +209,34 @@ constexpr std::uint32_t kActuatorMagic = 0x74756361;  // "acut"
 constexpr std::uint32_t kActuatorVersion = 1;
 /// Bytes of one serialized pending command with an empty `values` vector.
 constexpr std::size_t kPendingCommandBytes = 4 + 7 * 8;
-
-void write_f64_vec(sim::SnapshotWriter& w, const std::vector<double>& v) {
-  w.write_u64(v.size());
-  for (double x : v) w.write_f64(x);
-}
-
-std::vector<double> read_f64_vec(sim::SnapshotReader& r) {
-  std::vector<double> v(r.read_count(8));
-  for (double& x : v) x = r.read_f64();
-  return v;
-}
 }  // namespace
 
-void ActuatorPlane::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kActuatorMagic, kActuatorVersion);
-  w.write_u64(next_id_);
-  w.write_u64(issued_);
-  w.write_u64(acked_);
-  w.write_u64(failed_);
-  w.write_u64(retries_);
-  w.write_u64(superseded_);
-  w.write_u64(fencing_rejections_);
-  for (const auto& domain : fail_severity_) write_f64_vec(w, domain);
-  w.write_u64(pending_.size());
-  for (const PendingCommand& p : pending_) {
-    w.write_u32(static_cast<std::uint32_t>(p.command.kind));
-    w.write_u64(p.command.target);
-    w.write_f64(p.command.value);
-    write_f64_vec(w, p.command.values);
-    w.write_u64(p.id);
-    w.write_f64(p.issued_s);
-    w.write_f64(p.next_attempt_s);
-    w.write_u64(p.attempts);
+template <typename Self, typename Io>
+void ActuatorPlane::fields(Self& self, Io& io) {
+  io.section(kActuatorMagic, kActuatorVersion);
+  io.field(self.next_id_);
+  io.field(self.issued_);
+  io.field(self.acked_);
+  io.field(self.failed_);
+  io.field(self.retries_);
+  io.field(self.superseded_);
+  io.field(self.fencing_rejections_);
+  for (auto& domain : self.fail_severity_) io.field(domain);
+  io.size(self.pending_, kPendingCommandBytes);
+  for (auto& p : self.pending_) {
+    io.field(p.command.kind);
+    io.field(p.command.target);
+    io.field(p.command.value);
+    io.field(p.command.values);
+    io.field(p.id);
+    io.field(p.issued_s);
+    io.field(p.next_attempt_s);
+    io.field(p.attempts);
   }
 }
 
-void ActuatorPlane::restore(sim::SnapshotReader& r) {
-  r.expect_section(kActuatorMagic, kActuatorVersion);
-  next_id_ = r.read_u64();
-  issued_ = r.read_u64();
-  acked_ = r.read_u64();
-  failed_ = r.read_u64();
-  retries_ = r.read_u64();
-  superseded_ = r.read_u64();
-  fencing_rejections_ = r.read_u64();
-  for (auto& domain : fail_severity_) domain = read_f64_vec(r);
-  pending_.assign(r.read_count(kPendingCommandBytes), PendingCommand{});
-  for (PendingCommand& p : pending_) {
-    p.command.kind = static_cast<CommandKind>(r.read_u32());
-    p.command.target = static_cast<std::size_t>(r.read_u64());
-    p.command.value = r.read_f64();
-    p.command.values = read_f64_vec(r);
-    p.id = r.read_u64();
-    p.issued_s = r.read_f64();
-    p.next_attempt_s = r.read_f64();
-    p.attempts = static_cast<std::size_t>(r.read_u64());
-  }
-}
+void ActuatorPlane::save(sim::SnapshotWriter& w) const { fields(*this, w); }
+
+void ActuatorPlane::restore(sim::SnapshotReader& r) { fields(*this, r); }
 
 }  // namespace epm::sensing

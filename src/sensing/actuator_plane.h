@@ -133,6 +133,10 @@ class ActuatorPlane {
     std::size_t attempts = 0;
   };
 
+  /// The "acut" snapshot section.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
+
   /// One attempt; returns true when acked (command leaves the queue).
   bool attempt(PendingCommand& pending, double now_s);
   void schedule_retry(PendingCommand& pending, double now_s);

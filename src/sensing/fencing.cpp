@@ -35,30 +35,28 @@ FencingVerdict FencingLedger::admit(std::uint64_t token, std::uint64_t uid) {
   return FencingVerdict::kApplied;
 }
 
+template <typename Self, typename Io>
+void FencingLedger::fields(Self& self, Io& io, sim::TagPayload& uids) {
+  io.section(kFencingMagic, kFencingVersion);
+  io.expect(self.enforce_,
+            "fencing snapshot enforcement mode does not match the config");
+  io.field(self.max_token_);
+  io.field(self.applied_);
+  io.field(self.rejected_stale_);
+  io.field(self.suppressed_duplicates_);
+  io.field(self.double_actuations_);
+  io.field(self.stale_applied_);
+  io.field(uids);
+}
+
 void FencingLedger::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kFencingMagic, kFencingVersion);
-  w.write_u8(enforce_ ? 1 : 0);
-  w.write_u64(max_token_);
-  w.write_u64(applied_);
-  w.write_u64(rejected_stale_);
-  w.write_u64(suppressed_duplicates_);
-  w.write_u64(double_actuations_);
-  w.write_u64(stale_applied_);
   sim::TagPayload uids(applied_uids_.begin(), applied_uids_.end());
-  w.write_payload(uids);
+  fields(*this, w, uids);
 }
 
 void FencingLedger::restore(sim::SnapshotReader& r) {
-  r.expect_section(kFencingMagic, kFencingVersion);
-  require((r.read_u8() != 0) == enforce_,
-          "fencing snapshot enforcement mode does not match the config");
-  max_token_ = r.read_u64();
-  applied_ = r.read_u64();
-  rejected_stale_ = r.read_u64();
-  suppressed_duplicates_ = r.read_u64();
-  double_actuations_ = r.read_u64();
-  stale_applied_ = r.read_u64();
-  const sim::TagPayload uids = r.read_payload();
+  sim::TagPayload uids;
+  fields(*this, r, uids);
   applied_uids_ = std::set<std::uint64_t>(uids.begin(), uids.end());
 }
 
@@ -70,21 +68,17 @@ bool DeadMansSwitch::expired(double now_s) {
   return true;
 }
 
-void DeadMansSwitch::save(sim::SnapshotWriter& w) const {
-  w.begin_section(kDeadmanMagic, kDeadmanVersion);
-  w.write_f64(ttl_s_);
-  w.write_f64(last_feed_s_);
-  w.write_u8(tripped_ ? 1 : 0);
-  w.write_u64(trips_);
+template <typename Self, typename Io>
+void DeadMansSwitch::fields(Self& self, Io& io) {
+  io.section(kDeadmanMagic, kDeadmanVersion);
+  io.expect(self.ttl_s_, "dead-man snapshot TTL does not match the config");
+  io.field(self.last_feed_s_);
+  io.field(self.tripped_);
+  io.field(self.trips_);
 }
 
-void DeadMansSwitch::restore(sim::SnapshotReader& r) {
-  r.expect_section(kDeadmanMagic, kDeadmanVersion);
-  require(r.read_f64() == ttl_s_,
-          "dead-man snapshot TTL does not match the config");
-  last_feed_s_ = r.read_f64();
-  tripped_ = r.read_u8() != 0;
-  trips_ = r.read_u64();
-}
+void DeadMansSwitch::save(sim::SnapshotWriter& w) const { fields(*this, w); }
+
+void DeadMansSwitch::restore(sim::SnapshotReader& r) { fields(*this, r); }
 
 }  // namespace epm::sensing

@@ -66,6 +66,10 @@ class FencingLedger {
   void restore(sim::SnapshotReader& r);
 
  private:
+  /// The "fenc" snapshot section; `uids` carries the applied uid set.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io, sim::TagPayload& uids);
+
   bool enforce_;
   std::uint64_t max_token_ = 0;
   /// Ordered so serialization is canonical.
@@ -102,6 +106,10 @@ class DeadMansSwitch {
   void restore(sim::SnapshotReader& r);
 
  private:
+  /// The "dman" snapshot section.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
+
   double ttl_s_;
   double last_feed_s_ = 0.0;
   bool tripped_ = false;

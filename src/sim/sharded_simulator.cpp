@@ -449,31 +449,46 @@ namespace {
 /// Section magic for the federation's own snapshot payload ("fedr").
 constexpr std::uint32_t kFederationMagic = 0x66656472;
 constexpr std::uint32_t kFederationVersion = 1;
+/// Bytes of one serialized parked message with an empty payload.
+constexpr std::size_t kParkedBytes = 5 * 8;
 }  // namespace
+
+template <typename Self, typename Io>
+void ShardedSimulator::fields(Self& self, Io& io) {
+  io.section(kFederationMagic, kFederationVersion);
+  io.expect(self.shards_.size(),
+            "ShardedSimulator: snapshot shard count does not match this "
+            "federation");
+  io.field(self.now_s_);
+  io.field(self.horizon_s_);
+  io.field(self.windows_run_);
+  for (auto& s : self.shards_) {
+    io.field(s->sent);
+    io.field(s->redelivered);
+    for (auto& index : s->pair_index) io.field(index);
+    for (auto& floor : s->down_floor) io.field(floor);
+    for (auto& queue : s->parked) {
+      io.size(queue, kParkedBytes);
+      for (auto& p : queue) {
+        io.field(p.send_s);
+        io.field(p.nominal_when_s);
+        io.field(p.pair_index);
+        io.field(p.tag);
+        io.field(p.payload);
+      }
+    }
+  }
+}
 
 void ShardedSimulator::save_state(SnapshotWriter& w) const {
   ensure(!running_, "ShardedSimulator: save_state during a run");
-  const std::size_t n = shards_.size();
   for (const auto& s : shards_) {
     for (const auto& box : s->outbox) {
       ensure(box.empty(),
              "ShardedSimulator: save_state with undelivered mailbox messages "
              "(snapshot only at a window barrier, between runs)");
     }
-  }
-  w.begin_section(kFederationMagic, kFederationVersion);
-  w.write_u64(static_cast<std::uint64_t>(n));
-  w.write_f64(now_s_);
-  w.write_f64(horizon_s_);
-  w.write_u64(windows_run_);
-  for (const auto& s : shards_) {
-    w.write_u64(s->sent);
-    w.write_u64(s->redelivered);
-    for (std::size_t dst = 0; dst < n; ++dst) w.write_u64(s->pair_index[dst]);
-    for (std::size_t dst = 0; dst < n; ++dst) w.write_f64(s->down_floor[dst]);
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      const auto& queue = s->parked[dst];
-      w.write_u64(static_cast<std::uint64_t>(queue.size()));
+    for (const auto& queue : s->parked) {
       for (const Parked& p : queue) {
         if (!p.tagged) {
           throw std::runtime_error(
@@ -481,57 +496,18 @@ void ShardedSimulator::save_state(SnapshotWriter& w) const {
               "serialized — worlds that snapshot under partitions must use "
               "send_tagged for cross-shard traffic");
         }
-        w.write_f64(p.send_s);
-        w.write_f64(p.nominal_when_s);
-        w.write_u64(p.pair_index);
-        w.write_u64(p.tag);
-        w.write_payload(p.payload);
       }
     }
   }
+  fields(*this, w);
 }
 
 void ShardedSimulator::restore_state(SnapshotReader& r) {
   ensure(!running_, "ShardedSimulator: restore_state during a run");
-  r.expect_section(kFederationMagic, kFederationVersion);
-  const std::uint64_t n = r.read_u64();
-  require(n == shards_.size(), [&] {
-    return "ShardedSimulator: snapshot has " + std::to_string(n) +
-           " shards but this federation has " + std::to_string(shards_.size());
-  });
-  const double now = r.read_f64();
-  const double horizon = r.read_f64();
-  require(std::isfinite(now) && std::isfinite(horizon) && horizon <= now,
+  fields(*this, r);
+  require(std::isfinite(now_s_) && std::isfinite(horizon_s_) &&
+              horizon_s_ <= now_s_,
           "ShardedSimulator: snapshot clock/horizon corrupt");
-  now_s_ = now;
-  horizon_s_ = horizon;
-  windows_run_ = r.read_u64();
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    s.sent = r.read_u64();
-    s.redelivered = r.read_u64();
-    for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-      s.pair_index[dst] = r.read_u64();
-    }
-    for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-      s.down_floor[dst] = r.read_f64();
-    }
-    for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-      auto& queue = s.parked[dst];
-      queue.clear();
-      const std::uint64_t count = r.read_u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        Parked p;
-        p.send_s = r.read_f64();
-        p.nominal_when_s = r.read_f64();
-        p.pair_index = r.read_u64();
-        p.tagged = true;
-        p.tag = r.read_u64();
-        p.payload = r.read_payload();
-        queue.push_back(std::move(p));
-      }
-    }
-  }
 }
 
 }  // namespace epm::sim

@@ -230,7 +230,9 @@ class ShardedSimulator {
     double nominal_when_s = 0.0;
     std::uint64_t pair_index = 0;
     EventFn fn;
-    bool tagged = false;
+    /// Only tagged messages serialize, so one restored from a snapshot is
+    /// tagged; route_message sets it from the message.
+    bool tagged = true;
     std::uint64_t tag = 0;
     std::vector<std::uint64_t> payload;
   };
@@ -258,6 +260,10 @@ class ShardedSimulator {
     std::uint64_t redelivered = 0;
     std::size_t window_ran = 0;
   };
+
+  /// The "fedr" snapshot section, run by save_state and restore_state.
+  template <typename Self, typename Io>
+  static void fields(Self& self, Io& io);
 
   /// Applies the link plan to a cross-shard message; pushes it to the
   /// outbox or parks it. `when_s` is the nominal delivery time.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/require.h"
@@ -13,6 +14,8 @@ namespace {
 
 constexpr std::uint32_t kTaggedKernelMagic = 0x74616773U;  // "tags"
 constexpr std::uint32_t kTaggedKernelVersion = 1;
+/// Bytes of one serialized record with an empty payload.
+constexpr std::size_t kRecordBytes = 5 * 8;
 
 std::string hex(std::uint32_t v) {
   static const char* digits = "0123456789abcdef";
@@ -44,18 +47,17 @@ void SnapshotWriter::write_f64(double v) {
   write_u64(bits);
 }
 
-void SnapshotWriter::write_string(const std::string& s) {
-  write_u64(s.size());
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
 void SnapshotWriter::write_payload(const std::vector<std::uint64_t>& p) {
   write_u64(p.size());
   for (const std::uint64_t v : p) write_u64(v);
 }
 
-void SnapshotWriter::begin_section(std::uint32_t magic,
-                                   std::uint32_t version) {
+void SnapshotWriter::field(const std::vector<double>& v) {
+  write_u64(v.size());
+  for (const double x : v) write_f64(x);
+}
+
+void SnapshotWriter::section(std::uint32_t magic, std::uint32_t version) {
   write_u32(magic);
   write_u32(version);
 }
@@ -99,21 +101,17 @@ double SnapshotReader::read_f64() {
   return v;
 }
 
-std::string SnapshotReader::read_string() {
-  const std::uint64_t n = read_u64();
-  need(n);
-  std::string s(reinterpret_cast<const char*>(bytes_ + pos_),
-                static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
-}
-
 std::vector<std::uint64_t> SnapshotReader::read_payload() {
   const std::size_t n = read_count(8);
   std::vector<std::uint64_t> p;
   p.reserve(n);
   for (std::size_t i = 0; i < n; ++i) p.push_back(read_u64());
   return p;
+}
+
+void SnapshotReader::field(std::vector<double>& v) {
+  v.resize(read_count(8));
+  for (double& x : v) x = read_f64();
 }
 
 std::size_t SnapshotReader::read_count(std::size_t element_bytes) {
@@ -128,8 +126,7 @@ std::size_t SnapshotReader::read_count(std::size_t element_bytes) {
   return static_cast<std::size_t>(n);
 }
 
-void SnapshotReader::expect_section(std::uint32_t magic,
-                                    std::uint32_t version) {
+void SnapshotReader::section(std::uint32_t magic, std::uint32_t version) {
   const std::uint32_t got_magic = read_u32();
   if (got_magic != magic) {
     throw std::runtime_error("snapshot section mismatch: expected " +
@@ -219,6 +216,22 @@ void TaggedKernel::fire(std::uint64_t id) {
   hit->second(now, rec.payload);
 }
 
+template <typename Io, typename Table>
+void TaggedKernel::fields(Io& io, double& now_s, std::uint64_t& next_id,
+                          Table& table) {
+  io.section(kTaggedKernelMagic, kTaggedKernelVersion);
+  io.field(now_s);
+  io.field(next_id);
+  io.size(table, kRecordBytes);
+  for (auto& [id, rec] : table) {
+    io.field(id);
+    io.field(rec.when_s);
+    io.field(rec.period_s);
+    io.field(rec.tag);
+    io.field(rec.payload);
+  }
+}
+
 void TaggedKernel::save(SnapshotWriter& w) const {
   if (sim_.pending() != records_.size()) {
     throw std::runtime_error(
@@ -227,42 +240,28 @@ void TaggedKernel::save(SnapshotWriter& w) const {
         std::to_string(records_.size()) +
         " are tagged records (untagged closures cannot be serialized)");
   }
-  w.begin_section(kTaggedKernelMagic, kTaggedKernelVersion);
-  w.write_f64(sim_.now());
-  w.write_u64(next_id_);
-  w.write_u64(records_.size());
-  for (const auto& [id, rec] : records_) {
-    w.write_u64(id);
-    w.write_f64(rec.when_s);
-    w.write_f64(rec.period_s);
-    w.write_u64(rec.tag);
-    w.write_payload(rec.payload);
-  }
+  double now = sim_.now();
+  std::uint64_t next_id = next_id_;
+  fields(w, now, next_id, records_);
 }
 
 void TaggedKernel::restore(SnapshotReader& r) {
   require(records_.empty() && sim_.pending() == 0,
           "TaggedKernel: restore target must be idle (no pending events)");
-  r.expect_section(kTaggedKernelMagic, kTaggedKernelVersion);
-  const double now = r.read_f64();
+  double now = 0.0;
+  std::uint64_t next_id = 0;
+  std::vector<std::pair<std::uint64_t, Record>> table;
+  fields(r, now, next_id, table);
   if (!std::isfinite(now) || now < 0.0) {
     throw std::runtime_error("snapshot clock is not a finite time");
   }
-  const std::uint64_t next_id = r.read_u64();
-  const std::uint64_t count = r.read_u64();
   sim_.restore_clock(now);
   std::uint64_t prev_id = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t id = r.read_u64();
+  for (auto& [id, rec] : table) {
     if (id <= prev_id || id >= next_id) {
       throw std::runtime_error("snapshot record ids out of order");
     }
     prev_id = id;
-    Record rec;
-    rec.when_s = r.read_f64();
-    rec.period_s = r.read_f64();
-    rec.tag = r.read_u64();
-    rec.payload = r.read_payload();
     if (!std::isfinite(rec.when_s) || rec.when_s < now) {
       throw std::runtime_error("snapshot record scheduled before the clock");
     }
@@ -271,11 +270,9 @@ void TaggedKernel::restore(SnapshotReader& r) {
                                std::to_string(rec.tag) +
                                " with no registered handler");
     }
-    auto [it, inserted] = records_.emplace(id, std::move(rec));
-    ensure(inserted, "TaggedKernel: duplicate record id in snapshot");
     // Re-scheduling in ascending record id order assigns fresh kernel seq
     // numbers in the same relative order the uninterrupted run had.
-    arm(id, it->second);
+    arm(id, records_.emplace(id, std::move(rec)).first->second);
   }
   next_id_ = next_id;
 }

@@ -19,16 +19,38 @@
 // The byte format is explicit little-endian with per-section magic+version
 // headers, so a stale or foreign snapshot fails loudly instead of producing
 // a silently different world.
+//
+// Each section states its layout once, as a field list templated over the
+// stream: save() runs it through a SnapshotWriter and restore() through a
+// SnapshotReader. The list is typically a static member template over
+// (Self, Io), with Self const on save, so the same lines read the members
+// on save and assign them on restore. Writer and reader share one
+// vocabulary —
+//
+//   io.section(magic, version)  header: written, or checked on read
+//   io.field(x)                 bool (u8), u64, f64, enum (its underlying
+//                               width), u64 payload or f64 vector (each a
+//                               u64 count, then the elements)
+//   io.expect(x, message)       config echo: written, or read and required
+//                               to equal the live config's value
+//   io.size(container, bytes)   element count: written, or read through
+//                               read_count and the container resized
+//   io.nested(object)           a sub-section: object.save / .restore
+//
+// so a write list and a read list cannot drift apart. Work only one
+// direction needs (checks on restored values, rebuilding indexes) runs in
+// save()/restore() around the shared list.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "core/require.h"
 #include "sim/simulator.h"
 
 namespace epm::sim {
@@ -40,10 +62,34 @@ class SnapshotWriter {
   void write_u32(std::uint32_t v);
   void write_u64(std::uint64_t v);
   void write_f64(double v);
-  void write_string(const std::string& s);
   void write_payload(const std::vector<std::uint64_t>& p);
+
+  // The field vocabulary (see the file comment).
   /// Section header: a magic tag plus a format version, checked on read.
-  void begin_section(std::uint32_t magic, std::uint32_t version);
+  void section(std::uint32_t magic, std::uint32_t version);
+  void field(bool v) { write_u8(v ? 1 : 0); }
+  void field(std::uint64_t v) { write_u64(v); }
+  void field(double v) { write_f64(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void field(E v) {
+    static_assert(sizeof(E) == 1 || sizeof(E) == 4);
+    if constexpr (sizeof(E) == 1) {
+      write_u8(static_cast<std::uint8_t>(v));
+    } else {
+      write_u32(static_cast<std::uint32_t>(v));
+    }
+  }
+  void field(const std::vector<std::uint64_t>& p) { write_payload(p); }
+  void field(const std::vector<double>& v);
+  template <typename T>
+  void expect(const T& v, const char* /*message*/) { field(v); }
+  template <typename Container>
+  void size(const Container& c, std::size_t /*element_bytes*/) {
+    write_u64(c.size());
+  }
+  template <typename Section>
+  void nested(const Section& s) { s.save(*this); }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -66,13 +112,45 @@ class SnapshotReader {
   std::uint32_t read_u32();
   std::uint64_t read_u64();
   double read_f64();
-  std::string read_string();
   std::vector<std::uint64_t> read_payload();
   /// Reads an element count and checks that that many elements of at least
   /// `element_bytes` (> 0) bytes each fit in the bytes left, so a corrupt
   /// count throws before a container is sized from it.
   std::size_t read_count(std::size_t element_bytes);
-  void expect_section(std::uint32_t magic, std::uint32_t version);
+
+  // The field vocabulary (see the file comment).
+  void section(std::uint32_t magic, std::uint32_t version);
+  void field(bool& v) { v = read_u8() != 0; }
+  void field(std::uint64_t& v) { v = read_u64(); }
+  void field(double& v) { v = read_f64(); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void field(E& v) {
+    static_assert(sizeof(E) == 1 || sizeof(E) == 4);
+    if constexpr (sizeof(E) == 1) {
+      v = static_cast<E>(read_u8());
+    } else {
+      v = static_cast<E>(read_u32());
+    }
+  }
+  void field(std::vector<std::uint64_t>& p) { p = read_payload(); }
+  void field(std::vector<double>& v);
+  /// Throws std::invalid_argument with `message` when the snapshot's value
+  /// differs from `v`: the snapshot was taken under another config.
+  template <typename T>
+  void expect(const T& v, const char* message) {
+    T got{};
+    field(got);
+    require(got == v, message);
+  }
+  template <typename Container>
+  void size(Container& c, std::size_t element_bytes) {
+    const std::size_t n = read_count(element_bytes);
+    c.clear();
+    c.resize(n);
+  }
+  template <typename Section>
+  void nested(Section& s) { s.restore(*this); }
 
   std::size_t remaining() const { return size_ - pos_; }
   bool at_end() const { return pos_ == size_; }
@@ -142,6 +220,13 @@ class TaggedKernel {
     TagPayload payload;
     EventHandle handle;
   };
+
+  /// The "tags" section: the clock, the next record id, then every pending
+  /// record in record-id order. `Table` is the live record map on save and a
+  /// (record id, record) vector on restore.
+  template <typename Io, typename Table>
+  static void fields(Io& io, double& now_s, std::uint64_t& next_id,
+                     Table& table);
 
   std::uint64_t add_record(double when_s, double period_s, std::uint64_t tag,
                            TagPayload payload);

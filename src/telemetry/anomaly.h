@@ -86,6 +86,7 @@ class StreamingSpikeDetector {
   /// once the EWMA absorbs it.
   double observe(double value);
 
+  bool enabled() const { return config_.enabled; }
   std::uint64_t samples_seen() const { return n_; }
   double mean() const { return mean_; }
   double variance() const { return var_; }

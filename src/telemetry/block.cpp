@@ -31,7 +31,6 @@ bool keeps_stored_row(const LevelSpec& spec) {
 
 ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning)
     : block_capacity_(tuning.block_capacity),
-      anomaly_config_(tuning.anomaly),
       levels_(make_level_bins(config)),
       first_ever_bin_(levels_.size(), 0),
       detector_(tuning.anomaly) {
@@ -68,7 +67,7 @@ void ColumnSeries::seal() {
   }
 
   // [detect] Events carry key=0 here; the store stamps the owning counter.
-  if (anomaly_config_.enabled) {
+  if (detector_.enabled()) {
     for (std::size_t i = 0; i < n; ++i) {
       const double z = detector_.observe(values[i]);
       if (z > 0.0) events_.push_back(AnomalyEvent{0, times[i], values[i], z});

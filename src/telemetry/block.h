@@ -124,7 +124,6 @@ class ColumnSeries {
   void for_each_bin(std::size_t level, double t0_s, double t1_s, Visit&& visit) const;
 
   std::size_t block_capacity_;
-  StreamingAnomalyConfig anomaly_config_;
   /// One row per level. Rows of levels retained for a day or less stay
   /// empty: those levels are derived from the blocks at query time.
   std::vector<LevelBins> levels_;

@@ -100,6 +100,26 @@ TEST(DomainFaultPlan, ParseRoundTripsAndValidates) {
                std::invalid_argument);  // brownout severity outside (0, 1]
 }
 
+// The unknown-kind diagnostic lists every token the grammar accepts,
+// ctl-kill included, so an operator can copy a valid one from it.
+TEST(DomainFaultPlan, UnknownKindDiagnosticListsEveryValidToken) {
+  try {
+    (void)DomainFaultPlan::parse("meteor:region/americas@40+25");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(std::string::npos, message.find("'meteor'"));
+    for (const GridEventKind kind :
+         {GridEventKind::kOutage, GridEventKind::kBrownout,
+          GridEventKind::kPriceSpike, GridEventKind::kDemandResponse,
+          GridEventKind::kControllerKill}) {
+      EXPECT_NE(std::string::npos, message.find(to_string(kind)))
+          << "'" << message << "' omits " << to_string(kind);
+    }
+    EXPECT_EQ(std::string::npos, message.find('\n'));  // one line
+  }
+}
+
 TEST(DomainExpansion, FansOutCorrelatedStaggeredFaults) {
   const FaultDomainTree tree = reference_tree(6);
   const DomainFaultPlan plan =

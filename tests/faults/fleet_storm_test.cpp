@@ -31,10 +31,9 @@ TEST(FederationFleetStorm, OutcomeIsIdenticalOnEveryFabricDecomposition) {
   EXPECT_GT(truth.forwarded, 0u);
   EXPECT_GT(truth.remote_served, 0u);
   EXPECT_GT(truth.fleet_goodput_fraction, 0.5);
-  EXPECT_TRUE(truth.dcs[config.outage_dc].recovered);
-  EXPECT_GT(truth.dcs[config.outage_dc].dark_failures +
-                truth.dcs[config.outage_dc].forwarded,
-            0u);
+  const FleetDcOutcome& dark = truth.dcs[config.disruptions.front().dc];
+  EXPECT_TRUE(dark.recovered);
+  EXPECT_GT(dark.dark_failures + dark.forwarded, 0u);
 
   // The single-kernel ground truth is the sweep's reference (listed first).
   const SweepReport sweep = sweep_conformance(
@@ -72,7 +71,7 @@ TEST(FederationFleetStorm, ReroutingOffMeansNoCrossDatacenterFlow) {
   EXPECT_TRUE(truth.conservation_ok) << truth.conservation_report;
   // The outage datacenter eats the storm alone: everything that would have
   // ridden through peers dies dark instead.
-  EXPECT_GT(truth.dcs[config.outage_dc].dark_failures, 0u);
+  EXPECT_GT(truth.dcs[config.disruptions.front().dc].dark_failures, 0u);
   // Fabric equality must hold in the degenerate no-traffic case too (the
   // federation still runs windows; there is just nothing in the mailboxes).
   EXPECT_TRUE(run_fleet_storm(config, 4, 2) == truth);
@@ -135,8 +134,11 @@ TEST(FederationFleetStorm, ValidationRejectsBrokenConfigs) {
   }
   {
     FleetStormConfig config = make_reference_fleet_storm_config(2, 500, 5);
-    config.outage_dc = 7;  // out of range for a 2-DC fleet
+    config.disruptions.front().dc = 7;  // out of range for a 2-DC fleet
     sim::SingleKernelFabric fabric(2);
+    EXPECT_THROW(run_fleet_storm(config, fabric), std::invalid_argument);
+    // The pre-fault window ends at the first disruption: there must be one.
+    config.disruptions.clear();
     EXPECT_THROW(run_fleet_storm(config, fabric), std::invalid_argument);
   }
 }

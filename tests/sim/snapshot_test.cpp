@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -15,40 +14,38 @@ namespace {
 
 TEST(Snapshot, WriterReaderRoundTrip) {
   SnapshotWriter w;
-  w.begin_section(0x74736574, 3);  // "test"
+  w.section(0x74736574, 3);  // "test"
   w.write_u8(7);
   w.write_u32(123456789U);
   w.write_u64(0xdeadbeefcafef00dULL);
   w.write_f64(-1.25e-3);
-  w.write_string("federation");
   w.write_payload({1, 2, 3});
 
   SnapshotReader r(w.bytes());
-  r.expect_section(0x74736574, 3);
+  r.section(0x74736574, 3);
   EXPECT_EQ(7, r.read_u8());
   EXPECT_EQ(123456789U, r.read_u32());
   EXPECT_EQ(0xdeadbeefcafef00dULL, r.read_u64());
   EXPECT_DOUBLE_EQ(-1.25e-3, r.read_f64());
-  EXPECT_EQ("federation", r.read_string());
   EXPECT_EQ((std::vector<std::uint64_t>{1, 2, 3}), r.read_payload());
   EXPECT_TRUE(r.at_end());
 }
 
 TEST(Snapshot, ReaderRejectsCorruption) {
   SnapshotWriter w;
-  w.begin_section(0x74736574, 3);
+  w.section(0x74736574, 3);
   w.write_u64(42);
 
   // Wrong magic and wrong version both fail loudly.
   SnapshotReader wrong_magic(w.bytes());
-  EXPECT_THROW(wrong_magic.expect_section(0x74736575, 3), std::runtime_error);
+  EXPECT_THROW(wrong_magic.section(0x74736575, 3), std::runtime_error);
   SnapshotReader wrong_version(w.bytes());
-  EXPECT_THROW(wrong_version.expect_section(0x74736574, 2), std::runtime_error);
+  EXPECT_THROW(wrong_version.section(0x74736574, 2), std::runtime_error);
 
   // Truncation fails on the read, never silently zero-fills.
   std::vector<std::uint8_t> cut(w.bytes().begin(), w.bytes().end() - 3);
   SnapshotReader truncated(cut);
-  truncated.expect_section(0x74736574, 3);
+  truncated.section(0x74736574, 3);
   EXPECT_THROW(truncated.read_u64(), std::runtime_error);
 }
 

@@ -752,8 +752,8 @@ int cmd_federation(const CliArgs& args) {
   std::cout << "Federated fleet storm: " << dcs << " datacenters x " << clients
             << " clients on " << shards << " shard" << (shards == 1 ? "" : "s")
             << " (" << threads << " thread" << (threads == 1 ? "" : "s")
-            << "), outage at '" << config.sites[config.outage_dc].name
-            << "':\n";
+            << "), outage at '"
+            << config.sites[config.disruptions.front().dc].name << "':\n";
   Table table({"datacenter", "intents", "fresh", "stale", "timed out",
                "forwarded", "remote served", "recovery"});
   for (const auto& dc : outcome.dcs) {
