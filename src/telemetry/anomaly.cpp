@@ -1,5 +1,6 @@
 #include "telemetry/anomaly.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -68,26 +69,38 @@ double residual_correlation(const TimeSeries& a, const TimeSeries& b, double per
   return pearson_correlation(ra.values(), rb.values());
 }
 
-double StreamingSpikeDetector::observe(double value) {
-  double zscore = 0.0;
-  if (n_ >= config_.warmup) {
-    const double sd = std::max(std::sqrt(std::max(var_, 0.0)), config_.min_stddev);
-    const double z = (value - mean_) / sd;
-    if (z > config_.sigmas) zscore = z;
+void StreamingSpikeDetector::observe_column(const double* times_s, const double* values,
+                                            std::size_t n,
+                                            std::vector<AnomalyEvent>& events) {
+  const double alpha = config_.alpha;
+  // An escape lies above the band and above zero.
+  const double band = std::max(config_.sigmas, 0.0);
+  double mean = mean_;
+  double var = var_;
+  std::uint64_t seen = n_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double value = values[i];
+    if (seen >= config_.warmup) {
+      const double sd = std::max(std::sqrt(std::max(var, 0.0)), config_.min_stddev);
+      const double z = (value - mean) / sd;
+      if (z > band) events.push_back(AnomalyEvent{0, times_s[i], value, z});
+    }
+    // West's exponentially weighted update; the escape sample itself feeds
+    // the state so a level shift is absorbed instead of alarming forever.
+    if (seen == 0) {
+      mean = value;
+      var = 0.0;
+    } else {
+      const double delta = value - mean;
+      const double incr = alpha * delta;
+      mean += incr;
+      var = (1.0 - alpha) * (var + delta * incr);
+    }
+    ++seen;
   }
-  // West's exponentially weighted update; the escape sample itself feeds
-  // the state so a level shift is absorbed instead of alarming forever.
-  if (n_ == 0) {
-    mean_ = value;
-    var_ = 0.0;
-  } else {
-    const double delta = value - mean_;
-    const double incr = config_.alpha * delta;
-    mean_ += incr;
-    var_ = (1.0 - config_.alpha) * (var_ + delta * incr);
-  }
-  ++n_;
-  return zscore;
+  mean_ = mean;
+  var_ = var;
+  n_ = seen;
 }
 
 }  // namespace epm::telemetry

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/time_series.h"
@@ -47,8 +48,9 @@ double residual_correlation(const TimeSeries& a, const TimeSeries& b, double per
 // rates the detector has to ride along with ingest instead. The streaming
 // recast keeps O(1) state per counter — an exponentially weighted mean and
 // variance — and flags samples that escape the EWMA band. It runs inside
-// the block-seal pipeline (block.h), so detection latency is one sealed
-// block, not one query.
+// the block-seal pipeline (block.h) over a whole sealed column at a time,
+// with its state in locals for the column, so detection latency is one
+// sealed block, not one query.
 
 struct StreamingAnomalyConfig {
   /// EWMA weight: state half-life ~ ln 2 / alpha samples (0.05 ~ 14
@@ -80,16 +82,15 @@ class StreamingSpikeDetector {
   explicit StreamingSpikeDetector(const StreamingAnomalyConfig& config = {})
       : config_(config) {}
 
-  /// Observes one sample. Returns its z-score when it escapes the band
-  /// (armed after warmup), 0.0 otherwise. The state update includes band
-  /// escapes, mirroring detect_spikes: a sustained shift stops alarming
-  /// once the EWMA absorbs it.
-  double observe(double value);
+  /// Observes a time-ordered column sample by sample and appends one event
+  /// (key 0: the store stamps the counter) per sample that escapes the band
+  /// once armed after warmup. The state update includes band escapes,
+  /// mirroring detect_spikes: a sustained shift stops alarming once the
+  /// EWMA absorbs it. Splitting a column changes nothing.
+  void observe_column(const double* times_s, const double* values, std::size_t n,
+                      std::vector<AnomalyEvent>& events);
 
   bool enabled() const { return config_.enabled; }
-  std::uint64_t samples_seen() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const { return var_; }
 
  private:
   StreamingAnomalyConfig config_;

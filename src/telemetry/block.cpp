@@ -32,7 +32,6 @@ bool keeps_stored_row(const LevelSpec& spec) {
 ColumnSeries::ColumnSeries(const MultiScaleConfig& config, const TelemetryTuning& tuning)
     : block_capacity_(tuning.block_capacity),
       levels_(make_level_bins(config)),
-      first_ever_bin_(levels_.size(), 0),
       detector_(tuning.anomaly) {
   require(block_capacity_ >= 1, "ColumnSeries: block_capacity must be >= 1");
 }
@@ -41,11 +40,7 @@ void ColumnSeries::append(double time_s, double value) {
   require(time_s >= 0.0 && time_s <= max_binnable_time_s(levels_.front()),
           "ColumnSeries: time must be finite, non-negative and within the bin range");
   require(time_s >= last_time_s_, "ColumnSeries: timestamps must be non-decreasing");
-  if (total_samples_ == 0) {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      first_ever_bin_[l] = levels_[l].bin_index(time_s);
-    }
-  }
+  if (total_samples_ == 0) first_time_s_ = time_s;
   last_time_s_ = time_s;
   ++total_samples_;
   open_times_.push_back(time_s);
@@ -67,12 +62,7 @@ void ColumnSeries::seal() {
   }
 
   // [detect] Events carry key=0 here; the store stamps the owning counter.
-  if (detector_.enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double z = detector_.observe(values[i]);
-      if (z > 0.0) events_.push_back(AnomalyEvent{0, times[i], values[i], z});
-    }
-  }
+  if (detector_.enabled()) detector_.observe_column(times, values, n, events_);
 
   // [compress]
   SealedBlock block;
@@ -103,7 +93,7 @@ ColumnSeries::LevelWindow ColumnSeries::effective_window(std::size_t level) cons
   const LevelBins& lvl = levels_[level];
   LevelWindow w;
   w.last = lvl.bin_index(last_time_s_);
-  w.first = first_ever_bin_[level];
+  w.first = lvl.bin_index(first_time_s_);
   if (lvl.spec.retention_bins != 0) {
     const std::int64_t cutoff =
         w.last - static_cast<std::int64_t>(lvl.spec.retention_bins) + 1;
@@ -136,26 +126,33 @@ void ColumnSeries::for_each_bin(std::size_t level, double t0_s, double t1_s,
       agg = lvl.at(bin);
     }
   };
-  // Folds a time-ordered column; false once a sample lies past `hi`. A
-  // column whose first and last samples share a bin inside [lo, hi] — an
-  // open tail answered from a coarse level, say — folds straight into that
-  // bin, in the same order, without re-binning every sample.
+  // Folds a time-ordered column run by run; false once a sample lies past
+  // `hi`. Samples before bin `lo` are skipped by binary search, each bin's
+  // run is found by a scan (LevelBins::run_end) and folded whole, and a run
+  // that reaches the column's last bin — all of an open tail answered from
+  // a coarse level, say — ends at the column's end without a scan.
   const auto fold = [&](const double* times, const double* values, std::size_t n) {
     if (n == 0) return true;
-    const std::int64_t b0 = lvl.bin_index(times[0]);
-    if (b0 >= lo && b0 <= hi && b0 == lvl.bin_index(times[n - 1])) {
-      advance_to(b0);
-      for (std::size_t i = 0; i < n; ++i) agg.add(values[i]);
-      return true;
+    const std::int64_t last = lvl.bin_index(times[n - 1]);
+    if (last < lo) return true;
+    std::size_t i = 0;
+    std::int64_t b = lvl.bin_index(times[0]);
+    if (b < lo) {
+      i = static_cast<std::size_t>(
+          std::partition_point(times, times + n,
+                               [&](double t) { return lvl.bin_index(t) < lo; }) -
+          times);
+      b = lvl.bin_index(times[i]);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t b = lvl.bin_index(times[i]);
-      if (b < lo) continue;
-      if (b > hi) return false;
+    while (b <= hi) {
+      const std::size_t end = b == last ? n : lvl.run_end(times, i, n, b);
       advance_to(b);
-      agg.add(values[i]);
+      agg.add_run(values + i, end - i);
+      if (end == n) return true;
+      i = end;
+      b = lvl.bin_index(times[i]);
     }
-    return true;
+    return false;
   };
 
   bool more = true;
@@ -208,10 +205,11 @@ MultiScaleSeries::BinnedMeans ColumnSeries::means_at_level(std::size_t level,
 Aggregate ColumnSeries::raw_range(double t0_s, double t1_s) const {
   require(t1_s >= t0_s, "ColumnSeries: inverted range");
   Aggregate out;
+  // Times are sorted, so a column's samples in [t0, t1) are one run.
   const auto fold = [&](const double* times, const double* values, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (times[i] >= t0_s && times[i] < t1_s) out.add(values[i]);
-    }
+    const double* begin = std::lower_bound(times, times + n, t0_s);
+    const double* end = std::lower_bound(begin, times + n, t1_s);
+    out.add_run(values + (begin - times), static_cast<std::size_t>(end - begin));
   };
   auto it = std::partition_point(
       blocks_.begin(), blocks_.end(),
@@ -227,7 +225,6 @@ Aggregate ColumnSeries::raw_range(double t0_s, double t1_s) const {
 
 std::size_t ColumnSeries::memory_bytes() const {
   std::size_t bytes = sizeof(ColumnSeries) + levels_.capacity() * sizeof(LevelBins) +
-                      first_ever_bin_.capacity() * sizeof(std::int64_t) +
                       blocks_.capacity() * sizeof(SealedBlock) +
                       (open_times_.capacity() + open_values_.capacity()) * sizeof(double) +
                       events_.capacity() * sizeof(AnomalyEvent);

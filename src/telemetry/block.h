@@ -4,31 +4,39 @@
 // plus one open block of plain contiguous columns (times[], values[]).
 // Ingest is two vector pushes; all the per-sample work the legacy store did
 // synchronously — the multiscale banding cascade, anomaly scoring — runs
-// once per block at seal time, over contiguous arrays:
+// once per block at seal time, over contiguous arrays, each stage a kernel
+// with its state in registers:
 //
-//   seal:  [banding]   LevelBins::add_column per stored level (the same
-//                      fold the legacy store runs per sample, so band
-//                      queries answer bit-identically),
-//          [detect]    StreamingSpikeDetector::observe per sample,
+//   seal:  [banding]   LevelBins::add_column per stored level: one bin test
+//                      for a block inside one bin, else one bin test per
+//                      sample to find each bin's run, then one run fold
+//                      (Aggregate::add_run) per bin — the same left fold
+//                      the legacy store runs per sample, so band queries
+//                      answer bit-identically,
+//          [detect]    StreamingSpikeDetector::observe_column over the
+//                      whole block,
 //          [compress]  predictive delta-of-delta timestamps + Gorilla XOR
-//                      values (compress.h), ~0.85 bytes/point on the
-//                      reference counter mix vs 16 raw.
+//                      values (compress.h) through word-wise bit streams,
+//                      ~0.85 bytes/point on the reference counter mix vs
+//                      16 raw.
 //
 // A block seals when it fills or at flush() (the store seals its shards in
-// parallel, store.h). A series holds only what its data needs. The open
-// columns grow with the block and are freed when it seals. Only levels that
+// parallel, store.h). A series holds only what its data needs: the open
+// columns grow with the block and are freed when it seals, and the first
+// sample's time stands in for every level's first bin. Only levels that
 // reach back more than a day (or forever) keep a stored bin row; the finer
 // ones (by default 15 s and 1 min) are derived at query time by folding the
 // sealed blocks that overlap the query's bins, plus the open block — at
-// most a day of one series. A column (the open block or a decoded sealed
-// block) whose first and last samples share one bin of the answering level
-// inside the query window folds straight into that bin: the same left fold,
-// continuing the bin's stored content in sample order, without binning each
-// sample. An open tail answered from the daily level — a trailing-hour
-// window that starts before the series does — takes that path. Raw-history
-// queries decode the blocks their window overlaps, so they equal a strict
-// scan for any doubles. Timestamps and band-query bounds must be finite and
-// binnable (multiscale.h, max_binnable_time_s).
+// most a day of one series. Every column a query folds (the open block or
+// a decoded sealed block) goes run by run: samples before the window are
+// skipped by binary search, each bin's run is found by a scan and folded
+// whole, continuing the bin's stored content in sample order, and a run
+// that reaches the column's last bin needs no scan — so an open tail
+// answered from the daily level (a trailing-hour window that starts before
+// the series does) is one run fold. Raw-history queries decode the blocks
+// their window overlaps and fold each one's in-window run, so they equal a
+// strict scan for any doubles. Timestamps and band-query bounds must be
+// finite and binnable (multiscale.h, max_binnable_time_s).
 #pragma once
 
 #include <cstddef>
@@ -95,9 +103,9 @@ class ColumnSeries {
   MultiScaleSeries::BinnedMeans means_at_level(std::size_t level, double t0_s,
                                                double t1_s) const;
 
-  /// Exact raw-history aggregate over [t0, t1) — the query the legacy
-  /// design had to keep a separate RawStore for. Decodes the blocks the
-  /// window overlaps and folds in time order, so it equals a strict scan.
+  /// Exact raw-history aggregate over [t0, t1). Decodes the blocks the
+  /// window overlaps and folds each one's run of in-window samples (found by
+  /// binary search) in time order, so it equals a strict scan.
   Aggregate raw_range(double t0_s, double t1_s) const;
 
   /// Heap bytes held (every vector's capacity) plus the object itself.
@@ -127,13 +135,13 @@ class ColumnSeries {
   /// One row per level. Rows of levels retained for a day or less stay
   /// empty: those levels are derived from the blocks at query time.
   std::vector<LevelBins> levels_;
-  /// Bin of the first sample ever, per level (fixed after first append).
-  std::vector<std::int64_t> first_ever_bin_;
   std::vector<SealedBlock> blocks_;
   std::vector<double> open_times_;
   std::vector<double> open_values_;
   StreamingSpikeDetector detector_;
   std::vector<AnomalyEvent> events_;
+  /// Time of the first sample ever; binned on demand per level.
+  double first_time_s_ = 0.0;
   double last_time_s_ = -1.0;
   std::uint64_t total_samples_ = 0;
 };

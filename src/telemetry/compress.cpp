@@ -28,15 +28,18 @@ void encode_times(const double* times_s, std::size_t n, BitWriter& out) {
 
 void decode_times(BitReader& in, double* times_s, std::size_t n) {
   if (n == 0) return;
-  times_s[0] = from_bits(in.get(64));
+  double before = from_bits(in.get(64));
+  times_s[0] = before;
   if (n == 1) return;
-  times_s[1] = from_bits(in.get(64));
+  double last = from_bits(in.get(64));
+  times_s[1] = last;
+  // The two previous times stay in registers rather than being read back
+  // from the output.
   for (std::size_t i = 2; i < n; ++i) {
-    if (in.get_bit()) {
-      times_s[i] = from_bits(in.get(64));
-    } else {
-      times_s[i] = times_s[i - 1] + (times_s[i - 1] - times_s[i - 2]);
-    }
+    const double t = in.get_bit() ? from_bits(in.get(64)) : last + (last - before);
+    times_s[i] = t;
+    before = last;
+    last = t;
   }
 }
 

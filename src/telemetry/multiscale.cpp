@@ -7,39 +7,6 @@
 
 namespace epm::telemetry {
 
-void Aggregate::add(double v) {
-  if (count == 0) {
-    min = max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  sum += v;
-  ++count;
-}
-
-void Aggregate::merge(const Aggregate& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  sum += other.sum;
-  count += other.count;
-}
-
-std::int64_t LevelBins::bin_index(double time_s) const {
-  return static_cast<std::int64_t>(std::floor(time_s / spec.resolution_s));
-}
-
-Aggregate LevelBins::at(std::int64_t bin) const {
-  const std::int64_t idx = bin - first_bin;
-  if (idx < 0 || idx >= static_cast<std::int64_t>(bins.size())) return {};
-  return bins[static_cast<std::size_t>(idx)];
-}
-
 namespace {
 
 /// Grows `lvl.bins` (padding with empties) so `bin` is addressable, and
@@ -74,19 +41,19 @@ void LevelBins::add(double time_s, double value) {
 
 void LevelBins::add_column(const double* times_s, const double* values,
                            std::size_t n) {
-  std::size_t i = 0;
-  while (i < n) {
-    const std::int64_t bin = bin_index(times_s[i]);
-    const std::size_t idx = reserve_bin(*this, bin);
-    // Fold the bin's run in a register-resident aggregate, seeded from any
-    // existing content so the per-sample order (and therefore every bit of
-    // the sum) matches the one-at-a-time path.
-    Aggregate agg = bins[idx];
-    do {
-      agg.add(values[i]);
-      ++i;
-    } while (i < n && bin_index(times_s[i]) == bin);
-    bins[idx] = agg;
+  if (n > 0) {
+    // A block inside one bin (a sealed block at the hourly and daily levels,
+    // say) is one bin test and one run fold.
+    const std::int64_t last = bin_index(times_s[n - 1]);
+    std::size_t i = 0;
+    while (i < n) {
+      const std::int64_t bin = bin_index(times_s[i]);
+      const std::size_t end = bin == last ? n : run_end(times_s, i, n, bin);
+      // The run continues the bin's existing content in sample order, so
+      // every bit of the sum matches the one-at-a-time path.
+      bins[reserve_bin(*this, bin)].add_run(values + i, end - i);
+      i = end;
+    }
   }
   evict();
 }

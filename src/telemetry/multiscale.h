@@ -19,8 +19,20 @@
 // banding (block.h) — one code path, so the two stores answer band queries
 // bit-identically by construction. A row is a plain vector: an empty row
 // allocates nothing, which matters at a million series.
+//
+// The fold kernels are inline so every column fold runs in registers.
+// `Aggregate::add_run` is a strict left fold of a contiguous run with
+// min/max/sum/count in locals; add() is its one-sample case, so a run and
+// its samples one at a time agree bit for bit, NaN and signed zeros
+// included (a sum of two different NaNs keeps whichever the compiler put
+// first). `LevelBins::bin_index` is an exact floor without libm —
+// truncate, then step down when the quotient lies below — valid for every
+// time max_binnable_time_s admits (|quotient| <= 2^62, so the conversion
+// to int64 is always defined). Column folds take a run at a time:
+// `run_end` scans to where a bin's run of sorted samples ends.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,8 +46,45 @@ struct Aggregate {
   double sum = 0.0;
   std::uint64_t count = 0;
 
-  void add(double v);
-  void merge(const Aggregate& other);
+  void add(double v) { add_run(&v, 1); }
+  /// Strict left fold of values[0, n), continuing the current content with
+  /// the aggregate held in locals for the whole run: min/max keep the
+  /// running value unless the next compares strictly less/greater (a
+  /// leading NaN sticks, a later one is skipped, the first of ±0 wins), and
+  /// the sum adds in order, starting from +0.0.
+  void add_run(const double* values, std::size_t n) {
+    if (n == 0) return;
+    std::size_t i = 0;
+    double lo = min;
+    double hi = max;
+    double s = sum;
+    if (count == 0) {
+      lo = hi = values[0];
+      s += values[0];
+      i = 1;
+    }
+    for (; i < n; ++i) {
+      const double v = values[i];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      s += v;
+    }
+    min = lo;
+    max = hi;
+    sum = s;
+    count += n;
+  }
+  void merge(const Aggregate& other) {
+    if (other.count == 0) return;
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+    sum += other.sum;
+    count += other.count;
+  }
   double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
 };
 
@@ -64,16 +113,34 @@ struct LevelBins {
   /// Retained bins, oldest first: bins[i] is bin first_bin + i.
   std::vector<Aggregate> bins;
 
-  std::int64_t bin_index(double time_s) const;
+  /// floor(time_s / resolution_s), exactly, for any binnable time.
+  std::int64_t bin_index(double time_s) const {
+    const double q = time_s / spec.resolution_s;
+    const auto t = static_cast<std::int64_t>(q);
+    return t - (static_cast<double>(t) > q ? 1 : 0);
+  }
+  /// First index in (i, n] whose sample lies past `bin`, the bin of
+  /// times_s[i] (n when none does). Times must be sorted.
+  std::size_t run_end(const double* times_s, std::size_t i, std::size_t n,
+                      std::int64_t bin) const {
+    std::size_t end = i + 1;
+    while (end < n && bin_index(times_s[end]) == bin) ++end;
+    return end;
+  }
   /// Content of `bin`; empty outside the retained row.
-  Aggregate at(std::int64_t bin) const;
+  Aggregate at(std::int64_t bin) const {
+    const std::int64_t idx = bin - first_bin;
+    if (idx < 0 || idx >= static_cast<std::int64_t>(bins.size())) return {};
+    return bins[static_cast<std::size_t>(idx)];
+  }
   /// Left-folds one sample into its bin (padding forward as needed), then
   /// evicts beyond retention — the legacy per-append discipline.
   void add(double time_s, double value);
   /// Batch fold over a time-sorted column pair: identical final state to
-  /// calling add() per sample (the per-bin fold is kept in registers and
-  /// written back once per bin; eviction runs once at the end, which only
-  /// changes *when* bins are popped, never which ones survive).
+  /// calling add() per sample. A column whose first and last samples share
+  /// a bin takes one bin test and one run fold; otherwise each bin's run is
+  /// found with run_end() and folded whole. Eviction runs once at the end,
+  /// which only changes *when* bins are popped, never which ones survive.
   void add_column(const double* times_s, const double* values, std::size_t n);
   void evict();
 };

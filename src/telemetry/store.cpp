@@ -237,48 +237,4 @@ std::vector<AnomalyEvent> ColumnarTelemetryStore::anomalies() const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// RawStore
-
-void RawStore::append(CounterKey key, double time_s, double value) {
-  auto& col = columns_[key];
-  require(col.times_s.empty() || time_s >= col.times_s.back(),
-          "RawStore: timestamps must be non-decreasing");
-  col.times_s.push_back(time_s);
-  col.values.push_back(value);
-  ++total_samples_;
-}
-
-std::size_t RawStore::memory_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [key, col] : columns_) {
-    total += (col.times_s.capacity() + col.values.capacity()) * sizeof(double);
-  }
-  return total;
-}
-
-RawStore::Stats RawStore::range(CounterKey key, double t0_s, double t1_s) const {
-  auto it = columns_.find(key);
-  require(it != columns_.end(), "RawStore: unknown counter");
-  const Column& col = it->second;
-  Stats stats;
-  double sum = 0.0;
-  // Binary-search the window start, then scan (times are sorted).
-  const auto begin =
-      std::lower_bound(col.times_s.begin(), col.times_s.end(), t0_s);
-  for (auto t = begin; t != col.times_s.end() && *t < t1_s; ++t) {
-    const double v = col.values[static_cast<std::size_t>(t - col.times_s.begin())];
-    if (stats.count == 0) {
-      stats.min = stats.max = v;
-    } else {
-      stats.min = std::min(stats.min, v);
-      stats.max = std::max(stats.max, v);
-    }
-    sum += v;
-    ++stats.count;
-  }
-  if (stats.count > 0) stats.mean = sum / static_cast<double>(stats.count);
-  return stats;
-}
-
 }  // namespace epm::telemetry

@@ -195,7 +195,7 @@ class ColumnarTelemetryStore {
 
   /// Exact aggregate over the raw (uncompacted) history of one counter:
   /// decodes the blocks the window overlaps and folds in time order, equal
-  /// to a strict scan. The legacy design needed a separate RawStore for this.
+  /// to a strict scan — no second copy of the samples is needed for it.
   Aggregate raw_range(CounterKey key, double t0_s, double t1_s) const;
 
   /// All band-escape events so far, keys stamped, ordered by (time, key)
@@ -223,31 +223,5 @@ class ColumnarTelemetryStore {
 };
 
 using TelemetryStore = ColumnarTelemetryStore;
-
-/// Plain raw storage (15 s samples kept forever) used as the baseline in
-/// EXP-F: linear-scan queries and un-aggregated memory footprint.
-class RawStore {
- public:
-  void append(CounterKey key, double time_s, double value);
-  std::uint64_t total_samples() const { return total_samples_; }
-  std::size_t memory_bytes() const;
-
-  struct Stats {
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;
-    std::uint64_t count = 0;
-  };
-  /// Linear scan over one counter's samples in [t0, t1).
-  Stats range(CounterKey key, double t0_s, double t1_s) const;
-
- private:
-  struct Column {
-    std::vector<double> times_s;
-    std::vector<double> values;
-  };
-  std::unordered_map<CounterKey, Column> columns_;
-  std::uint64_t total_samples_ = 0;
-};
 
 }  // namespace epm::telemetry

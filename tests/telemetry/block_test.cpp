@@ -213,63 +213,67 @@ TEST(SeriesBlock, BandQueriesMatchMultiScaleSeriesBitForBit) {
   // 15 s and 1 min levels fold only the blocks inside their windows — and
   // keep answering identically once the open block is sealed. Two gaps,
   // one inside each derived level's window, leave empty bins and blocks
-  // that straddle them.
-  MultiScaleConfig config;
-  ColumnSeries columnar(config, tiny_blocks(7));
-  MultiScaleSeries legacy(config);
-  Rng rng(11);
-  double value = 40.0;
-  constexpr double kDay = 86400.0;
-  const auto in_gap = [&](double t) {
-    return (t >= 2 * kDay + 3600.0 && t < 2 * kDay + 3 * 3600.0) ||
-           (t >= 3 * kDay - 7200.0 && t < 3 * kDay - 5400.0);
-  };
-  const auto samples = static_cast<std::size_t>(3.0 * kDay / 15.0);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const double t = 15.0 * static_cast<double>(i);
-    if (in_gap(t)) continue;
-    value += rng.uniform(-0.75, 0.75);
-    columnar.append(t, value);
-    legacy.append(t, value);
-  }
-  ASSERT_EQ(columnar.level_count(), legacy.level_count());
-  ASSERT_GT(columnar.open_samples(), 0u);
-
-  const double windows[][2] = {{0.0, 3 * kDay},
-                               {3 * kDay - 3600.0, 3 * kDay},
-                               {1000.0, 2000.0},
-                               {0.0, 15.0},
-                               {80000.0, 90000.0},
-                               {86399.0, 86400.0},
-                               {20000.0, 20000.0},
-                               {2 * kDay - 7.0, 3 * kDay + 7.0},
-                               {3 * kDay - 14400.0 - 15.0, 3 * kDay - 14400.0 + 60.0},
-                               {2 * kDay + 123.0, 2 * kDay + 4567.0},
-                               {3 * kDay - 20.0, 4 * kDay},
-                               {2 * kDay + 3000.0, 2 * kDay + 4 * 3600.0},
-                               {2 * kDay + 4000.0, 2 * kDay + 5000.0},
-                               {3 * kDay - 7300.0, 3 * kDay - 5300.0}};
-  const auto expect_identical = [&](const char* phase) {
-    for (const auto& w : windows) {
-      EXPECT_TRUE(aggregates_identical(columnar.range(w[0], w[1]),
-                                       legacy.range(w[0], w[1])))
-          << phase << " range [" << w[0] << ", " << w[1] << ")";
-      for (std::size_t level = 0; level < legacy.level_count(); ++level) {
-        EXPECT_TRUE(
-            aggregates_identical(columnar.range_at_level(level, w[0], w[1]),
-                                 legacy.range_at_level(level, w[0], w[1])))
-            << phase << " level " << level << " [" << w[0] << ", " << w[1] << ")";
-        const auto a = columnar.means_at_level(level, w[0], w[1]);
-        const auto b = legacy.means_at_level(level, w[0], w[1]);
-        EXPECT_EQ(a.times_s, b.times_s) << phase << " level " << level;
-        EXPECT_EQ(a.means, b.means) << phase << " level " << level;
-      }
+  // that straddle them. The default 1,024-sample block spans hours, so
+  // its seals and query-time folds cross long runs of one bin.
+  for (const std::size_t capacity : {std::size_t{7}, std::size_t{1024}}) {
+    MultiScaleConfig config;
+    ColumnSeries columnar(config, tiny_blocks(capacity));
+    MultiScaleSeries legacy(config);
+    Rng rng(11);
+    double value = 40.0;
+    constexpr double kDay = 86400.0;
+    const auto in_gap = [&](double t) {
+      return (t >= 2 * kDay + 3600.0 && t < 2 * kDay + 3 * 3600.0) ||
+             (t >= 3 * kDay - 7200.0 && t < 3 * kDay - 5400.0);
+    };
+    const auto samples = static_cast<std::size_t>(3.0 * kDay / 15.0);
+    for (std::size_t i = 0; i < samples; ++i) {
+      const double t = 15.0 * static_cast<double>(i);
+      if (in_gap(t)) continue;
+      value += rng.uniform(-0.75, 0.75);
+      columnar.append(t, value);
+      legacy.append(t, value);
     }
-  };
-  expect_identical("open tail");
-  columnar.flush();
-  ASSERT_EQ(columnar.open_samples(), 0u);
-  expect_identical("flushed");
+    ASSERT_EQ(columnar.level_count(), legacy.level_count());
+    ASSERT_GT(columnar.open_samples(), 0u);
+
+    const double windows[][2] = {{0.0, 3 * kDay},
+                                 {3 * kDay - 3600.0, 3 * kDay},
+                                 {1000.0, 2000.0},
+                                 {0.0, 15.0},
+                                 {80000.0, 90000.0},
+                                 {86399.0, 86400.0},
+                                 {20000.0, 20000.0},
+                                 {2 * kDay - 7.0, 3 * kDay + 7.0},
+                                 {3 * kDay - 14400.0 - 15.0, 3 * kDay - 14400.0 + 60.0},
+                                 {2 * kDay + 123.0, 2 * kDay + 4567.0},
+                                 {3 * kDay - 20.0, 4 * kDay},
+                                 {2 * kDay + 3000.0, 2 * kDay + 4 * 3600.0},
+                                 {2 * kDay + 4000.0, 2 * kDay + 5000.0},
+                                 {3 * kDay - 7300.0, 3 * kDay - 5300.0}};
+    const auto expect_identical = [&](const char* phase) {
+      const std::string where = std::to_string(capacity) + "-sample blocks, " + phase;
+      for (const auto& w : windows) {
+        EXPECT_TRUE(aggregates_identical(columnar.range(w[0], w[1]),
+                                         legacy.range(w[0], w[1])))
+            << where << " range [" << w[0] << ", " << w[1] << ")";
+        for (std::size_t level = 0; level < legacy.level_count(); ++level) {
+          EXPECT_TRUE(
+              aggregates_identical(columnar.range_at_level(level, w[0], w[1]),
+                                   legacy.range_at_level(level, w[0], w[1])))
+              << where << " level " << level << " [" << w[0] << ", " << w[1] << ")";
+          const auto a = columnar.means_at_level(level, w[0], w[1]);
+          const auto b = legacy.means_at_level(level, w[0], w[1]);
+          EXPECT_EQ(a.times_s, b.times_s) << where << " level " << level;
+          EXPECT_EQ(a.means, b.means) << where << " level " << level;
+        }
+      }
+    };
+    expect_identical("open tail");
+    columnar.flush();
+    ASSERT_EQ(columnar.open_samples(), 0u);
+    expect_identical("flushed");
+  }
 }
 
 TEST(SeriesBlock, RawRangeIsExactAcrossSealedAndOpenSamples) {
@@ -284,8 +288,9 @@ TEST(SeriesBlock, RawRangeIsExactAcrossSealedAndOpenSamples) {
     values.push_back(rng.uniform(-1000.0, 1000.0));
     series.append(times.back(), values.back());
   }
-  const double queries[][2] = {{0.0, 1500.0},  {0.0, 10.0},    {100.0, 900.0},
-                               {1400.0, 1500.0}, {237.0, 1201.0}, {1485.0, 1e9}};
+  const double queries[][2] = {{0.0, 1500.0},   {0.0, 10.0},     {100.0, 900.0},
+                               {1400.0, 1500.0}, {237.0, 1201.0}, {1485.0, 1e9},
+                               {20.0, 29.0},     {2000.0, 3000.0}, {60.0, 60.0}};
   for (const auto& q : queries) {
     Aggregate expect;
     for (std::size_t i = 0; i < times.size(); ++i) {

@@ -4,12 +4,16 @@
 // monotone ramps, stuck-at alternation) with adversarial bit patterns
 // (NaNs with payloads, denormals, infinities, signed zero) that arithmetic
 // comparison would mangle — the codecs must treat every double as an opaque
-// 64-bit pattern.
+// 64-bit pattern. A round trip alone would pass a writer and reader that
+// agree on different bytes, so the word-wise bit streams are also pinned
+// byte for byte against a bit-at-a-time reference written here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/rng.h"
@@ -140,6 +144,85 @@ TEST(TelemetryCompressProperty, BitStreamRoundTripsArbitraryWidths) {
     BitReader reader(bytes);
     for (const auto& [bits, width] : chunks) {
       ASSERT_EQ(reader.get(width), bits) << "width " << width;
+    }
+  }
+}
+
+/// The stream format, one bit at a time: MSB first, the last byte
+/// zero-padded.
+struct ReferenceWriter {
+  std::vector<std::uint8_t> bytes;
+  std::size_t bits = 0;
+
+  void put(std::uint64_t value, unsigned n) {
+    for (unsigned i = n; i-- > 0;) {
+      if (bits % 8 == 0) bytes.push_back(0);
+      if ((value >> i) & 1u) {
+        bytes.back() = static_cast<std::uint8_t>(bytes.back() | (0x80u >> (bits % 8)));
+      }
+      ++bits;
+    }
+  }
+};
+
+/// Reads `n` bits at bit offset `pos` of `bytes`, MSB first; bits past the
+/// end read as zeros.
+std::uint64_t reference_get(const std::vector<std::uint8_t>& bytes, std::size_t& pos,
+                            unsigned n) {
+  std::uint64_t out = 0;
+  for (unsigned i = 0; i < n; ++i, ++pos) {
+    const unsigned bit =
+        pos / 8 < bytes.size() ? (bytes[pos / 8] >> (7 - pos % 8)) & 1u : 0u;
+    out = (out << 1) | bit;
+  }
+  return out;
+}
+
+std::uint64_t low_bits(std::uint64_t value, unsigned n) {
+  return n == 64 ? value : value & ((1ull << n) - 1);
+}
+
+TEST(TelemetryCompress, BitStreamsMatchABitAtATimeReferenceAtEveryOffset) {
+  // Every fill offset 0-63 of the writer's word, then every width 1-64 with
+  // garbage above the width, then a chunk of random width across the next
+  // word boundary. The reader gets an exact-size heap copy, so a read past
+  // the stream is a heap overflow under ASan, and it must read every chunk
+  // back, then zeros past the end.
+  Rng rng(64);
+  for (unsigned offset = 0; offset < 64; ++offset) {
+    for (unsigned width = 1; width <= 64; ++width) {
+      const unsigned tail = static_cast<unsigned>(rng.uniform_int(1, 64));
+      const std::uint64_t chunks[] = {rng.next_u64(), rng.next_u64(), rng.next_u64()};
+      const unsigned widths[] = {offset, width, tail};
+      BitWriter writer;
+      ReferenceWriter reference;
+      for (int c = 0; c < 3; ++c) {
+        writer.put(chunks[c], widths[c]);
+        reference.put(chunks[c], widths[c]);
+      }
+      ASSERT_EQ(writer.bit_count(), reference.bits);
+      const std::vector<std::uint8_t> bytes = writer.finish();
+      ASSERT_EQ(bytes, reference.bytes) << "offset " << offset << ", width " << width;
+
+      const auto exact = std::make_unique<std::uint8_t[]>(bytes.size());
+      std::copy(bytes.begin(), bytes.end(), exact.get());
+      BitReader reader(exact.get(), bytes.size());
+      for (int c = 0; c < 3; ++c) {
+        ASSERT_EQ(reader.get(widths[c]), low_bits(chunks[c], widths[c]))
+            << "offset " << offset << ", width " << width << ", chunk " << c;
+      }
+      EXPECT_EQ(reader.get(64), 0u);
+      EXPECT_EQ(reader.get(7), 0u);
+
+      // Reads of random widths that do not line up with the chunks, past
+      // the end too.
+      BitReader wide(exact.get(), bytes.size());
+      std::size_t pos = 0;
+      while (pos < reference.bits + 80) {
+        const auto n = static_cast<unsigned>(rng.uniform_int(1, 64));
+        ASSERT_EQ(wide.get(n), reference_get(bytes, pos, n))
+            << "offset " << offset << ", width " << width << ", bit " << pos;
+      }
     }
   }
 }

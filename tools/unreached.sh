@@ -19,7 +19,7 @@
 set -euo pipefail
 export LC_ALL=C
 
-CEILING=112
+CEILING=109
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out="$root/build-unreached"
