@@ -123,7 +123,7 @@ int main() {
                "SLA-violating epochs", "energy (kWh)"});
   auto add = [&](const char* name, const Outcome& o) {
     table.add_row({name, std::to_string(o.final_servers),
-                   "P" + std::to_string(o.final_pstate),
+                   power::pstate_name(o.final_pstate),
                    std::to_string(o.fleet_changes), std::to_string(o.sla_violations),
                    fmt(o.energy_kwh, 1)});
   };

@@ -43,7 +43,7 @@ int main() {
       table.add_row({fmt(to_days(demand.time_at(i)), 1), fmt(demand[i], 0),
                      std::to_string(cluster.committed_count()),
                      std::to_string(r.serving), std::to_string(r.booting),
-                     "P" + std::to_string(d.pstate),
+                     power::pstate_name(d.pstate),
                      fmt(to_kilowatts(r.server_power_w), 0)});
     }
   }

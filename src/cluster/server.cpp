@@ -1,9 +1,5 @@
 #include "cluster/server.h"
 
-#include <algorithm>
-
-#include "core/require.h"
-
 namespace epm::cluster {
 
 std::string to_string(ServerState state) {
@@ -67,45 +63,6 @@ void Server::set_pstate(std::size_t pstate) {
 void Server::set_duty(double duty) {
   require(duty > 0.0 && duty <= 1.0, "Server: duty outside (0,1]");
   duty_ = duty;
-}
-
-void Server::set_utilization(double u) {
-  require(u >= 0.0 && u <= 1.0, "Server: utilization outside [0,1]");
-  utilization_ = u;
-}
-
-double Server::capacity_fraction() const {
-  if (state_ != ServerState::kActive) return 0.0;
-  return model_->relative_capacity(pstate_, duty_);
-}
-
-double Server::power_w() const {
-  const auto& cfg = model_->config();
-  switch (state_) {
-    case ServerState::kOff:
-      return cfg.off_power_w;
-    case ServerState::kBooting:
-    case ServerState::kWaking:
-      return cfg.boot_power_w;
-    case ServerState::kSleeping:
-      return cfg.sleep_power_w;
-    case ServerState::kActive:
-      return model_->active_power_w(pstate_, utilization_, duty_);
-  }
-  return 0.0;
-}
-
-void Server::tick(double dt_s) {
-  require(dt_s >= 0.0, "Server: negative dt");
-  if (state_ == ServerState::kBooting || state_ == ServerState::kWaking) {
-    const double spent = std::min(dt_s, transition_remaining_s_);
-    transition_energy_j_ += model_->config().boot_power_w * spent;
-    transition_remaining_s_ -= spent;
-    if (transition_remaining_s_ <= 1e-9) {
-      state_ = ServerState::kActive;
-      transition_remaining_s_ = 0.0;
-    }
-  }
 }
 
 }  // namespace epm::cluster

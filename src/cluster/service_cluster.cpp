@@ -23,6 +23,9 @@ ServiceCluster::ServiceCluster(ServiceClusterConfig config)
                           i < config_.initially_active ? ServerState::kActive
                                                        : ServerState::kOff);
   }
+  counts_[static_cast<std::size_t>(ServerState::kActive)] = config_.initially_active;
+  counts_[static_cast<std::size_t>(ServerState::kOff)] =
+      config_.server_count - config_.initially_active;
 }
 
 const Server& ServiceCluster::server(std::size_t i) const {
@@ -30,29 +33,12 @@ const Server& ServiceCluster::server(std::size_t i) const {
   return servers_[i];
 }
 
-Server& ServiceCluster::server(std::size_t i) {
-  require(i < servers_.size(), "ServiceCluster: server index out of range");
-  return servers_[i];
-}
-
-std::size_t ServiceCluster::count_in_state(ServerState state) const {
-  std::size_t n = 0;
-  for (const auto& s : servers_) {
-    if (s.state() == state) ++n;
-  }
-  return n;
-}
-
-std::size_t ServiceCluster::committed_count() const {
-  std::size_t n = 0;
-  for (const auto& s : servers_) {
-    const auto st = s.state();
-    if (st == ServerState::kActive || st == ServerState::kBooting ||
-        st == ServerState::kWaking) {
-      ++n;
-    }
-  }
-  return n;
+bool ServiceCluster::command(Server& s, bool (Server::*cmd)()) {
+  const ServerState from = s.state();
+  if (!(s.*cmd)()) return false;
+  --counts_[static_cast<std::size_t>(from)];
+  ++counts_[static_cast<std::size_t>(s.state())];
+  return true;
 }
 
 std::size_t ServiceCluster::set_target_committed(std::size_t target, bool use_sleep) {
@@ -65,7 +51,7 @@ std::size_t ServiceCluster::set_target_committed(std::size_t target, bool use_sl
     for (std::size_t i = 0; i < usable; ++i) {
       if (committed >= target) break;
       auto& s = servers_[i];
-      if (s.state() == ServerState::kSleeping && s.wake()) {
+      if (s.state() == ServerState::kSleeping && command(s, &Server::wake)) {
         ++committed;
         ++commands;
       }
@@ -73,7 +59,7 @@ std::size_t ServiceCluster::set_target_committed(std::size_t target, bool use_sl
     for (std::size_t i = 0; i < usable; ++i) {
       if (committed >= target) break;
       auto& s = servers_[i];
-      if (s.state() == ServerState::kOff && s.power_on()) {
+      if (s.state() == ServerState::kOff && command(s, &Server::power_on)) {
         ++committed;
         ++commands;
       }
@@ -84,8 +70,7 @@ std::size_t ServiceCluster::set_target_committed(std::size_t target, bool use_sl
     for (std::size_t i = usable; i-- > 0 && committed > target;) {
       auto& s = servers_[i];
       if (s.state() != ServerState::kActive) continue;
-      const bool done = use_sleep ? s.sleep() : s.power_off();
-      if (done) {
+      if (command(s, use_sleep ? &Server::sleep : &Server::power_off)) {
         --committed;
         ++commands;
       }
@@ -101,7 +86,7 @@ void ServiceCluster::set_unavailable(std::size_t n) {
   for (std::size_t i = servers_.size() - n; i < servers_.size() - unavailable_;
        ++i) {
     if (servers_[i].state() != ServerState::kOff) {
-      servers_[i].power_off();
+      command(servers_[i], &Server::power_off);
     }
   }
   // Servers freed by a shrinking fault stay Off; provisioning reboots them
@@ -110,11 +95,13 @@ void ServiceCluster::set_unavailable(std::size_t n) {
 }
 
 void ServiceCluster::set_uniform_pstate(std::size_t pstate) {
-  for (auto& s : servers_) s.set_pstate(pstate);
+  require(pstate < model_.pstate_count(), "Server: P-state out of range");
+  for (auto& s : servers_) s.pstate_ = pstate;
 }
 
 void ServiceCluster::set_uniform_duty(double duty) {
-  for (auto& s : servers_) s.set_duty(duty);
+  require(duty > 0.0 && duty <= 1.0, "Server: duty outside (0,1]");
+  for (auto& s : servers_) s.duty_ = duty;
 }
 
 EpochResult ServiceCluster::run_epoch(double epoch_s, const workload::OfferedLoad& load) {
@@ -122,10 +109,19 @@ EpochResult ServiceCluster::run_epoch(double epoch_s, const workload::OfferedLoa
   require(load.arrival_rate_per_s >= 0.0 && load.service_demand_s > 0.0,
           "ServiceCluster: invalid offered load");
 
-  // Advance transition timers first so a server whose boot completes inside
-  // the epoch participates (coarse but conservative: it also pays boot power
-  // for the tick it consumed).
-  for (auto& s : servers_) s.tick(epoch_s);
+  // Pass 1: advance transition timers first so a server whose boot
+  // completes inside the epoch participates (coarse but conservative: it
+  // also pays boot power for the tick it consumed), and add up serving
+  // capacity in requests/second.
+  double capacity_rps = 0.0;
+  for (auto& s : servers_) {
+    const ServerState before = s.state();
+    if (s.advance(epoch_s)) {
+      --counts_[static_cast<std::size_t>(before)];
+      ++counts_[static_cast<std::size_t>(ServerState::kActive)];
+    }
+    capacity_rps += s.capacity_fraction() / load.service_demand_s;
+  }
 
   EpochResult r;
   r.time_s = now_s_;
@@ -137,13 +133,8 @@ EpochResult ServiceCluster::run_epoch(double epoch_s, const workload::OfferedLoa
   r.sleeping = count_in_state(ServerState::kSleeping);
   r.off = count_in_state(ServerState::kOff);
 
-  // Aggregate serving capacity in requests/second.
-  double capacity_rps = 0.0;
-  for (const auto& s : servers_) {
-    capacity_rps += s.capacity_fraction() / load.service_demand_s;
-  }
-
-  if (capacity_rps <= 0.0) {
+  const bool balanced = capacity_rps > 0.0;
+  if (!balanced) {
     // Brown-out: nothing can serve.
     r.dropped_rate_per_s = load.arrival_rate_per_s;
     r.mean_response_s = config_.sla.overload_response_s;
@@ -171,13 +162,17 @@ EpochResult ServiceCluster::run_epoch(double epoch_s, const workload::OfferedLoa
       r.p99_response_s = response_quantile_s(r.mean_response_s, 0.99);
       r.sla_violated = r.mean_response_s > config_.sla.target_mean_response_s;
     }
+    // rho lies in [0, 1) here, as Server::set_utilization requires: the
+    // overload branch clips it, and mg1ps_response_time_s rejects the rest.
     r.utilization = rho;
-    for (auto& s : servers_) {
-      if (s.serving()) s.set_utilization(rho);
-    }
   }
 
-  for (const auto& s : servers_) r.server_power_w += s.power_w();
+  // Pass 2: every serving server runs at the balanced utilization, and adds
+  // its power term.
+  for (auto& s : servers_) {
+    if (balanced && s.serving()) s.utilization_ = r.utilization;
+    r.server_power_w += s.power_w();
+  }
   r.energy_j = r.server_power_w * epoch_s;
 
   now_s_ += epoch_s;

@@ -5,8 +5,15 @@
 // per-request CPU demand), balances it across serving servers in proportion
 // to their throttled capacity, evaluates response time with the queueing
 // approximations, and accounts power/energy including boot transients.
+//
+// An epoch makes two passes over the servers: one ticks each server and
+// adds its capacity term, the other sets its utilization and adds its power
+// term. Only the cluster changes a server's state (the tick pass,
+// set_target_committed, set_unavailable), and it moves the server between
+// per-state counts as it does, so the count queries are O(1).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -58,16 +65,21 @@ class ServiceCluster {
 
   std::size_t server_count() const { return servers_.size(); }
   const Server& server(std::size_t i) const;
-  Server& server(std::size_t i);
   const power::ServerPowerModel& power_model() const { return model_; }
   const ServiceClusterConfig& config() const { return config_; }
 
-  std::size_t count_in_state(ServerState state) const;
+  std::size_t count_in_state(ServerState state) const {
+    return counts_[static_cast<std::size_t>(state)];
+  }
   /// Servers that can serve now (Active).
   std::size_t serving_count() const { return count_in_state(ServerState::kActive); }
   /// Servers that will be serving once transitions finish (Active + Booting
   /// + Waking) — what provisioning policies should compare targets against.
-  std::size_t committed_count() const;
+  std::size_t committed_count() const {
+    return count_in_state(ServerState::kActive) +
+           count_in_state(ServerState::kBooting) +
+           count_in_state(ServerState::kWaking);
+  }
 
   /// Brings the committed server count to `target`: powers on (or wakes)
   /// servers when short, sleeps (or powers off) excess Active servers when
@@ -85,7 +97,8 @@ class ServiceCluster {
   /// Servers provisioning may command (server_count - unavailable_count).
   std::size_t available_count() const { return servers_.size() - unavailable_; }
 
-  /// Applies a P-state / duty to every server (uniform DVFS policy).
+  /// Applies a P-state / duty to every server (uniform DVFS policy). Each
+  /// is checked once, as Server::set_pstate / set_duty would check it.
   void set_uniform_pstate(std::size_t pstate);
   void set_uniform_duty(double duty);
 
@@ -100,9 +113,15 @@ class ServiceCluster {
   double total_dropped_requests() const { return total_dropped_; }
 
  private:
+  /// Runs a state command on server `s`; when it takes effect, moves the
+  /// server from its old state's count to its new one.
+  bool command(Server& s, bool (Server::*cmd)());
+
   ServiceClusterConfig config_;
   power::ServerPowerModel model_;
   std::vector<Server> servers_;
+  /// Servers per state, indexed by ServerState.
+  std::array<std::size_t, 5> counts_{};
   std::size_t unavailable_ = 0;  ///< tail servers held Off by a fault
   double now_s_ = 0.0;
   double total_energy_j_ = 0.0;

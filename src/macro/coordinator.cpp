@@ -200,13 +200,14 @@ void MacroResourceManager::coordinate() {
     predicted_it_power += decision.predicted_power_w;
 
     std::ostringstream detail;
-    detail << "servers=" << servers_target << " pstate=P" << decision.pstate
+    detail << "servers=" << servers_target
+           << " pstate=" << power::pstate_name(decision.pstate)
            << " predicted_lambda=" << fmt(predicted, 1)
            << "/s predicted_power=" << fmt(decision.predicted_power_w / 1e3, 1) << "kW";
     log_.record({now, DecisionKind::kServerAllocation, facility_.service_name(i),
                  detail.str()});
     log_.record({now, DecisionKind::kDvfs, facility_.service_name(i),
-                 "P" + std::to_string(decision.pstate)});
+                 power::pstate_name(decision.pstate)});
     if (!decision.feasible) {
       log_.record({now, DecisionKind::kRiskAlert, facility_.service_name(i),
                    "SLA unreachable even at full fleet/P0"});

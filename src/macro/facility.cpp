@@ -80,23 +80,24 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
 
   FacilityStep out;
   out.time_s = now_s_;
+  out.services.reserve(clusters_.size());
 
   // 1. Run every service cluster for one epoch.
-  std::vector<double> zone_heat(room_.zone_count(), 0.0);
+  zone_heat_.assign(room_.zone_count(), 0.0);
   for (std::size_t i = 0; i < clusters_.size(); ++i) {
     const auto load =
         request_models_[i].offered_load(demand_per_service[i], config_.epoch_s);
     const auto result = clusters_[i].run_epoch(config_.epoch_s, load);
     out.it_power_w += result.server_power_w;
-    for (std::size_t z = 0; z < zone_heat.size(); ++z) {
-      zone_heat[z] += result.server_power_w * zone_shares_[i][z];
+    for (std::size_t z = 0; z < zone_heat_.size(); ++z) {
+      zone_heat_[z] += result.server_power_w * zone_shares_[i][z];
     }
     out.services.push_back(result);
   }
 
   // 2. Advance the machine room; all server power becomes heat.
   const std::size_t alarms_before = room_.alarms().size();
-  room_.run_until(now_s_ + config_.epoch_s, zone_heat);
+  room_.run_until(now_s_ + config_.epoch_s, zone_heat_);
   out.new_thermal_alarms = room_.alarms().size() - alarms_before;
   alarms_seen_ += out.new_thermal_alarms;
   for (std::size_t z = 0; z < room_.zone_count(); ++z) {
@@ -106,7 +107,7 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
   // 3. Cooling plant draw: remove the injected heat at the heat-weighted
   //    mean supply temperature of the active CRACs.
   double total_heat = 0.0;
-  for (double h : zone_heat) total_heat += h;
+  for (double h : zone_heat_) total_heat += h;
   double supply_mix = 0.0;
   for (std::size_t k = 0; k < room_.crac_count(); ++k) {
     supply_mix += room_.crac(k).supply_temp_c();
@@ -145,17 +146,21 @@ void Facility::add_step_observer(StepObserver observer) {
 
 void Facility::attach_invariant_monitor(sensing::InvariantMonitor* monitor) {
   require(monitor != nullptr, "Facility: null invariant monitor");
-  add_step_observer([this, monitor](const FacilityStep& step) {
-    sensing::InvariantInputs in;
+  // One InvariantInputs serves every step: its vectors keep their capacity.
+  add_step_observer([this, monitor, in = sensing::InvariantInputs{}](
+                        const FacilityStep& step) mutable {
     in.time_s = step.time_s;
     in.it_power_w = step.it_power_w;
     in.mechanical_power_w = step.mechanical_power_w;
     in.utility_draw_w = step.utility_draw_w;
     in.pue = step.pue;
     in.max_zone_temp_c = step.max_zone_temp_c;
+    in.zone_temps_c.clear();
     for (std::size_t z = 0; z < room_.zone_count(); ++z) {
       in.zone_temps_c.push_back(room_.zone(z).temperature_c());
     }
+    in.arrival_rate_per_s.clear();
+    in.dropped_rate_per_s.clear();
     for (const auto& r : step.services) {
       in.arrival_rate_per_s.push_back(r.arrival_rate_per_s);
       in.dropped_rate_per_s.push_back(r.dropped_rate_per_s);

@@ -106,6 +106,7 @@ class Facility {
   thermal::MachineRoom room_;
   thermal::CoolingPlant plant_;
   std::vector<StepObserver> observers_;
+  std::vector<double> zone_heat_;  ///< step's per-zone heat, reused
   double now_s_ = 0.0;
   double it_energy_j_ = 0.0;
   double mech_energy_j_ = 0.0;

@@ -35,6 +35,7 @@ void validate_spec(const NodeSpec& spec) {
 
 PowerDistributionTree::PowerDistributionTree(NodeSpec root) {
   validate_spec(root);
+  under_ups_.push_back(root.kind == NodeKind::kUps);
   specs_.push_back(std::move(root));
   parents_.push_back(kNoNode);
   direct_loads_.push_back(0.0);
@@ -43,6 +44,7 @@ PowerDistributionTree::PowerDistributionTree(NodeSpec root) {
 NodeId PowerDistributionTree::add_node(NodeId parent, NodeSpec spec) {
   require(parent < specs_.size(), "PowerDistributionTree: unknown parent");
   validate_spec(spec);
+  under_ups_.push_back(spec.kind == NodeKind::kUps || under_ups_[parent]);
   specs_.push_back(std::move(spec));
   parents_.push_back(parent);
   direct_loads_.push_back(0.0);
@@ -103,14 +105,7 @@ DistributionReport PowerDistributionTree::evaluate() const {
     report.total_loss_w += report.flows[id].loss_w;
     // Critical power = load delivered inside UPS-protected subtrees; we count
     // the direct load of racks plus any load attached directly to PDUs/UPS.
-    bool under_ups = false;
-    for (NodeId a = id; a != kNoNode; a = parents_[a]) {
-      if (specs_[a].kind == NodeKind::kUps) {
-        under_ups = true;
-        break;
-      }
-    }
-    if (under_ups || specs_[id].kind == NodeKind::kUps) {
+    if (under_ups_[id]) {
       report.critical_power_w += direct_loads_[id];
     } else if (specs_[id].kind == NodeKind::kMechanical) {
       report.mechanical_power_w += direct_loads_[id];

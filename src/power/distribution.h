@@ -85,6 +85,9 @@ class PowerDistributionTree {
   std::vector<NodeSpec> specs_;
   std::vector<NodeId> parents_;
   std::vector<double> direct_loads_;
+  /// Whether a node is a UPS or lies below one (its load is critical power);
+  /// fixed when the node is added, since a node's ancestors never change.
+  std::vector<bool> under_ups_;
 };
 
 /// Parameters for the canonical tier-2 topology used across experiments.

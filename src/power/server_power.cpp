@@ -37,7 +37,7 @@ ServerPowerModel::ServerPowerModel(ServerPowerConfig config) : config_(config) {
                      (config_.max_frequency_hz - config_.min_frequency_hz) * frac;
     const double rel = f / config_.max_frequency_hz;
     pstates_.push_back(PState{
-        "P" + std::to_string(i), f,
+        pstate_name(i), f,
         idle_w + dyn_w * std::pow(rel, config_.dvfs_exponent)});
   }
 }
@@ -48,11 +48,7 @@ double ServerPowerModel::active_power_w(std::size_t pstate, double utilization,
   require(utilization >= 0.0 && utilization <= 1.0,
           "ServerPowerModel: utilization outside [0,1]");
   require(duty > 0.0 && duty <= 1.0, "ServerPowerModel: duty outside (0,1]");
-  const double idle_w = idle_power_w();
-  // Throttling scales the dynamic headroom with the duty cycle: during
-  // STPCLK intervals the core draws roughly idle power.
-  const double busy_w = idle_w + (pstates_[pstate].busy_power_w - idle_w) * duty;
-  return idle_w + (busy_w - idle_w) * utilization;
+  return active_power_at(pstate, utilization, duty);
 }
 
 double ServerPowerModel::busy_power_w(std::size_t pstate) const {
@@ -67,7 +63,7 @@ double ServerPowerModel::capacity_rps(std::size_t pstate, double duty) const {
 double ServerPowerModel::relative_capacity(std::size_t pstate, double duty) const {
   require(pstate < pstates_.size(), "ServerPowerModel: P-state out of range");
   require(duty > 0.0 && duty <= 1.0, "ServerPowerModel: duty outside (0,1]");
-  return (pstates_[pstate].frequency_hz / config_.max_frequency_hz) * duty;
+  return relative_capacity_at(pstate, duty);
 }
 
 std::size_t ServerPowerModel::lowest_pstate_with_capacity(double required_fraction) const {

@@ -18,7 +18,18 @@
 #include <string>
 #include <vector>
 
+namespace epm::cluster {
+class Server;
+}
+
 namespace epm::power {
+
+/// The ACPI-style name of P-state `index`: "P0", "P1", ...
+inline std::string pstate_name(std::size_t index) {
+  std::string name("P");
+  name += std::to_string(index);
+  return name;
+}
 
 /// One ACPI-style performance state.
 struct PState {
@@ -82,6 +93,21 @@ class ServerPowerModel {
   double boot_energy_j() const { return config_.boot_power_w * config_.boot_time_s; }
 
  private:
+  // relative_capacity and active_power_w without their argument checks.
+  // A cluster::Server checks its P-state, duty and utilization when they are
+  // set, so its inline accessors evaluate these directly.
+  friend class cluster::Server;
+  double relative_capacity_at(std::size_t pstate, double duty) const {
+    return (pstates_[pstate].frequency_hz / config_.max_frequency_hz) * duty;
+  }
+  double active_power_at(std::size_t pstate, double utilization, double duty) const {
+    const double idle_w = idle_power_w();
+    // Throttling scales the dynamic headroom with the duty cycle: during
+    // STPCLK intervals the core draws roughly idle power.
+    const double busy_w = idle_w + (pstates_[pstate].busy_power_w - idle_w) * duty;
+    return idle_w + (busy_w - idle_w) * utilization;
+  }
+
   ServerPowerConfig config_;
   std::vector<PState> pstates_;  // index 0 = fastest (P0)
 };

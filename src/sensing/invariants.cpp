@@ -90,14 +90,17 @@ void InvariantMonitor::check(const InvariantInputs& in) {
     }
   }
 
-  auto check_temp = [&](double temp_c, const std::string& where) {
-    if (temp_c < config_.temp_lo_c || temp_c > config_.temp_hi_c) {
-      record("temperature-bounds", t, where + " at " + fmt(temp_c) + "C");
-    }
+  const auto out_of_bounds = [&](double temp_c) {
+    return temp_c < config_.temp_lo_c || temp_c > config_.temp_hi_c;
   };
-  check_temp(in.max_zone_temp_c, "max zone");
+  if (out_of_bounds(in.max_zone_temp_c)) {
+    record("temperature-bounds", t, "max zone at " + fmt(in.max_zone_temp_c) + "C");
+  }
   for (std::size_t z = 0; z < in.zone_temps_c.size(); ++z) {
-    check_temp(in.zone_temps_c[z], "zone " + std::to_string(z));
+    if (out_of_bounds(in.zone_temps_c[z])) {
+      record("temperature-bounds", t,
+             "zone " + std::to_string(z) + " at " + fmt(in.zone_temps_c[z]) + "C");
+    }
   }
 
   if (in.state_of_charge >= 0.0 && in.state_of_charge > 1.0 + 1e-9) {
@@ -108,9 +111,9 @@ void InvariantMonitor::check(const InvariantInputs& in) {
 void InvariantMonitor::check_scalar(const std::string& name, double value,
                                     double lo, double hi, double time_s) {
   ++checks_;
-  std::ostringstream detail;
-  detail << value << " outside [" << lo << ", " << hi << "]";
   if (!std::isfinite(value) || value < lo - 1e-9 || value > hi + 1e-9) {
+    std::ostringstream detail;
+    detail << value << " outside [" << lo << ", " << hi << "]";
     record(name, time_s, detail.str());
   }
 }

@@ -82,7 +82,7 @@ TEST(OverflowProbability, AntiCorrelatedServicesMultiplexWell) {
 TEST(OverflowProbabilityNormal, MatchesMonteCarloOrder) {
   std::vector<ServicePowerProfile> services;
   for (int i = 0; i < 20; ++i) {
-    services.emplace_back("s" + std::to_string(i), diurnal_power(100.0, 30.0));
+    services.emplace_back(std::string("s").append(std::to_string(i)), diurnal_power(100.0, 30.0));
   }
   // Independent normal approximation should agree with independent MC
   // within the same order of magnitude.

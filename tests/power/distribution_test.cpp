@@ -57,6 +57,71 @@ TEST(PowerDistributionTree, AccessorsAndValidation) {
   EXPECT_EQ(tree.parent(tree.root()), kNoNode);
 }
 
+// Critical power is the direct load of every UPS and of every node below
+// one; mechanical power is the direct load of mechanical nodes outside UPS
+// subtrees. The three trees below pin that split, worked by hand with loss
+// fractions whose complements (0.75, 0.5) are exact in binary.
+
+TEST(PowerDistributionTree, UpsAtTheRootMakesEveryLoadCritical) {
+  PowerDistributionTree tree(NodeSpec{NodeKind::kUps, "ups", 0.0, 100.0, 0.25});
+  const NodeId rack =
+      tree.add_node(tree.root(), NodeSpec{NodeKind::kRack, "rack", 0.0, 0.0, 0.0});
+  tree.set_direct_load(tree.root(), 150.0);
+  tree.set_direct_load(rack, 600.0);
+  const auto report = tree.evaluate();
+  // UPS output 150 + 600 = 750; input 100 + 750 / 0.75 = 1100.
+  EXPECT_DOUBLE_EQ(report.utility_draw_w, 1100.0);
+  EXPECT_DOUBLE_EQ(report.critical_power_w, 750.0);
+  EXPECT_DOUBLE_EQ(report.mechanical_power_w, 0.0);
+  EXPECT_DOUBLE_EQ(report.pue, 1100.0 / 750.0);
+}
+
+TEST(PowerDistributionTree, PduOffTheTransformerIsNeitherCriticalNorMechanical) {
+  PowerDistributionTree tree(NodeSpec{NodeKind::kUtility, "grid", 0.0, 0.0, 0.0});
+  const NodeId xfmr = tree.add_node(
+      tree.root(), NodeSpec{NodeKind::kTransformer, "xfmr", 0.0, 0.0, 0.5});
+  const NodeId ups =
+      tree.add_node(xfmr, NodeSpec{NodeKind::kUps, "ups", 0.0, 0.0, 0.25});
+  const NodeId rack =
+      tree.add_node(ups, NodeSpec{NodeKind::kRack, "rack", 0.0, 0.0, 0.0});
+  const NodeId pdu =
+      tree.add_node(xfmr, NodeSpec{NodeKind::kPdu, "bypass", 0.0, 0.0, 0.0});
+  const NodeId bypass_rack =
+      tree.add_node(pdu, NodeSpec{NodeKind::kRack, "rack2", 0.0, 0.0, 0.0});
+  const NodeId mech =
+      tree.add_node(xfmr, NodeSpec{NodeKind::kMechanical, "mech", 0.0, 0.0, 0.0});
+  tree.set_direct_load(rack, 300.0);
+  tree.set_direct_load(pdu, 200.0);
+  tree.set_direct_load(bypass_rack, 100.0);
+  tree.set_direct_load(mech, 400.0);
+  const auto report = tree.evaluate();
+  // UPS input 300 / 0.75 = 400; PDU input 200 + 100 = 300; transformer
+  // output 400 + 300 + 400 = 1100, input 1100 / 0.5 = 2200.
+  EXPECT_DOUBLE_EQ(report.flows[pdu].input_w, 300.0);
+  EXPECT_DOUBLE_EQ(report.utility_draw_w, 2200.0);
+  EXPECT_DOUBLE_EQ(report.critical_power_w, 300.0);
+  EXPECT_DOUBLE_EQ(report.mechanical_power_w, 400.0);
+  EXPECT_DOUBLE_EQ(report.pue, 2200.0 / 300.0);
+}
+
+TEST(PowerDistributionTree, MechanicalFeedUnderTheUpsCountsAsCritical) {
+  PowerDistributionTree tree(NodeSpec{NodeKind::kUtility, "grid", 0.0, 0.0, 0.0});
+  const NodeId ups =
+      tree.add_node(tree.root(), NodeSpec{NodeKind::kUps, "ups", 0.0, 50.0, 0.25});
+  const NodeId rack =
+      tree.add_node(ups, NodeSpec{NodeKind::kRack, "rack", 0.0, 0.0, 0.0});
+  const NodeId mech =
+      tree.add_node(ups, NodeSpec{NodeKind::kMechanical, "crac", 0.0, 0.0, 0.0});
+  tree.set_direct_load(rack, 600.0);
+  tree.set_direct_load(mech, 150.0);
+  const auto report = tree.evaluate();
+  // UPS output 600 + 150 = 750; input 50 + 750 / 0.75 = 1050.
+  EXPECT_DOUBLE_EQ(report.utility_draw_w, 1050.0);
+  EXPECT_DOUBLE_EQ(report.critical_power_w, 750.0);
+  EXPECT_DOUBLE_EQ(report.mechanical_power_w, 0.0);
+  EXPECT_DOUBLE_EQ(report.pue, 1050.0 / 750.0);
+}
+
 TEST(Tier2Topology, StructureMatchesConfig) {
   Tier2TopologyConfig config;
   config.pdu_count = 3;

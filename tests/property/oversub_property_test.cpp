@@ -33,7 +33,7 @@ TEST_P(OversubProperty, RiskDecreasesWithCapacity) {
     std::vector<ServicePowerProfile> services;
     const auto n = static_cast<std::size_t>(rng.uniform_int(2, 8));
     for (std::size_t i = 0; i < n; ++i) {
-      services.push_back(random_profile(rng, "s" + std::to_string(i)));
+      services.push_back(random_profile(rng, std::string("s").append(std::to_string(i))));
     }
     double total_peak = 0.0;
     for (const auto& s : services) total_peak += s.rated_peak_w();
@@ -75,7 +75,7 @@ TEST_P(OversubProperty, NormalApproxRespectsCorrelationOrdering) {
   for (int round = 0; round < 20; ++round) {
     std::vector<ServicePowerProfile> services;
     for (int i = 0; i < 5; ++i) {
-      services.push_back(random_profile(rng, "n" + std::to_string(i)));
+      services.push_back(random_profile(rng, std::string("n").append(std::to_string(i))));
     }
     double mean_sum = 0.0;
     for (const auto& s : services) mean_sum += s.mean_w();
@@ -94,7 +94,7 @@ TEST_P(OversubProperty, CappingImpactConsistentWithRisk) {
   for (int round = 0; round < 10; ++round) {
     std::vector<ServicePowerProfile> services;
     for (int i = 0; i < 4; ++i) {
-      services.push_back(random_profile(rng, "c" + std::to_string(i)));
+      services.push_back(random_profile(rng, std::string("c").append(std::to_string(i))));
     }
     double total_peak = 0.0;
     for (const auto& s : services) total_peak += s.rated_peak_w();

@@ -69,7 +69,7 @@ TEST_P(GeoProperty, RoutingNeverBeatsCapacityOrConservation) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 5));
     for (std::size_t i = 0; i < n; ++i) {
       macro::SiteConfig site;
-      site.name = "s" + std::to_string(i);
+      site.name = std::string("s").append(std::to_string(i));
       site.servers = static_cast<std::size_t>(rng.uniform_int(50, 800));
       site.plant.has_economizer = rng.bernoulli(0.5);
       site.electricity_price_per_kwh = rng.uniform(0.04, 0.25);
@@ -107,7 +107,7 @@ TEST_P(GeoProperty, CostAwareRoutingNeverCostsMoreThanSingleHome) {
     std::vector<macro::SiteConfig> sites;
     for (std::size_t i = 0; i < 3; ++i) {
       macro::SiteConfig site;
-      site.name = "s" + std::to_string(i);
+      site.name = std::string("s").append(std::to_string(i));
       site.servers = 400;
       site.electricity_price_per_kwh = rng.uniform(0.05, 0.2);
       site.network_latency_s = rng.uniform(0.001, 0.06);

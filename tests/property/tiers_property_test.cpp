@@ -12,7 +12,7 @@ TieredServiceSpec random_service(Rng& rng) {
   const auto tiers = static_cast<std::size_t>(rng.uniform_int(1, 4));
   for (std::size_t i = 0; i < tiers; ++i) {
     TierSpec tier;
-    tier.name = "t" + std::to_string(i);
+    tier.name = std::string("t").append(std::to_string(i));
     tier.fanout = rng.uniform(1.0, 5.0);
     tier.service_demand_s = rng.uniform(0.001, 0.02);
     tier.max_servers = 2000;

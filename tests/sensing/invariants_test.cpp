@@ -108,6 +108,33 @@ TEST(InvariantMonitorTest, TemperatureAndSocBoundsAreChecked) {
   EXPECT_EQ(soc.violations()[0].name, "soc-bounds");
 }
 
+TEST(InvariantMonitorTest, TemperatureViolationsNameTheReading) {
+  InvariantMonitor monitor(recording_config());
+  auto in = healthy_inputs();
+  in.zone_temps_c = {-41.25, 150.5};
+  in.max_zone_temp_c = 150.5;
+  monitor.check(in);
+  ASSERT_EQ(monitor.violations().size(), 3u);
+  EXPECT_EQ(monitor.violations()[0].detail, "max zone at 150.5C");
+  EXPECT_EQ(monitor.violations()[1].detail, "zone 0 at -41.25C");
+  EXPECT_EQ(monitor.violations()[2].detail, "zone 1 at 150.5C");
+  for (const auto& v : monitor.violations()) {
+    EXPECT_EQ(v.name, "temperature-bounds");
+    EXPECT_EQ(v.time_s, 3600.0);
+  }
+}
+
+TEST(InvariantMonitorTest, CheckScalarViolationDetailShowsValueAndBounds) {
+  InvariantMonitor monitor(recording_config());
+  monitor.check_scalar("soc-bounds", 1.0625, 0.0, 1.0, 60.0);
+  monitor.check_scalar("headroom", -0.2, 0.25, 7.5, 120.0);
+  ASSERT_EQ(monitor.violations().size(), 2u);
+  EXPECT_EQ(monitor.violations()[0].detail, "1.0625 outside [0, 1]");
+  EXPECT_EQ(monitor.violations()[1].name, "headroom");
+  EXPECT_EQ(monitor.violations()[1].detail, "-0.2 outside [0.25, 7.5]");
+  EXPECT_EQ(monitor.checks(), 2u);
+}
+
 TEST(InvariantMonitorTest, NonFiniteStateShortCircuits) {
   InvariantMonitor monitor(recording_config());
   auto in = healthy_inputs();

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -73,6 +74,27 @@ void spin_for(std::chrono::steady_clock::duration d) {
 /// Twice the pool threshold: a window holding one such event sends the
 /// federation's next window to the pool.
 constexpr auto kHeavyEvent = 2 * ShardedSimulator::kPoolWindowCost;
+
+/// Two events, on different shards of one window, that wait for each other:
+/// the first to arrive waits up to `bound` for the second. They meet only
+/// when two threads run the two shards at once. One thread running both
+/// shards in turn never meets (the first gives up before the second
+/// starts), and a worker that is slow to wake only makes the first wait
+/// longer.
+struct Rendezvous {
+  std::atomic<int> arrived{0};
+  std::atomic<bool> met{false};
+
+  void arrive(std::chrono::steady_clock::duration bound) {
+    if (arrived.fetch_add(1) > 0) return;  // the second: the first waits
+    const auto until = std::chrono::steady_clock::now() + bound;
+    while (arrived.load() < 2) {
+      if (std::chrono::steady_clock::now() >= until) return;
+      std::this_thread::yield();
+    }
+    met.store(true);
+  }
+};
 
 /// The shape of a randomized script; the defaults are the conformance
 /// script's.
@@ -294,9 +316,21 @@ TEST(FederationDispatch, HeavyWindowsRunOnThePoolAndMatchTheSingleKernel) {
         << label;
     if (threads == 1) {
       EXPECT_EQ(got.threads_seen.size(), 1u) << label;
-    } else if (threads == 8) {
-      EXPECT_GT(got.threads_seen.size(), 1u) << label;
+      continue;
     }
+    // The pool hands shards to more than one thread: after one heavy window,
+    // the next (pooled) window holds a rendezvous between shards 0 and 1.
+    const double t = fed.now() + 1.0;
+    fed.shard(2).schedule_at(t, [] { spin_for(kHeavyEvent); });
+    Rendezvous rendezvous;
+    for (const std::size_t s : {std::size_t{0}, std::size_t{1}}) {
+      fed.shard(s).schedule_at(t + 10.0, [&rendezvous] {
+        rendezvous.arrive(std::chrono::seconds(10));
+      });
+    }
+    fed.run_until(t + 20.0);
+    EXPECT_EQ(rendezvous.arrived.load(), 2) << label;
+    EXPECT_TRUE(rendezvous.met.load()) << label;
   }
 }
 

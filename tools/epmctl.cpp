@@ -326,7 +326,7 @@ int cmd_tiers(const CliArgs& args) {
   for (std::size_t i = 0; i < decision.tiers.size(); ++i) {
     const auto& t = decision.tiers[i];
     table.add_row({spec.tiers[i].name, std::to_string(t.servers),
-                   "P" + std::to_string(t.pstate), fmt(t.latency_budget_s * 1e3, 1),
+                   power::pstate_name(t.pstate), fmt(t.latency_budget_s * 1e3, 1),
                    fmt(t.predicted_response_s * 1e3, 1),
                    fmt(t.predicted_power_w / 1e3, 2)});
   }
