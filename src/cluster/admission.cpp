@@ -23,27 +23,26 @@ void BoundedQueue::grow() {
   head_ = 0;
 }
 
-bool BoundedQueue::try_push(std::uint32_t id, double now_s) {
-  if (size_ >= capacity_) {
-    ++shed_;
-    return false;
-  }
-  if (size_ == ring_.size()) grow();
-  ring_[(head_ + size_) & mask_] = {id, now_s};
-  ++size_;
-  ++accepted_;
-  return true;
+void BoundedQueue::pop_run(std::size_t n, std::vector<std::uint32_t>& out) {
+  ensure(n <= size_, "BoundedQueue: pop_run() past the end of the queue");
+  // Two straight copies: up to the ring's end, then from its start.
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::uint32_t* dst = out.data() + at;
+  const std::size_t first = std::min(n, ring_.size() - head_);
+  for (std::size_t i = 0; i < first; ++i) dst[i] = ring_[head_ + i].id;
+  for (std::size_t i = first; i < n; ++i) dst[i] = ring_[i - first].id;
+  head_ = (head_ + n) & mask_;
+  size_ -= n;
 }
 
-const BoundedQueue::Entry& BoundedQueue::front() const {
-  ensure(size_ > 0, "BoundedQueue: front() on empty queue");
-  return ring_[head_];
-}
-
-void BoundedQueue::pop() {
-  ensure(size_ > 0, "BoundedQueue: pop() on empty queue");
-  head_ = (head_ + 1) & mask_;
-  --size_;
+std::size_t BoundedQueue::charge(double& credit) const {
+  if (!(credit >= 1.0)) return 0;  // NaN pays for nothing, as in the loop
+  const std::size_t n = credit < static_cast<double>(size_)
+                            ? static_cast<std::size_t>(credit)
+                            : size_;
+  credit -= static_cast<double>(n);
+  return n;
 }
 
 TokenBucket::TokenBucket(TokenBucketConfig config)

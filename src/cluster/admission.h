@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "core/require.h"
+
 namespace epm::cluster {
 
 /// Bounded FIFO accept queue. Entries carry the admit timestamp so the
@@ -49,10 +51,37 @@ class BoundedQueue {
 
   /// Accepts the request unless the queue is full; a full queue sheds it
   /// (returns false) and counts the loss.
-  bool try_push(std::uint32_t id, double now_s);
+  bool try_push(std::uint32_t id, double now_s) {
+    if (size_ >= capacity_) {
+      ++shed_;
+      return false;
+    }
+    if (size_ == ring_.size()) grow();
+    ring_[(head_ + size_) & mask_] = {id, now_s};
+    ++size_;
+    ++accepted_;
+    return true;
+  }
   /// Oldest queued request; queue must be non-empty.
-  const Entry& front() const;
-  void pop();
+  const Entry& front() const {
+    ensure(size_ > 0, "BoundedQueue: front() on empty queue");
+    return ring_[head_];
+  }
+  void pop() {
+    ensure(size_ > 0, "BoundedQueue: pop() on empty queue");
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  /// Moves the ids of the n oldest requests, oldest first, onto the end of
+  /// `out`: the same ids n front()/pop() pairs give. Requires n <= size().
+  void pop_run(std::size_t n, std::vector<std::uint32_t>& out);
+  /// How many requests `credit` pays for at one unit each: floor(credit),
+  /// at most size(), none below one unit. The units come off `credit`.
+  /// The count, and the remainder whenever requests stay queued, are those
+  /// of a loop that spends 1.0 per front()/pop() while credit >= 1.0: the
+  /// remainder is then below size(), far under 2^53, where every unit
+  /// comes off exactly.
+  std::size_t charge(double& credit) const;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

@@ -16,9 +16,9 @@ namespace epm {
 ///
 /// The generator is a pure function of its counter: the k-th output after
 /// seeding with `s` is `mix(s + k * kGamma)`. Batch consumers (the epoch
-/// engine's block draws) exploit this by carrying raw counter states in
-/// flat arrays and advancing whole blocks branch-free; `next()` on an
-/// equivalent SplitMix64 produces the identical stream bit-for-bit
+/// engine's per-client streams) exploit this by keeping only a draw count
+/// k in a flat array and rebuilding the counter when they draw; `next()`
+/// on an equivalent SplitMix64 produces the identical stream bit-for-bit
 /// (asserted by the stream-equivalence regression test).
 class SplitMix64 {
  public:

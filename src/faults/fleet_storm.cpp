@@ -31,6 +31,7 @@ struct FleetDc {
   std::vector<std::vector<std::uint32_t>> fwd;   ///< [peer] epoch staging
   std::vector<std::vector<std::uint32_t>> resp;  ///< [owner] cohort scratch
   std::vector<std::uint32_t> cohort;             ///< refs served this epoch
+  std::vector<std::uint8_t> verdicts;  ///< admission verdict per due position
   std::vector<std::uint32_t> local_ids;
   std::vector<std::size_t> peers;  ///< other dcs, rotation starting index+1
   std::size_t rr_peer = 0;
@@ -300,34 +301,37 @@ class FleetWorld {
     // 2. Local attempts due this epoch, through the admission stack. A dark
     // service forwards (ride-through) what the re-route budget allows and
     // fails the rest; queue overflow likewise forwards before shedding.
-    for (const std::uint32_t id : dc.population.collect_due(t0, dt_)) {
+    // Verdicts never read client state, so they are decided in batch order
+    // and the batch is answered in one call (a forwarded attempt counts as
+    // admitted: the owner's client waits on it).
+    const std::vector<std::uint32_t>& due = dc.population.collect_due(t0, dt_);
+    dc.verdicts.assign(due.size(), 0);
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      const std::uint32_t id = due[i];
       if (dark) {
         if (try_forward(dc, id)) {
-          dc.population.on_admitted(id, t0);
+          dc.verdicts[i] = 1;
         } else {
           ++dc.dark;
-          dc.population.on_rejected(id, t0);
         }
       } else if (defended && !dc.breaker.allow()) {
         ++dc.shed_breaker;
-        dc.population.on_rejected(id, t0);
       } else if (defended && !dc.bucket.try_acquire()) {
         ++dc.shed_bucket;
-        dc.population.on_rejected(id, t0);
       } else if (!dc.queue.try_push(
                      cluster::pack_remote_ref(
                          static_cast<std::uint32_t>(d), id),
                      t0)) {
         if (try_forward(dc, id)) {
-          dc.population.on_admitted(id, t0);
+          dc.verdicts[i] = 1;
         } else {
           ++dc.shed_queue;
-          dc.population.on_rejected(id, t0);
         }
       } else {
-        dc.population.on_admitted(id, t0);
+        dc.verdicts[i] = 1;
       }
     }
+    dc.population.answer_due(dc.verdicts, t0);
     flush_forwards(dc);
     dc.max_queue_depth = std::max(dc.max_queue_depth, dc.queue.size());
 
@@ -340,11 +344,7 @@ class FleetWorld {
                          : dc.serve_carry +
                                config_.service_capacity_rps * factor * dt_;
     dc.cohort.clear();
-    while (credit >= 1.0 && !dc.queue.empty()) {
-      dc.cohort.push_back(dc.queue.front().id);
-      dc.queue.pop();
-      credit -= 1.0;
-    }
+    dc.queue.pop_run(dc.queue.charge(credit), dc.cohort);
     dc.serve_carry = (dark || dc.queue.empty()) ? 0.0 : credit;
     if (!dc.cohort.empty()) {
       FleetWorld* w = this;

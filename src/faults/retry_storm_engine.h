@@ -177,11 +177,7 @@ class RetryStormEngine {
       // event at t1 fires before begin_epoch(e + 1) refills it); one event
       // keeps the kernel O(1) per epoch instead of O(completions).
       cohort_.clear();
-      while (credit >= 1.0 && !queue_.empty()) {
-        cohort_.push_back(queue_.front().id);
-        queue_.pop();
-        credit -= 1.0;
-      }
+      queue_.pop_run(queue_.charge(credit), cohort_);
       serve_carry_ = queue_.empty() ? 0.0 : credit;
       if (!cohort_.empty()) {
         Population* population = &population_;

@@ -123,10 +123,10 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
       out.it_power_w / static_cast<double>(topology_.rack_ids.size());
   for (power::NodeId rack : topology_.rack_ids) tree.set_direct_load(rack, per_rack);
   tree.set_direct_load(topology_.mechanical_id, out.mechanical_power_w);
-  const auto report = tree.evaluate();
-  out.utility_draw_w = report.utility_draw_w;
-  out.pue = report.pue;
-  out.power_overloaded = !report.overloaded.empty();
+  tree.evaluate(report_);
+  out.utility_draw_w = report_.utility_draw_w;
+  out.pue = report_.pue;
+  out.power_overloaded = !report_.overloaded.empty();
   if (out.power_overloaded) ++overload_epochs_;
 
   it_energy_j_ += out.it_power_w * config_.epoch_s;

@@ -107,6 +107,7 @@ class Facility {
   thermal::CoolingPlant plant_;
   std::vector<StepObserver> observers_;
   std::vector<double> zone_heat_;  ///< step's per-zone heat, reused
+  power::DistributionReport report_;  ///< step's power-tree report, reused
   double now_s_ = 0.0;
   double it_energy_j_ = 0.0;
   double mech_energy_j_ = 0.0;

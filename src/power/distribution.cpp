@@ -82,7 +82,17 @@ double PowerDistributionTree::direct_load(NodeId id) const {
 
 DistributionReport PowerDistributionTree::evaluate() const {
   DistributionReport report;
-  report.flows.resize(specs_.size());
+  evaluate(report);
+  return report;
+}
+
+void PowerDistributionTree::evaluate(DistributionReport& report) const {
+  report.flows.assign(specs_.size(), NodeFlow{});
+  report.overloaded.clear();
+  report.critical_power_w = 0.0;
+  report.mechanical_power_w = 0.0;
+  report.total_loss_w = 0.0;
+  report.pue = 0.0;
 
   // Children were added after parents, so a reverse pass accumulates inputs
   // bottom-up in one sweep.
@@ -116,7 +126,6 @@ DistributionReport PowerDistributionTree::evaluate() const {
   if (report.critical_power_w > 0.0) {
     report.pue = report.utility_draw_w / report.critical_power_w;
   }
-  return report;
 }
 
 Tier2Topology build_tier2_topology(const Tier2TopologyConfig& config) {

@@ -80,6 +80,10 @@ class PowerDistributionTree {
   /// Propagates loads up the tree and computes all flows. Does not throw on
   /// overload; the report flags overloaded nodes so policies can react.
   DistributionReport evaluate() const;
+  /// Same, into a caller-owned report: every field is overwritten, and its
+  /// vectors keep their capacity, so a report reused step after step makes
+  /// no heap allocation.
+  void evaluate(DistributionReport& report) const;
 
  private:
   std::vector<NodeSpec> specs_;

@@ -64,13 +64,6 @@ Crac& MachineRoom::crac(std::size_t k) {
   return cracs_[k];
 }
 
-std::vector<double> MachineRoom::zone_temperatures_c() const {
-  std::vector<double> out;
-  out.reserve(zones_.size());
-  for (const auto& z : zones_) out.push_back(z.temperature_c());
-  return out;
-}
-
 double MachineRoom::zone_supply_c(std::size_t i) const {
   require(i < zones_.size(), "MachineRoom: zone index out of range");
   return effective_supply_c(i);
@@ -102,10 +95,11 @@ void MachineRoom::integrate_step(double dt_s, const std::vector<double>& it_heat
   }
   now_s_ += dt_s;
   // CRAC discrete control on each unit's own schedule.
-  const auto temps = zone_temperatures_c();
+  temps_.clear();
+  for (const auto& z : zones_) temps_.push_back(z.temperature_c());
   for (std::size_t k = 0; k < cracs_.size(); ++k) {
     if (now_s_ + 1e-9 >= next_control_s_[k]) {
-      if (crac_auto_[k]) cracs_[k].control_step(temps);
+      if (crac_auto_[k]) cracs_[k].control_step(temps_);
       next_control_s_[k] += cracs_[k].config().control_period_s;
     }
   }

@@ -45,7 +45,6 @@ class MachineRoom {
   const ThermalZone& zone(std::size_t i) const;
   const Crac& crac(std::size_t k) const;
   Crac& crac(std::size_t k);
-  std::vector<double> zone_temperatures_c() const;
   /// Commanded supply temperature a zone receives (its airflow-share mix of
   /// CRAC supplies, before the propagation lag).
   double zone_supply_c(std::size_t i) const;
@@ -78,6 +77,7 @@ class MachineRoom {
   std::vector<bool> crac_auto_;
   std::vector<bool> zone_alarmed_;  // edge-triggered alarm latch
   std::vector<AlarmEvent> alarms_;
+  std::vector<double> temps_;  ///< zone temperatures for the CRACs, reused
   double now_s_ = 0.0;
 };
 

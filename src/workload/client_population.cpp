@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ranges>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/parallel.h"
 #include "core/require.h"
@@ -15,29 +15,18 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/// One SplitMix64 stream step over a raw counter state: uniform in [0, 1).
-/// Bit-identical to uniform01(SplitMix64&) in the legacy engine — the
-/// stream-equivalence regression test pins this.
-double unit_draw(std::uint64_t& state) {
-  return static_cast<double>(SplitMix64::mix(state += SplitMix64::kGamma) >>
-                             11) *
-         0x1.0p-53;
-}
-
-double exponential_draw(std::uint64_t& state, double mean) {
-  return -mean * std::log1p(-unit_draw(state));
+/// A client's 32-bit draw count would wrap. Out of line, so the check
+/// leaves the draw sweeps one predictable compare (inline, the throw slowed
+/// the deadline sweep by a third).
+[[noreturn, gnu::noinline]] void throw_draws_exhausted() {
+  throw std::logic_error(
+      "ClientPopulation: a client's 32-bit draw count is exhausted");
 }
 
 /// Uniform double in [0, 1) from a SplitMix64 object (the shared
 /// disconnect-selection stream, which must advance in id order).
 double uniform01(SplitMix64& rng) {
   return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
-}
-
-/// Multiplicative jitter factor in [1 - j, 1 + j). Callers gate the draw on
-/// j > 0 (draw_on_retry_ / draw_on_cooldown_) to match the legacy stream.
-double jitter_draw(std::uint64_t& state, double j) {
-  return 1.0 - j + 2.0 * j * unit_draw(state);
 }
 
 }  // namespace
@@ -74,6 +63,8 @@ void validate_client_population_config(const ClientPopulationConfig& config) {
           "ClientPopulation: start spread must be non-negative");
   require(config.retry.max_attempts >= 1,
           "ClientPopulation: need at least one attempt");
+  require(config.retry.max_attempts <= ClientPopulation::kMaxAttempts,
+          "ClientPopulation: max_attempts above 255 (one-byte attempt count)");
   require(config.retry.base_delay_s >= 0.0 && config.retry.max_delay_s >= 0.0,
           "ClientPopulation: retry delays must be non-negative");
   require(config.retry.multiplier >= 1.0,
@@ -138,19 +129,30 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
   for (std::size_t s = 0; s <= kShards; ++s) bounds_[s] = s * n / kShards;
   // Uninitialized: the sharded fill below first-touches them on the pool.
   state_ = std::make_unique_for_overwrite<State[]>(n);
-  attempt_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+  attempt_ = std::make_unique_for_overwrite<std::uint8_t[]>(n);
   due_s_ = std::make_unique_for_overwrite<double[]>(n);
-  rng_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  draws_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
 
+  // Pre-jitter backoff per failed attempt. Exponential delays use the
+  // identical expression the legacy per-event std::pow path used
+  // (bit-equality).
   const RetryPolicyConfig& retry = config_.retry;
-  // Pre-jitter exponential-backoff delays, computed with the identical
-  // expression the legacy per-event std::pow path used (bit-equality).
-  const std::size_t table_len = std::min<std::size_t>(retry.max_attempts, 64);
-  delay_table_.assign(table_len + 1, 0.0);
-  for (std::size_t a = 1; a <= table_len; ++a) {
-    const double exponent = static_cast<double>(a - 1);
-    const double raw = retry.base_delay_s * std::pow(retry.multiplier, exponent);
-    delay_table_[a] = std::min(raw, retry.max_delay_s);
+  delay_table_.assign(retry.max_attempts + 1, 0.0);
+  for (std::size_t a = 1; a <= retry.max_attempts; ++a) {
+    switch (retry.backoff) {
+      case RetryBackoff::kImmediate:
+        break;
+      case RetryBackoff::kFixed:
+        delay_table_[a] = retry.base_delay_s;
+        break;
+      case RetryBackoff::kExponential: {
+        const double exponent = static_cast<double>(a - 1);
+        const double raw =
+            retry.base_delay_s * std::pow(retry.multiplier, exponent);
+        delay_table_[a] = std::min(raw, retry.max_delay_s);
+        break;
+      }
+    }
   }
   draw_on_retry_ =
       retry.backoff != RetryBackoff::kImmediate && retry.jitter_frac > 0.0;
@@ -159,12 +161,11 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
   const double spread = config_.start_spread_s;
   for_each_index(kShards, [&](std::size_t s) {
     for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
+      const auto client = static_cast<std::uint32_t>(id);
       state_[id] = State::kThinking;
       attempt_[id] = 0;
-      rng_[id] = SplitMix64::mix(
-          config_.seed + (static_cast<std::uint64_t>(id) + 2) *
-                             SplitMix64::kGamma);
-      due_s_[id] = spread > 0.0 ? exponential_draw(rng_[id], spread) : 0.0;
+      draws_[id] = 0;
+      due_s_[id] = spread > 0.0 ? exponential_draw(client, spread) : 0.0;
     }
   });
 }
@@ -183,33 +184,21 @@ void ClientPopulation::for_each_index(std::size_t n, Fn&& fn) {
 }
 
 template <typename Fn>
+void ClientPopulation::for_each_chunk(std::size_t count, Fn&& fn) {
+  for_each_index(kChunks, [&](std::size_t c) {
+    fn(c, c * count / kChunks, (c + 1) * count / kChunks);
+  });
+}
+
+template <typename Fn>
 void ClientPopulation::sweep_shards(Fn&& fn) {
   std::array<Tally, kShards> tallies{};
   for_each_index(kShards, [&](std::size_t s) { fn(s, tallies[s]); });
   for (const Tally& t : tallies) apply_tally(t);
 }
 
-template <typename Fn>
-void ClientPopulation::sweep_grouped(const Offsets& offset, Fn&& fn) {
-  sweep_shards([&](std::size_t s, Tally& t) {
-    for (std::size_t i = offset[s]; i < offset[s + 1]; ++i) {
-      // Ids come in random order: fetch the client 8 entries ahead.
-      if (i + 8 < offset[s + 1]) {
-        const std::uint32_t next = by_shard_[i + 8];
-        __builtin_prefetch(&state_[next], 1);
-        __builtin_prefetch(&attempt_[next], 1);
-        __builtin_prefetch(&due_s_[next], 1);
-        __builtin_prefetch(&rng_[next], 1);
-      }
-      fn(i, t);
-    }
-  });
-}
-
 ClientPopulation::Offsets ClientPopulation::group_by_shard(
-    const std::uint32_t* ids, std::size_t count,
-    const std::uint8_t* verdicts) {
-  // Counting sort by shard: stable, so entries of one client keep order.
+    const std::uint32_t* ids, std::size_t count) {
   // id * kShards / clients is the owner or one off (or below, past empty
   // shards) and costs less than a division per id.
   const double scale = static_cast<double>(kShards) / config_.clients;
@@ -219,17 +208,31 @@ ClientPopulation::Offsets ClientPopulation::group_by_shard(
     while (id >= bounds_[s + 1]) ++s;
     return s;
   };
+  // Stable counting sort: per-chunk shard counts, then a (shard, chunk)
+  // prefix sum, so group s holds chunk 0's entries, then chunk 1's, and so
+  // on, each in input order; the entries of one client keep their order.
+  std::array<std::array<std::size_t, kShards>, kChunks> next;
+  for_each_chunk(count, [&](std::size_t c, std::size_t begin,
+                            std::size_t end) {
+    next[c].fill(0);
+    for (std::size_t i = begin; i < end; ++i) ++next[c][shard_of(ids[i])];
+  });
   Offsets offset{};
-  for (std::size_t i = 0; i < count; ++i) ++offset[shard_of(ids[i]) + 1];
-  for (std::size_t s = 0; s < kShards; ++s) offset[s + 1] += offset[s];
-  by_shard_.resize(count);
-  if (verdicts != nullptr) by_shard_verdict_.resize(count);
-  Offsets next = offset;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t k = next[shard_of(ids[i])]++;
-    by_shard_[k] = ids[i];
-    if (verdicts != nullptr) by_shard_verdict_[k] = verdicts[i];
+  std::size_t at = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    offset[s] = at;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      at += std::exchange(next[c][s], at);
+    }
   }
+  offset[kShards] = at;
+  by_shard_.resize(count);
+  for_each_chunk(count, [&](std::size_t c, std::size_t begin,
+                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      by_shard_[next[c][shard_of(ids[i])]++] = ids[i];
+    }
+  });
   return offset;
 }
 
@@ -260,7 +263,7 @@ namespace {
 /// counting pass spreads them over buckets of equal due width (keeping id
 /// order), leaving only short buckets to sort unless the dues are skewed.
 template <typename Candidate>
-void sort_by_due(const std::vector<Candidate>& in, Candidate* out) {
+void sort_by_due(std::span<const Candidate> in, Candidate* out) {
   constexpr std::size_t kMaxBuckets = 1024;
   const std::size_t buckets =
       std::clamp<std::size_t>(in.size() / 4, 1, kMaxBuckets);
@@ -283,26 +286,20 @@ void sort_by_due(const std::vector<Candidate>& in, Candidate* out) {
   }
 }
 
-/// How many of the first d elements of merge(a, b) come from `a`.
-template <typename Candidate>
-std::size_t co_rank(std::size_t d, const Candidate* a, std::size_t na,
-                    const Candidate* b, std::size_t nb) {
-  const std::size_t lo = d > nb ? d - nb : 0;
-  const auto from_a = std::views::iota(lo, std::min(d, na));
-  const auto split = std::ranges::partition_point(
-      from_a, [&](std::size_t i) { return a[i] < b[d - i - 1]; });
-  return lo + static_cast<std::size_t>(split - from_a.begin());
-}
-
 }  // namespace
 
 const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
                                                                 double dt) {
   require(dt > 0.0, "ClientPopulation: epoch must be positive");
   const double end = t0 + dt;
+  // 1. Each shard lists its due clients in id order, and its due span.
+  std::array<double, kShards> lo;
+  std::array<double, kShards> hi;
   sweep_shards([&](std::size_t s, Tally& t) {
     std::vector<Candidate>& out = shard_due_[s];
     out.clear();
+    double shard_lo = kNever;
+    double shard_hi = -kNever;
     for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
       const State st = state_[id];
       if (st == State::kWaiting || st == State::kLost) continue;
@@ -324,74 +321,103 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
       // attempt is in flight, so it counts as waiting with no deadline yet.
       state_[id] = State::kWaiting;
       due_s_[id] = kNever;
-      out.push_back(Candidate{due, static_cast<std::uint32_t>(id)});
+      shard_lo = std::min(shard_lo, due);
+      shard_hi = std::max(shard_hi, due);
+      out.push_back(Candidate{due, static_cast<std::uint32_t>(id), 0});
+    }
+    lo[s] = shard_lo;
+    hi[s] = shard_hi;
+  });
+
+  // 2. One partition of every shard's list into kDueRanges ranges of a
+  // monotone linear map over the batch's [min, max] due. Range r holds
+  // shard 0's entries, then shard 1's, and so on, so it is in id order,
+  // and every due in range r precedes every due in range r + 1.
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    due_offset_[s] = total;
+    total += shard_due_[s].size();
+  }
+  due_offset_[kShards] = total;
+  const double first = *std::min_element(lo.begin(), lo.end());
+  const double span = *std::max_element(hi.begin(), hi.end()) - first;
+  double scale = span > 0.0 ? static_cast<double>(kDueRanges) / span : 0.0;
+  if (!std::isfinite(scale)) scale = 0.0;
+  const auto range_of = [&](double due) {  // monotone in due
+    const double x = (due - first) * scale;
+    return x < static_cast<double>(kDueRanges - 1) ? static_cast<std::size_t>(x)
+                                                   : kDueRanges - 1;
+  };
+  // next[s][r]: per-shard range counts, then where shard s's next entry of
+  // range r goes. Positions fit 32 bits: there are at most 2^32 - 1 clients.
+  std::array<std::array<std::uint32_t, kDueRanges>, kShards> next;
+  for_each_index(kShards, [&](std::size_t s) {
+    next[s].fill(0);
+    for (const Candidate& c : shard_due_[s]) ++next[s][range_of(c.due_s)];
+  });
+  std::array<std::size_t, kDueRanges + 1> range_start{};
+  std::uint32_t at = 0;
+  for (std::size_t r = 0; r < kDueRanges; ++r) {
+    range_start[r] = at;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      at += std::exchange(next[s][r], at);
+    }
+  }
+  range_start[kDueRanges] = at;
+  parted_.resize(total);
+  for_each_index(kShards, [&](std::size_t s) {
+    const std::vector<Candidate>& list = shard_due_[s];
+    for (std::size_t j = 0; j < list.size(); ++j) {
+      Candidate c = list[j];
+      c.slot = static_cast<std::uint32_t>(due_offset_[s] + j);
+      parted_[next[s][range_of(c.due_s)]++] = c;
     }
   });
 
-  Offsets offset{};
-  for (std::size_t s = 0; s < kShards; ++s) {
-    offset[s + 1] = offset[s] + shard_due_[s].size();
-  }
-  const std::size_t total = offset[kShards];
-  merge_a_.resize(total);
-  merge_b_.resize(total);
-  std::array<const Candidate*, kShards> run;
-  for_each_index(kShards, [&](std::size_t s) {
-    run[s] = merge_b_.data() + offset[s];
-    sort_by_due(shard_due_[s], merge_b_.data() + offset[s]);
-  });
-
-  // A pairwise merge tree gives the legacy heap's (due, id) pop order (ids
-  // are unique). Six rounds merge run pairs `width` shards wide (run[s]
-  // starts at shard s) into the other buffer as kShards co-ranked slices.
-  Candidate* dst = merge_a_.data();
-  Candidate* spare = merge_b_.data();
-  for (std::size_t width = 1; width < kShards; width *= 2) {
-    const std::size_t slices = 2 * width;  // per pair: kShards tasks a round
-    for_each_index(kShards, [&](std::size_t task) {
-      const std::size_t first = task / slices * slices;
-      const std::size_t slice = task % slices;
-      const Candidate* a = run[first];
-      const Candidate* b = run[first + width];
-      const std::size_t na = offset[first + width] - offset[first];
-      const std::size_t nb = offset[first + slices] - offset[first + width];
-      const std::size_t d0 = (na + nb) * slice / slices;
-      const std::size_t d1 = (na + nb) * (slice + 1) / slices;
-      const std::size_t i0 = co_rank(d0, a, na, b, nb);
-      const std::size_t i1 = co_rank(d1, a, na, b, nb);
-      std::merge(a + i0, a + i1, b + (d0 - i0), b + (d1 - i1),
-                 dst + offset[first] + d0);
-    });
-    for (std::size_t s = 0; s < kShards; s += slices) run[s] = dst + offset[s];
-    std::swap(dst, spare);
-  }
+  // 3. Each range in (due, id) order gives the legacy heap's pop order (ids
+  // are unique). A range already in order (equal dues, as the immediate
+  // policy's retries have) is read where it lies.
+  sorted_.resize(total);
   batch_.resize(total);
-  const Candidate* merged = run[0];
-  for_each_index(kShards, [&](std::size_t c) {
-    const std::size_t last = (c + 1) * total / kShards;
-    for (std::size_t i = c * total / kShards; i < last; ++i) {
-      batch_[i] = merged[i].id;
+  batch_slot_.resize(total);
+  for_each_index(kDueRanges, [&](std::size_t r) {
+    const std::size_t begin = range_start[r];
+    const std::span<const Candidate> range(parted_.data() + begin,
+                                           range_start[r + 1] - begin);
+    const Candidate* ordered = range.data();
+    if (!std::is_sorted(range.begin(), range.end())) {
+      sort_by_due(range, sorted_.data() + begin);
+      ordered = sorted_.data() + begin;
+    }
+    for (std::size_t i = 0; i < range.size(); ++i) {
+      batch_[begin + i] = ordered[i].id;
+      batch_slot_[begin + i] = ordered[i].slot;
     }
   });
   batch_answered_ = false;
   return batch_;
 }
 
-double ClientPopulation::base_backoff_s(std::uint32_t attempt) const {
-  const RetryPolicyConfig& retry = config_.retry;
-  switch (retry.backoff) {
-    case RetryBackoff::kImmediate:
-      return 0.0;
-    case RetryBackoff::kFixed:
-      return retry.base_delay_s;
-    case RetryBackoff::kExponential: {
-      if (attempt < delay_table_.size()) return delay_table_[attempt];
-      const double exponent = static_cast<double>(attempt - 1);
-      const double raw = retry.base_delay_s * std::pow(retry.multiplier, exponent);
-      return std::min(raw, retry.max_delay_s);
-    }
+double ClientPopulation::unit_draw(std::uint32_t id) {
+  std::uint32_t& k = draws_[id];
+  if (k == std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+    throw_draws_exhausted();
   }
-  return 0.0;
+  ++k;
+  const std::uint64_t seed = SplitMix64::mix(
+      config_.seed + (std::uint64_t{id} + 2) * SplitMix64::kGamma);
+  return static_cast<double>(
+             SplitMix64::mix(seed + std::uint64_t{k} * SplitMix64::kGamma) >>
+             11) *
+         0x1.0p-53;
+}
+
+double ClientPopulation::exponential_draw(std::uint32_t id, double mean) {
+  return -mean * std::log1p(-unit_draw(id));
+}
+
+double ClientPopulation::jitter_draw(std::uint32_t id, double j) {
+  return 1.0 - j + 2.0 * j * unit_draw(id);
 }
 
 void ClientPopulation::fail_attempt(std::uint32_t id, double now_s,
@@ -401,7 +427,7 @@ void ClientPopulation::fail_attempt(std::uint32_t id, double now_s,
   if (attempt_[id] >= config_.retry.max_attempts) {
     ++t.abandoned;
     if (config_.retry.abandon_cooldown_s > 0.0) {
-      const double jit = draw_on_cooldown_ ? jitter_draw(rng_[id], j) : 1.0;
+      const double jit = draw_on_cooldown_ ? jitter_draw(id, j) : 1.0;
       state_[id] = State::kCooldown;
       due_s_[id] = now_s + config_.retry.abandon_cooldown_s * jit;
     } else {
@@ -411,9 +437,9 @@ void ClientPopulation::fail_attempt(std::uint32_t id, double now_s,
     }
     return;
   }
-  const double jit = draw_on_retry_ ? jitter_draw(rng_[id], j) : 1.0;
+  const double jit = draw_on_retry_ ? jitter_draw(id, j) : 1.0;
   state_[id] = State::kBackoff;
-  due_s_[id] = now_s + base_backoff_s(attempt_[id]) * jit;
+  due_s_[id] = now_s + delay_table_[attempt_[id]] * jit;
   ++t.backoff_delta;
 }
 
@@ -440,7 +466,7 @@ void ClientPopulation::serve(std::uint32_t id, double now_s, Tally& t) {
   --t.waiting_delta;
   attempt_[id] = 0;
   state_[id] = State::kThinking;
-  due_s_[id] = now_s + exponential_draw(rng_[id], config_.think_time_s);
+  due_s_[id] = now_s + exponential_draw(id, config_.think_time_s);
 }
 
 void ClientPopulation::on_rejected(std::uint32_t id, double now_s) {
@@ -461,10 +487,20 @@ void ClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
   require(admitted.size() == batch_.size() && !batch_answered_,
           "ClientPopulation: one answer_due per batch, one verdict per due");
   batch_answered_ = true;
-  const Offsets offset =
-      group_by_shard(batch_.data(), batch_.size(), admitted.data());
-  sweep_grouped(offset, [&](std::size_t i, Tally& t) {
-    answer(by_shard_[i], by_shard_verdict_[i] != 0, now_s, t);
+  // Each verdict goes to its client's slot in the shard lists (batch ids
+  // are unique, so no slot is written twice); each shard then answers its
+  // own list in id order. The scatter is serial: split over threads, its
+  // random byte writes bounce cache lines between cores and ran 2x slower.
+  slot_verdict_.resize(batch_.size());
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    slot_verdict_[batch_slot_[i]] = admitted[i];
+  }
+  sweep_shards([&](std::size_t s, Tally& t) {
+    const std::vector<Candidate>& list = shard_due_[s];
+    const std::uint8_t* verdict = slot_verdict_.data() + due_offset_[s];
+    for (std::size_t j = 0; j < list.size(); ++j) {
+      answer(list[j].id, verdict[j] != 0, now_s, t);
+    }
   });
 }
 
@@ -483,9 +519,19 @@ void ClientPopulation::on_served_batch(const std::uint32_t* ids,
           "ClientPopulation: client id out of range");
   // by_shard_ is a copy, so `ids` may alias batch_; a client listed twice
   // keeps its order, served fresh and then stale, as on_served would.
-  const Offsets offset = group_by_shard(ids, count, nullptr);
-  sweep_grouped(offset, [&](std::size_t i, Tally& t) {
-    serve(by_shard_[i], now_s, t);
+  const Offsets offset = group_by_shard(ids, count);
+  sweep_shards([&](std::size_t s, Tally& t) {
+    for (std::size_t i = offset[s]; i < offset[s + 1]; ++i) {
+      // Ids come in random order: fetch the client 8 entries ahead.
+      if (i + 8 < offset[s + 1]) {
+        const std::uint32_t next = by_shard_[i + 8];
+        __builtin_prefetch(&state_[next], 1);
+        __builtin_prefetch(&attempt_[next], 1);
+        __builtin_prefetch(&due_s_[next], 1);
+        __builtin_prefetch(&draws_[next], 1);
+      }
+      serve(by_shard_[i], now_s, t);
+    }
   });
 }
 
@@ -525,7 +571,7 @@ void ClientPopulation::disconnect_client(std::uint32_t id, double now_s,
   // Session re-establishment: reconnects arrive with exponential spread, so
   // the aggregate login surge decays like the Fig. 3 flash-crowd spikes.
   state_[id] = State::kThinking;
-  due_s_[id] = now_s + exponential_draw(rng_[id], config_.reconnect_spread_s);
+  due_s_[id] = now_s + exponential_draw(id, config_.reconnect_spread_s);
 }
 
 void ClientPopulation::disconnect_all(double now_s) {

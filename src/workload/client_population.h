@@ -16,13 +16,14 @@
 //
 // The engine is the vectorized epoch sweep introduced for the 10M-client
 // regime: client state lives in flat SoA arrays (state / attempt / due /
-// raw SplitMix64 counter) in 64 fixed client-range shards, and every
-// per-client phase of an epoch (due scan, answer, serve, deadlines, outage
-// drop) is a sweep over shard-local slices, on a core::ThreadPool when one
-// is configured. Tallies merge in shard order and due lists in a pairwise
-// (due, id) tree, so results are bit-identical at any thread count; RNG is
-// drawn as branch-free transforms over the raw counter states. The
-// per-event heap engine it replaced is preserved as LegacyClientPopulation
+// SplitMix64 draw count, 14 bytes a client) in 64 fixed client-range
+// shards, and every per-client phase of an epoch (due scan, answer, serve,
+// deadlines, outage drop) is a sweep over shard-local slices, on a
+// core::ThreadPool when one is configured. Tallies merge in shard order; the
+// due batch is one partition of the shards' lists into 64 due ranges, each
+// sorted by (due, id), and its answers go back through the shard lists; so
+// results are bit-identical at any thread count. The per-event heap engine
+// it replaced is preserved as LegacyClientPopulation
 // (client_population_legacy.h) for the in-run A/B bench; the equivalence
 // suite asserts both engines produce bit-identical attempt streams and
 // ledgers.
@@ -144,6 +145,8 @@ class ClientPopulation {
   /// never derived from the thread count — so per-shard work, and therefore
   /// every merged result, is identical at 1, 2, or 64 threads.
   static constexpr std::size_t kShards = 64;
+  /// The attempt counter is one byte: max_attempts above this is refused.
+  static constexpr std::size_t kMaxAttempts = 255;
 
   explicit ClientPopulation(ClientPopulationConfig config);
   ~ClientPopulation();
@@ -216,15 +219,23 @@ class ClientPopulation {
     kLost,      ///< abandoned forever (no cooldown)
   };
 
-  /// (due, id) candidate produced by the collect sweep; the lists of these
-  /// are sorted per shard and merged pairwise into the global batch order.
+  /// (due, id) candidate produced by the collect sweep. `slot` is its
+  /// position in the shard lists laid end to end (shard order, id order
+  /// within a shard), where answer_due files its verdict.
   struct Candidate {
     double due_s;
     std::uint32_t id;
+    std::uint32_t slot;
     bool operator<(const Candidate& o) const {
       return due_s < o.due_s || (due_s == o.due_s && id < o.id);
     }
   };
+
+  /// Fixed due ranges of collect_due's partition and fixed input chunks of
+  /// on_served_batch's grouping; like kShards, never derived from the
+  /// thread count.
+  static constexpr std::size_t kDueRanges = 64;
+  static constexpr std::size_t kChunks = 64;
 
   /// Per-shard counter ledger for one sweep, merged in shard order.
   struct Tally : ClientLedger {
@@ -243,17 +254,21 @@ class ClientPopulation {
   /// fn(shard, tally) for every shard; tallies apply in shard order.
   template <typename Fn>
   void sweep_shards(Fn&& fn);
-  /// fn(i, tally) for every entry i of by_shard_, a shard's group per task.
+  /// fn(c, begin, end) for each of kChunks fixed slices of [0, count).
   template <typename Fn>
-  void sweep_grouped(const Offsets& offset, Fn&& fn);
-  /// Stable-groups `ids` by shard into by_shard_ (and `verdicts`, when
-  /// given, into by_shard_verdict_); group s is [offset[s], offset[s + 1]).
-  Offsets group_by_shard(const std::uint32_t* ids, std::size_t count,
-                         const std::uint8_t* verdicts);
+  void for_each_chunk(std::size_t count, Fn&& fn);
+  /// Stable-groups `ids` by shard into by_shard_ (a parallel counting sort
+  /// over kChunks input chunks); group s is [offset[s], offset[s + 1]).
+  Offsets group_by_shard(const std::uint32_t* ids, std::size_t count);
 
-  /// Backoff delay (before jitter) after failing attempt `attempt` — the
-  /// table/mask replacement for the per-event std::pow in the legacy path.
-  double base_backoff_s(std::uint32_t attempt) const;
+  // Client id's stream: after k draws its SplitMix64 counter holds
+  // mix(seed + (id + 2)·γ) + k·γ, so a draw advances draws_[id] and mixes.
+  double unit_draw(std::uint32_t id);
+  double exponential_draw(std::uint32_t id, double mean);
+  /// Multiplicative jitter factor in [1 - j, 1 + j). Callers gate the draw
+  /// on j > 0 (draw_on_retry_ / draw_on_cooldown_) to match the legacy
+  /// stream.
+  double jitter_draw(std::uint32_t id, double j);
   // Per-client transitions for the per-id calls and the sweeps, counted in
   // the given tally. fail_attempt follows a timeout or a rejection.
   void fail_attempt(std::uint32_t id, double now_s, Tally& tally);
@@ -267,30 +282,33 @@ class ClientPopulation {
   /// bounds_[s] = s * clients / kShards is the first client of shard s.
   std::array<std::size_t, kShards + 1> bounds_{};
 
-  // Client state, structure-of-arrays: every sweep touches one field across
-  // many clients, so parallel arrays stream linearly. rng_ holds the raw
-  // SplitMix64 counter per client; draws advance it by kGamma and mix,
-  // which block loops do branch-free (and bit-identically to a SplitMix64
+  // Client state, structure-of-arrays, 14 bytes a client: every sweep
+  // touches one field across many clients, so parallel arrays stream
+  // linearly. draws_ counts each client's SplitMix64 draws, from which a
+  // draw rebuilds the stream counter (bit-identically to a SplitMix64
   // object — the stream-equivalence regression test pins this).
   std::unique_ptr<State[]> state_;
-  std::unique_ptr<std::uint32_t[]> attempt_;
+  std::unique_ptr<std::uint8_t[]> attempt_;
   std::unique_ptr<double[]> due_s_;
-  std::unique_ptr<std::uint64_t[]> rng_;
+  std::unique_ptr<std::uint32_t[]> draws_;
 
-  /// delay_table_[a] = capped pre-jitter delay after failing attempt a
-  /// (exponential policy); attempts past the table fall back to the same
-  /// closed form.
+  /// delay_table_[a] = pre-jitter backoff after failing attempt a, for
+  /// every attempt the budget allows (exponential delays capped).
   std::vector<double> delay_table_;
   bool draw_on_retry_ = false;     ///< retry backoff consumes a jitter draw
   bool draw_on_cooldown_ = false;  ///< abandon-to-cooldown consumes one
 
-  // Per-epoch scratch, reused across epochs: each shard's due candidates,
-  // the merge tree's two buffers, and ids (with verdicts) grouped by shard.
+  // Per-epoch scratch, reused across epochs: each shard's due candidates in
+  // id order (their slots start at due_offset_[shard]), the candidates
+  // partitioned into due ranges and sorted, each batch position's slot, the
+  // verdicts by slot, and served ids grouped by shard.
   std::array<std::vector<Candidate>, kShards> shard_due_;
-  std::vector<Candidate> merge_a_;
-  std::vector<Candidate> merge_b_;
+  Offsets due_offset_{};
+  std::vector<Candidate> parted_;
+  std::vector<Candidate> sorted_;
+  std::vector<std::uint32_t> batch_slot_;
+  std::vector<std::uint8_t> slot_verdict_;
   std::vector<std::uint32_t> by_shard_;
-  std::vector<std::uint8_t> by_shard_verdict_;
 
   std::vector<std::uint32_t> batch_;
   bool batch_answered_ = true;  ///< answer_due already applied to batch_

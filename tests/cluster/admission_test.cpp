@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace epm::cluster {
 namespace {
@@ -44,6 +47,84 @@ TEST(BoundedQueue, RejectsZeroCapacityAndEmptyAccess) {
   BoundedQueue queue(1);
   EXPECT_THROW(queue.front(), std::logic_error);
   EXPECT_THROW(queue.pop(), std::logic_error);
+}
+
+// pop_run hands out exactly what a front()/pop() loop would, also when the
+// live entries wrap around the end of the ring, and refuses to run past the
+// queue's end.
+TEST(BoundedQueue, PopRunMatchesFrontPopLoopOnAWrappedRing) {
+  BoundedQueue run_queue(1000);
+  BoundedQueue loop_queue(1000);
+  std::uint32_t next_id = 0;
+  const auto push = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++next_id) {
+      ASSERT_TRUE(run_queue.try_push(next_id, next_id * 0.5));
+      ASSERT_TRUE(loop_queue.try_push(next_id, next_id * 0.5));
+    }
+  };
+  // 64 ring slots: 50 in, 40 out, 50 in leaves 60 entries wrapped past the
+  // ring's end.
+  push(50);
+  std::vector<std::uint32_t> ids{7};  // pop_run appends
+  run_queue.pop_run(40, ids);
+  for (int i = 0; i < 40; ++i) loop_queue.pop();
+  push(50);
+  ASSERT_EQ(run_queue.size(), 60u);
+
+  EXPECT_THROW(run_queue.pop_run(61, ids), std::logic_error);
+  EXPECT_EQ(run_queue.size(), 60u);
+  ids.assign(1, 7);
+  run_queue.pop_run(run_queue.size(), ids);
+  std::vector<std::uint32_t> looped{7};
+  while (!loop_queue.empty()) {
+    looped.push_back(loop_queue.front().id);
+    loop_queue.pop();
+  }
+  EXPECT_EQ(ids, looped);
+  EXPECT_EQ(ids.size(), 61u);
+  EXPECT_TRUE(run_queue.empty());
+  run_queue.pop_run(0, ids);
+  EXPECT_EQ(ids.size(), 61u);
+  EXPECT_THROW(run_queue.pop_run(1, ids), std::logic_error);
+
+  // The ring keeps its order after the run: pushes land behind the head.
+  push(3);
+  EXPECT_EQ(run_queue.front().id, next_id - 3);
+  EXPECT_EQ(run_queue.accepted(), loop_queue.accepted());
+}
+
+// charge() is the storm engines' credit loop in closed form: the same count
+// for any credit, and the same remainder, bit for bit, whenever requests
+// stay queued (the engines carry it only then).
+TEST(BoundedQueue, ChargeMatchesTheUnitSpendingLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> credits = {
+      std::numeric_limits<double>::quiet_NaN(), -inf, -3.0, 0.0, 0.5,
+      std::nextafter(1.0, 0.0), 1.0, 1.5, 4.7, 5.0, 5.3, 999.99, 1000.0,
+      std::nextafter(1000.0, inf), 1e6, 0x1.0p53, 0x1.0p60, inf};
+  for (int k = 0; k < 200; ++k) credits.push_back(k * 5.137 + 0.25 * (k % 4));
+  for (const std::size_t queued : {0u, 1u, 5u, 700u, 1000u}) {
+    BoundedQueue queue(2000);
+    for (std::uint32_t i = 0; i < queued; ++i) ASSERT_TRUE(queue.try_push(i, 0.0));
+    for (const double start : credits) {
+      std::size_t looped = 0;
+      double loop_credit = start;
+      while (loop_credit >= 1.0 && looped < queued) {
+        ++looped;
+        loop_credit -= 1.0;
+      }
+      double credit = start;
+      ASSERT_EQ(queue.charge(credit), looped)
+          << "credit " << start << ", " << queued << " queued";
+      if (looped < queued) {
+        EXPECT_TRUE(credit == loop_credit ||
+                    (std::isnan(credit) && std::isnan(loop_credit)))
+            << "credit " << start << ", " << queued << " queued: " << credit
+            << " vs " << loop_credit;
+      }
+    }
+    EXPECT_EQ(queue.size(), queued);  // charging pops nothing
+  }
 }
 
 TEST(TokenBucket, StartsFullAndSpendsOneTokenPerAdmission) {

@@ -278,6 +278,14 @@ TEST(ClientPopulation, RejectsBadConfigAndBadCalls) {
   config = tiny_config();
   config.think_time_s = 0.0;
   EXPECT_THROW(ClientPopulation{config}, std::invalid_argument);
+  // The attempt counter is one byte, in both engines.
+  config = tiny_config();
+  config.retry.max_attempts = 256;
+  EXPECT_THROW(ClientPopulation{config}, std::invalid_argument);
+  EXPECT_THROW(LegacyClientPopulation{config}, std::invalid_argument);
+  config.retry.max_attempts = 255;
+  EXPECT_NO_THROW(ClientPopulation{config});
+  EXPECT_NO_THROW(LegacyClientPopulation{config});
 
   ClientPopulation pop(tiny_config());
   EXPECT_THROW(pop.on_admitted(99, 0.0), std::invalid_argument);

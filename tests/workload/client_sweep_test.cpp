@@ -1,8 +1,9 @@
 // Equivalence, determinism, and conservation suites for the vectorized
 // client-population epoch engine:
 //
-//   * ClientSweepStreams     — the block RNG contract: raw-counter block
-//     draws reproduce a SplitMix64 object's stream bit-for-bit, per client;
+//   * ClientSweepStreams     — the block RNG contract: draws rebuilt from a
+//     per-client draw count reproduce a SplitMix64 object's stream
+//     bit-for-bit, per client;
 //   * ClientSweepEquivalence — the sweep engine reproduces the legacy heap
 //     engine's batches (order included), ledger, and occupancy exactly
 //     under randomized drives (answered with answer_due on the sweep engine
@@ -12,13 +13,15 @@
 //   * ClientSweepContract    — answer_due and on_served_batch check their
 //     whole input before any client changes;
 //   * ClientSweepDeterminism — the sharded sweep is bit-identical at 1, 2,
-//     and 8 threads (fixed shard partition, deterministic merge);
+//     4 and 8 threads (fixed shard, due-range and chunk partitions);
 //   * ClientSweepProperty    — the 12-counter ledger and all four
 //     conservation identities hold every epoch on a randomized 100k-client
 //     storm driven through the branch-free transitions.
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,88 +71,135 @@ bool ledgers_equal(const workload::ClientLedger& a,
 
 // The epoch engine derives per-client streams from the closed-form counter
 // seed instead of walking a sequential seeder and per-client SplitMix64
-// objects. This is the regression pin: for every client, block draws over
-// the raw counter state must reproduce the object stream bit-for-bit.
+// objects, and keeps only a 32-bit draw count per client. This is the
+// regression pin: for every client, draw k = mix(seed_id + k·γ) with
+// seed_id = mix(seed + (id + 2)·γ) must reproduce the object stream
+// bit-for-bit, far past the few draws a client makes per epoch.
 TEST(ClientSweepStreams, BlockDrawsMatchSplitMix64PerClient) {
   for (const std::uint64_t seed : {0ull, 7ull, 42ull, 0xdeadbeefull}) {
     SplitMix64 seeder(seed);
     (void)seeder.next();  // draw 1 seeds the disconnect stream
     for (std::uint64_t id = 0; id < 1000; ++id) {
       SplitMix64 object(seeder.next());
-      std::uint64_t raw = SplitMix64::mix(seed + (id + 2) * SplitMix64::kGamma);
-      ASSERT_EQ(raw, object.state()) << "seed " << seed << " client " << id;
-      for (int draw = 0; draw < 16; ++draw) {
-        const std::uint64_t block = SplitMix64::mix(raw += SplitMix64::kGamma);
-        ASSERT_EQ(block, object.next())
-            << "seed " << seed << " client " << id << " draw " << draw;
+      const std::uint64_t stream_seed =
+          SplitMix64::mix(seed + (id + 2) * SplitMix64::kGamma);
+      ASSERT_EQ(stream_seed, object.state())
+          << "seed " << seed << " client " << id;
+      for (std::uint32_t k = 1; k <= 1000; ++k) {
+        const std::uint64_t counted = SplitMix64::mix(
+            stream_seed + std::uint64_t{k} * SplitMix64::kGamma);
+        ASSERT_EQ(counted, object.next())
+            << "seed " << seed << " client " << id << " draw " << k;
       }
     }
   }
 }
 
 // Lockstep drive: both engines see the identical verdict/serve/disconnect
-// script. Batches must match element-for-element (the (due, id) merge order
+// script. Batches must match element-for-element (the (due, id) batch order
 // is contractual), and the ledger and occupancy must agree after every
 // epoch.
-TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
-  Rng meta(2024);
-  for (int round = 0; round < 6; ++round) {
-    const auto config = random_sweep_config(meta, 2000);
-    workload::ClientPopulation sweep(config);
-    workload::LegacyClientPopulation legacy(config);
-    Rng drive(meta.next_u64());
-    std::deque<std::uint32_t> queued;
-    std::vector<std::uint32_t> cohort;
-    std::vector<std::uint8_t> verdicts;
-    for (int epoch = 0; epoch < 80; ++epoch) {
-      const double t0 = epoch;
-      const double t1 = t0 + 1.0;
-      if (epoch == 25) {
-        const double fraction = drive.uniform(0.0, 1.0);
-        sweep.disconnect_fraction(fraction, t0);
-        legacy.disconnect_fraction(fraction, t0);
+void expect_lockstep_with_legacy(const workload::ClientPopulationConfig& config,
+                                 std::uint64_t drive_seed,
+                                 const std::string& label) {
+  workload::ClientPopulation sweep(config);
+  workload::LegacyClientPopulation legacy(config);
+  Rng drive(drive_seed);
+  std::deque<std::uint32_t> queued;
+  std::vector<std::uint32_t> cohort;
+  std::vector<std::uint8_t> verdicts;
+  for (int epoch = 0; epoch < 80; ++epoch) {
+    const double t0 = epoch;
+    const double t1 = t0 + 1.0;
+    if (epoch == 25) {
+      const double fraction = drive.uniform(0.0, 1.0);
+      sweep.disconnect_fraction(fraction, t0);
+      legacy.disconnect_fraction(fraction, t0);
+    }
+    if (epoch == 50) {
+      sweep.disconnect_all(t0);
+      legacy.disconnect_all(t0);
+    }
+    const auto batch = sweep.collect_due(t0, 1.0);  // copy: batch_ reused
+    const auto& legacy_batch = legacy.collect_due(t0, 1.0);
+    ASSERT_EQ(batch, legacy_batch) << label << " epoch " << epoch;
+    // The sweep engine takes the verdicts as one answer; the legacy engine
+    // is answered one id at a time.
+    verdicts.clear();
+    for (const std::uint32_t id : batch) {
+      if (drive.uniform(0.0, 1.0) < 0.3) {
+        verdicts.push_back(0);
+        legacy.on_rejected(id, t0);
+      } else {
+        verdicts.push_back(1);
+        legacy.on_admitted(id, t0);
+        queued.push_back(id);
       }
-      if (epoch == 50) {
-        sweep.disconnect_all(t0);
-        legacy.disconnect_all(t0);
-      }
-      const auto batch = sweep.collect_due(t0, 1.0);  // copy: batch_ reused
-      const auto& legacy_batch = legacy.collect_due(t0, 1.0);
-      ASSERT_EQ(batch, legacy_batch) << "round " << round << " epoch " << epoch;
-      // The sweep engine takes the verdicts as one answer; the legacy engine
-      // is answered one id at a time.
-      verdicts.clear();
-      for (const std::uint32_t id : batch) {
-        if (drive.uniform(0.0, 1.0) < 0.3) {
-          verdicts.push_back(0);
-          legacy.on_rejected(id, t0);
-        } else {
-          verdicts.push_back(1);
-          legacy.on_admitted(id, t0);
-          queued.push_back(id);
-        }
-      }
-      sweep.answer_due(verdicts, t0);
-      const auto serves = static_cast<std::size_t>(
-          drive.uniform_int(0, static_cast<std::int64_t>(queued.size())));
-      cohort.assign(queued.begin(),
-                    queued.begin() + static_cast<std::ptrdiff_t>(serves));
-      queued.erase(queued.begin(),
-                   queued.begin() + static_cast<std::ptrdiff_t>(serves));
-      // The sweep engine takes the cohort as one batch; the legacy engine
-      // serves one at a time — the contract says these are equivalent.
-      sweep.on_served_batch(cohort.data(), cohort.size(), t1);
-      for (const std::uint32_t id : cohort) legacy.on_served(id, t1);
-      sweep.expire_timeouts(t1);
-      legacy.expire_timeouts(t1);
+    }
+    sweep.answer_due(verdicts, t0);
+    const auto serves = static_cast<std::size_t>(
+        drive.uniform_int(0, static_cast<std::int64_t>(queued.size())));
+    cohort.assign(queued.begin(),
+                  queued.begin() + static_cast<std::ptrdiff_t>(serves));
+    queued.erase(queued.begin(),
+                 queued.begin() + static_cast<std::ptrdiff_t>(serves));
+    // The sweep engine takes the cohort as one batch; the legacy engine
+    // serves one at a time — the contract says these are equivalent.
+    sweep.on_served_batch(cohort.data(), cohort.size(), t1);
+    for (const std::uint32_t id : cohort) legacy.on_served(id, t1);
+    sweep.expire_timeouts(t1);
+    legacy.expire_timeouts(t1);
 
-      ASSERT_TRUE(ledgers_equal(sweep.ledger(), legacy.ledger()))
-          << "round " << round << " epoch " << epoch;
-      ASSERT_EQ(sweep.waiting_count(), legacy.waiting_count());
-      ASSERT_EQ(sweep.backoff_count(), legacy.backoff_count());
-      ASSERT_EQ(sweep.lost_count(), legacy.lost_count());
-      ASSERT_TRUE(sweep.conservation_ok()) << sweep.conservation_report();
-      ASSERT_TRUE(legacy.conservation_ok()) << legacy.conservation_report();
+    ASSERT_TRUE(ledgers_equal(sweep.ledger(), legacy.ledger()))
+        << label << " epoch " << epoch;
+    ASSERT_EQ(sweep.waiting_count(), legacy.waiting_count()) << label;
+    ASSERT_EQ(sweep.backoff_count(), legacy.backoff_count()) << label;
+    ASSERT_EQ(sweep.lost_count(), legacy.lost_count()) << label;
+    ASSERT_TRUE(sweep.conservation_ok()) << sweep.conservation_report();
+    ASSERT_TRUE(legacy.conservation_ok()) << legacy.conservation_report();
+  }
+}
+
+// Random policies at 2000 clients, then the due partition's edge cases:
+// the immediate policy (its retries all fall due at the epoch start, equal
+// dues that form already-ordered ranges), fewer clients than shards (empty
+// shards) down to one client, and a first batch whose distinct dues all
+// land in one due range (a span too small to scale). Each at 1 and 4
+// threads.
+TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
+  struct Case {
+    std::string label;
+    workload::ClientPopulationConfig config;
+    std::uint64_t drive_seed;
+  };
+  Rng meta(2024);
+  std::vector<Case> cases;
+  // Each case's drive seed is drawn right after its config.
+  const auto add = [&](std::string label,
+                       const workload::ClientPopulationConfig& config) {
+    cases.push_back({std::move(label), config, meta.next_u64()});
+  };
+  for (int round = 0; round < 6; ++round) {
+    add("round " + std::to_string(round), random_sweep_config(meta, 2000));
+  }
+  auto immediate = random_sweep_config(meta, 2000);
+  immediate.retry.backoff = workload::RetryBackoff::kImmediate;
+  immediate.start_spread_s = 0.0;  // the first batch is all equal dues too
+  immediate.retry.max_attempts = 5;
+  add("immediate", immediate);
+  add("40 clients", random_sweep_config(meta, 40));
+  add("1 client", random_sweep_config(meta, 1));
+  auto one_range = random_sweep_config(meta, 2000);
+  one_range.start_spread_s = 1e-310;  // dues span ~1e-309: 64 / span = inf
+  add("one range", one_range);
+
+  for (const Case& c : cases) {
+    for (const std::size_t threads : {1u, 4u}) {
+      auto config = c.config;
+      config.threads = threads;
+      expect_lockstep_with_legacy(
+          config, c.drive_seed,
+          c.label + " at " + std::to_string(threads) + " threads");
     }
   }
 }
@@ -180,12 +230,17 @@ TEST(ClientSweepEquivalence, StormDriverMatchesLegacyEngineOutcomes) {
 /// order checksum, full ledger, and final occupancy.
 struct SweepDigest {
   std::uint64_t batch_checksum = 0;
+  std::size_t straddling_cohorts = 0;  ///< cohorts with chunk-split repeats
   workload::ClientLedger ledger;
   std::size_t waiting = 0;
   std::size_t backoff = 0;
   std::size_t lost = 0;
 };
 
+/// Drives the population through collect/answer/serve/expire epochs.
+/// Every cohort longer than 64 entries also lists some of its clients a
+/// second time at its end, so a duplicate's two entries fall in different
+/// input chunks of the parallel grouping.
 SweepDigest drive_sharded(const workload::ClientPopulationConfig& base,
                           std::size_t threads, std::uint64_t drive_seed) {
   workload::ClientPopulationConfig config = base;
@@ -214,6 +269,11 @@ SweepDigest drive_sharded(const workload::ClientPopulationConfig& base,
                   queued.begin() + static_cast<std::ptrdiff_t>(serves));
     queued.erase(queued.begin(),
                  queued.begin() + static_cast<std::ptrdiff_t>(serves));
+    if (cohort.size() > 64) {
+      const std::size_t n = cohort.size();
+      for (std::size_t k = 0; k < 8; ++k) cohort.push_back(cohort[k * n / 8]);
+      ++digest.straddling_cohorts;
+    }
     pop.on_served_batch(cohort.data(), cohort.size(), t1);
     pop.expire_timeouts(t1);
   }
@@ -224,11 +284,11 @@ SweepDigest drive_sharded(const workload::ClientPopulationConfig& base,
   return digest;
 }
 
-// The fixed 64-shard partition and deterministic shard-order merge mean the
-// thread count can never leak into results: 1, 2, and 8 workers must agree
-// on every bit of the batch stream and ledger, across seeds. The drive
-// answers through answer_due, so the answer and serve sweeps run on the
-// pool too.
+// The fixed 64-shard, 64-range and 64-chunk partitions mean the thread
+// count can never leak into results: 1, 2, 4 and 8 workers must agree on
+// every bit of the batch stream and ledger, across seeds. The drive answers
+// through answer_due, so the answer and serve sweeps run on the pool too,
+// and its cohorts repeat clients across input chunks.
 TEST(ClientSweepDeterminism, BitIdenticalAcrossThreadCounts) {
   Rng meta(77);
   for (const std::uint64_t seed : {11ull, 222ull, 3333ull}) {
@@ -236,9 +296,11 @@ TEST(ClientSweepDeterminism, BitIdenticalAcrossThreadCounts) {
     config.seed = seed;
     const std::uint64_t drive_seed = meta.next_u64();
     const auto one = drive_sharded(config, 1, drive_seed);
+    EXPECT_GT(one.straddling_cohorts, 0u) << "seed " << seed;
     const auto two = drive_sharded(config, 2, drive_seed);
+    const auto four = drive_sharded(config, 4, drive_seed);
     const auto eight = drive_sharded(config, 8, drive_seed);
-    for (const auto* other : {&two, &eight}) {
+    for (const auto* other : {&two, &four, &eight}) {
       EXPECT_EQ(one.batch_checksum, other->batch_checksum) << "seed " << seed;
       EXPECT_TRUE(ledgers_equal(one.ledger, other->ledger)) << "seed " << seed;
       EXPECT_EQ(one.waiting, other->waiting);
