@@ -56,16 +56,6 @@ void TokenBucket::refill(double dt_s) {
   tokens_ = std::min(config_.burst, tokens_ + config_.rate_per_s * dt_s);
 }
 
-bool TokenBucket::try_acquire() {
-  if (tokens_ >= 1.0) {
-    tokens_ -= 1.0;
-    ++admitted_;
-    return true;
-  }
-  ++denied_;
-  return false;
-}
-
 std::string to_string(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:
@@ -102,25 +92,6 @@ void CircuitBreaker::begin_epoch(double now_s) {
     state_ = BreakerState::kHalfOpen;
     healthy_epochs_ = 0;
   }
-}
-
-bool CircuitBreaker::allow() {
-  switch (state_) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      ++rejected_;
-      return false;
-    case BreakerState::kHalfOpen:
-      if (epoch_probes_ < config_.half_open_probes) {
-        ++epoch_probes_;
-        ++probes_issued_;
-        return true;
-      }
-      ++rejected_;
-      return false;
-  }
-  return false;
 }
 
 void CircuitBreaker::on_epoch_end(std::uint64_t observations,

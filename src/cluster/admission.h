@@ -115,7 +115,15 @@ class TokenBucket {
 
   void refill(double dt_s);
   /// True (and one token spent) when a token is available.
-  bool try_acquire();
+  bool try_acquire() {
+    if (tokens_ >= 1.0) {
+      tokens_ -= 1.0;
+      ++admitted_;
+      return true;
+    }
+    ++denied_;
+    return false;
+  }
 
   double tokens() const { return tokens_; }
   std::uint64_t admitted() const { return admitted_; }
@@ -168,7 +176,24 @@ class CircuitBreaker {
   explicit CircuitBreaker(CircuitBreakerConfig config);
 
   void begin_epoch(double now_s);
-  bool allow();
+  bool allow() {
+    switch (state_) {
+      case BreakerState::kClosed:
+        return true;
+      case BreakerState::kOpen:
+        ++rejected_;
+        return false;
+      case BreakerState::kHalfOpen:
+        if (epoch_probes_ < config_.half_open_probes) {
+          ++epoch_probes_;
+          ++probes_issued_;
+          return true;
+        }
+        ++rejected_;
+        return false;
+    }
+    return false;
+  }
   void on_epoch_end(std::uint64_t observations, std::uint64_t failures,
                     double now_s);
 

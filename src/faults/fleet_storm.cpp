@@ -357,9 +357,10 @@ class FleetWorld {
 
   /// Fires the epoch's completion cohort on datacenter d: local ids are
   /// served in one batch; forwarded work is answered with one response
-  /// message per owner, arriving one latency floor later. Each forwarded
-  /// attempt lives in exactly one peer's queue, so same-timestamp response
-  /// events touch disjoint waiting clients and commute.
+  /// message per owner, arriving one latency floor later and served there
+  /// as one batch too. Each forwarded attempt lives in exactly one peer's
+  /// queue, so same-timestamp response events touch disjoint waiting
+  /// clients and commute.
   void complete(std::size_t d, double t1,
                 const std::vector<std::uint32_t>& cohort) {
     FleetDc& dc = *dcs_[d];
@@ -385,9 +386,8 @@ class FleetWorld {
       fabric_.send(dc.shard, op->shard, lat,
                    [op, ids = dc.resp[owner], t = t1 + lat] {
                      op->responses_received += ids.size();
-                     for (const std::uint32_t id : ids) {
-                       op->population.on_served(id, t);
-                     }
+                     op->population.on_served_batch(ids.data(), ids.size(),
+                                                    t);
                    });
     }
   }

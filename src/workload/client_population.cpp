@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/block_mask.h"
 #include "core/parallel.h"
 #include "core/require.h"
 
@@ -27,6 +28,21 @@ constexpr double kNever = std::numeric_limits<double>::infinity();
 /// disconnect-selection stream, which must advance in id order).
 double uniform01(SplitMix64& rng) {
   return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+}
+
+/// visit(id) for every id in [begin, end) that passes `lane(id)`, in id
+/// order. Whole blocks branch once on `block(id)`, whose bit i is
+/// lane(id + i); the tail of fewer than kBlockLanes ids goes id by id.
+template <typename Block, typename Lane, typename Visit>
+void for_each_marked(std::size_t begin, std::size_t end, const Block& block,
+                     const Lane& lane, Visit&& visit) {
+  std::size_t id = begin;
+  for (; id + kBlockLanes <= end; id += kBlockLanes) {
+    for_each_bit(block(id), id, visit);
+  }
+  for (; id < end; ++id) {
+    if (lane(id)) visit(id);
+  }
 }
 
 }  // namespace
@@ -80,21 +96,25 @@ std::string client_conservation_report(const ClientLedger& led,
                                        std::size_t backoff_count) {
   const auto waiting = static_cast<std::uint64_t>(waiting_count);
   const auto backoff = static_cast<std::uint64_t>(backoff_count);
-  std::ostringstream out;
+  // The stream is built only once an identity fails: a passing check, run
+  // every epoch by the storm engine's monitor, formats nothing.
   if (led.attempts !=
       led.served + led.rejected + led.timed_out + led.dropped + waiting) {
+    std::ostringstream out;
     out << "attempts " << led.attempts << " != served " << led.served
         << " + rejected " << led.rejected << " + timed_out " << led.timed_out
         << " + dropped " << led.dropped << " + waiting " << waiting;
     return out.str();
   }
   if (led.attempts != led.intents + led.retries) {
+    std::ostringstream out;
     out << "attempts " << led.attempts << " != intents " << led.intents
         << " + retries " << led.retries;
     return out.str();
   }
   if (led.rejected + led.timed_out !=
       led.retries + backoff + led.retry_cancelled + led.abandoned) {
+    std::ostringstream out;
     out << "failures " << led.rejected + led.timed_out << " != retries "
         << led.retries << " + backoff " << backoff << " + cancelled "
         << led.retry_cancelled << " + abandoned " << led.abandoned;
@@ -102,6 +122,7 @@ std::string client_conservation_report(const ClientLedger& led,
   }
   if (led.intents != led.served + led.abandoned + led.disconnected_intents +
                          waiting + backoff) {
+    std::ostringstream out;
     out << "intents " << led.intents << " != served " << led.served
         << " + abandoned " << led.abandoned << " + disconnected "
         << led.disconnected_intents << " + in-flight " << waiting + backoff;
@@ -260,29 +281,49 @@ void ClientPopulation::apply_tally(const Tally& t) {
 namespace {
 
 /// Sorts candidates collected in id order by (due, id) into `out`: a
-/// counting pass spreads them over buckets of equal due width (keeping id
-/// order), leaving only short buckets to sort unless the dues are skewed.
+/// counting pass spreads them over about one bucket of equal due width per
+/// candidate (keeping id order), and one insertion pass then orders the
+/// few entries each bucket holds. Skewed dues (a cluster inside one bucket)
+/// would make that pass quadratic, so once it has shifted more than
+/// kShiftBudget entries per candidate the range is sorted outright.
 template <typename Candidate>
 void sort_by_due(std::span<const Candidate> in, Candidate* out) {
-  constexpr std::size_t kMaxBuckets = 1024;
-  const std::size_t buckets =
-      std::clamp<std::size_t>(in.size() / 4, 1, kMaxBuckets);
-  const auto [min, max] = std::minmax_element(in.begin(), in.end());
-  const double lo = in.empty() ? 0.0 : min->due_s;
-  const double span = in.empty() ? 0.0 : max->due_s - lo;
+  constexpr std::size_t kMaxBuckets = 4096;
+  constexpr std::size_t kShiftBudget = 8;
+  const std::size_t n = in.size();
+  const std::size_t buckets = std::clamp<std::size_t>(n, 1, kMaxBuckets);
+  // A NaN due leaves lo and hi alone: std::min/max return their first
+  // argument when a comparison fails, as the min/max instructions do.
+  double lo = kNever;
+  double hi = -kNever;
+  for (const Candidate& c : in) {
+    lo = std::min(lo, c.due_s);
+    hi = std::max(hi, c.due_s);
+  }
+  const double span = hi - lo;
   double scale = span > 0.0 ? static_cast<double>(buckets) / span : 0.0;
   if (!std::isfinite(scale)) scale = 0.0;
-  const auto bucket = [&](double due) {  // monotone in due
-    return std::min(static_cast<std::size_t>((due - lo) * scale),
-                    buckets - 1);
+  const auto bucket = [&](double due) {  // monotone in due; NaN goes last
+    const double x = (due - lo) * scale;
+    return x < static_cast<double>(buckets - 1) ? static_cast<std::size_t>(x)
+                                                : buckets - 1;
   };
-  std::array<std::uint32_t, kMaxBuckets + 1> start{};
+  std::array<std::uint32_t, kMaxBuckets + 1> start;  // first buckets + 1 used
+  std::fill_n(start.begin(), buckets + 1, 0);
   for (const Candidate& c : in) ++start[bucket(c.due_s) + 1];
   for (std::size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
-  // The scatter leaves each start[b] at bucket b's end (the old start[b+1]).
   for (const Candidate& c : in) out[start[bucket(c.due_s)]++] = c;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::sort(out + (b == 0 ? 0 : start[b - 1]), out + start[b]);
+  std::size_t budget = kShiftBudget * n;
+  for (std::size_t i = 1; i < n; ++i) {
+    const Candidate c = out[i];
+    std::size_t j = i;
+    for (; j > 0 && c < out[j - 1]; --j) out[j] = out[j - 1];
+    out[j] = c;
+    if (i - j > budget) {
+      std::sort(out, out + n);
+      return;
+    }
+    budget -= i - j;
   }
 }
 
@@ -300,11 +341,10 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
     out.clear();
     double shard_lo = kNever;
     double shard_hi = -kNever;
-    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
+    const auto visit = [&](std::size_t id) {
       const State st = state_[id];
-      if (st == State::kWaiting || st == State::kLost) continue;
+      if (st == State::kWaiting || st == State::kLost) return;
       const double due = due_s_[id];
-      if (due >= end) continue;
       // A thinking or cooled-down client starts a fresh intent; a backoff
       // client re-offers its failed one.
       if (st == State::kBackoff) {
@@ -324,7 +364,14 @@ const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
       shard_lo = std::min(shard_lo, due);
       shard_hi = std::max(shard_hi, due);
       out.push_back(Candidate{due, static_cast<std::uint32_t>(id), 0});
-    }
+    };
+    // Sixteen dues per branch: !(due >= end) is the negation of the skip
+    // test, so a NaN due is collected. A waiting client whose deadline lies
+    // in the epoch sets a bit too, and visit turns it away.
+    for_each_marked(
+        bounds_[s], bounds_[s + 1],
+        [&](std::size_t id) { return mask_not_ge(due_s_.get() + id, end); },
+        [&](std::size_t id) { return !(due_s_[id] >= end); }, visit);
     lo[s] = shard_lo;
     hi[s] = shard_hi;
   });
@@ -504,13 +551,6 @@ void ClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
   });
 }
 
-void ClientPopulation::on_served(std::uint32_t id, double now_s) {
-  require(id < config_.clients, "ClientPopulation: client id out of range");
-  Tally t;
-  serve(id, now_s, t);
-  apply_tally(t);
-}
-
 void ClientPopulation::on_served_batch(const std::uint32_t* ids,
                                        std::size_t count, double now_s) {
   const std::size_t n = config_.clients;
@@ -518,7 +558,7 @@ void ClientPopulation::on_served_batch(const std::uint32_t* ids,
                       [n](std::uint32_t id) { return id < n; }),
           "ClientPopulation: client id out of range");
   // by_shard_ is a copy, so `ids` may alias batch_; a client listed twice
-  // keeps its order, served fresh and then stale, as on_served would.
+  // keeps its order, served fresh and then stale.
   const Offsets offset = group_by_shard(ids, count);
   sweep_shards([&](std::size_t s, Tally& t) {
     for (std::size_t i = offset[s]; i < offset[s + 1]; ++i) {
@@ -536,14 +576,21 @@ void ClientPopulation::on_served_batch(const std::uint32_t* ids,
 }
 
 void ClientPopulation::expire_timeouts(double now_s) {
+  // Sixteen states per branch: only waiting clients set a bit.
+  const auto* state = reinterpret_cast<const std::uint8_t*>(state_.get());
+  constexpr auto kWaiting = static_cast<std::uint8_t>(State::kWaiting);
   sweep_shards([&](std::size_t s, Tally& t) {
-    for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
-      // Limbo clients (due = inf) and admitted clients with a live deadline
-      // both fail the due test; only expired waiters fall through.
-      if (state_[id] != State::kWaiting || due_s_[id] > now_s) continue;
-      ++t.timed_out;
-      fail_attempt(static_cast<std::uint32_t>(id), now_s, t);
-    }
+    for_each_marked(
+        bounds_[s], bounds_[s + 1],
+        [&](std::size_t id) { return mask_eq(state + id, kWaiting); },
+        [&](std::size_t id) { return state[id] == kWaiting; },
+        [&](std::size_t id) {
+          // Limbo clients (due = inf) and admitted clients with a live
+          // deadline both fail the due test; only expired waiters go on.
+          if (due_s_[id] > now_s) return;
+          ++t.timed_out;
+          fail_attempt(static_cast<std::uint32_t>(id), now_s, t);
+        });
   });
 }
 

@@ -19,11 +19,13 @@
 // SplitMix64 draw count, 14 bytes a client) in 64 fixed client-range
 // shards, and every per-client phase of an epoch (due scan, answer, serve,
 // deadlines, outage drop) is a sweep over shard-local slices, on a
-// core::ThreadPool when one is configured. Tallies merge in shard order; the
-// due batch is one partition of the shards' lists into 64 due ranges, each
-// sorted by (due, id), and its answers go back through the shard lists; so
-// results are bit-identical at any thread count. The per-event heap engine
-// it replaced is preserved as LegacyClientPopulation
+// core::ThreadPool when one is configured. The due scan and the deadline
+// sweep, the two walks over every client, test 16 clients per branch
+// (core/block_mask.h) and visit only the ones that pass. Tallies merge in
+// shard order; the due batch is one partition of the shards' lists into 64
+// due ranges, each sorted by (due, id), and its answers go back through the
+// shard lists; so results are bit-identical at any thread count. The
+// per-event heap engine it replaced is preserved as LegacyClientPopulation
 // (client_population_legacy.h) for the in-run A/B bench; the equivalence
 // suite asserts both engines produce bit-identical attempt streams and
 // ledgers.
@@ -132,7 +134,7 @@ std::string client_conservation_report(const ClientLedger& ledger,
 ///
 ///   1. collect_due(t, dt)      -> attempt batch for this epoch
 ///   2. answer_due (or per id)  -> admission verdict per attempt
-///   3. (service drains queue)  -> on_served / on_served_batch per completion
+///   3. (service drains queue)  -> on_served_batch per completion cohort
 ///   4. expire_timeouts(t + dt) -> client deadlines fire, retries scheduled
 class ClientPopulation {
  public:
@@ -169,13 +171,12 @@ class ClientPopulation {
   /// The request entered the service queue; the client now waits until
   /// now_s + request_timeout_s.
   void on_admitted(std::uint32_t id, double now_s);
-  /// Service completion. Fresh (intent completed, client thinks again) if
-  /// the client is still waiting; stale work otherwise.
-  void on_served(std::uint32_t id, double now_s);
-  /// Batch completion: equivalent to on_served(ids[i], now_s) for i in
-  /// order, applied as one shard-local sweep. Every id is checked before
-  /// any client changes. `ids` may alias the last collect_due batch, and
-  /// one id may appear more than once (the earlier entry is served first).
+  /// Service completions of ids[0..count), in order, applied as one
+  /// shard-local sweep. A completion is fresh (intent completed, client
+  /// thinks again) if the client is still waiting, stale work otherwise.
+  /// Every id is checked before any client changes. `ids` may alias the
+  /// last collect_due batch, and one id may appear more than once (the
+  /// earlier entry is served first).
   void on_served_batch(const std::uint32_t* ids, std::size_t count,
                        double now_s);
 

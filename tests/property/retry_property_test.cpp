@@ -168,10 +168,11 @@ TEST_P(RetryProperty, RetryBudgetIsConservedUnderArbitraryDrive) {
       // queue build past the client timeout, producing stale completions.
       const auto serves = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(queued.size())));
-      for (std::size_t i = 0; i < serves; ++i) {
-        pop.on_served(queued.front(), t1);
-        queued.pop_front();
-      }
+      const std::vector<std::uint32_t> cohort(
+          queued.begin(), queued.begin() + static_cast<std::ptrdiff_t>(serves));
+      queued.erase(queued.begin(),
+                   queued.begin() + static_cast<std::ptrdiff_t>(serves));
+      pop.on_served_batch(cohort.data(), cohort.size(), t1);
       pop.expire_timeouts(t1);
       if (rng.uniform(0.0, 1.0) < 0.05) {
         pop.disconnect_fraction(rng.uniform(0.0, 1.0), t1);
@@ -202,15 +203,17 @@ TEST_P(RetryProperty, PopulationDriveIsDeterministicUnderSeed) {
     std::uint64_t checksum = 0;
     for (int epoch = 0; epoch < 100; ++epoch) {
       const double t0 = epoch;
+      std::vector<std::uint32_t> served;
       for (const std::uint32_t id : pop.collect_due(t0, 1.0)) {
         checksum = checksum * 1315423911u + id;
         if (rng.uniform(0.0, 1.0) < 0.4) {
           pop.on_rejected(id, t0);
         } else {
           pop.on_admitted(id, t0);
-          pop.on_served(id, t0 + 0.5);
+          served.push_back(id);
         }
       }
+      pop.on_served_batch(served.data(), served.size(), t0 + 0.5);
       pop.expire_timeouts(t0 + 1.0);
     }
     return std::make_pair(checksum, pop.ledger().attempts);

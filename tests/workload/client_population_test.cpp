@@ -41,7 +41,7 @@ TEST(ClientPopulation, ServedIntentIsFreshAndReschedulesThinking) {
   ASSERT_EQ(due.size(), 4u);
   for (const auto id : due) pop.on_admitted(id, 0.0);
   EXPECT_EQ(pop.waiting_count(), 4u);
-  for (const auto id : due) pop.on_served(id, 0.5);
+  pop.on_served_batch(due.data(), due.size(), 0.5);
   pop.expire_timeouts(1.0);
 
   const ClientLedger& led = pop.ledger();
@@ -65,7 +65,7 @@ TEST(ClientPopulation, TimeoutFiresRetryAndLateCompletionIsStale) {
   EXPECT_EQ(pop.backoff_count(), 4u);
 
   // The service finally answers the abandoned attempts: stale, not served.
-  for (const auto id : due) pop.on_served(id, 2.5);
+  pop.on_served_batch(due.data(), due.size(), 2.5);
   EXPECT_EQ(pop.ledger().served, 0u);
   EXPECT_EQ(pop.ledger().stale_served, 4u);
 
@@ -85,7 +85,7 @@ TEST(ClientPopulation, CompletionExactlyAtDeadlineCountsFresh) {
   for (const auto id : due) pop.on_admitted(id, 0.0);
   // Epoch loops drain the queue before expiring deadlines; a completion at
   // exactly t = deadline must beat the expiry.
-  for (const auto id : due) pop.on_served(id, 2.0);
+  pop.on_served_batch(due.data(), due.size(), 2.0);
   pop.expire_timeouts(2.0);
   EXPECT_EQ(pop.ledger().served, 4u);
   EXPECT_EQ(pop.ledger().timed_out, 0u);
@@ -140,8 +140,7 @@ TEST(ClientPopulation, DisconnectSeversInFlightWorkAndSchedulesReconnects) {
   pop.on_admitted(due[1], 0.0);
   pop.on_rejected(due[2], 0.0);
   pop.on_rejected(due[3], 0.0);
-  pop.on_served(due[4], 0.5);
-  pop.on_served(due[5], 0.5);
+  pop.on_served_batch(&due[4], 2, 0.5);
 
   pop.disconnect_all(1.0);
   const ClientLedger& led = pop.ledger();
@@ -153,7 +152,7 @@ TEST(ClientPopulation, DisconnectSeversInFlightWorkAndSchedulesReconnects) {
   EXPECT_TRUE(pop.conservation_ok()) << pop.conservation_report();
 
   // A completion for a severed session is stale work.
-  pop.on_served(due[0], 1.5);
+  pop.on_served_batch(&due[0], 1, 1.5);
   EXPECT_EQ(pop.ledger().stale_served, 1u);
 
   // Everyone reconnects eventually (Exp(5 s) spread): all six re-intent.
@@ -218,10 +217,9 @@ TEST(ClientPopulation, StationaryLaunchHoldsTheSteadyArrivalRate) {
       const double t = window * 20.0 + step;
       const auto& due = pop.collect_due(t, 1.0);
       arrivals += due.size();
-      for (const auto id : due) {
-        pop.on_admitted(id, t);
-        pop.on_served(id, t);  // ideal service: closed loop at zero latency
-      }
+      for (const auto id : due) pop.on_admitted(id, t);
+      // Ideal service: closed loop at zero latency.
+      pop.on_served_batch(due.data(), due.size(), t);
       pop.expire_timeouts(t + 1.0);
     }
     EXPECT_NEAR(static_cast<double>(arrivals) / 20.0, rate, rate * 0.05)
@@ -240,15 +238,17 @@ TEST(ClientPopulation, DeterministicUnderSeedAcrossIdenticalDrives) {
     for (int epoch = 0; epoch < 50; ++epoch) {
       const double t = epoch;
       const auto due = pop.collect_due(t, 1.0);
+      std::vector<std::uint32_t> served;
       for (std::size_t i = 0; i < due.size(); ++i) {
         // Reject every third attempt, serve the rest.
         if (i % 3 == 0) {
           pop.on_rejected(due[i], t);
         } else {
           pop.on_admitted(due[i], t);
-          pop.on_served(due[i], t + 0.5);
+          served.push_back(due[i]);
         }
       }
+      pop.on_served_batch(served.data(), served.size(), t + 0.5);
       if (epoch == 20) pop.disconnect_fraction(0.5, t + 0.9);
       pop.expire_timeouts(t + 1.0);
     }

@@ -8,10 +8,11 @@
 //     engine's batches (order included), ledger, and occupancy exactly
 //     under randomized drives (answered with answer_due on the sweep engine
 //     and per id on the legacy one), a cohort that lists one client twice
-//     serves it fresh then stale, and the templated storm driver produces
-//     identical outcomes on both engines;
+//     serves it fresh then stale, a first batch packed into one sort bucket
+//     comes out in the heap engine's order, and the templated storm driver
+//     produces identical outcomes on both engines;
 //   * ClientSweepContract    — answer_due and on_served_batch check their
-//     whole input before any client changes;
+//     whole input before any client changes, and a NaN due is collected;
 //   * ClientSweepDeterminism — the sharded sweep is bit-identical at 1, 2,
 //     4 and 8 threads (fixed shard, due-range and chunk partitions);
 //   * ClientSweepProperty    — the 12-counter ledger and all four
@@ -19,6 +20,7 @@
 //     storm driven through the branch-free transitions.
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/block_mask.h"
 #include "core/rng.h"
 #include "faults/retry_storm.h"
 #include "workload/client_population.h"
@@ -164,8 +167,9 @@ void expect_lockstep_with_legacy(const workload::ClientPopulationConfig& config,
 // the immediate policy (its retries all fall due at the epoch start, equal
 // dues that form already-ordered ranges), fewer clients than shards (empty
 // shards) down to one client, and a first batch whose distinct dues all
-// land in one due range (a span too small to scale). Each at 1 and 4
-// threads.
+// land in one due range (a span too small to scale). Last, 64·(16 + r)
+// clients for r = 0..15: every shard holds one 16-client block and a tail
+// of r, so the masked walks run every tail length. Each at 1 and 4 threads.
 TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
   struct Case {
     std::string label;
@@ -192,6 +196,11 @@ TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
   auto one_range = random_sweep_config(meta, 2000);
   one_range.start_spread_s = 1e-310;  // dues span ~1e-309: 64 / span = inf
   add("one range", one_range);
+  for (std::size_t tail = 0; tail < kBlockLanes; ++tail) {
+    const std::size_t clients =
+        workload::ClientPopulation::kShards * (kBlockLanes + tail);
+    add("tail " + std::to_string(tail), random_sweep_config(meta, clients));
+  }
 
   for (const Case& c : cases) {
     for (const std::size_t threads : {1u, 4u}) {
@@ -202,6 +211,22 @@ TEST(ClientSweepEquivalence, MatchesLegacyEngineUnderRandomDrive) {
           c.label + " at " + std::to_string(threads) + " threads");
     }
   }
+}
+
+// A first batch of 200k dues packed into a span of ~1e-309: too small to
+// scale, so every candidate lands in one due range and one sort bucket. The
+// insertion pass that orders a bucket then gives up after its shift budget
+// and sorts the range outright; without the budget this batch takes seconds.
+TEST(ClientSweepEquivalence, SkewedFirstBatchMatchesLegacyEngine) {
+  workload::ClientPopulationConfig config;
+  config.clients = 200000;
+  config.start_spread_s = 1e-310;
+  config.seed = 31;
+  workload::ClientPopulation sweep(config);
+  workload::LegacyClientPopulation legacy(config);
+  const auto& batch = sweep.collect_due(0.0, 1.0);
+  ASSERT_EQ(batch.size(), config.clients);
+  EXPECT_EQ(batch, legacy.collect_due(0.0, 1.0));
 }
 
 // The templated storm driver must produce the same scenario outcome on both
@@ -465,6 +490,28 @@ TEST(ClientSweepContract, ServedBatchChecksEveryIdBeforeServing) {
     pop.on_served_batch(cohort.data(), cohort.size(), 1.0);
     EXPECT_EQ(pop.ledger().served, 100u);
     EXPECT_EQ(pop.waiting_count(), admitted.waiting - 100);
+  }
+}
+
+// The due scan collects every client whose due is not >= the epoch end, so
+// a NaN due (a serve at a NaN time makes one) is collected next epoch,
+// whether the client sits in a shard's 16-client block or in its tail.
+TEST(ClientSweepContract, NanDueIsCollectedInBlockAndTail) {
+  const std::size_t clients =
+      workload::ClientPopulation::kShards * (kBlockLanes + 1);
+  for (const std::size_t threads : {1u, 4u}) {
+    auto config = all_due_at_zero(clients);
+    config.threads = threads;
+    workload::ClientPopulation pop(config);
+    const auto batch = pop.collect_due(0.0, 1.0);
+    ASSERT_EQ(batch.size(), clients);
+    pop.answer_due(std::vector<std::uint8_t>(batch.size(), 1), 0.0);
+    // Shard 0 holds clients 0..16: 3 is in its block, 16 is its tail.
+    const std::vector<std::uint32_t> nan_served = {3, 16};
+    pop.on_served_batch(nan_served.data(), nan_served.size(),
+                        std::numeric_limits<double>::quiet_NaN());
+    pop.expire_timeouts(1.0);  // every other deadline is 1.5
+    EXPECT_EQ(pop.collect_due(1.0, 1.0), nan_served) << threads;
   }
 }
 
