@@ -1,5 +1,6 @@
 #include "core/cli_args.h"
 
+#include <cmath>
 #include <string>
 
 #include "core/parallel.h"
@@ -54,12 +55,13 @@ double CliArgs::get(const std::string& flag, double fallback) const {
   bool parsed = false;
   try {
     v = std::stod(it->second, &pos);
-    parsed = pos == it->second.size();
+    parsed = pos == it->second.size() && std::isfinite(v);
   } catch (const std::exception&) {
     // No number at all, or out of range: `parsed` stays false.
   }
   if (!parsed) {
-    throw UsageError("CliArgs: --" + flag + " expects a number, got '" + it->second + "'");
+    throw UsageError("CliArgs: --" + flag + " expects a finite number, got '" +
+                     it->second + "'");
   }
   return v;
 }

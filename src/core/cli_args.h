@@ -32,7 +32,7 @@ class CliArgs {
   bool has(const std::string& flag) const;
 
   /// Typed accessors with defaults; throw UsageError when the present value
-  /// does not parse.
+  /// does not parse (for a double: as a finite number).
   std::string get(const std::string& flag, const std::string& fallback) const;
   double get(const std::string& flag, double fallback) const;
   std::int64_t get(const std::string& flag, std::int64_t fallback) const;

@@ -8,35 +8,31 @@
 
 #include "cluster/remote_ref.h"
 #include "core/require.h"
+#include "faults/storm_dc.h"
 
 namespace epm::faults {
 
 namespace {
 
-/// One datacenter's state. Heap-allocated (stable address: event callbacks
-/// capture raw pointers) and touched only by events on its own shard —
-/// forward/response arrivals execute on the destination shard, so during a
-/// federation window each FleetDc belongs to exactly one worker.
+/// One datacenter: the storm datacenter every retry-storm world steps, plus
+/// the fleet's forwarding state. Heap-allocated (stable address: event
+/// callbacks capture raw pointers) and touched only by events on its own
+/// shard — forward/response arrivals execute on the destination shard, so
+/// during a federation window each FleetDc belongs to exactly one worker.
 struct FleetDc {
   std::size_t index;
   std::size_t shard;
-  workload::ClientPopulation population;
-  cluster::BoundedQueue queue;
-  cluster::TokenBucket bucket;
-  cluster::CircuitBreaker breaker;
+  StormDc<workload::ClientPopulation> storm;
   /// inbox[src]: forwarded refs arrived since the last epoch boundary.
   /// Drained in src order at begin_epoch, so admission order never depends
   /// on physical arrival interleaving — the fabric-equality condition.
   std::vector<std::vector<std::uint32_t>> inbox;
   std::vector<std::vector<std::uint32_t>> fwd;   ///< [peer] epoch staging
   std::vector<std::vector<std::uint32_t>> resp;  ///< [owner] cohort scratch
-  std::vector<std::uint32_t> cohort;             ///< refs served this epoch
-  std::vector<std::uint8_t> verdicts;  ///< admission verdict per due position
   std::vector<std::uint32_t> local_ids;
   std::vector<std::size_t> peers;  ///< other dcs, rotation starting index+1
   std::size_t rr_peer = 0;
   double reroute_acc = 0.0;
-  double serve_carry = 0.0;
   bool sessions_dropped = false;
   /// avoid[dc]: active broadcast disruptions at that peer, maintained by
   /// commutative ++/-- arrival events. Nonzero steers forwards elsewhere
@@ -44,41 +40,19 @@ struct FleetDc {
   std::vector<std::uint32_t> avoid;
   std::uint64_t grid_signals = 0;  ///< broadcast edges received
 
-  // Cumulative counters.
-  std::uint64_t dark = 0;
-  std::uint64_t shed_breaker = 0;
-  std::uint64_t shed_bucket = 0;
-  std::uint64_t shed_queue = 0;
+  // Cumulative cross-datacenter counters.
   std::uint64_t forwarded = 0;
   std::uint64_t arrived = 0;  ///< refs landed in our inbox
   std::uint64_t remote_admitted = 0;
   std::uint64_t remote_served = 0;
   std::uint64_t remote_shed = 0;
   std::uint64_t responses_received = 0;
-  std::size_t max_queue_depth = 0;
-
-  // Phase-A snapshot consumed by phase B of the same epoch.
-  workload::ClientLedger led0;
-  std::uint64_t dark0 = 0;
-  std::uint64_t shed0 = 0;
-  std::uint64_t fresh0 = 0;
-  std::uint64_t stale0 = 0;
-  std::uint64_t expired0 = 0;
-
-  // Per-epoch series for the recovery verdict.
-  std::vector<double> offered_rate;
-  std::vector<double> goodput_rate;
-  std::vector<double> failure_rate;
 
   FleetDc(std::size_t idx, std::size_t shard_idx, const FleetStormConfig& cfg,
           workload::ClientPopulationConfig pop_cfg, std::size_t dcs)
       : index(idx),
         shard(shard_idx),
-        population(std::move(pop_cfg)),
-        queue(cfg.defense.enabled ? cfg.defense.queue_capacity
-                                  : cfg.naive_queue_capacity),
-        bucket(cfg.defense.bucket),
-        breaker(cfg.defense.breaker),
+        storm(std::move(pop_cfg), cfg.defense, cfg.naive_queue_capacity),
         inbox(dcs),
         fwd(dcs),
         resp(dcs),
@@ -263,23 +237,14 @@ class FleetWorld {
     const bool defended = config_.defense.enabled;
 
     if (dark && drop_wanted && !dc.sessions_dropped) {
-      dc.population.disconnect_all(t0);
+      dc.storm.population.disconnect_all(t0);
       dc.sessions_dropped = true;
     } else if (!dark && dc.sessions_dropped) {
       // Re-arm for a later disruption.
       dc.sessions_dropped = false;
     }
-    if (defended) {
-      dc.breaker.begin_epoch(t0);
-      dc.bucket.refill(dt_);
-    }
-
-    dc.led0 = dc.population.ledger();
-    dc.dark0 = dc.dark;
-    dc.shed0 = dc.shed_breaker + dc.shed_bucket + dc.shed_queue;
-    dc.fresh0 = dc.led0.served;
-    dc.stale0 = dc.led0.stale_served;
-    dc.expired0 = dc.led0.timed_out;
+    auto& storm = dc.storm;
+    const std::vector<std::uint32_t>& due = storm.open(t0, dt_);
 
     // 1. Forwarded work that arrived during the previous epoch, in source
     // order. It carried its admission verdict at the owner already, so a
@@ -288,8 +253,8 @@ class FleetWorld {
     // against a dark *local* service, which this work has already left).
     for (std::size_t src = 0; src < dcs_.size(); ++src) {
       for (const std::uint32_t ref : dc.inbox[src]) {
-        if (dark || (defended && !dc.bucket.try_acquire()) ||
-            !dc.queue.try_push(ref, t0)) {
+        if (dark || (defended && !storm.bucket.try_acquire()) ||
+            !storm.queue.try_push(ref, t0)) {
           ++dc.remote_shed;
         } else {
           ++dc.remote_admitted;
@@ -304,54 +269,46 @@ class FleetWorld {
     // Verdicts never read client state, so they are decided in batch order
     // and the batch is answered in one call (a forwarded attempt counts as
     // admitted: the owner's client waits on it).
-    const std::vector<std::uint32_t>& due = dc.population.collect_due(t0, dt_);
-    dc.verdicts.assign(due.size(), 0);
     for (std::size_t i = 0; i < due.size(); ++i) {
       const std::uint32_t id = due[i];
       if (dark) {
         if (try_forward(dc, id)) {
-          dc.verdicts[i] = 1;
+          storm.verdicts[i] = 1;
         } else {
-          ++dc.dark;
+          ++storm.dark;
         }
-      } else if (defended && !dc.breaker.allow()) {
-        ++dc.shed_breaker;
-      } else if (defended && !dc.bucket.try_acquire()) {
-        ++dc.shed_bucket;
-      } else if (!dc.queue.try_push(
+      } else if (defended && !storm.breaker.allow()) {
+        ++storm.shed_breaker;
+      } else if (defended && !storm.bucket.try_acquire()) {
+        ++storm.shed_bucket;
+      } else if (!storm.queue.try_push(
                      cluster::pack_remote_ref(
                          static_cast<std::uint32_t>(d), id),
                      t0)) {
         if (try_forward(dc, id)) {
-          dc.verdicts[i] = 1;
+          storm.verdicts[i] = 1;
         } else {
-          ++dc.shed_queue;
+          ++storm.shed_queue;
         }
       } else {
-        dc.verdicts[i] = 1;
+        storm.verdicts[i] = 1;
       }
     }
-    dc.population.answer_due(dc.verdicts, t0);
+    storm.answer(t0);
     flush_forwards(dc);
-    dc.max_queue_depth = std::max(dc.max_queue_depth, dc.queue.size());
 
-    // 3. Drain the accept queue FIFO within the epoch's service credit;
-    // the completion cohort lands at the epoch end. Fractional credit
-    // carries over only while the server is backlogged.
-    // Brownouts scale the epoch's service credit; factor == 1.0 multiplies
-    // exactly (IEEE identity), keeping disruption-free runs bit-identical.
-    double credit = dark ? 0.0
-                         : dc.serve_carry +
-                               config_.service_capacity_rps * factor * dt_;
-    dc.cohort.clear();
-    dc.queue.pop_run(dc.queue.charge(credit), dc.cohort);
-    dc.serve_carry = (dark || dc.queue.empty()) ? 0.0 : credit;
-    if (!dc.cohort.empty()) {
+    // 3. Drain the accept queue within the epoch's service credit; the
+    // completion cohort lands at the epoch end. A dark service serves
+    // nothing and keeps no carry. Brownouts scale the credit; factor == 1.0
+    // multiplies exactly (IEEE identity), keeping disruption-free runs
+    // bit-identical.
+    const std::vector<std::uint32_t>& cohort = storm.take_cohort(
+        dark ? 0.0
+             : storm.carry() + config_.service_capacity_rps * factor * dt_);
+    if (!cohort.empty()) {
       FleetWorld* w = this;
-      fabric_.kernel(dc.shard)
-          .schedule_at(t1, [w, d, t1, cohort = dc.cohort] {
-            w->complete(d, t1, cohort);
-          });
+      fabric_.kernel(dc.shard).schedule_at(
+          t1, [w, d, t1, cohort] { w->complete(d, t1, cohort); });
     }
   }
 
@@ -375,8 +332,8 @@ class FleetWorld {
       }
     }
     if (!dc.local_ids.empty()) {
-      dc.population.on_served_batch(dc.local_ids.data(), dc.local_ids.size(),
-                                    t1);
+      dc.storm.population.on_served_batch(dc.local_ids.data(),
+                                          dc.local_ids.size(), t1);
     }
     for (std::size_t owner = 0; owner < dcs_.size(); ++owner) {
       if (dc.resp[owner].empty()) continue;
@@ -386,41 +343,14 @@ class FleetWorld {
       fabric_.send(dc.shard, op->shard, lat,
                    [op, ids = dc.resp[owner], t = t1 + lat] {
                      op->responses_received += ids.size();
-                     op->population.on_served_batch(ids.data(), ids.size(),
-                                                    t);
+                     op->storm.population.on_served_batch(ids.data(),
+                                                          ids.size(), t);
                    });
     }
   }
 
   void end_epoch(std::size_t d, std::size_t e) {
-    FleetDc& dc = *dcs_[d];
-    const double t1 = static_cast<double>(e) * dt_ + dt_;
-    dc.population.expire_timeouts(t1);
-
-    const auto& led1 = dc.population.ledger();
-    const std::uint64_t fresh_delta = led1.served - dc.fresh0;
-    const std::uint64_t stale_delta = led1.stale_served - dc.stale0;
-    const std::uint64_t expired_delta = led1.timed_out - dc.expired0;
-    const std::uint64_t dark_delta = dc.dark - dc.dark0;
-    const std::uint64_t shed_delta =
-        dc.shed_breaker + dc.shed_bucket + dc.shed_queue - dc.shed0;
-
-    dc.offered_rate.push_back(
-        static_cast<double>(led1.attempts - dc.led0.attempts) / dt_);
-    dc.goodput_rate.push_back(static_cast<double>(fresh_delta) / dt_);
-    dc.failure_rate.push_back(
-        static_cast<double>(stale_delta + expired_delta + shed_delta +
-                            dark_delta) /
-        dt_);
-
-    if (config_.defense.enabled) {
-      // Breaker verdict from downstream outcomes, as in the single-DC
-      // storm: completions (fresh/stale), client timeouts, dark failures.
-      // Deliberate sheds do not trip it.
-      const std::uint64_t observed =
-          dark_delta + fresh_delta + stale_delta + expired_delta;
-      dc.breaker.on_epoch_end(observed, observed - fresh_delta, t1);
-    }
+    dcs_[d]->storm.close(static_cast<double>(e) * dt_ + dt_, dt_);
   }
 
   FleetStormOutcome finish() {
@@ -448,41 +378,18 @@ class FleetWorld {
 
     for (const auto& dcp : dcs_) {
       const FleetDc& dc = *dcp;
-      ensure(dc.offered_rate.size() == epochs_,
+      ensure(dc.storm.epochs_closed() == epochs_,
              "FleetStorm: epoch series incomplete — driver chain broken");
       FleetDcOutcome o;
       o.site = config_.sites[dc.index].name;
-      const auto& led = dc.population.ledger();
-      o.intents = led.intents;
-      o.attempts = led.attempts;
-      o.retries = led.retries;
-      o.served_fresh = led.served;
-      o.served_stale = led.stale_served;
-      o.timed_out = led.timed_out;
-      o.abandoned = led.abandoned;
-      o.dark_failures = dc.dark;
-      o.shed_breaker = dc.shed_breaker;
-      o.shed_bucket = dc.shed_bucket;
-      o.shed_queue = dc.shed_queue;
+      dc.storm.fill(o, criteria);
       o.forwarded = dc.forwarded;
       o.remote_admitted = dc.remote_admitted;
       o.remote_served = dc.remote_served;
       o.remote_shed = dc.remote_shed;
-      o.max_queue_depth = dc.max_queue_depth;
-      o.breaker_trips = dc.breaker.trips();
       o.grid_signals = dc.grid_signals;
-
-      const RecoveryScan scan = scan_recovery(
-          criteria, dc.offered_rate, dc.goodput_rate, dc.failure_rate);
-      o.prefault_goodput_rps = scan.prefault_goodput_rps;
-      o.recovered = scan.recovered;
-      o.recovery_s = scan.recovery_s;
-      o.end_offered_rps = scan.end_offered_rps;
-      o.end_goodput_rps = scan.end_goodput_rps;
       out.fleet_prefault_goodput_rps += o.prefault_goodput_rps;
       out.fleet_end_goodput_rps += o.end_goodput_rps;
-      o.conservation_ok = dc.population.conservation_ok();
-      o.conservation_report = dc.population.conservation_report();
       if (!o.conservation_ok) violation(o.site + ": " + o.conservation_report);
 
       intents += o.intents;

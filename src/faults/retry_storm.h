@@ -145,21 +145,13 @@ RetryStormOutcome run_retry_storm(const RetryStormConfig& config);
 RetryStormOutcome run_retry_storm_legacy(const RetryStormConfig& config);
 
 /// The same scenario executed event-by-event on shard `shard` of a
-/// federation: the epoch loop becomes a driver-event chain on that shard's
-/// kernel (see retry_storm_engine.h), so a 1-shard federation replays
-/// run_retry_storm bit-identically — the "degenerate federation" golden
-/// invariant — and independent storms on different shards of one
-/// ShardedSimulator run concurrently without perturbing each other.
-RetryStormOutcome run_retry_storm_federated(const RetryStormConfig& config,
-                                            sim::ShardedSimulator& fed,
-                                            std::size_t shard);
-
-/// The armed-but-not-run form of run_retry_storm_federated: construction
-/// schedules the scenario's driver-event chain on shard `shard` without
-/// advancing the federation, so several storms can share one
-/// ShardedSimulator and run concurrently (one per shard — the parallel arm
-/// of the kernel_federation bench). Drive the federation to at least
-/// end_s(), then call finish() exactly once.
+/// federation: construction schedules the epoch loop as a driver-event
+/// chain on that shard's kernel without advancing the federation, so a
+/// 1-shard federation replays run_retry_storm bit-identically (the
+/// "degenerate federation" golden invariant), and storms armed on different
+/// shards of one ShardedSimulator run concurrently without perturbing each
+/// other (the parallel arm of the kernel_federation bench). Drive the
+/// federation to at least end_s(), then call finish() exactly once.
 class FederatedRetryStorm {
  public:
   FederatedRetryStorm(const RetryStormConfig& config,

@@ -331,6 +331,7 @@ void sort_by_due(std::span<const Candidate> in, Candidate* out) {
 
 const std::vector<std::uint32_t>& ClientPopulation::collect_due(double t0,
                                                                 double dt) {
+  require(std::isfinite(t0) && std::isfinite(dt), "ClientPopulation: time must be finite");
   require(dt > 0.0, "ClientPopulation: epoch must be positive");
   const double end = t0 + dt;
   // 1. Each shard lists its due clients in id order, and its due span.
@@ -518,6 +519,7 @@ void ClientPopulation::serve(std::uint32_t id, double now_s, Tally& t) {
 
 void ClientPopulation::on_rejected(std::uint32_t id, double now_s) {
   require(id < config_.clients, "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   Tally t;
   answer(id, false, now_s, t);
   apply_tally(t);
@@ -525,12 +527,14 @@ void ClientPopulation::on_rejected(std::uint32_t id, double now_s) {
 
 void ClientPopulation::on_admitted(std::uint32_t id, double now_s) {
   require(id < config_.clients, "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   Tally untouched;  // admission changes no counter
   answer(id, true, now_s, untouched);
 }
 
 void ClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
                                   double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   require(admitted.size() == batch_.size() && !batch_answered_,
           "ClientPopulation: one answer_due per batch, one verdict per due");
   batch_answered_ = true;
@@ -557,6 +561,7 @@ void ClientPopulation::on_served_batch(const std::uint32_t* ids,
   require(std::all_of(ids, ids + count,
                       [n](std::uint32_t id) { return id < n; }),
           "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   // by_shard_ is a copy, so `ids` may alias batch_; a client listed twice
   // keeps its order, served fresh and then stale.
   const Offsets offset = group_by_shard(ids, count);
@@ -576,6 +581,7 @@ void ClientPopulation::on_served_batch(const std::uint32_t* ids,
 }
 
 void ClientPopulation::expire_timeouts(double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   // Sixteen states per branch: only waiting clients set a bit.
   const auto* state = reinterpret_cast<const std::uint8_t*>(state_.get());
   constexpr auto kWaiting = static_cast<std::uint8_t>(State::kWaiting);
@@ -622,6 +628,7 @@ void ClientPopulation::disconnect_client(std::uint32_t id, double now_s,
 }
 
 void ClientPopulation::disconnect_all(double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   sweep_shards([&](std::size_t s, Tally& t) {
     for (std::size_t id = bounds_[s]; id < bounds_[s + 1]; ++id) {
       disconnect_client(static_cast<std::uint32_t>(id), now_s, t);
@@ -632,6 +639,7 @@ void ClientPopulation::disconnect_all(double now_s) {
 void ClientPopulation::disconnect_fraction(double fraction, double now_s) {
   require(fraction >= 0.0 && fraction <= 1.0,
           "ClientPopulation: disconnect fraction outside [0, 1]");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   if (fraction >= 1.0) {
     disconnect_all(now_s);  // no draws: the full-outage path stays stream-stable
     return;

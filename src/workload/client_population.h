@@ -116,6 +116,8 @@ struct ClientLedger {
   std::uint64_t retry_cancelled = 0;///< pending retries severed by a disconnect
   std::uint64_t disconnected_intents = 0;  ///< open intents severed by a disconnect
   std::uint64_t disconnects = 0;    ///< client-sessions dropped by outages
+
+  bool operator==(const ClientLedger&) const = default;
 };
 
 /// Throws std::invalid_argument on an unusable configuration (shared by the
@@ -136,6 +138,9 @@ std::string client_conservation_report(const ClientLedger& ledger,
 ///   2. answer_due (or per id)  -> admission verdict per attempt
 ///   3. (service drains queue)  -> on_served_batch per completion cohort
 ///   4. expire_timeouts(t + dt) -> client deadlines fire, retries scheduled
+///
+/// Every call that takes a time throws std::invalid_argument, before any
+/// client changes, unless the time is finite.
 class ClientPopulation {
  public:
   /// Completion cohorts can be delivered as one batch per epoch

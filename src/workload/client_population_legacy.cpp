@@ -94,6 +94,7 @@ double LegacyClientPopulation::backoff_delay_s(std::uint32_t id) {
 
 const std::vector<std::uint32_t>& LegacyClientPopulation::collect_due(
     double t0, double dt) {
+  require(std::isfinite(t0) && std::isfinite(dt), "ClientPopulation: time must be finite");
   require(dt > 0.0, "ClientPopulation: epoch must be positive");
   batch_.clear();
   const double end = t0 + dt;
@@ -125,6 +126,7 @@ const std::vector<std::uint32_t>& LegacyClientPopulation::collect_due(
 
 void LegacyClientPopulation::answer_due(std::span<const std::uint8_t> admitted,
                                         double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   require(admitted.size() == batch_.size() && !batch_answered_,
           "ClientPopulation: one answer_due per batch, one verdict per due");
   batch_answered_ = true;
@@ -150,6 +152,7 @@ void LegacyClientPopulation::fail_attempt(std::uint32_t id, double now_s) {
 
 void LegacyClientPopulation::on_rejected(std::uint32_t id, double now_s) {
   require(id < state_.size(), "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   ensure(state_[id] == State::kWaiting,
          "ClientPopulation: rejected a client with no attempt in flight");
   ++ledger_.rejected;
@@ -158,6 +161,7 @@ void LegacyClientPopulation::on_rejected(std::uint32_t id, double now_s) {
 
 void LegacyClientPopulation::on_admitted(std::uint32_t id, double now_s) {
   require(id < state_.size(), "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   ensure(state_[id] == State::kWaiting,
          "ClientPopulation: admitted a client with no attempt in flight");
   schedule(id, State::kWaiting, now_s + config_.request_timeout_s);
@@ -165,6 +169,7 @@ void LegacyClientPopulation::on_admitted(std::uint32_t id, double now_s) {
 
 void LegacyClientPopulation::on_served(std::uint32_t id, double now_s) {
   require(id < state_.size(), "ClientPopulation: client id out of range");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   if (state_[id] != State::kWaiting) {
     // The client gave up on this attempt long ago; the service's work on it
     // was wasted — the defining loss of a retry storm.
@@ -178,6 +183,7 @@ void LegacyClientPopulation::on_served(std::uint32_t id, double now_s) {
 }
 
 void LegacyClientPopulation::expire_timeouts(double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   while (!deadline_heap_.empty() && deadline_heap_.top().due_s <= now_s) {
     const HeapEntry entry = deadline_heap_.top();
     deadline_heap_.pop();
@@ -215,6 +221,7 @@ void LegacyClientPopulation::disconnect_client(std::uint32_t id,
 }
 
 void LegacyClientPopulation::disconnect_all(double now_s) {
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   for (std::uint32_t id = 0; id < state_.size(); ++id) {
     disconnect_client(id, now_s);
   }
@@ -224,6 +231,7 @@ void LegacyClientPopulation::disconnect_fraction(double fraction,
                                                  double now_s) {
   require(fraction >= 0.0 && fraction <= 1.0,
           "ClientPopulation: disconnect fraction outside [0, 1]");
+  require(std::isfinite(now_s), "ClientPopulation: time must be finite");
   if (fraction >= 1.0) {
     disconnect_all(now_s);  // no draws: the full-outage path stays stream-stable
     return;

@@ -63,6 +63,12 @@ TEST(CliArgs, MalformedInputs) {
   EXPECT_THROW(args.get("rate", 0.0), UsageError);
   EXPECT_THROW(args.get("count", std::int64_t{0}), UsageError);
   EXPECT_THROW(args.get_switch("flagval"), UsageError);
+  // Numbers must be finite: an infinite horizon never ends, and a NaN
+  // passes every range check written as a comparison.
+  for (const char* bad : {"inf", "-inf", "nan"}) {
+    EXPECT_THROW(parse({"x", "--rate", bad}).get("rate", 0.0), UsageError)
+        << bad;
+  }
 }
 
 TEST(CliArgs, ThreadsMustLieWithinTheBound) {

@@ -482,8 +482,9 @@ TEST(FederationGolden, DegenerateFederationReplaysRetryStorm) {
         small_storm(workload::RetryBackoff::kExponential, defended, 7);
     const auto serial = faults::run_retry_storm(config);
     ShardedSimulator fed(ShardedConfig{});
-    const auto federated = faults::run_retry_storm_federated(config, fed, 0);
-    EXPECT_TRUE(federated == serial);
+    faults::FederatedRetryStorm storm(config, fed, 0);
+    fed.run_until(storm.end_s());
+    EXPECT_TRUE(storm.finish() == serial);
   }
 }
 

@@ -294,6 +294,54 @@ TEST(ClientPopulation, RejectsBadConfigAndBadCalls) {
   EXPECT_THROW(pop.on_admitted(0, 0.0), std::logic_error);
 }
 
+// Every call that takes a time refuses NaN and both infinities before it
+// changes anything, in both engines alike: a NaN due would otherwise be
+// collected by one engine and stall the other's heap.
+template <typename Population>
+void expect_non_finite_times_refused() {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    SCOPED_TRACE(bad);
+    Population pop(tiny_config());
+    const auto refused = [&pop](auto call) {
+      const ClientLedger before = pop.ledger();
+      EXPECT_THROW(call(), std::invalid_argument);
+      EXPECT_TRUE(pop.ledger() == before);
+    };
+    refused([&] { pop.collect_due(bad, 1.0); });
+    refused([&] { pop.collect_due(0.0, bad); });
+    const std::vector<std::uint32_t> due = pop.collect_due(0.0, 1.0);
+    ASSERT_EQ(due.size(), 4u);
+    const std::vector<std::uint8_t> admit(due.size(), 1);
+    refused([&] { pop.answer_due(admit, bad); });
+    refused([&] { pop.on_admitted(due[0], bad); });
+    refused([&] { pop.on_rejected(due[0], bad); });
+    pop.answer_due(admit, 0.0);
+    if constexpr (Population::kBatchServe) {
+      refused([&] { pop.on_served_batch(due.data(), due.size(), bad); });
+      pop.on_served_batch(due.data(), due.size(), 0.5);
+    } else {
+      refused([&] { pop.on_served(due[0], bad); });
+      for (const std::uint32_t id : due) pop.on_served(id, 0.5);
+    }
+    refused([&] { pop.expire_timeouts(bad); });
+    refused([&] { pop.disconnect_all(bad); });
+    refused([&] { pop.disconnect_fraction(0.5, bad); });
+    pop.expire_timeouts(1.0);
+    EXPECT_EQ(pop.ledger().served, 4u);
+    EXPECT_TRUE(pop.conservation_ok()) << pop.conservation_report();
+  }
+}
+
+TEST(ClientPopulation, SweepEngineRefusesNonFiniteTimes) {
+  expect_non_finite_times_refused<ClientPopulation>();
+}
+
+TEST(ClientPopulation, LegacyEngineRefusesNonFiniteTimes) {
+  expect_non_finite_times_refused<LegacyClientPopulation>();
+}
+
 // Client ids are 32-bit: a larger population would truncate them (and the
 // disconnect_fraction id loop would never end), so it is refused before any
 // state is allocated.

@@ -12,12 +12,14 @@
 //     comes out in the heap engine's order, and the templated storm driver
 //     produces identical outcomes on both engines;
 //   * ClientSweepContract    — answer_due and on_served_batch check their
-//     whole input before any client changes, and a NaN due is collected;
+//     whole input before any client changes, and a NaN due (which only a
+//     non-finite retry config can make) is collected;
 //   * ClientSweepDeterminism — the sharded sweep is bit-identical at 1, 2,
 //     4 and 8 threads (fixed shard, due-range and chunk partitions);
 //   * ClientSweepProperty    — the 12-counter ledger and all four
 //     conservation identities hold every epoch on a randomized 100k-client
 //     storm driven through the branch-free transitions.
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -494,24 +496,43 @@ TEST(ClientSweepContract, ServedBatchChecksEveryIdBeforeServing) {
 }
 
 // The due scan collects every client whose due is not >= the epoch end, so
-// a NaN due (a serve at a NaN time makes one) is collected next epoch,
-// whether the client sits in a shard's 16-client block or in its tail.
+// a NaN due is collected next epoch, whether the client sits in a shard's
+// 16-client block or in its tail. Times must be finite, but a backoff of
+// 0 x inf^k still makes a NaN due: base delay 0 and an infinite multiplier
+// give the second retry of an exponential backoff one.
 TEST(ClientSweepContract, NanDueIsCollectedInBlockAndTail) {
   const std::size_t clients =
       workload::ClientPopulation::kShards * (kBlockLanes + 1);
+  // Shard 0 holds clients 0..16: 3 is in its block, 16 is its tail.
+  const std::vector<std::uint32_t> rejected = {3, 16};
+  const auto answer = [&rejected](workload::ClientPopulation& pop,
+                                  const std::vector<std::uint32_t>& batch,
+                                  double now_s) {
+    std::vector<std::uint8_t> verdicts(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      verdicts[i] = std::count(rejected.begin(), rejected.end(), batch[i])
+                        ? 0
+                        : 1;
+    }
+    pop.answer_due(verdicts, now_s);
+  };
   for (const std::size_t threads : {1u, 4u}) {
     auto config = all_due_at_zero(clients);
     config.threads = threads;
+    config.request_timeout_s = 100.0;  // the admitted stay waiting
+    config.retry.backoff = workload::RetryBackoff::kExponential;
+    config.retry.base_delay_s = 0.0;
+    config.retry.multiplier = std::numeric_limits<double>::infinity();
     workload::ClientPopulation pop(config);
-    const auto batch = pop.collect_due(0.0, 1.0);
-    ASSERT_EQ(batch.size(), clients);
-    pop.answer_due(std::vector<std::uint8_t>(batch.size(), 1), 0.0);
-    // Shard 0 holds clients 0..16: 3 is in its block, 16 is its tail.
-    const std::vector<std::uint32_t> nan_served = {3, 16};
-    pop.on_served_batch(nan_served.data(), nan_served.size(),
-                        std::numeric_limits<double>::quiet_NaN());
-    pop.expire_timeouts(1.0);  // every other deadline is 1.5
-    EXPECT_EQ(pop.collect_due(1.0, 1.0), nan_served) << threads;
+    const auto first = pop.collect_due(0.0, 1.0);
+    ASSERT_EQ(first.size(), clients);
+    answer(pop, first, 0.0);  // 3 and 16 retry after 0 x inf^0 = 0 s
+    const auto second = pop.collect_due(1.0, 1.0);
+    ASSERT_EQ(second, rejected) << threads;
+    // Now after 0 x inf^1 = NaN s. Answered at t = 10, a finite delay could
+    // not fall due before 10, so only a NaN due is collected in [2, 3).
+    answer(pop, second, 10.0);
+    EXPECT_EQ(pop.collect_due(2.0, 1.0), rejected) << threads;
   }
 }
 

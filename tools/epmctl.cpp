@@ -97,9 +97,9 @@ int cmd_help() {
                                                         no partition variant
 
   --threads T (1..1024) applies to the commands with parallel backends
-  (availability, replications); it defaults to the EPM_THREADS environment
-  variable, else the machine's hardware concurrency. Results never depend
-  on T.
+  (availability, replications, kernelbench, federation, chaos, telemetry,
+  controlplane); it defaults to the EPM_THREADS environment variable, else
+  the machine's hardware concurrency. Results never depend on T.
 
   Exit codes: 0 success; 1 scenario verdict failed (e.g. the defended arm
   did not recover); 2 usage error; 3 conformance/gate failure (federation

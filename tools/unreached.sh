@@ -19,7 +19,7 @@
 set -euo pipefail
 export LC_ALL=C
 
-CEILING=109
+CEILING=108
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out="$root/build-unreached"
