@@ -13,36 +13,13 @@
 
 using namespace epm;
 
-namespace {
-
-macro::TieredServiceSpec service() {
-  macro::TieredServiceSpec spec;
-  macro::TierSpec web;
-  web.name = "web";
-  web.fanout = 1.0;
-  web.service_demand_s = 0.002;
-  macro::TierSpec app;
-  app.name = "app";
-  app.fanout = 2.0;
-  app.service_demand_s = 0.005;
-  macro::TierSpec db;
-  db.name = "db";
-  db.fanout = 4.0;
-  db.service_demand_s = 0.001;
-  spec.tiers = {web, app, db};
-  spec.end_to_end_sla_s = 0.06;
-  return spec;
-}
-
-}  // namespace
-
 int main() {
   std::cout << banner(
       "Extension (sec. 3.2): tier scaling under a 60 ms end-to-end SLA");
   std::cout << "  web (1x fan-out, 2 ms), app (2x, 5 ms), storage (4x, 1 ms); "
                "joint fleet x P-state x budget split.\n\n";
 
-  const auto spec = service();
+  const auto spec = macro::make_reference_tiered_service(0.06);
 
   Table table({"external rps", "web n@P", "app n@P", "db n@P", "budget split (ms)",
                "end-to-end (ms)", "power (kW)", "equal-split power", "saved"});

@@ -33,12 +33,6 @@ CliArgs::CliArgs(int argc, const char* const argv[]) {
   }
 }
 
-bool CliArgs::has(const std::string& flag) const {
-  const bool present = values_.count(flag) > 0;
-  if (present) used_.insert(flag);
-  return present;
-}
-
 std::string CliArgs::get(const std::string& flag, const std::string& fallback) const {
   auto it = values_.find(flag);
   if (it == values_.end()) return fallback;
@@ -94,6 +88,22 @@ bool CliArgs::get_switch(const std::string& flag) const {
     throw UsageError("CliArgs: --" + flag + " is a switch and takes no value");
   }
   return true;
+}
+
+std::uint64_t CliArgs::seed(std::uint64_t fallback) const {
+  return static_cast<std::uint64_t>(get("seed", static_cast<std::int64_t>(fallback)));
+}
+
+std::size_t CliArgs::count(const std::string& flag, std::size_t fallback) const {
+  const std::int64_t n = get(flag, static_cast<std::int64_t>(fallback));
+  if (n < 1) throw UsageError("--" + flag + " must be > 0");
+  return static_cast<std::size_t>(n);
+}
+
+double CliArgs::positive(const std::string& flag, double fallback) const {
+  const double x = get(flag, fallback);
+  if (x <= 0.0) throw UsageError("--" + flag + " must be > 0");
+  return x;
 }
 
 std::size_t CliArgs::threads() const {

@@ -1,6 +1,6 @@
 // Minimal command-line argument parsing for the epmctl tool and any
 // downstream binaries: subcommand + `--flag value` / `--switch` pairs, with
-// typed accessors and unknown-flag detection.
+// typed and range-checked accessors and unknown-flag detection.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@ class CliArgs {
   CliArgs(int argc, const char* const argv[]);
 
   const std::string& command() const { return command_; }
-  bool has(const std::string& flag) const;
 
   /// Typed accessors with defaults; throw UsageError when the present value
   /// does not parse (for a double: as a finite number).
@@ -37,6 +36,15 @@ class CliArgs {
   double get(const std::string& flag, double fallback) const;
   std::int64_t get(const std::string& flag, std::int64_t fallback) const;
   bool get_switch(const std::string& flag) const;
+
+  /// `--seed S` as a 64-bit seed; a negative S keeps its bit pattern.
+  std::uint64_t seed(std::uint64_t fallback) const;
+  /// An integer flag that counts something: throws UsageError "--flag must
+  /// be > 0" unless it is at least 1.
+  std::size_t count(const std::string& flag, std::size_t fallback) const;
+  /// A real flag that must be positive: throws UsageError "--flag must be
+  /// > 0" unless it is.
+  double positive(const std::string& flag, double fallback) const;
 
   /// Worker count from `--threads N` (1..kMaxThreads when present); defaults
   /// to the EPM_THREADS environment override, else hardware_concurrency.

@@ -151,12 +151,6 @@ std::size_t FaultDomainTree::add_cluster(std::string name,
   return clusters_.size() - 1;
 }
 
-const std::string& FaultDomainTree::datacenter_name(std::size_t dc) const {
-  require(dc < datacenters_.size(),
-          "FaultDomainTree: datacenter index out of range");
-  return datacenters_[dc].name;
-}
-
 std::size_t FaultDomainTree::region_of(std::size_t dc) const {
   require(dc < datacenters_.size(),
           "FaultDomainTree: datacenter index out of range");

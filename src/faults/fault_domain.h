@@ -66,7 +66,6 @@ class FaultDomainTree {
   std::size_t datacenter_count() const { return datacenters_.size(); }
   std::size_t cluster_count() const { return clusters_.size(); }
 
-  const std::string& datacenter_name(std::size_t dc) const;
   /// Region index owning datacenter `dc`.
   std::size_t region_of(std::size_t dc) const;
   /// Grid-feed index powering datacenter `dc`.

@@ -131,26 +131,6 @@ FacilityStep MacroResourceManager::step(const std::vector<double>& demand_per_se
   return result;
 }
 
-void MacroResourceManager::observe_overload(const OverloadSignal& signal,
-                                            double now_s) {
-  overload_signal_ = signal;
-  overload_active_ = signal.breaker_open || signal.shed_rate_per_s > 0.0;
-  if (overload_active_ && !was_overload_) {
-    std::ostringstream detail;
-    detail << "admission stack congested: breaker "
-           << (signal.breaker_open ? "open" : "closed") << ", shed "
-           << fmt(signal.shed_rate_per_s, 1) << "/s, retries "
-           << fmt(signal.retry_rate_per_s, 1) << "/s";
-    log_.record({now_s, DecisionKind::kRiskAlert, "", detail.str()});
-    log_.record({now_s, DecisionKind::kServerAllocation, "",
-                 "hold fleets at committed size during overload"});
-  } else if (!overload_active_ && was_overload_) {
-    log_.record({now_s, DecisionKind::kRiskAlert, "",
-                 "admission stack healthy: resume consolidation"});
-  }
-  was_overload_ = overload_active_;
-}
-
 void MacroResourceManager::coordinate() {
   const double now = facility_.now_s();
 
@@ -184,15 +164,8 @@ void MacroResourceManager::coordinate() {
         model, svc.server_count(), svc.committed_count(), predicted,
         last_service_demand_s_[i], svc.config().sla.target_mean_response_s,
         config_.joint);
-    // During admission-stack congestion the demand estimate is poisoned by
-    // shed/retried load; consolidating on it would shrink the fleet into a
-    // retry storm. Hold what is already committed until the stack is healthy.
-    std::size_t servers_target = decision.servers;
-    if (overload_active_) {
-      servers_target = std::max(servers_target, svc.committed_count());
-    }
     issue(sensing::CommandKind::kFleetSize, i,
-          static_cast<double>(servers_target));
+          static_cast<double>(decision.servers));
     issue(sensing::CommandKind::kPstate, i,
           static_cast<double>(decision.pstate));
     chosen_pstate_[i] = decision.pstate;
@@ -200,7 +173,7 @@ void MacroResourceManager::coordinate() {
     predicted_it_power += decision.predicted_power_w;
 
     std::ostringstream detail;
-    detail << "servers=" << servers_target
+    detail << "servers=" << decision.servers
            << " pstate=" << power::pstate_name(decision.pstate)
            << " predicted_lambda=" << fmt(predicted, 1)
            << "/s predicted_power=" << fmt(decision.predicted_power_w / 1e3, 1) << "kW";

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "macro/decision_log.h"
-#include "macro/degradation.h"
 #include "macro/facility.h"
 #include "macro/joint_policy.h"
 #include "onoff/predictor.h"
@@ -82,17 +81,8 @@ class MacroResourceManager {
   /// the facility.
   FacilityStep step(const std::vector<double>& demand_per_service, double outside_c);
 
-  /// Admission-stack feedback (breaker state, shed/retry rates) from the
-  /// cluster layer. Posture changes are recorded in the decision log;
-  /// while congested, coordination holds fleets at their committed size
-  /// (consolidating into a retry storm would amplify it). Never calling
-  /// this leaves every decision bit-identical.
-  void observe_overload(const OverloadSignal& signal, double now_s);
-
   const DecisionLog& log() const { return log_; }
   std::size_t capping_epochs() const { return capping_epochs_; }
-  /// True while the last observed overload signal reported congestion.
-  bool overload_active() const { return overload_active_; }
   const sensing::ValidatedEstimator& estimator() const { return estimator_; }
   const sensing::ActuatorPlane& actuators() const { return *actuators_; }
   /// Oldest accepted-data age across the service channels as of the last
@@ -121,9 +111,6 @@ class MacroResourceManager {
   double max_estimate_age_s_ = 0.0;
   std::size_t epoch_count_ = 0;
   std::size_t capping_epochs_ = 0;
-  OverloadSignal overload_signal_{};
-  bool overload_active_ = false;
-  bool was_overload_ = false;
 };
 
 }  // namespace epm::macro

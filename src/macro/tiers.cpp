@@ -40,6 +40,20 @@ bool solve_tier(const TierSpec& tier, const power::ServerPowerModel& model,
 
 }  // namespace
 
+TieredServiceSpec make_reference_tiered_service(double sla_s) {
+  const auto tier = [](const char* name, double fanout, double service_demand_s) {
+    TierSpec t;
+    t.name = name;
+    t.fanout = fanout;
+    t.service_demand_s = service_demand_s;
+    return t;
+  };
+  TieredServiceSpec spec;
+  spec.tiers = {tier("web", 1.0, 0.002), tier("app", 2.0, 0.005), tier("db", 4.0, 0.001)};
+  spec.end_to_end_sla_s = sla_s;
+  return spec;
+}
+
 TieredDecision size_tiers_equal_split(const TieredServiceSpec& spec,
                                       double external_rate,
                                       const TierSizingConfig& config) {

@@ -60,6 +60,10 @@ struct TierSizingConfig {
   JointPolicyConfig joint;  ///< headroom applies within each tier's budget
 };
 
+/// The reference three-tier service: web (1x fan-out, 2 ms), app (2x, 5 ms)
+/// and storage (4x, 1 ms) under an end-to-end SLA of `sla_s`.
+TieredServiceSpec make_reference_tiered_service(double sla_s);
+
 /// Sizes every tier for `external_rate` requests/s, minimizing total power
 /// subject to the end-to-end SLA, by searching budget splits.
 TieredDecision size_tiers(const TieredServiceSpec& spec, double external_rate,

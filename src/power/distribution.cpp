@@ -75,11 +75,6 @@ void PowerDistributionTree::set_direct_load(NodeId id, double load_w) {
   direct_loads_[id] = load_w;
 }
 
-double PowerDistributionTree::direct_load(NodeId id) const {
-  require(id < specs_.size(), "PowerDistributionTree: unknown node");
-  return direct_loads_[id];
-}
-
 DistributionReport PowerDistributionTree::evaluate() const {
   DistributionReport report;
   evaluate(report);

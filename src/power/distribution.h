@@ -75,7 +75,6 @@ class PowerDistributionTree {
   /// Sets the load attached directly to a node (e.g. servers on a rack,
   /// chiller load on the mechanical node). Persists across evaluations.
   void set_direct_load(NodeId id, double load_w);
-  double direct_load(NodeId id) const;
 
   /// Propagates loads up the tree and computes all flows. Does not throw on
   /// overload; the report flags overloaded nodes so policies can react.

@@ -111,10 +111,6 @@ bool SensorPlane::dropout_active(ChannelKey channel) const {
   return domain(channel).dropout > 0;
 }
 
-bool SensorPlane::stuck_active(ChannelKey channel) const {
-  return domain(channel).stuck > 0;
-}
-
 double SensorPlane::fault_noise_frac(ChannelKey channel) const {
   double total = 0.0;
   for (double severity : domain(channel).noise) {

@@ -59,7 +59,6 @@ class SensorPlane {
   bool on_fault(const faults::FaultEvent& event, bool onset, double now_s);
 
   bool dropout_active(ChannelKey channel) const;
-  bool stuck_active(ChannelKey channel) const;
   /// Extra Gaussian sigma fraction from active kSensorNoise faults.
   double fault_noise_frac(ChannelKey channel) const;
 

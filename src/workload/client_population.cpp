@@ -45,6 +45,29 @@ void for_each_marked(std::size_t begin, std::size_t end, const Block& block,
   }
 }
 
+/// Pre-jitter backoff after failing attempt a, for a = 1..max_attempts
+/// (entry 0 unused). Exponential delays use the identical expression the
+/// legacy engine's per-event std::pow path uses (bit-equality).
+std::vector<double> retry_delay_table(const RetryPolicyConfig& retry) {
+  std::vector<double> table(retry.max_attempts + 1, 0.0);
+  for (std::size_t a = 1; a <= retry.max_attempts; ++a) {
+    switch (retry.backoff) {
+      case RetryBackoff::kImmediate:
+        break;
+      case RetryBackoff::kFixed:
+        table[a] = retry.base_delay_s;
+        break;
+      case RetryBackoff::kExponential: {
+        const double exponent = static_cast<double>(a - 1);
+        const double raw = retry.base_delay_s * std::pow(retry.multiplier, exponent);
+        table[a] = std::min(raw, retry.max_delay_s);
+        break;
+      }
+    }
+  }
+  return table;
+}
+
 }  // namespace
 
 std::string to_string(RetryBackoff backoff) {
@@ -69,6 +92,24 @@ RetryBackoff retry_backoff_from_string(const std::string& token) {
 void validate_client_population_config(const ClientPopulationConfig& config) {
   require(config.clients > 0 && config.clients <= UINT32_MAX,
           "ClientPopulation: clients must be 1 to 2^32 - 1 (32-bit ids)");
+  // A non-finite time, factor or backoff makes non-finite dues, and the two
+  // engines do not order a NaN due alike.
+  const RetryPolicyConfig& retry = config.retry;
+  const std::pair<double, const char*> fields[] = {
+      {config.think_time_s, "think_time_s"},
+      {config.request_timeout_s, "request_timeout_s"},
+      {config.reconnect_spread_s, "reconnect_spread_s"},
+      {config.start_spread_s, "start_spread_s"},
+      {retry.base_delay_s, "retry.base_delay_s"},
+      {retry.multiplier, "retry.multiplier"},
+      {retry.max_delay_s, "retry.max_delay_s"},
+      {retry.jitter_frac, "retry.jitter_frac"},
+      {retry.abandon_cooldown_s, "retry.abandon_cooldown_s"}};
+  for (const auto& [value, name] : fields) {
+    require(std::isfinite(value), [name = name] {
+      return std::string("ClientPopulation: ") + name + " must be finite";
+    });
+  }
   require(config.think_time_s > 0.0,
           "ClientPopulation: think time must be positive");
   require(config.request_timeout_s > 0.0,
@@ -89,6 +130,13 @@ void validate_client_population_config(const ClientPopulationConfig& config) {
           "ClientPopulation: jitter fraction outside [0, 1)");
   require(config.retry.abandon_cooldown_s >= 0.0,
           "ClientPopulation: cooldown must be non-negative");
+  const std::vector<double> delays = retry_delay_table(retry);
+  for (std::size_t a = 1; a < delays.size(); ++a) {
+    require(std::isfinite(delays[a]), [a] {
+      return "ClientPopulation: the backoff after attempt " + std::to_string(a) +
+             " is not finite (base_delay_s 0 x an overflowing multiplier power)";
+    });
+  }
 }
 
 std::string client_conservation_report(const ClientLedger& led,
@@ -154,27 +202,8 @@ ClientPopulation::ClientPopulation(ClientPopulationConfig config)
   due_s_ = std::make_unique_for_overwrite<double[]>(n);
   draws_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
 
-  // Pre-jitter backoff per failed attempt. Exponential delays use the
-  // identical expression the legacy per-event std::pow path used
-  // (bit-equality).
   const RetryPolicyConfig& retry = config_.retry;
-  delay_table_.assign(retry.max_attempts + 1, 0.0);
-  for (std::size_t a = 1; a <= retry.max_attempts; ++a) {
-    switch (retry.backoff) {
-      case RetryBackoff::kImmediate:
-        break;
-      case RetryBackoff::kFixed:
-        delay_table_[a] = retry.base_delay_s;
-        break;
-      case RetryBackoff::kExponential: {
-        const double exponent = static_cast<double>(a - 1);
-        const double raw =
-            retry.base_delay_s * std::pow(retry.multiplier, exponent);
-        delay_table_[a] = std::min(raw, retry.max_delay_s);
-        break;
-      }
-    }
-  }
+  delay_table_ = retry_delay_table(retry);
   draw_on_retry_ =
       retry.backoff != RetryBackoff::kImmediate && retry.jitter_frac > 0.0;
   draw_on_cooldown_ = retry.jitter_frac > 0.0;

@@ -24,7 +24,10 @@ TEST(CliArgs, DefaultsWhenAbsent) {
   EXPECT_EQ(args.get("days", std::int64_t{7}), 7);
   EXPECT_DOUBLE_EQ(args.get("peak-rps", 3000.0), 3000.0);
   EXPECT_EQ(args.get("csv", std::string{"out.csv"}), "out.csv");
-  EXPECT_FALSE(args.has("verbose"));
+  EXPECT_EQ(args.seed(18), 18u);
+  EXPECT_EQ(args.count("servers", 120), 120u);
+  EXPECT_DOUBLE_EQ(args.positive("rate", 2.5), 2.5);
+  EXPECT_TRUE(args.unused().empty());
 }
 
 TEST(CliArgs, BooleanSwitches) {
@@ -78,6 +81,44 @@ TEST(CliArgs, ThreadsMustLieWithinTheBound) {
   for (const char* bad : {"1025", "100000", "0", "-3", "abc"}) {
     EXPECT_THROW(parse({"x", "--threads", bad}).threads(), UsageError) << bad;
   }
+}
+
+TEST(CliArgs, CountsAndPositiveRealsAreRangeChecked) {
+  const auto args = parse({"x", "--servers", "3", "--rate", "0.5"});
+  EXPECT_EQ(args.count("servers", 1), 3u);
+  EXPECT_DOUBLE_EQ(args.positive("rate", 1.0), 0.5);
+  // A count below 1 would wrap to 2^64 - 1 as a size; a real at or below 0
+  // is no rate. Both throw the same one-line diagnostic.
+  for (const char* bad : {"0", "-1"}) {
+    try {
+      parse({"x", "--servers", bad}).count("servers", 1);
+      ADD_FAILURE() << bad;
+    } catch (const UsageError& e) {
+      EXPECT_STREQ(e.what(), "--servers must be > 0") << bad;
+    }
+    try {
+      parse({"x", "--rate", bad}).positive("rate", 1.0);
+      ADD_FAILURE() << bad;
+    } catch (const UsageError& e) {
+      EXPECT_STREQ(e.what(), "--rate must be > 0") << bad;
+    }
+  }
+  // What does not parse is a UsageError too: a count is an integer and a
+  // real is finite.
+  for (const char* bad : {"abc", "inf", "2.5"}) {
+    EXPECT_THROW(parse({"x", "--servers", bad}).count("servers", 1), UsageError)
+        << bad;
+  }
+  for (const char* bad : {"abc", "inf", "-inf", "nan"}) {
+    EXPECT_THROW(parse({"x", "--rate", bad}).positive("rate", 1.0), UsageError)
+        << bad;
+  }
+}
+
+TEST(CliArgs, SeedKeepsTheBitsOfANegativeValue) {
+  EXPECT_EQ(parse({"x", "--seed", "2009"}).seed(7), 2009u);
+  EXPECT_EQ(parse({"x", "--seed", "-1"}).seed(7), ~std::uint64_t{0});
+  EXPECT_THROW(parse({"x", "--seed", "abc"}).seed(7), UsageError);
 }
 
 TEST(CliArgs, UnusedFlagsReported) {

@@ -294,6 +294,32 @@ TEST(ClientPopulation, RejectsBadConfigAndBadCalls) {
   EXPECT_THROW(pop.on_admitted(0, 0.0), std::logic_error);
 }
 
+// Every time and factor of the config is finite, in both engines alike: an
+// infinite think time or spread would make non-finite dues.
+TEST(ClientPopulation, RefusesNonFiniteConfigFields) {
+  const std::vector<double* (*)(ClientPopulationConfig&)> fields = {
+      [](ClientPopulationConfig& c) { return &c.think_time_s; },
+      [](ClientPopulationConfig& c) { return &c.request_timeout_s; },
+      [](ClientPopulationConfig& c) { return &c.reconnect_spread_s; },
+      [](ClientPopulationConfig& c) { return &c.start_spread_s; },
+      [](ClientPopulationConfig& c) { return &c.retry.base_delay_s; },
+      [](ClientPopulationConfig& c) { return &c.retry.multiplier; },
+      [](ClientPopulationConfig& c) { return &c.retry.max_delay_s; },
+      [](ClientPopulationConfig& c) { return &c.retry.jitter_frac; },
+      [](ClientPopulationConfig& c) { return &c.retry.abandon_cooldown_s; }};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      SCOPED_TRACE(testing::Message() << "field " << f << " = " << bad);
+      ClientPopulationConfig config = tiny_config();
+      *fields[f](config) = bad;
+      EXPECT_THROW(validate_client_population_config(config), std::invalid_argument);
+      EXPECT_THROW(ClientPopulation{config}, std::invalid_argument);
+      EXPECT_THROW(LegacyClientPopulation{config}, std::invalid_argument);
+    }
+  }
+}
+
 // Every call that takes a time refuses NaN and both infinities before it
 // changes anything, in both engines alike: a NaN due would otherwise be
 // collected by one engine and stall the other's heap.

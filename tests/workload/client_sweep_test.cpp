@@ -12,14 +12,15 @@
 //     comes out in the heap engine's order, and the templated storm driver
 //     produces identical outcomes on both engines;
 //   * ClientSweepContract    — answer_due and on_served_batch check their
-//     whole input before any client changes, and a NaN due (which only a
-//     non-finite retry config can make) is collected;
+//     whole input before any client changes, and no config can make a NaN
+//     due;
 //   * ClientSweepDeterminism — the sharded sweep is bit-identical at 1, 2,
 //     4 and 8 threads (fixed shard, due-range and chunk partitions);
 //   * ClientSweepProperty    — the 12-counter ledger and all four
 //     conservation identities hold every epoch on a randomized 100k-client
 //     storm driven through the branch-free transitions.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -495,44 +496,40 @@ TEST(ClientSweepContract, ServedBatchChecksEveryIdBeforeServing) {
   }
 }
 
-// The due scan collects every client whose due is not >= the epoch end, so
-// a NaN due is collected next epoch, whether the client sits in a shard's
-// 16-client block or in its tail. Times must be finite, but a backoff of
-// 0 x inf^k still makes a NaN due: base delay 0 and an infinite multiplier
-// give the second retry of an exponential backoff one.
-TEST(ClientSweepContract, NanDueIsCollectedInBlockAndTail) {
-  const std::size_t clients =
-      workload::ClientPopulation::kShards * (kBlockLanes + 1);
-  // Shard 0 holds clients 0..16: 3 is in its block, 16 is its tail.
-  const std::vector<std::uint32_t> rejected = {3, 16};
-  const auto answer = [&rejected](workload::ClientPopulation& pop,
-                                  const std::vector<std::uint32_t>& batch,
-                                  double now_s) {
-    std::vector<std::uint8_t> verdicts(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      verdicts[i] = std::count(rejected.begin(), rejected.end(), batch[i])
-                        ? 0
-                        : 1;
-    }
-    pop.answer_due(verdicts, now_s);
+// No config can make a NaN due, which the two engines would order apart:
+// times must be finite, and so must every config field and every backoff.
+// Base delay 0 with a multiplier whose power overflows would put 0 x inf =
+// NaN in the backoff table: an infinite multiplier at the second retry, or
+// a finite 1e308 at the third. With a positive base delay the overflow
+// saturates at max_delay_s instead. The block and tail lanes of a NaN due
+// stay covered by BlockMask.*.
+TEST(ClientSweepContract, ConfigsThatWouldMakeNanDuesAreRefused) {
+  const auto refused = [](const workload::ClientPopulationConfig& config) {
+    EXPECT_THROW(workload::validate_client_population_config(config),
+                 std::invalid_argument);
+    EXPECT_THROW(workload::ClientPopulation{config}, std::invalid_argument);
+    EXPECT_THROW(workload::LegacyClientPopulation{config}, std::invalid_argument);
   };
-  for (const std::size_t threads : {1u, 4u}) {
-    auto config = all_due_at_zero(clients);
-    config.threads = threads;
-    config.request_timeout_s = 100.0;  // the admitted stay waiting
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double multiplier : {inf, 1e308}) {
+    SCOPED_TRACE(multiplier);
+    auto config = all_due_at_zero(64);
     config.retry.backoff = workload::RetryBackoff::kExponential;
     config.retry.base_delay_s = 0.0;
-    config.retry.multiplier = std::numeric_limits<double>::infinity();
-    workload::ClientPopulation pop(config);
-    const auto first = pop.collect_due(0.0, 1.0);
-    ASSERT_EQ(first.size(), clients);
-    answer(pop, first, 0.0);  // 3 and 16 retry after 0 x inf^0 = 0 s
-    const auto second = pop.collect_due(1.0, 1.0);
-    ASSERT_EQ(second, rejected) << threads;
-    // Now after 0 x inf^1 = NaN s. Answered at t = 10, a finite delay could
-    // not fall due before 10, so only a NaN due is collected in [2, 3).
-    answer(pop, second, 10.0);
-    EXPECT_EQ(pop.collect_due(2.0, 1.0), rejected) << threads;
+    config.retry.multiplier = multiplier;
+    refused(config);
+    config.retry.max_attempts = 2;  // 1e308^1 is finite: 0 x 1e308 = 0
+    if (std::isfinite(multiplier)) {
+      EXPECT_NO_THROW(workload::ClientPopulation{config});
+    } else {
+      refused(config);  // the multiplier itself is not finite
+    }
+    config.retry.max_attempts = 4;
+    config.retry.base_delay_s = 1.0;
+    if (std::isfinite(multiplier)) {
+      EXPECT_NO_THROW(workload::ClientPopulation{config});
+      EXPECT_NO_THROW(workload::LegacyClientPopulation{config});
+    }
   }
 }
 

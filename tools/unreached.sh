@@ -19,7 +19,7 @@
 set -euo pipefail
 export LC_ALL=C
 
-CEILING=108
+CEILING=103
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 out="$root/build-unreached"
