@@ -81,7 +81,7 @@ int main() {
                   "recovered"});
   for (const std::size_t dcs : fleet_sizes) {
     const auto rep = faults::run_chaos_recovery(
-        dcs, 2000, 42, faults::make_reference_grid_script(), 0.99);
+        dcs, 2000, 42, faults::make_reference_grid_script());
     append_recovery_record(dcs, "defended", rep, rep.defended);
     append_recovery_record(dcs, "naive", rep, rep.naive);
     for (const bool defended : {true, false}) {

@@ -1,5 +1,5 @@
-// Federation throughput bench, shared by bench/exp_kernel_throughput and
-// `epmctl federation`.
+// Federation throughput bench of bench/exp_kernel_throughput (`epmctl
+// federation` runs its own fleet-storm drills and does not use this file).
 //
 // One measured scenario: the reference multi-datacenter retry-storm fleet
 // (faults::run_fleet_storm) executed A/B on both fabrics —

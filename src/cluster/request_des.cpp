@@ -232,10 +232,14 @@ RequestDesResult simulate_requests(const RequestDesConfig& config) {
                                                        : run_ps(config);
 }
 
-ReplicationResult simulate_replications(const ReplicationConfig& config) {
+void validate_replication_config(const ReplicationConfig& config) {
   require(config.replications >= 1,
           "simulate_replications: need at least one replication");
   validate(config.base);
+}
+
+ReplicationResult simulate_replications(const ReplicationConfig& config) {
+  validate_replication_config(config);
 
   ThreadPool pool(resolve_thread_count(static_cast<std::int64_t>(config.threads)));
   const auto runs = pool.parallel_replicate(

@@ -82,4 +82,8 @@ struct ReplicationResult {
 /// bit-identical for any thread count, including 1.
 ReplicationResult simulate_replications(const ReplicationConfig& config);
 
+/// Throws std::invalid_argument for a config simulate_replications refuses:
+/// no replication, or a base configuration that is invalid or unstable.
+void validate_replication_config(const ReplicationConfig& config);
+
 }  // namespace epm::cluster

@@ -15,6 +15,9 @@
 // the check runs, on every passing call.
 #pragma once
 
+#include <cstddef>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -47,6 +50,22 @@ inline void require(bool cond, const Message& what) {
 template <typename Message>
 inline void ensure(bool cond, const Message& what) {
   if (!cond) throw std::logic_error(detail::check_message(what));
+}
+
+/// `count`, a whole number of steps such as ceil(horizon / step), as a
+/// std::size_t, where a plain cast of a NaN, negative or too-large double
+/// is undefined behaviour: those throw std::invalid_argument naming `what`.
+inline std::size_t checked_count(double count, const char* what) {
+  // 2^64 where std::size_t is 64-bit: the first double past its range.
+  constexpr double kLimit =
+      2.0 * static_cast<double>(std::numeric_limits<std::size_t>::max() / 2 + 1);
+  if (!(count >= 0.0 && count < kLimit)) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", count);
+    throw std::invalid_argument(std::string(what) + " = " + text +
+                                " is not a count std::size_t can hold");
+  }
+  return static_cast<std::size_t>(count);
 }
 
 }  // namespace epm

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 namespace epm {
@@ -27,7 +28,7 @@ class SplitMix64 {
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   /// The stateless finalizer: one stream step is mix(state += kGamma).
-  static std::uint64_t mix(std::uint64_t z) {
+  static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
@@ -42,6 +43,27 @@ class SplitMix64 {
  private:
   std::uint64_t state_;
 };
+
+/// 64-bit FNV-1a over `words`, eight little-endian bytes each, continuing
+/// from `hash` (by default the offset basis, the hash of no words).
+constexpr std::uint64_t fnv1a(std::initializer_list<std::uint64_t> words,
+                              std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (byte * 8)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+/// A uniform draw in [0, 1) keyed by `words`: their FNV-1a through
+/// SplitMix64::mix, top 53 bits. Every key owns an independent counter-mode
+/// stream, so adding keys never perturbs the draws of others and no state
+/// is kept.
+inline double keyed_uniform(std::initializer_list<std::uint64_t> words) {
+  return static_cast<double>(SplitMix64::mix(fnv1a(words)) >> 11) * 0x1.0p-53;
+}
 
 /// xoshiro256** generator with a distribution toolkit sized for this library.
 ///

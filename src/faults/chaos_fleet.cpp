@@ -16,20 +16,25 @@ constexpr std::uint64_t kWorkTag = 2;
 constexpr std::uint32_t kChaosMagic = 0x736f6163;  // "caos"
 constexpr std::uint32_t kChaosVersion = 1;
 
+constexpr double kLookaheadS = 0.05;       ///< uniform inter-DC latency floor
+constexpr double kServiceRateRps = 240.0;  ///< per-DC service capacity
+/// Local backlog bound; arrivals beyond it are dropped (and counted).
+constexpr std::uint64_t kBacklogCap = 1000000;
+static_assert(kLookaheadS > 0.0 && kServiceRateRps >= 0.0 &&
+              kChaosRecoveryThreshold > 0.0 && kChaosRecoveryThreshold <= 1.0);
+
 void validate(const ChaosFleetConfig& c) {
   require(c.dcs >= 1, "chaos fleet: need at least one datacenter");
   require(c.epoch_s > 0.0, "chaos fleet: epoch_s must be positive");
-  require(c.lookahead_s > 0.0, "chaos fleet: lookahead_s must be positive");
   require(c.drive_until_s > 0.0 && c.drive_until_s <= c.horizon_s,
           "chaos fleet: need 0 < drive_until_s <= horizon_s");
-  require(c.arrival_rate_rps >= 0.0 && c.service_rate_rps >= 0.0,
-          "chaos fleet: rates must be non-negative");
+  require(c.arrival_rate_rps >= 0.0, "chaos fleet: arrival rate must be >= 0");
   require(c.forward_fraction >= 0.0 && c.forward_fraction <= 1.0,
           "chaos fleet: forward_fraction must be in [0, 1]");
 }
 
 sim::ShardedConfig make_sharded_config(const ChaosFleetConfig& c) {
-  return uniform_federation(c.dcs, c.threads, c.lookahead_s);
+  return uniform_federation(c.dcs, c.threads, kLookaheadS);
 }
 
 /// The snapshot-capable drive world (a drill world, see drill.h): one
@@ -173,17 +178,17 @@ class ChaosWorld {
       const std::size_t peer = (d + 1 + offset) % n;
       const std::uint64_t seq = ++dc.fwd_seq[peer];
       dc.forwarded_items += fwd;
-      fed_.send_tagged(d, peer, config_.lookahead_s, kWorkTag,
+      fed_.send_tagged(d, peer, kLookaheadS, kWorkTag,
                        {static_cast<std::uint64_t>(d), fwd, seq});
     }
     const auto capacity = static_cast<std::uint64_t>(
-        std::floor(config_.service_rate_rps * config_.epoch_s));
+        std::floor(kServiceRateRps * config_.epoch_s));
     const std::uint64_t serve = std::min(dc.backlog, capacity);
     dc.backlog -= serve;
     dc.served += serve;
-    if (dc.backlog > config_.backlog_cap) {
-      dc.dropped += dc.backlog - config_.backlog_cap;
-      dc.backlog = config_.backlog_cap;
+    if (dc.backlog > kBacklogCap) {
+      dc.dropped += dc.backlog - kBacklogCap;
+      dc.backlog = kBacklogCap;
     }
     // Self-reschedule with a fresh record id (snapshot invariant) until the
     // drive window closes; the slack to the horizon drains in-flight work.
@@ -212,7 +217,7 @@ class ChaosWorld {
   bool fifo_ok_ = true;
 };
 
-ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
+ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o) {
   ChaosRecoveryArm arm;
   arm.fleet_prefault_goodput_rps = o.fleet_prefault_goodput_rps;
   arm.fleet_end_goodput_rps = o.fleet_end_goodput_rps;
@@ -220,7 +225,7 @@ ChaosRecoveryArm summarize_arm(const FleetStormOutcome& o, double threshold) {
       recovery_ratio(o.fleet_prefault_goodput_rps, o.fleet_end_goodput_rps);
   for (const FleetDcOutcome& dc : o.dcs) arm.grid_signals += dc.grid_signals;
   arm.conservation_ok = o.conservation_ok;
-  arm.recovered = arm.ratio >= threshold;
+  arm.recovered = arm.ratio >= kChaosRecoveryThreshold;
   return arm;
 }
 
@@ -285,12 +290,8 @@ ChaosPartitionReport run_chaos_partition_drill(const ChaosFleetConfig& config,
 ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
                                        std::size_t clients_per_dc,
                                        std::uint64_t seed,
-                                       const std::string& grid_script,
-                                       double threshold) {
-  require(threshold > 0.0 && threshold <= 1.0,
-          "chaos recovery threshold must be in (0, 1]");
+                                       const std::string& grid_script) {
   ChaosRecoveryReport rep;
-  rep.threshold = threshold;
   rep.grid_script = grid_script;
 
   const FleetStormConfig base =
@@ -300,10 +301,8 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
   for (const macro::SiteConfig& s : base.sites) names.push_back(s.name);
   const FaultDomainTree tree = make_reference_fault_domains(names);
   const DomainFaultPlan grid = DomainFaultPlan::parse(grid_script);
-  DomainExpansionConfig expansion;
-  expansion.seed = seed;
   const std::vector<FleetDisruption> disruptions =
-      to_fleet_disruptions(expand_to_datacenters(tree, grid, expansion));
+      to_fleet_disruptions(expand_to_datacenters(tree, grid, seed));
 
   const auto run_arm = [&](bool defended) {
     FleetStormConfig c = base;
@@ -311,7 +310,7 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
                          disruptions.end());
     c.grid_broadcasts = defended;
     c.defense.enabled = defended;
-    return summarize_arm(run_fleet_storm(c, kSingleKernel, 1), threshold);
+    return summarize_arm(run_fleet_storm(c, kSingleKernel, 1));
   };
   rep.defended = run_arm(true);
   rep.naive = run_arm(false);

@@ -20,7 +20,7 @@
 //     regional grid event (faults/fault_domain.h expanded onto
 //     FleetDisruptions): the defended arm (admission stack + grid
 //     broadcasts steering forwards away from dark datacenters) must end the
-//     run at >= `threshold` of its pre-fault fleet goodput while the naive
+//     run at >= 99% of its pre-fault fleet goodput while the naive
 //     arm (no defense, blind round-robin forwards) must not.
 //
 // The drive world here is intentionally small — a per-datacenter
@@ -52,15 +52,10 @@ struct ChaosFleetConfig {
   /// horizon so in-flight work (including partition redeliveries) lands.
   double drive_until_s = 40.0;
   double horizon_s = 60.0;
-  /// Uniform inter-datacenter latency floor (the federation lookahead).
-  double lookahead_s = 0.05;
   double arrival_rate_rps = 200.0;  ///< mean arrivals per DC (±20% jitter)
-  double service_rate_rps = 240.0;  ///< per-DC service capacity
   /// Fraction of each epoch's arrivals forwarded to a peer (round-robin
   /// over peers by epoch), as one tagged message carrying the item count.
   double forward_fraction = 0.25;
-  /// Local backlog bound; arrivals beyond it are dropped (and counted).
-  std::uint64_t backlog_cap = 1000000;
   std::uint64_t seed = 1;
 };
 
@@ -128,6 +123,10 @@ ChaosPartitionReport run_chaos_partition_drill(const ChaosFleetConfig& config,
                                                double check_at_s,
                                                double heal_at_s);
 
+/// Fraction of pre-fault fleet goodput an arm must end at to count as
+/// recovered.
+inline constexpr double kChaosRecoveryThreshold = 0.99;
+
 /// Recovery gate: the reference fleet storm under a correlated grid script
 /// (fault_domain text syntax, e.g. "outage:region/americas@30+20"),
 /// expanded onto the reference fault-domain tree for the fleet's site
@@ -145,7 +144,7 @@ struct ChaosRecoveryArm {
 struct ChaosRecoveryReport {
   ChaosRecoveryArm defended;
   ChaosRecoveryArm naive;
-  double threshold = 0.99;
+  double threshold = kChaosRecoveryThreshold;
   std::string grid_script;
   /// Defended recovers to >= threshold of pre-fault fleet goodput AND the
   /// naive arm does not — the gate BENCH_chaos.json enforces.
@@ -154,8 +153,7 @@ struct ChaosRecoveryReport {
 ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
                                        std::size_t clients_per_dc,
                                        std::uint64_t seed,
-                                       const std::string& grid_script,
-                                       double threshold = 0.99);
+                                       const std::string& grid_script);
 
 /// The reference grid script used by `epmctl chaos` and the bench: a
 /// regional outage over the americas (taking out every DC in that region

@@ -27,6 +27,52 @@ constexpr std::uint64_t kCtlFaultTag = 5;
 constexpr std::uint32_t kControlMagic = 0x776c7463;  // "ctlw"
 constexpr std::uint32_t kControlVersion = 1;
 
+/// The drive world. Control ticks every kEpochS up to the last tick
+/// strictly before kDriveUntilS; a message takes at least kLookaheadS.
+/// Lease TTLs and transition staging take the ControllerConfig defaults.
+constexpr double kEpochS = 0.5;
+constexpr double kDriveUntilS = 40.0;
+constexpr double kLookaheadS = 0.05;
+constexpr double kDeadmanTtlS = 4.0;  ///< actuator watchdog
+
+/// Plant: capacity = active servers * kPerServerRps * cap fraction, against
+/// a demand that steps from base to peak at kDemandRiseS, jittered +-10%
+/// uniformly per epoch.
+constexpr std::uint64_t kServersPerDc = 20;
+constexpr double kPerServerRps = 50.0;
+constexpr double kBaseDemandRps = 400.0;
+constexpr double kPeakDemandRps = 900.0;
+constexpr double kDemandRiseS = 20.0;
+constexpr double kDemandJitter = 0.1;
+
+/// Thermal model: temp = setpoint + gain * min(demand/capacity, util cap).
+/// The safe setpoint never alarms even overloaded; the eco setpoint alarms
+/// only when the DC is left in eco under peak demand.
+constexpr double kSafeSetpointC = 22.0;
+constexpr double kEcoSetpointC = 27.0;
+constexpr double kAlarmTempC = 31.0;
+constexpr double kTempUtilGainC = 3.0;
+constexpr double kUtilCap = 1.5;
+
+/// Eco-mode program: enter at kEcoEnterS (cap, setpoint, fleet per DC),
+/// exit at kEcoExitS (fleet, setpoint, cap per DC, rotated to start at DC 1
+/// so DC 0 is still unreached when the reference kill lands).
+constexpr double kEcoCap = 0.7;
+constexpr double kEcoActiveFrac = 0.7;
+constexpr double kEcoEnterS = 6.0;
+constexpr double kEcoExitS = 12.0;
+
+/// Goodput windows: pre-fault = epochs before kPrefaultUntilS, end = the
+/// last kEndWindowS of the drive window.
+constexpr double kPrefaultUntilS = 12.0;
+constexpr double kEndWindowS = 8.0;
+
+static_assert(kEpochS > 0.0 && kLookaheadS > 0.0 && kServersPerDc >= 1 &&
+              kPerServerRps > 0.0 && kEcoCap > 0.0 && kEcoCap <= 1.0 &&
+              kEcoActiveFrac > 0.0 && kEcoActiveFrac <= 1.0 &&
+              kDemandJitter >= 0.0 && kDemandJitter < 1.0 &&
+              kEndWindowS > 0.0 && kEndWindowS <= kDriveUntilS);
+
 /// Controller fault edges delivered into the world clock.
 enum class CtlFaultAction : std::uint64_t {
   kCrash = 0,
@@ -40,20 +86,8 @@ void validate(const ControlChaosConfig& c) {
   require(c.shards == 0 ||
               (c.shards <= c.dcs && c.dcs % c.shards == 0),
           "control chaos: shards must divide dcs");
-  require(c.epoch_s > 0.0, "control chaos: epoch_s must be positive");
-  require(c.lookahead_s > 0.0, "control chaos: lookahead_s must be positive");
-  require(c.drive_until_s > 0.0 && c.drive_until_s <= c.horizon_s,
-          "control chaos: need 0 < drive_until_s <= horizon_s");
-  require(c.lease_ttl_s > 0.0, "control chaos: lease_ttl_s must be positive");
-  require(c.servers_per_dc >= 1 && c.per_server_rps > 0.0,
-          "control chaos: plant needs servers and a service rate");
-  require(c.eco_cap > 0.0 && c.eco_cap <= 1.0 && c.eco_active_frac > 0.0 &&
-              c.eco_active_frac <= 1.0,
-          "control chaos: eco fractions must be in (0, 1]");
-  require(c.demand_jitter >= 0.0 && c.demand_jitter < 1.0,
-          "control chaos: demand_jitter must be in [0, 1)");
-  require(c.end_window_s > 0.0 && c.end_window_s <= c.drive_until_s,
-          "control chaos: end_window_s must be in (0, drive_until_s]");
+  require(kDriveUntilS <= c.horizon_s,
+          "control chaos: horizon_s must reach the last drive tick (40 s)");
 }
 
 std::size_t effective_shards(const ControlChaosConfig& c) {
@@ -61,7 +95,7 @@ std::size_t effective_shards(const ControlChaosConfig& c) {
 }
 
 sim::ShardedConfig make_sharded_config(const ControlChaosConfig& c) {
-  return uniform_federation(effective_shards(c), c.threads, c.lookahead_s);
+  return uniform_federation(effective_shards(c), c.threads, kLookaheadS);
 }
 
 /// The staged eco-mode transition: enter tightens cap, raises the CRAC
@@ -71,22 +105,21 @@ sim::ShardedConfig make_sharded_config(const ControlChaosConfig& c) {
 std::vector<macro::ProgramStep> make_program(const ControlChaosConfig& c) {
   std::vector<macro::ProgramStep> prog;
   const auto n = static_cast<std::uint32_t>(c.dcs);
-  const double eco_servers = std::floor(
-      static_cast<double>(c.servers_per_dc) * c.eco_active_frac);
+  const double eco_servers =
+      std::floor(static_cast<double>(kServersPerDc) * kEcoActiveFrac);
   for (std::uint32_t dc = 0; dc < n; ++dc) {
-    prog.push_back({c.eco_enter_s, dc, macro::ControlOp::kPowerCap, c.eco_cap});
+    prog.push_back({kEcoEnterS, dc, macro::ControlOp::kPowerCap, kEcoCap});
     prog.push_back(
-        {c.eco_enter_s, dc, macro::ControlOp::kCracSetpoint, c.eco_setpoint_c});
-    prog.push_back(
-        {c.eco_enter_s, dc, macro::ControlOp::kFleetActive, eco_servers});
+        {kEcoEnterS, dc, macro::ControlOp::kCracSetpoint, kEcoSetpointC});
+    prog.push_back({kEcoEnterS, dc, macro::ControlOp::kFleetActive, eco_servers});
   }
   for (std::uint32_t k = 0; k < n; ++k) {
     const std::uint32_t dc = (1 + k) % n;
-    prog.push_back({c.eco_exit_s, dc, macro::ControlOp::kFleetActive,
-                    static_cast<double>(c.servers_per_dc)});
+    prog.push_back({kEcoExitS, dc, macro::ControlOp::kFleetActive,
+                    static_cast<double>(kServersPerDc)});
     prog.push_back(
-        {c.eco_exit_s, dc, macro::ControlOp::kCracSetpoint, c.safe_setpoint_c});
-    prog.push_back({c.eco_exit_s, dc, macro::ControlOp::kPowerCap, 1.0});
+        {kEcoExitS, dc, macro::ControlOp::kCracSetpoint, kSafeSetpointC});
+    prog.push_back({kEcoExitS, dc, macro::ControlOp::kPowerCap, 1.0});
   }
   return prog;
 }
@@ -104,7 +137,7 @@ std::vector<ScheduledCtlFault> expand_controller_faults(
     const ControlChaosConfig& c) {
   std::vector<ScheduledCtlFault> out;
   const auto push = [&](std::size_t dc, CtlFaultAction a, double at) {
-    if (at >= 0.0 && at < c.drive_until_s) out.push_back({dc, a, at});
+    if (at >= 0.0 && at < kDriveUntilS) out.push_back({dc, a, at});
   };
   if (!c.controller_faults.empty()) {
     const FaultPlan plan = FaultPlan::parse(c.controller_faults);
@@ -136,10 +169,7 @@ std::vector<ScheduledCtlFault> expand_controller_faults(
     }
     const FaultDomainTree tree = make_reference_fault_domains(names);
     const DomainFaultPlan grid = DomainFaultPlan::parse(c.grid_script);
-    DomainExpansionConfig expansion;
-    expansion.seed = c.seed;
-    for (const ExpandedDcFault& x :
-         expand_to_datacenters(tree, grid, expansion)) {
+    for (const ExpandedDcFault& x : expand_to_datacenters(tree, grid, c.seed)) {
       if (x.kind != GridEventKind::kOutage &&
           x.kind != GridEventKind::kControllerKill) {
         continue;  // price/brownout signals have no control-plane shadow here
@@ -188,9 +218,9 @@ class ControlWorld {
     const std::vector<macro::ProgramStep> program = make_program(config_);
     for (std::size_t d = 0; d < config_.dcs; ++d) {
       Plant& p = plants_[d];
-      p.active_servers = static_cast<double>(config_.servers_per_dc);
+      p.active_servers = static_cast<double>(kServersPerDc);
       p.cap_frac = 1.0;
-      p.setpoint_c = config_.safe_setpoint_c;
+      p.setpoint_c = kSafeSetpointC;
       endpoints_.push_back(std::make_unique<Endpoint>(config_));
       // The actuator plane's applier writes this DC's plant.
       endpoints_.back()->plane.set_applier(
@@ -203,11 +233,8 @@ class ControlWorld {
         macro::ControllerConfig cc;
         cc.lease.replicas = config_.replicated ? config_.dcs : 1;
         cc.lease.id = config_.replicated ? d : 0;
-        cc.lease.ttl_s = config_.lease_ttl_s;
-        cc.lease.ttl_stagger_s = config_.lease_ttl_stagger_s;
         cc.lease.initial_leader = 0;
         cc.datacenters = config_.dcs;
-        cc.max_steps_per_tick = config_.max_steps_per_tick;
         replicas_.push_back(
             std::make_unique<macro::ControllerReplica>(cc, program));
       } else {
@@ -420,7 +447,7 @@ class ControlWorld {
   struct Endpoint {
     explicit Endpoint(const ControlChaosConfig& c)
         : ledger(c.fencing),
-          deadman(c.deadman ? c.deadman_ttl_s : 0.0),
+          deadman(c.deadman ? kDeadmanTtlS : 0.0),
           plane(sensing::ActuatorPlaneConfig{}) {
       plane.set_fencing(&ledger);
     }
@@ -444,8 +471,7 @@ class ControlWorld {
              std::uint64_t tag, sim::TagPayload payload) {
     ++sent_per_shard_[shard_of(src_dc)];
     const double delay =
-        config_.lookahead_s *
-        (1.0 + static_cast<double>(src_dc + 1) * 0x1.0p-20);
+        kLookaheadS * (1.0 + static_cast<double>(src_dc + 1) * 0x1.0p-20);
     const std::size_t ss = shard_of(src_dc);
     const std::size_t ds = shard_of(dst_dc);
     if (ss == ds) {
@@ -465,8 +491,8 @@ class ControlWorld {
         p.setpoint_c = c.value;
         break;
       case sensing::CommandKind::kFleetSize:
-        p.active_servers = std::clamp(
-            c.value, 0.0, static_cast<double>(config_.servers_per_dc));
+        p.active_servers =
+            std::clamp(c.value, 0.0, static_cast<double>(kServersPerDc));
         break;
       case sensing::CommandKind::kConsolidation:
         p.paused = c.value != 0.0;
@@ -481,8 +507,8 @@ class ControlWorld {
   void apply_safe_state(std::size_t d) {
     Plant& p = plants_[d];
     p.cap_frac = 1.0;
-    p.setpoint_c = config_.safe_setpoint_c;
-    p.active_servers = static_cast<double>(config_.servers_per_dc);
+    p.setpoint_c = kSafeSetpointC;
+    p.active_servers = static_cast<double>(kServersPerDc);
     p.paused = true;
   }
 
@@ -521,33 +547,28 @@ class ControlWorld {
     Plant& p = plants_[d];
     ++p.epochs;
     const double u = epoch_uniform(config_.seed, d, p.rng_ctr++);
-    const double base = now < config_.demand_rise_s ? config_.base_demand_rps
-                                                    : config_.peak_demand_rps;
+    const double base = now < kDemandRiseS ? kBaseDemandRps : kPeakDemandRps;
     const double demand =
-        base * (1.0 - config_.demand_jitter + 2.0 * config_.demand_jitter * u);
-    const double capacity =
-        p.active_servers * config_.per_server_rps * p.cap_frac;
+        base * (1.0 - kDemandJitter + 2.0 * kDemandJitter * u);
+    const double capacity = p.active_servers * kPerServerRps * p.cap_frac;
     const double served = std::min(demand, capacity);
-    const double util =
-        capacity > 0.0 ? demand / capacity : config_.util_cap;
-    const double temp =
-        p.setpoint_c +
-        config_.temp_util_gain_c * std::min(util, config_.util_cap);
+    const double util = capacity > 0.0 ? demand / capacity : kUtilCap;
+    const double temp = p.setpoint_c + kTempUtilGainC * std::min(util, kUtilCap);
     p.demand_total += demand;
     p.served_total += served;
     if (served < demand - 1e-9) ++p.sla_violation_epochs;
-    if (temp > config_.alarm_temp_c) ++p.thermal_alarm_epochs;
+    if (temp > kAlarmTempC) ++p.thermal_alarm_epochs;
     p.max_temp_c = std::max(p.max_temp_c, temp);
-    if (now < config_.prefault_until_s) {
+    if (now < kPrefaultUntilS) {
       p.prefault_demand += demand;
       p.prefault_served += served;
     }
-    if (now >= config_.drive_until_s - config_.end_window_s) {
+    if (now >= kDriveUntilS - kEndWindowS) {
       p.end_demand += demand;
       p.end_served += served;
     }
-    const double next = now + config_.epoch_s;
-    if (next < config_.drive_until_s) {
+    const double next = now + kEpochS;
+    if (next < kDriveUntilS) {
       shards_[shard_of(d)].schedule_tagged_at(
           next, kDriveTag, {static_cast<std::uint64_t>(d)});
     }

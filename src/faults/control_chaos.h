@@ -53,43 +53,9 @@ struct ControlChaosConfig {
   std::size_t dcs = 4;     ///< datacenters (leader-kill drills need >= 3)
   std::size_t shards = 0;  ///< federation shards; 0 = one per DC (must divide dcs)
   std::size_t threads = 1;
-  double epoch_s = 0.5;         ///< control tick
-  double drive_until_s = 40.0;  ///< last tick strictly before this
-  double horizon_s = 42.0;      ///< slack so in-flight messages land
-  double lookahead_s = 0.05;
-
-  /// Lease failure detection (staggered per replica id) and the actuator
-  /// watchdog. deadman_ttl_s <= 0 disables the safe-state switch.
-  double lease_ttl_s = 2.0;
-  double lease_ttl_stagger_s = 0.5;
-  double deadman_ttl_s = 4.0;
-  std::uint64_t max_steps_per_tick = 2;  ///< transition staging width
-
-  /// Plant: capacity = active_servers * per_server_rps * cap_fraction.
-  std::uint64_t servers_per_dc = 20;
-  double per_server_rps = 50.0;
-  double base_demand_rps = 400.0;
-  double peak_demand_rps = 900.0;
-  double demand_rise_s = 20.0;
-  double demand_jitter = 0.1;  ///< per-epoch uniform +-10%
-
-  /// Thermal model: temp = setpoint + gain * min(demand/capacity, util_cap).
-  /// Safe setpoint never alarms even overloaded; eco setpoint alarms only
-  /// when the DC is left in eco under peak demand.
-  double safe_setpoint_c = 22.0;
-  double eco_setpoint_c = 27.0;
-  double alarm_temp_c = 31.0;
-  double temp_util_gain_c = 3.0;
-  double util_cap = 1.5;
-
-  /// Eco-mode transition program: enter at eco_enter_s (cap, setpoint,
-  /// fleet per DC), exit at eco_exit_s (fleet, setpoint, cap per DC,
-  /// rotated to start at DC 1 so DC 0 is still unreached when the
-  /// reference kill lands).
-  double eco_cap = 0.7;
-  double eco_active_frac = 0.7;
-  double eco_enter_s = 6.0;
-  double eco_exit_s = 12.0;
+  /// At least the last drive tick (40 s), with slack so in-flight
+  /// messages land.
+  double horizon_s = 42.0;
 
   /// Arms: replicated = one controller replica per DC (false: single
   /// controller at DC 0); fencing = actuator ledgers enforce; deadman =
@@ -106,11 +72,6 @@ struct ControlChaosConfig {
   /// co-located with the target's datacenters (capacity is untouched —
   /// this world models the control-plane shadow of a grid event).
   std::string grid_script;
-
-  /// Goodput windows: pre-fault = epochs before prefault_until_s, end =
-  /// the last end_window_s of the drive window.
-  double prefault_until_s = 12.0;
-  double end_window_s = 8.0;
   std::uint64_t seed = 7;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/require.h"
 #include "core/rng.h"
 
 namespace epm::faults {
@@ -85,7 +86,8 @@ RecoveryScan scan_recovery(const RecoveryCriteria& c,
       (1.0 - c.sla_fraction) * scan.prefault_goodput_rps;
 
   const std::size_t clear_epoch = std::min(
-      epochs, static_cast<std::size_t>(std::ceil(c.clear_s / c.epoch_s)));
+      epochs, checked_count(std::ceil(c.clear_s / c.epoch_s),
+                            "recovery scan: clear / epoch"));
   std::size_t healthy_run = 0;
   for (std::size_t e = clear_epoch; e < epochs && !scan.recovered; ++e) {
     const bool healthy =

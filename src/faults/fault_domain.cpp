@@ -52,23 +52,13 @@ void validate_event(const DomainFault& event) {
   }
 }
 
-/// Uniform [0, 1) draw keyed by (seed, event, dc, which): counter-mode
-/// SplitMix64, so every (event, dc) pair owns an independent stream and
-/// adding events or datacenters never perturbs the others.
+/// Uniform [0, 1) draw keyed by (seed, event, dc, which), so every (event,
+/// dc) pair owns an independent stream and adding events or datacenters
+/// never perturbs the others.
 double stagger_u(std::uint64_t seed, std::size_t event, std::size_t dc,
                  std::uint64_t which) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  fold(seed);
-  fold(static_cast<std::uint64_t>(event));
-  fold(static_cast<std::uint64_t>(dc));
-  fold(which);
-  return static_cast<double>(SplitMix64::mix(h) >> 11) * 0x1.0p-53;
+  return keyed_uniform({seed, static_cast<std::uint64_t>(event),
+                        static_cast<std::uint64_t>(dc), which});
 }
 
 }  // namespace
@@ -323,13 +313,8 @@ std::string DomainFaultPlan::to_string() const {
 
 std::vector<ExpandedDcFault> expand_to_datacenters(
     const FaultDomainTree& tree, const DomainFaultPlan& plan,
-    const DomainExpansionConfig& config) {
-  require(config.onset_stagger_s >= 0.0 &&
-              std::isfinite(config.onset_stagger_s),
-          "DomainExpansionConfig: onset stagger must be finite and >= 0");
-  require(config.clear_stagger_s >= 0.0 &&
-              std::isfinite(config.clear_stagger_s),
-          "DomainExpansionConfig: clear stagger must be finite and >= 0");
+    std::uint64_t seed) {
+  static_assert(kDomainOnsetStaggerS >= 0.0 && kDomainClearStaggerS >= 0.0);
   std::vector<ExpandedDcFault> out;
   for (std::size_t e = 0; e < plan.events().size(); ++e) {
     const DomainFault& event = plan.events()[e];
@@ -342,9 +327,9 @@ std::vector<ExpandedDcFault> expand_to_datacenters(
       x.severity = event.severity;
       x.source_event = e;
       x.onset_s = event.start_s +
-                  config.onset_stagger_s * stagger_u(config.seed, e, dc, 0);
+                  kDomainOnsetStaggerS * stagger_u(seed, e, dc, 0);
       x.clear_s = event.end_s() +
-                  config.clear_stagger_s * stagger_u(config.seed, e, dc, 1);
+                  kDomainClearStaggerS * stagger_u(seed, e, dc, 1);
       out.push_back(std::move(x));
     }
   }

@@ -159,15 +159,12 @@ class DomainFaultPlan {
   std::vector<DomainFault> events_;
 };
 
-struct DomainExpansionConfig {
-  /// Max per-datacenter onset delay after the scripted start (uniform
-  /// jitter): correlated, not lockstep.
-  double onset_stagger_s = 0.5;
-  /// Max per-datacenter extra recovery time after the scripted end —
-  /// restoration is raggeder than failure.
-  double clear_stagger_s = 2.0;
-  std::uint64_t seed = 1;
-};
+/// Max per-datacenter onset delay after the scripted start (uniform
+/// jitter): correlated, not lockstep.
+inline constexpr double kDomainOnsetStaggerS = 0.5;
+/// Max per-datacenter extra recovery time after the scripted end —
+/// restoration is raggeder than failure.
+inline constexpr double kDomainClearStaggerS = 2.0;
 
 /// One datacenter's share of a scripted grid event.
 struct ExpandedDcFault {
@@ -181,11 +178,12 @@ struct ExpandedDcFault {
 };
 
 /// Fans every scripted event out to the datacenters under its target, with
-/// deterministic jittered onset/clear staggers. Unknown target names throw
-/// the resolve() diagnostic. Result is sorted by (onset, dc, source_event).
+/// deterministic jittered onset/clear staggers drawn from `seed`. Unknown
+/// target names throw the resolve() diagnostic. Result is sorted by (onset,
+/// dc, source_event).
 std::vector<ExpandedDcFault> expand_to_datacenters(
     const FaultDomainTree& tree, const DomainFaultPlan& plan,
-    const DomainExpansionConfig& config);
+    std::uint64_t seed);
 
 /// Containment tree for the reference fleet (macro::make_reference_fleet_
 /// sites): regions americas {pnw, virginia, saopaulo}, emea {ireland},

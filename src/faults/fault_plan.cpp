@@ -1,6 +1,7 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -256,28 +257,16 @@ std::string FaultPlan::to_string() const {
 }
 
 std::uint64_t FaultPlan::fingerprint() const {
-  // FNV-1a over every event field (doubles bit-cast through their IEEE
-  // representation), order-sensitive because events_ is canonically sorted.
-  auto mix = [](std::uint64_t hash, std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xffU;
-      hash *= 0x100000001b3ULL;
-    }
-    return hash;
-  };
-  auto bits = [](double value) {
-    std::uint64_t out;
-    static_assert(sizeof(out) == sizeof(value));
-    __builtin_memcpy(&out, &value, sizeof(out));
-    return out;
-  };
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  // FNV-1a over every event field (doubles by their IEEE bit pattern),
+  // order-sensitive because events_ is canonically sorted.
+  std::uint64_t hash = fnv1a({});
   for (const auto& event : events_) {
-    hash = mix(hash, static_cast<std::uint64_t>(event.type));
-    hash = mix(hash, bits(event.start_s));
-    hash = mix(hash, bits(event.duration_s));
-    hash = mix(hash, static_cast<std::uint64_t>(event.target));
-    hash = mix(hash, bits(event.severity));
+    hash = fnv1a({static_cast<std::uint64_t>(event.type),
+                  std::bit_cast<std::uint64_t>(event.start_s),
+                  std::bit_cast<std::uint64_t>(event.duration_s),
+                  static_cast<std::uint64_t>(event.target),
+                  std::bit_cast<std::uint64_t>(event.severity)},
+                 hash);
   }
   return hash;
 }

@@ -101,7 +101,8 @@ class FleetWorld {
             "count (contiguous groups)");
 
     dt_ = config.epoch_s;
-    epochs_ = static_cast<std::size_t>(std::ceil(config.horizon_s / dt_));
+    epochs_ = checked_count(std::ceil(config.horizon_s / dt_),
+                            "FleetStorm: horizon / epoch");
     // The pre-fault window ends at the FIRST disturbance; recovery is
     // judged from the LAST clear.
     double first_start_s = config.disruptions.front().start_s;
@@ -109,7 +110,8 @@ class FleetWorld {
       first_start_s = std::min(first_start_s, dis.start_s);
       last_clear_s_ = std::max(last_clear_s_, dis.end_s());
     }
-    outage_start_epoch_ = static_cast<std::size_t>(first_start_s / dt_);
+    outage_start_epoch_ =
+        checked_count(first_start_s / dt_, "FleetStorm: first start / epoch");
     require(outage_start_epoch_ / 2 + config.recovery_window_epochs <=
                 outage_start_epoch_,
             "FleetStorm: outage starts too early for a pre-fault SLA window");

@@ -4,13 +4,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/require.h"
 #include "faults/storm_dc.h"
 #include "macro/decision_log.h"
 #include "sensing/channels.h"
+#include "sensing/estimator.h"
+#include "sensing/invariants.h"
+#include "sensing/sensor_plane.h"
 #include "sensing/telemetry_feed.h"
 #include "sim/event_fn.h"
 #include "sim/sharded_simulator.h"
@@ -45,8 +47,9 @@ class RetryStormEngine {
       : config_(config),
         dc_(config.clients, config.defense, config.naive_queue_capacity),
         policy_(config.policy, /*service_count=*/2, &log_),
-        estimator_(config.estimator),
-        monitor_(config.invariants) {
+        sensors_(sensing::SensorPlaneConfig{}),
+        estimator_(sensing::EstimatorConfig{}),
+        monitor_(sensing::InvariantMonitorConfig{}) {
     require(config.epoch_s > 0.0, "RetryStorm: epoch must be positive");
     require(config.service_capacity_rps > 0.0,
             "RetryStorm: service capacity must be positive");
@@ -64,17 +67,14 @@ class RetryStormEngine {
     require(config.recovery_window_epochs >= 1,
             "RetryStorm: recovery window must be at least one epoch");
     dt_ = config.epoch_s;
-    epochs_ = static_cast<std::size_t>(std::ceil(config.horizon_s / dt_));
+    epochs_ = checked_count(std::ceil(config.horizon_s / dt_),
+                            "RetryStorm: horizon / epoch");
     const auto window = config.recovery_window_epochs;
-    outage_start_epoch_ =
-        static_cast<std::size_t>(config.outage_start_s / dt_);
+    outage_start_epoch_ = checked_count(config.outage_start_s / dt_,
+                                        "RetryStorm: outage start / epoch");
     require(outage_start_epoch_ / 2 + window <= outage_start_epoch_,
             "RetryStorm: outage starts too early for a pre-fault SLA window");
     outage_end_s_ = config.outage_start_s + config.outage_duration_s;
-
-    sensing::SensorPlaneConfig sensor_config = config.sensors;
-    sensor_config.fault_domains = 1;
-    sensors_.emplace(sensor_config);
 
     interactive_capacity_rps_ =
         config.service_capacity_rps - config.batch_rps;
@@ -176,13 +176,13 @@ class RetryStormEngine {
         config_.defense.enabled &&
         dc_.breaker.state() != cluster::BreakerState::kClosed;
     {
-      const auto readings = sensors_->sample(shed_channel_, shed_rps, t1);
+      const auto readings = sensors_.sample(shed_channel_, shed_rps, t1);
       feed_.publish(shed_key_, readings, t1);
       signal.shed_rate_per_s =
           estimator_.update(shed_channel_, readings, t1).value;
     }
     {
-      const auto readings = sensors_->sample(retry_channel_, retry_rps, t1);
+      const auto readings = sensors_.sample(retry_channel_, retry_rps, t1);
       feed_.publish(retry_key_, readings, t1);
       signal.retry_rate_per_s =
           estimator_.update(retry_channel_, readings, t1).value;
@@ -242,7 +242,9 @@ class RetryStormEngine {
   StormDc<Population> dc_;
   macro::DecisionLog log_;
   macro::DegradationPolicy policy_;
-  std::optional<sensing::SensorPlane> sensors_;
+  /// Exact single sensors in one fault domain for the shed/retry channels,
+  /// read raw.
+  sensing::SensorPlane sensors_;
   sensing::ValidatedEstimator estimator_;
   sensing::InvariantMonitor monitor_;
   telemetry::TelemetryStore telemetry_;

@@ -27,9 +27,6 @@
 
 #include "cluster/admission.h"
 #include "macro/degradation.h"
-#include "sensing/estimator.h"
-#include "sensing/invariants.h"
-#include "sensing/sensor_plane.h"
 #include "workload/client_population.h"
 
 namespace epm::sim {
@@ -72,10 +69,6 @@ struct RetryStormConfig {
   /// Consecutive healthy epochs required to declare recovery; also the
   /// trailing window for the end-of-run metastability verdict.
   std::size_t recovery_window_epochs = 30;
-  /// Sensing plane for the shed/retry telemetry channels.
-  sensing::SensorPlaneConfig sensors;
-  sensing::EstimatorConfig estimator;
-  sensing::InvariantMonitorConfig invariants;
 };
 
 struct RetryStormOutcome {

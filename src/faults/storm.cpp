@@ -6,12 +6,25 @@
 #include "core/require.h"
 #include "faults/injector.h"
 #include "macro/coordinator.h"
+#include "sensing/actuator_plane.h"
+#include "sensing/estimator.h"
+#include "sensing/invariants.h"
+#include "sensing/sensor_plane.h"
 #include "sensing/telemetry_feed.h"
 #include "sim/simulator.h"
 #include "telemetry/store.h"
 
 namespace epm::faults {
 namespace {
+
+constexpr double kOutsideC = 28.0;
+/// Zone temperature at which servers protectively trip: the facility serves
+/// nothing until the room has stayed cool for kTripLockoutEpochs.
+constexpr double kThermalTripC = 34.0;
+constexpr std::size_t kTripLockoutEpochs = 5;
+/// Provisioning headroom: fleet sized for demand / (max_util / headroom).
+constexpr double kProvisionHeadroom = 1.1;
+static_assert(kProvisionHeadroom >= 1.0);
 
 /// The active fault set folded into per-layer effect magnitudes. All
 /// aggregates are additive (sums / counts), so applying the same edges in
@@ -74,8 +87,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   require(!config.facility.services.empty(), "Storm: facility has no services");
   require(config.demand_rps.size() == config.facility.services.size(),
           "Storm: demand_rps must cover every service");
-  require(config.horizon_s > 0.0, "Storm: horizon must be positive");
-  require(config.provision_headroom >= 1.0, "Storm: headroom below 1");
+  const std::size_t epochs = storm_epochs(config);
 
   macro::Facility facility(config.facility);
   const std::size_t services = facility.service_count();
@@ -92,19 +104,20 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
     return state.apply(event, onset);
   });
 
-  // Sensing plane: service channels in per-service fault domains, plant
-  // channels (IT power) in the final domain.
-  sensing::SensorPlaneConfig sensor_config = config.sensors;
+  // Sensing plane: exact single sensors, service channels in per-service
+  // fault domains, plant channels (IT power) in the final domain, read raw.
+  sensing::SensorPlaneConfig sensor_config;
   sensor_config.fault_domains = static_cast<std::uint32_t>(services) + 1;
   sensing::SensorPlane sensors(sensor_config);
-  sensing::ValidatedEstimator estimator(config.estimator);
+  sensing::ValidatedEstimator estimator(sensing::EstimatorConfig{});
   injector.subscribe([&sensors](const FaultEvent& event, bool onset,
                                 double now_s) {
     return sensors.on_fault(event, onset, now_s);
   });
 
+  // Single-attempt actuation, infallible without kActuatorFail faults.
   macro::DecisionLog log;
-  sensing::ActuatorPlane actuators(config.actuators);
+  sensing::ActuatorPlane actuators(sensing::ActuatorPlaneConfig{});
   injector.subscribe([&actuators](const FaultEvent& event, bool onset,
                                   double now_s) {
     return actuators.on_fault(event, onset, now_s);
@@ -126,7 +139,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   }
   injector.arm();
 
-  sensing::InvariantMonitor monitor(config.invariants);
+  sensing::InvariantMonitor monitor(sensing::InvariantMonitorConfig{});
   facility.attach_invariant_monitor(&monitor);
 
   power::UpsBattery battery(config.battery);
@@ -155,8 +168,6 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   }
   std::size_t lockout_left = 0;
 
-  const auto epochs =
-      static_cast<std::size_t>(std::ceil(config.horizon_s / epoch_s));
   for (std::size_t e = 0; e < epochs; ++e) {
     const double t0 = static_cast<double>(e) * epoch_s;
     sim.run_until(t0);
@@ -232,7 +243,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
             model.relative_capacity(pstate) /
             facility.request_model(s).config().mean_service_demand_s;
         const double util_target =
-            cl.config().max_utilization / config.provision_headroom;
+            cl.config().max_utilization / kProvisionHeadroom;
         target = static_cast<std::size_t>(
             std::ceil(local[s] / (per_server_rps * util_target)));
         target = std::min(std::max<std::size_t>(target, 1), cl.available_count());
@@ -247,7 +258,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
     }
 
     // 6. Advance the cyber-physical plant one epoch.
-    const auto step = facility.step(local, config.outside_c);
+    const auto step = facility.step(local, kOutsideC);
 
     // 7. UPS energy flow.
     if (state.outage_active > 0) {
@@ -261,8 +272,8 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
     monitor.check_scalar("soc-bounds", battery.state_of_charge(), 0.0, 1.0, t0);
 
     // 8. Thermal protective trip.
-    if (step.max_zone_temp_c > config.thermal_trip_c) {
-      lockout_left = config.trip_lockout_epochs;
+    if (step.max_zone_temp_c > kThermalTripC) {
+      lockout_left = kTripLockoutEpochs;
     } else if (lockout_left > 0) {
       --lockout_left;
     }
@@ -338,6 +349,12 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   out.invariant_report = monitor.report();
   out.decision_counts = log.counts_by_kind();
   return out;
+}
+
+std::size_t storm_epochs(const StormConfig& config) {
+  require(config.horizon_s > 0.0, "Storm: horizon must be positive");
+  return checked_count(std::ceil(config.horizon_s / config.facility.epoch_s),
+                       "Storm: horizon / epoch");
 }
 
 StormConfig make_reference_storm_config(std::size_t servers_per_service) {

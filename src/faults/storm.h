@@ -22,10 +22,6 @@
 #include "macro/degradation.h"
 #include "macro/facility.h"
 #include "power/ups.h"
-#include "sensing/actuator_plane.h"
-#include "sensing/estimator.h"
-#include "sensing/invariants.h"
-#include "sensing/sensor_plane.h"
 
 namespace epm::faults {
 
@@ -35,27 +31,10 @@ struct StormConfig {
   /// service; surges multiply it.
   std::vector<double> demand_rps;
   double horizon_s = 6.0 * 3600.0;
-  double outside_c = 28.0;
   /// false = uncoordinated baseline: same provisioning, no fault reaction.
   bool policy_enabled = true;
   macro::DegradationPolicyConfig policy;
   power::UpsBatteryConfig battery;
-  /// Zone temperature at which servers protectively trip: the facility
-  /// serves nothing until the room has stayed cool for trip_lockout_epochs.
-  double thermal_trip_c = 34.0;
-  std::size_t trip_lockout_epochs = 5;
-  /// Provisioning headroom: fleet sized for demand / (max_util / headroom).
-  double provision_headroom = 1.1;
-  /// Sensing plane for telemetry and the policy's IT-power estimate
-  /// (fault_domains is overridden to service_count + 1 by the runner).
-  sensing::SensorPlaneConfig sensors;
-  /// Estimation applied to sensed channels; default raw passthrough.
-  sensing::EstimatorConfig estimator;
-  /// Actuation plane for setpoints, P-states, and provisioning commands;
-  /// default single-attempt, infallible without kActuatorFail faults.
-  sensing::ActuatorPlaneConfig actuators;
-  /// Per-epoch invariant checking of the facility state and UPS SoC.
-  sensing::InvariantMonitorConfig invariants;
 };
 
 struct StormOutcome {
@@ -100,6 +79,10 @@ struct StormOutcome {
 };
 
 StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan);
+
+/// The epochs run_fault_storm runs, ceil(horizon / facility epoch); throws
+/// std::invalid_argument where it would refuse the horizon.
+std::size_t storm_epochs(const StormConfig& config);
 
 /// StormConfig for the reference two-service facility with a UPS battery
 /// deliberately sized so an unmanaged full-draw fleet cannot ride through

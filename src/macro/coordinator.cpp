@@ -6,22 +6,32 @@
 
 #include "core/require.h"
 #include "core/table.h"
+#include "macro/joint_policy.h"
 #include "macro/risk.h"
 #include "power/capping.h"
 
 namespace epm::macro {
+
+/// Coordination cadence in epochs (decisions are slower than epochs, as
+/// Fig. 4's "time scale of demand variations" suggests).
+constexpr std::size_t kCoordinateEveryEpochs = 5;
+/// Safety margin in residual sigmas added to demand predictions.
+constexpr double kDemandMarginSigmas = 1.5;
+/// Keep predicted zone steady-state this far below the alarm threshold.
+constexpr double kZoneMarginC = 3.0;
+/// Shift load out of a zone only when it gets this close to its alarm
+/// threshold. Smaller than kZoneMarginC, otherwise placement churns against
+/// the cooling controller's own (efficient) operating point at exactly
+/// alarm - kZoneMarginC.
+constexpr double kPlacementTriggerMarginC = 1.0;
+static_assert(kCoordinateEveryEpochs >= 1 && kPlacementTriggerMarginC >= 0.0 &&
+              kPlacementTriggerMarginC <= kZoneMarginC);
 
 MacroResourceManager::MacroResourceManager(Facility& facility,
                                            MacroManagerConfig config,
                                            sensing::SensorPlane* sensors,
                                            sensing::ActuatorPlane* actuators)
     : facility_(facility), config_(config), estimator_(config.estimator) {
-  require(config_.coordinate_every_epochs >= 1,
-          "MacroResourceManager: coordination cadence must be >= 1 epoch");
-  require(config_.zone_margin_c >= 0.0, "MacroResourceManager: negative zone margin");
-  require(config_.placement_trigger_margin_c >= 0.0 &&
-              config_.placement_trigger_margin_c <= config_.zone_margin_c,
-          "MacroResourceManager: placement trigger must be within the zone margin");
   if (sensors == nullptr) {
     // Exact plane: one sensor per channel, no noise, no quantization.
     sensing::SensorPlaneConfig exact;
@@ -38,14 +48,13 @@ MacroResourceManager::MacroResourceManager(Facility& facility,
   sensors_ = sensors;
   actuators_ = actuators;
   actuators_->set_applier([this](const sensing::ActuatorCommand& command) {
-    return apply_actuator_command(facility_, command,
-                                  config_.use_sleep_states);
+    return apply_actuator_command(facility_, command, /*use_sleep_states=*/true);
   });
   actuators_->set_logger([this](double now_s, const std::string& text) {
     log_.record({now_s, DecisionKind::kActuation, "", text});
   });
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
-    predictors_.emplace_back(config_.predictor);
+    predictors_.emplace_back(onoff::SeasonalPredictorConfig{});
     last_arrival_rate_.push_back(0.0);
     // Until the first epoch reports a real service demand, assume the
     // RequestModel default (10 ms per request).
@@ -108,7 +117,7 @@ void MacroResourceManager::issue(sensing::CommandKind kind, std::size_t target,
 FacilityStep MacroResourceManager::step(const std::vector<double>& demand_per_service,
                                         double outside_c) {
   actuators_->tick(facility_.now_s());
-  if (epoch_count_ % config_.coordinate_every_epochs == 0) coordinate();
+  if (epoch_count_ % kCoordinateEveryEpochs == 0) coordinate();
   ++epoch_count_;
 
   FacilityStep result = facility_.step(demand_per_service, outside_c);
@@ -137,8 +146,7 @@ void MacroResourceManager::coordinate() {
   // Stale sensing buys wider safety margins: the multiplier is exactly 1
   // at age 0, so fresh data reproduces the unwidened decisions bit-for-bit.
   const double demand_margin_sigmas =
-      config_.demand_margin_sigmas *
-      estimator_.margin_multiplier(max_estimate_age_s_);
+      kDemandMarginSigmas * estimator_.margin_multiplier(max_estimate_age_s_);
 
   // --- 1+2: joint fleet sizing + DVFS per service, from predicted demand.
   double predicted_it_power = 0.0;
@@ -163,7 +171,7 @@ void MacroResourceManager::coordinate() {
     const auto decision = decide_joint(
         model, svc.server_count(), svc.committed_count(), predicted,
         last_service_demand_s_[i], svc.config().sla.target_mean_response_s,
-        config_.joint);
+        JointPolicyConfig{});
     issue(sensing::CommandKind::kFleetSize, i,
           static_cast<double>(decision.servers));
     issue(sensing::CommandKind::kPstate, i,
@@ -230,7 +238,7 @@ void MacroResourceManager::coordinate() {
     zone_age_s = std::max(zone_age_s, est.age_s);
   }
   const double zone_margin_c =
-      config_.zone_margin_c * estimator_.margin_multiplier(zone_age_s);
+      kZoneMarginC * estimator_.margin_multiplier(zone_age_s);
   std::vector<double> zone_heat(room.zone_count(), 0.0);
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
     const auto& share = facility_.zone_share(i);
@@ -294,7 +302,7 @@ void MacroResourceManager::coordinate() {
   for (std::size_t z = 0; z < room.zone_count(); ++z) {
     const auto& zone = room.zone(z);
     if (zone_temp_est[z] <=
-        zone.config().alarm_temp_c - config_.placement_trigger_margin_c) {
+        zone.config().alarm_temp_c - kPlacementTriggerMarginC) {
       continue;
     }
     // Move 20% of every service's share out of the hot zone, spread evenly.

@@ -25,7 +25,6 @@
 
 #include "macro/decision_log.h"
 #include "macro/facility.h"
-#include "macro/joint_policy.h"
 #include "onoff/predictor.h"
 #include "sensing/actuator_plane.h"
 #include "sensing/estimator.h"
@@ -34,25 +33,8 @@
 namespace epm::macro {
 
 struct MacroManagerConfig {
-  JointPolicyConfig joint;
-  onoff::SeasonalPredictorConfig predictor;
-  /// Coordination cadence in epochs (decisions are slower than epochs, as
-  /// Fig. 4's "time scale of demand variations" suggests).
-  std::size_t coordinate_every_epochs = 5;
-  /// Safety margin in residual sigmas added to demand predictions.
-  double demand_margin_sigmas = 1.5;
-  /// Keep predicted zone steady-state this far below the alarm threshold.
-  double zone_margin_c = 3.0;
-  /// Shift load out of a zone only when it gets this close to its alarm
-  /// threshold. Must be smaller than zone_margin_c, otherwise placement
-  /// churns against the cooling controller's own (efficient) operating
-  /// point at exactly alarm - zone_margin_c.
-  double placement_trigger_margin_c = 1.0;
   /// Facility power budget; 0 = the UPS capacity from the topology.
   double power_budget_w = 0.0;
-  /// Estimated mechanical fraction used when budgeting (before the plant
-  /// reacts); the critical budget is what the UPS actually limits.
-  bool use_sleep_states = true;
   /// Validation/estimation applied to every sensed channel. The default is
   /// an exact raw passthrough, so the manager's decisions are bit-identical
   /// to direct ground-truth reads until hardening is enabled.

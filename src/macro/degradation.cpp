@@ -6,6 +6,10 @@
 
 namespace epm::macro {
 
+/// Interactive demand evacuated to peer sites during a region emergency: a
+/// regional grid loss darkens every nearby site too, so all of it.
+constexpr double kRegionLossRerouteFraction = 1.0;
+
 DegradationPolicy::DegradationPolicy(DegradationPolicyConfig config,
                                      std::size_t service_count,
                                      DecisionLog* log)
@@ -26,9 +30,6 @@ DegradationPolicy::DegradationPolicy(DegradationPolicyConfig config,
           "DegradationPolicy: overload shed fraction outside [0,1]");
   require(config_.overload_min_shed_rate_per_s >= 0.0,
           "DegradationPolicy: overload shed-rate threshold must be >= 0");
-  require(config_.region_loss_reroute_fraction >= 0.0 &&
-              config_.region_loss_reroute_fraction <= 1.0,
-          "DegradationPolicy: region-loss reroute fraction outside [0,1]");
 }
 
 void DegradationPolicy::observe_overload(const OverloadSignal& signal,
@@ -113,14 +114,13 @@ DegradationAction DegradationPolicy::react(double now_s,
   action.power_emergency =
       active_[static_cast<std::size_t>(faults::FaultType::kUtilityOutage)] > 0;
   action.cooling_emergency = cooling_loss_ > 0.0;
-  action.consolidation_paused =
-      config_.pause_consolidation && any_fault_active();
+  action.consolidation_paused = any_fault_active();
 
   // Power emergency with an insufficient UPS window: shed the latency-
   // tolerant tier, push interactive traffic to a peer site, throttle, and
   // back off the cooling effort — every watt extends the window.
   const bool shedding = action.power_emergency &&
-                        battery_ride_through_s < config_.required_ride_through_s;
+                        battery_ride_through_s < kRequiredRideThroughS;
   if (shedding) {
     action.shed_scale[config_.low_tier_service] = config_.low_tier_shed_fraction;
     for (std::size_t s = 0; s < service_count_; ++s) {
@@ -129,7 +129,7 @@ DegradationAction DegradationPolicy::react(double now_s,
       }
     }
     action.throttle = config_.throttle_on_power_emergency;
-    action.setpoint_delta_c = config_.setpoint_raise_c;
+    action.setpoint_delta_c = kSetpointRaiseC;
   }
 
   // Cooling emergency: shed low-tier heat in proportion to the lost cooling
@@ -141,7 +141,7 @@ DegradationAction DegradationPolicy::react(double now_s,
     // Combine with any power-emergency shed multiplicatively so the result
     // stays a fraction and grows monotonically with either emergency.
     low = 1.0 - (1.0 - low) * (1.0 - shed);
-    action.healthy_setpoint_delta_c = -config_.setpoint_drop_c * loss;
+    action.healthy_setpoint_delta_c = -kSetpointDropC * loss;
   }
 
   // Region emergency: every nearby site shares the lost grid feed, so the
@@ -155,13 +155,12 @@ DegradationAction DegradationPolicy::react(double now_s,
     action.shed_scale[config_.low_tier_service] = 1.0;
     for (std::size_t s = 0; s < service_count_; ++s) {
       if (s != config_.low_tier_service) {
-        action.reroute_scale[s] = std::max(
-            action.reroute_scale[s], config_.region_loss_reroute_fraction);
+        action.reroute_scale[s] =
+            std::max(action.reroute_scale[s], kRegionLossRerouteFraction);
       }
     }
     action.throttle = config_.throttle_on_power_emergency;
-    action.setpoint_delta_c =
-        std::max(action.setpoint_delta_c, config_.setpoint_raise_c);
+    action.setpoint_delta_c = std::max(action.setpoint_delta_c, kSetpointRaiseC);
   }
 
   // Overload defense engaged (admission stack shedding / breaker open):

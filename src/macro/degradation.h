@@ -25,6 +25,16 @@
 
 namespace epm::macro {
 
+/// Shed/re-route only when the UPS cannot carry the present draw this long
+/// (the paper's ride-through window).
+inline constexpr double kRequiredRideThroughS = 1800.0;
+/// Return-setpoint raise applied to every CRAC during a power emergency
+/// (less cooling work, longer ride-through).
+inline constexpr double kSetpointRaiseC = 3.0;
+/// Return-setpoint drop applied to *healthy* CRACs during a cooling
+/// emergency (surviving units cool harder).
+inline constexpr double kSetpointDropC = 4.0;
+
 struct DegradationPolicyConfig {
   /// Index of the sheddable low-tier service (batch in the reference
   /// facility); interactive services are only ever re-routed, not shed.
@@ -37,19 +47,8 @@ struct DegradationPolicyConfig {
   /// Fraction of interactive demand re-routed to a peer site during a power
   /// emergency (served remotely — not counted as locally served).
   double reroute_fraction = 0.5;
-  /// Shed/re-route only when the UPS cannot carry the present draw this
-  /// long (the paper's ride-through window).
-  double required_ride_through_s = 1800.0;
-  /// Return-setpoint raise applied to every CRAC during a power emergency
-  /// (less cooling work, longer ride-through).
-  double setpoint_raise_c = 3.0;
-  /// Return-setpoint drop applied to *healthy* CRACs during a cooling
-  /// emergency (surviving units cool harder).
-  double setpoint_drop_c = 4.0;
   /// Throttle the fleet to the deepest P-state during a power emergency.
   bool throttle_on_power_emergency = true;
-  /// Stop retiring servers while any fault is active.
-  bool pause_consolidation = true;
   /// Fraction of low-tier demand shed while the overload defense reports
   /// congestion (breaker not closed, or shed rate above the threshold), so
   /// brownout shedding and admission control compose instead of fighting:
@@ -60,11 +59,6 @@ struct DegradationPolicyConfig {
   /// Shed rate (req/s refused by queue/bucket/breaker) above which the
   /// overload posture engages even with the breaker closed.
   double overload_min_shed_rate_per_s = 1.0;
-  /// Fraction of interactive demand evacuated to peer sites while a
-  /// kRegionLoss fault is active — the region-emergency tier. A regional
-  /// grid loss means every nearby site is dark too, so the default
-  /// evacuates everything to remote regions and fully sheds the batch tier.
-  double region_loss_reroute_fraction = 1.0;
 };
 
 /// Feedback from the cluster admission stack (bounded queue + token bucket
@@ -91,6 +85,7 @@ struct DegradationAction {
   /// Active kRegionLoss fault: the severest tier — full interactive
   /// evacuation, batch fully shed, throttle, consolidation paused.
   bool region_emergency = false;
+  /// Servers stop retiring while any fault is active.
   bool consolidation_paused = false;
   bool throttle = false;
   /// Delta on every CRAC's return setpoint (positive during power

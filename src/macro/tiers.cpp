@@ -21,13 +21,20 @@ void validate(const TieredServiceSpec& spec, double external_rate,
   }
 }
 
+/// The joint policy's defaults, with no switching penalty: pure sizing,
+/// with no incumbent fleet. Its headroom applies within each tier's budget.
+constexpr JointPolicyConfig kSizingPolicy = [] {
+  JointPolicyConfig joint;
+  joint.switching_penalty_w = 0.0;
+  return joint;
+}();
+
 /// Solves one tier for a given latency budget; returns feasibility.
 bool solve_tier(const TierSpec& tier, const power::ServerPowerModel& model,
-                double external_rate, double budget_s,
-                const JointPolicyConfig& joint, TierAllocation& out) {
+                double external_rate, double budget_s, TierAllocation& out) {
   const double rate = external_rate * tier.fanout;
   const auto decision = decide_joint(model, tier.max_servers, /*current=*/0, rate,
-                                     tier.service_demand_s, budget_s, joint);
+                                     tier.service_demand_s, budget_s, kSizingPolicy);
   if (!decision.feasible) return false;
   out.servers = decision.servers;
   out.pstate = decision.pstate;
@@ -58,8 +65,6 @@ TieredDecision size_tiers_equal_split(const TieredServiceSpec& spec,
                                       double external_rate,
                                       const TierSizingConfig& config) {
   validate(spec, external_rate, config);
-  JointPolicyConfig joint = config.joint;
-  joint.switching_penalty_w = 0.0;  // pure sizing; no incumbent fleet
 
   TieredDecision decision;
   decision.feasible = true;
@@ -67,7 +72,7 @@ TieredDecision size_tiers_equal_split(const TieredServiceSpec& spec,
   for (const auto& tier : spec.tiers) {
     const power::ServerPowerModel model(tier.server);
     TierAllocation alloc;
-    if (!solve_tier(tier, model, external_rate, budget, joint, alloc)) {
+    if (!solve_tier(tier, model, external_rate, budget, alloc)) {
       decision.feasible = false;
     }
     decision.total_power_w += alloc.predicted_power_w;
@@ -80,8 +85,6 @@ TieredDecision size_tiers_equal_split(const TieredServiceSpec& spec,
 TieredDecision size_tiers(const TieredServiceSpec& spec, double external_rate,
                           const TierSizingConfig& config) {
   validate(spec, external_rate, config);
-  JointPolicyConfig joint = config.joint;
-  joint.switching_penalty_w = 0.0;
 
   const std::size_t tiers = spec.tiers.size();
   std::vector<power::ServerPowerModel> models;
@@ -101,7 +104,7 @@ TieredDecision size_tiers(const TieredServiceSpec& spec, double external_rate,
     candidate.feasible = true;
     for (std::size_t i = 0; i < tiers; ++i) {
       const double budget = static_cast<double>(split[i]) * step_s;
-      if (!solve_tier(spec.tiers[i], models[i], external_rate, budget, joint,
+      if (!solve_tier(spec.tiers[i], models[i], external_rate, budget,
                       allocs[i])) {
         candidate.feasible = false;
         break;

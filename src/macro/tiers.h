@@ -57,7 +57,6 @@ struct TieredDecision {
 struct TierSizingConfig {
   /// Granularity of the latency-budget search (fractions of the SLA).
   std::size_t budget_steps = 24;
-  JointPolicyConfig joint;  ///< headroom applies within each tier's budget
 };
 
 /// The reference three-tier service: web (1x fan-out, 2 ms), app (2x, 5 ms)

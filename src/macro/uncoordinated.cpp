@@ -2,11 +2,10 @@
 
 namespace epm::macro {
 
-UncoordinatedStack::UncoordinatedStack(Facility& facility, UncoordinatedConfig config)
-    : facility_(facility), config_(config) {
+UncoordinatedStack::UncoordinatedStack(Facility& facility) : facility_(facility) {
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
-    governors_.emplace_back(0, config_.dvfs);
-    provisioners_.emplace_back(config_.onoff);
+    governors_.emplace_back(0, dvfs::OndemandConfig{});
+    provisioners_.emplace_back(onoff::DelayThresholdConfig{});
   }
 }
 
@@ -19,7 +18,7 @@ FacilityStep UncoordinatedStack::step(const std::vector<double>& demand_per_serv
       // Each policy acts on its own view; neither knows the other exists.
       svc.set_uniform_pstate(governors_[i].decide(svc, last));
       svc.set_target_committed(provisioners_[i].decide(svc, last),
-                               config_.use_sleep_states);
+                               /*use_sleep_states=*/true);
     }
   }
   FacilityStep result = facility_.step(demand_per_service, outside_c);

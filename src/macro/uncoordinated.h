@@ -17,15 +17,11 @@
 
 namespace epm::macro {
 
-struct UncoordinatedConfig {
-  dvfs::OndemandConfig dvfs;
-  onoff::DelayThresholdConfig onoff;
-  bool use_sleep_states = true;
-};
-
+/// Each policy at its default thresholds; retired servers park in sleep
+/// states.
 class UncoordinatedStack {
  public:
-  UncoordinatedStack(Facility& facility, UncoordinatedConfig config = {});
+  explicit UncoordinatedStack(Facility& facility);
 
   /// One epoch: each local policy reacts to the last epoch it saw, then the
   /// facility advances. CRACs stay in automatic mode.
@@ -33,7 +29,6 @@ class UncoordinatedStack {
 
  private:
   Facility& facility_;
-  UncoordinatedConfig config_;
   std::vector<dvfs::OndemandGovernor> governors_;
   std::vector<onoff::DelayThresholdProvisioner> provisioners_;
   std::vector<cluster::EpochResult> last_results_;

@@ -173,21 +173,11 @@ bool InterDcLinkPlan::partitioned_at(std::size_t src, std::size_t dst,
 double InterDcLinkPlan::jitter_u(std::size_t src, std::size_t dst,
                                  std::uint64_t msg_index,
                                  std::uint32_t attempt) const {
-  // FNV-1a over the coordinates keeps streams independent per (pair,
-  // message, attempt) without any mutable state.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  fold(policy_.seed);
-  fold(static_cast<std::uint64_t>(src));
-  fold(static_cast<std::uint64_t>(dst));
-  fold(msg_index);
-  fold(static_cast<std::uint64_t>(attempt));
-  return static_cast<double>(SplitMix64::mix(h) >> 11) * 0x1.0p-53;
+  // Keyed by the coordinates: streams independent per (pair, message,
+  // attempt) without any mutable state.
+  return keyed_uniform({policy_.seed, static_cast<std::uint64_t>(src),
+                        static_cast<std::uint64_t>(dst), msg_index,
+                        static_cast<std::uint64_t>(attempt)});
 }
 
 LinkDelivery InterDcLinkPlan::adjust(std::size_t src, std::size_t dst,

@@ -10,21 +10,27 @@
 #include "macro/facility.h"
 #include "sensing/actuator_plane.h"
 #include "sensing/estimator.h"
+#include "sensing/invariants.h"
 #include "sensing/sensor_plane.h"
 #include "sim/simulator.h"
 
 namespace epm::sensing {
 
+constexpr double kOutsideC = 26.0;
+/// Demand wave per service, as fractions of fleet capacity, over two hours.
+constexpr double kBaseDemandFrac = 0.55;
+constexpr double kSwingFrac = 0.35;
+constexpr double kPeriodS = 2.0 * 3600.0;
+/// Redundant sensors shared by both arms, with no base noise, so the arms
+/// stay bit-identical until a fault actually bites; kSensorNoise faults
+/// still inject noise windows where median voting earns its keep.
+constexpr std::uint32_t kRedundancy = 3;
+static_assert(kPeriodS > 0.0 && kBaseDemandFrac >= 0.0 && kSwingFrac >= 0.0 &&
+              kBaseDemandFrac + kSwingFrac <= 1.0 && kRedundancy >= 1);
+
 DegradedScenarioOutcome run_degraded_scenario(
     const DegradedScenarioConfig& config, const faults::FaultPlan& plan) {
-  require(config.servers_per_service > 0,
-          "DegradedScenario: servers_per_service must be positive");
-  require(config.horizon_s > 0.0, "DegradedScenario: horizon must be positive");
-  require(config.period_s > 0.0, "DegradedScenario: period must be positive");
-  require(config.base_demand_frac >= 0.0 && config.swing_frac >= 0.0 &&
-              config.base_demand_frac + config.swing_frac <= 1.0,
-          "DegradedScenario: demand wave must stay within fleet capacity");
-  require(config.redundancy >= 1, "DegradedScenario: redundancy must be >= 1");
+  const std::size_t epochs = degraded_scenario_epochs(config);
 
   macro::Facility facility(
       macro::make_reference_facility(config.servers_per_service));
@@ -41,8 +47,7 @@ DegradedScenarioOutcome run_degraded_scenario(
   // the same fault exposure; only the estimator and the retry policy differ.
   SensorPlaneConfig sensor_config;
   sensor_config.seed = config.seed ^ 0x5e11505ULL;
-  sensor_config.redundancy = config.redundancy;
-  sensor_config.base_noise_frac = config.base_noise_frac;
+  sensor_config.redundancy = kRedundancy;
   sensor_config.fault_domains = static_cast<std::uint32_t>(services) + 1;
   SensorPlane sensors(sensor_config);
   injector.subscribe([&sensors](const faults::FaultEvent& event, bool onset,
@@ -80,7 +85,7 @@ DegradedScenarioOutcome run_degraded_scenario(
   macro::MacroResourceManager manager(facility, manager_config, &sensors,
                                       &actuators);
 
-  InvariantMonitor monitor(config.invariants);
+  InvariantMonitor monitor(InvariantMonitorConfig{});
   facility.attach_invariant_monitor(&monitor);
 
   std::vector<double> capacity_rps(services, 0.0);
@@ -96,8 +101,6 @@ DegradedScenarioOutcome run_degraded_scenario(
   DegradedScenarioOutcome out;
   const double two_pi = 2.0 * 3.14159265358979323846;
   std::vector<double> demand(services, 0.0);
-  const auto epochs =
-      static_cast<std::size_t>(std::ceil(config.horizon_s / epoch_s));
   for (std::size_t e = 0; e < epochs; ++e) {
     const double t0 = static_cast<double>(e) * epoch_s;
     sim.run_until(t0);
@@ -106,14 +109,13 @@ DegradedScenarioOutcome run_degraded_scenario(
     // predictors exactly where stuck/stale sensing hurts the most.
     for (std::size_t s = 0; s < services; ++s) {
       const double phase = static_cast<double>(s) * (two_pi / 6.0);
-      demand[s] = capacity_rps[s] *
-                  (config.base_demand_frac +
-                   config.swing_frac * std::sin(two_pi * t0 / config.period_s +
-                                                phase));
+      demand[s] =
+          capacity_rps[s] *
+          (kBaseDemandFrac + kSwingFrac * std::sin(two_pi * t0 / kPeriodS + phase));
       demand[s] = std::max(0.0, demand[s]);
     }
 
-    const auto step = manager.step(demand, config.outside_c);
+    const auto step = manager.step(demand, kOutsideC);
 
     ++out.epochs;
     out.thermal_alarms += step.new_thermal_alarms;
@@ -150,6 +152,16 @@ DegradedScenarioOutcome run_degraded_scenario(
   return out;
 }
 
+std::size_t degraded_scenario_epochs(const DegradedScenarioConfig& config) {
+  require(config.servers_per_service > 0,
+          "DegradedScenario: servers_per_service must be positive");
+  require(config.horizon_s > 0.0, "DegradedScenario: horizon must be positive");
+  const double epoch_s =
+      macro::make_reference_facility(config.servers_per_service).epoch_s;
+  return checked_count(std::ceil(config.horizon_s / epoch_s),
+                       "DegradedScenario: horizon / epoch");
+}
+
 faults::FaultPlan make_sensing_fault_plan(double intensity, double horizon_s,
                                           std::uint64_t seed,
                                           std::size_t service_count) {
@@ -159,8 +171,8 @@ faults::FaultPlan make_sensing_fault_plan(double intensity, double horizon_s,
   if (intensity <= 0.0) return {};
 
   // Scripted core, present at every positive intensity so the sweep always
-  // exercises both failure planes (times assume the default 4 h horizon /
-  // 2 h demand period of DegradedScenarioConfig):
+  // exercises both failure planes (times assume the default 4 h horizon of
+  // DegradedScenarioConfig and the 2 h demand period, kPeriodS):
   //  - a stuck-at window on domain 0's sensors over the first demand ramp:
   //    the controller keeps seeing mid-ramp demand while real demand climbs
   //    to the peak, and

@@ -23,27 +23,15 @@
 #include <string>
 
 #include "faults/fault_plan.h"
-#include "sensing/invariants.h"
 
 namespace epm::sensing {
 
 struct DegradedScenarioConfig {
   std::size_t servers_per_service = 64;
   double horizon_s = 4.0 * 3600.0;
-  double outside_c = 26.0;
   std::uint64_t seed = 2009;
   /// false = naive arm (raw readings, single-attempt actuation).
   bool hardened = true;
-  /// Demand wave per service, as fractions of fleet capacity.
-  double base_demand_frac = 0.55;
-  double swing_frac = 0.35;
-  double period_s = 2.0 * 3600.0;
-  /// Sensor hardware shared by both arms. Base noise defaults to zero so
-  /// the arms stay bit-identical until a fault actually bites; kSensorNoise
-  /// faults still inject noise windows where median voting earns its keep.
-  std::uint32_t redundancy = 3;
-  double base_noise_frac = 0.0;
-  InvariantMonitorConfig invariants;
 };
 
 struct DegradedScenarioOutcome {
@@ -79,6 +67,10 @@ struct DegradedScenarioOutcome {
 
 DegradedScenarioOutcome run_degraded_scenario(
     const DegradedScenarioConfig& config, const faults::FaultPlan& plan);
+
+/// The epochs run_degraded_scenario runs, ceil(horizon / facility epoch);
+/// throws std::invalid_argument where it would refuse the fleet or horizon.
+std::size_t degraded_scenario_epochs(const DegradedScenarioConfig& config);
 
 /// Sensing/actuation fault profile for the degraded-observability sweep: a
 /// scripted stuck-at window over the first demand ramp and a high-severity

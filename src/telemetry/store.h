@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/rng.h"
 #include "telemetry/block.h"
 #include "telemetry/multiscale.h"
 
@@ -60,10 +61,7 @@ constexpr std::size_t kTelemetryShards = 64;
 /// rack layout all landed on shard 0, serializing their ingest); the mix
 /// spreads any enumeration pattern evenly.
 constexpr std::uint64_t mix_server(std::uint32_t server) {
-  std::uint64_t x = static_cast<std::uint64_t>(server) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return SplitMix64::mix(static_cast<std::uint64_t>(server) + SplitMix64::kGamma);
 }
 
 constexpr std::size_t telemetry_shard_of(CounterKey key) {

@@ -46,7 +46,8 @@ OutsideAirModel::Weather OutsideAirModel::sample_weather(double horizon_s,
                                                          double step_s) {
   require(horizon_s > 0.0 && step_s > 0.0, "OutsideAirModel: invalid horizon/step");
   Weather out{TimeSeries(0.0, step_s), TimeSeries(0.0, step_s)};
-  const auto n = static_cast<std::size_t>(horizon_s / step_s);
+  const std::size_t n =
+      checked_count(horizon_s / step_s, "OutsideAirModel: horizon / step");
   out.temperature_c.reserve(n);
   out.relative_humidity.reserve(n);
   const double phi = std::exp(-step_s / config_.noise_correlation_time_s);
@@ -73,7 +74,8 @@ OutsideAirModel::Weather OutsideAirModel::sample_weather(double horizon_s,
 TimeSeries OutsideAirModel::sample(double horizon_s, double step_s) {
   require(horizon_s > 0.0 && step_s > 0.0, "OutsideAirModel: invalid horizon/step");
   TimeSeries out(0.0, step_s);
-  const auto n = static_cast<std::size_t>(horizon_s / step_s);
+  const std::size_t n =
+      checked_count(horizon_s / step_s, "OutsideAirModel: horizon / step");
   out.reserve(n);
   // AR(1) weather deviation with stationary stddev = weather_noise_c.
   const double phi = std::exp(-step_s / config_.noise_correlation_time_s);

@@ -56,7 +56,8 @@ TimeSeries sample_demand(const DiurnalModel& model, double horizon_s, double ste
   require(horizon_s > 0.0, "sample_demand: horizon must be positive");
   require(step_s > 0.0, "sample_demand: step must be positive");
   TimeSeries out(0.0, step_s);
-  const auto n = static_cast<std::size_t>(horizon_s / step_s);
+  const std::size_t n =
+      checked_count(horizon_s / step_s, "sample_demand: horizon / step");
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(model.demand_at(static_cast<double>(i) * step_s));

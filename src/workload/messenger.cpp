@@ -17,6 +17,9 @@ MessengerTrace generate_messenger_trace(const MessengerConfig& config, double ho
           "generate_messenger_trace: mean session must be positive");
   require(config.noise_cv >= 0.0, "generate_messenger_trace: negative noise");
 
+  const std::size_t n =
+      checked_count(horizon_s / config.step_s, "messenger trace: horizon / step");
+
   const DiurnalModel diurnal(config.diurnal);
   Rng rng(config.seed);
   Rng flash_rng = rng.fork();
@@ -34,7 +37,6 @@ MessengerTrace generate_messenger_trace(const MessengerConfig& config, double ho
     }
   }
 
-  const auto n = static_cast<std::size_t>(horizon_s / config.step_s);
   trace.login_rate_per_s = TimeSeries(0.0, config.step_s);
   trace.connections = TimeSeries(0.0, config.step_s);
   trace.login_rate_per_s.reserve(n);

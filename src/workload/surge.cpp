@@ -40,7 +40,7 @@ double SurgeModel::demand_at(double t_s) const {
 TimeSeries sample_surge(const SurgeModel& model, double horizon_s, double step_s) {
   require(horizon_s > 0.0 && step_s > 0.0, "sample_surge: invalid horizon/step");
   TimeSeries out(0.0, step_s);
-  const auto n = static_cast<std::size_t>(horizon_s / step_s);
+  const std::size_t n = checked_count(horizon_s / step_s, "sample_surge: horizon / step");
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(model.demand_at(static_cast<double>(i) * step_s));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -69,6 +71,28 @@ TEST(Require, FormatsACallableMessageOnlyOnFailure) {
   // The condition is evaluated as written: a NaN comparison still fails.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(require(nan > 0.0, message), std::invalid_argument);
+}
+
+TEST(Require, CheckedCountRefusesWhatACastCannotHold) {
+  EXPECT_EQ(0U, checked_count(0.0, "steps"));
+  EXPECT_EQ(0U, checked_count(-0.0, "steps"));
+  EXPECT_EQ(1440U, checked_count(86400.0 / 60.0, "steps"));
+  // The largest double below 2^64 converts exactly; 2^64 itself does not.
+  const double top = std::nextafter(0x1.0p64, 0.0);
+  EXPECT_EQ(static_cast<std::size_t>(top), checked_count(top, "steps"));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0x1.0p64, 1e300, inf, -inf, -1.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(checked_count(bad, "steps"), std::invalid_argument) << bad;
+  }
+  try {
+    checked_count(8.64e304, "trace: horizon / step");
+    ADD_FAILURE() << "checked_count(8.64e304) did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ("trace: horizon / step = 8.64e+304 is not a count "
+                 "std::size_t can hold",
+                 e.what());
+  }
 }
 
 }  // namespace

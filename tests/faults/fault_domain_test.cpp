@@ -124,9 +124,7 @@ TEST(DomainExpansion, FansOutCorrelatedStaggeredFaults) {
   const FaultDomainTree tree = reference_tree(6);
   const DomainFaultPlan plan =
       DomainFaultPlan::parse("outage:region/americas@40+25");
-  DomainExpansionConfig config;
-  config.seed = 7;
-  const auto expanded = expand_to_datacenters(tree, plan, config);
+  const auto expanded = expand_to_datacenters(tree, plan, 7);
   ASSERT_EQ(3U, expanded.size());  // pnw, virginia, saopaulo
   std::vector<std::size_t> hit;
   for (const ExpandedDcFault& f : expanded) {
@@ -134,9 +132,9 @@ TEST(DomainExpansion, FansOutCorrelatedStaggeredFaults) {
     // Correlated: every onset within the stagger of the scripted start,
     // every clear within the (larger) stagger of the scripted end.
     EXPECT_GE(f.onset_s, 40.0);
-    EXPECT_LT(f.onset_s, 40.0 + config.onset_stagger_s);
+    EXPECT_LT(f.onset_s, 40.0 + kDomainOnsetStaggerS);
     EXPECT_GE(f.clear_s, 65.0);
-    EXPECT_LT(f.clear_s, 65.0 + config.clear_stagger_s);
+    EXPECT_LT(f.clear_s, 65.0 + kDomainClearStaggerS);
     EXPECT_EQ(GridEventKind::kOutage, f.kind);
     EXPECT_EQ(0U, f.source_event);
   }
@@ -147,21 +145,19 @@ TEST(DomainExpansion, FansOutCorrelatedStaggeredFaults) {
 
   // Deterministic: same seed reproduces bit-identically; a different seed
   // moves the staggers.
-  const auto again = expand_to_datacenters(tree, plan, config);
+  const auto again = expand_to_datacenters(tree, plan, 7);
   ASSERT_EQ(expanded.size(), again.size());
   for (std::size_t i = 0; i < expanded.size(); ++i) {
     EXPECT_EQ(expanded[i].onset_s, again[i].onset_s);
     EXPECT_EQ(expanded[i].clear_s, again[i].clear_s);
   }
-  DomainExpansionConfig reseeded = config;
-  reseeded.seed = 8;
-  const auto moved = expand_to_datacenters(tree, plan, reseeded);
+  const auto moved = expand_to_datacenters(tree, plan, 8);
   EXPECT_NE(expanded[0].onset_s, moved[0].onset_s);
 
   // Unknown targets fail at expansion with the resolve() diagnostic.
   const DomainFaultPlan bad =
       DomainFaultPlan::parse("outage:region/atlantis@40+25");
-  EXPECT_THROW(expand_to_datacenters(tree, bad, config),
+  EXPECT_THROW(expand_to_datacenters(tree, bad, 7),
                std::invalid_argument);
 }
 
@@ -170,9 +166,8 @@ TEST(DomainExpansion, MapsOntoFleetDisruptions) {
   const DomainFaultPlan plan = DomainFaultPlan::parse(
       "outage:dc/pnw@30+20;brownout:feed/grid-eu@35+10x0.4;"
       "price-spike:dc/singapore@50+5x3.0");
-  DomainExpansionConfig config;
   const auto disruptions =
-      to_fleet_disruptions(expand_to_datacenters(tree, plan, config));
+      to_fleet_disruptions(expand_to_datacenters(tree, plan, /*seed=*/1));
   ASSERT_EQ(3U, disruptions.size());
   const auto find_dc = [&](std::size_t dc) {
     for (const FleetDisruption& d : disruptions) {
@@ -210,9 +205,7 @@ TEST(DomainFaultPlan, ControllerKillRoundTripsAndExpands) {
             plan.to_string());
 
   const FaultDomainTree tree = reference_tree(4);
-  DomainExpansionConfig config;
-  config.seed = 7;
-  const auto expanded = expand_to_datacenters(tree, plan, config);
+  const auto expanded = expand_to_datacenters(tree, plan, 7);
   // americas in the 4-DC reference fleet is pnw + virginia (DCs 0-1);
   // ireland is DC 2.
   ASSERT_EQ(3U, expanded.size());

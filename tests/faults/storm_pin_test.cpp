@@ -8,17 +8,26 @@
 // legacy per-completion engine at one point, the 4-datacenter fleet storm
 // defended and undefended, the chaos recovery gate, whose grid script adds
 // brownout capacity factors and broadcast steering, and one point of each
-// storm whose capacity is not a whole number of requests an epoch. A pin
-// changes only with a deliberate change of the model.
+// storm whose capacity is not a whole number of requests an epoch. The
+// other scenario worlds are pinned the same way: the reference fault storm
+// over intensities with the degradation policy on and off, the degraded
+// sensing scenario's naive and hardened arms, the control-plane drills, and
+// the chaos fleet's drive world with its partition drill. A pin changes
+// only with a deliberate change of the model.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <type_traits>
 
 #include "faults/chaos_fleet.h"
+#include "faults/control_chaos.h"
+#include "faults/fault_plan.h"
 #include "faults/fleet_storm.h"
 #include "faults/retry_storm.h"
+#include "faults/storm.h"
+#include "sensing/scenario.h"
 
 namespace epm::faults {
 namespace {
@@ -26,7 +35,8 @@ namespace {
 using workload::RetryBackoff;
 
 /// 64-bit FNV-1a over eight little-endian bytes per field: integers and
-/// bools by value, doubles by their bit pattern.
+/// bools by value, doubles by their bit pattern, strings as their length
+/// and then one field per character.
 class Fingerprint {
  public:
   template <typename... Fields>
@@ -37,6 +47,11 @@ class Fingerprint {
   std::uint64_t value() const { return h_; }
 
  private:
+  void fold(const std::string& text) {
+    fold(text.size());
+    for (const char c : text) fold(static_cast<unsigned char>(c));
+  }
+
   template <typename T>
   void fold(T field) {
     std::uint64_t word = 0;
@@ -94,6 +109,71 @@ std::uint64_t pin(const ChaosRecoveryReport& r) {
           a.grid_signals, a.conservation_ok, a.recovered);
   }
   f.add(r.threshold, r.gate_ok);
+  return f.value();
+}
+
+std::uint64_t pin(const StormOutcome& o) {
+  Fingerprint f;
+  f.add(o.offered_requests, o.served_requests, o.shed_requests,
+        o.rerouted_requests, o.dropped_requests, o.it_energy_kwh,
+        o.mechanical_energy_kwh, o.epochs, o.brownout_epochs, o.trip_epochs,
+        o.sla_violation_epochs, o.thermal_alarms, o.overload_epochs,
+        o.max_zone_temp_c, o.min_state_of_charge, o.telemetry_samples,
+        o.degraded_samples, o.dropped_samples, o.faults_injected,
+        o.faults_handled, o.faults_cleared, o.faults_conserved,
+        o.sensor_readings, o.sensor_dropped, o.sensor_stuck, o.sensor_noisy,
+        o.commands_issued, o.commands_acked, o.commands_failed,
+        o.command_retries, o.invariant_violations, o.invariants_ok,
+        o.invariant_report);
+  for (const auto& [kind, count] : o.decision_counts) f.add(kind, count);
+  return f.value();
+}
+
+std::uint64_t pin(const sensing::DegradedScenarioOutcome& o) {
+  Fingerprint f;
+  f.add(o.epochs, o.sla_violation_epochs, o.thermal_alarms, o.max_zone_temp_c,
+        o.offered_requests, o.served_requests, o.dropped_requests,
+        o.it_energy_kwh, o.mechanical_energy_kwh, o.max_estimate_age_s,
+        o.sensor_readings, o.sensor_dropped, o.sensor_stuck, o.sensor_noisy,
+        o.estimator_fallbacks, o.commands_issued, o.commands_acked,
+        o.commands_failed, o.command_retries, o.faults_injected,
+        o.faults_conserved, o.invariant_violations, o.invariants_ok,
+        o.invariant_report);
+  return f.value();
+}
+
+std::uint64_t pin(const ControlChaosOutcome& o) {
+  Fingerprint f;
+  for (const ControlDcOutcome& d : o.dcs) {
+    f.add(d.epochs, d.demand_total, d.served_total, d.sla_violation_epochs,
+          d.thermal_alarm_epochs, d.max_temp_c, d.prefault_demand,
+          d.prefault_served, d.end_demand, d.end_served, d.commands_applied,
+          d.fencing_rejections, d.stale_rejected, d.double_actuations,
+          d.stale_applied, d.safe_state_trips, d.heartbeats_seen);
+  }
+  for (const ControlReplicaOutcome& r : o.replicas) {
+    f.add(r.hosted, r.claims, r.depositions, r.crashes, r.stale_heartbeats,
+          r.commands_issued, r.commands_replayed, r.journal_entries,
+          r.journal_rejected_stale, r.final_max_token,
+          r.claimed_tokens.size());
+    for (const std::uint64_t token : r.claimed_tokens) f.add(token);
+  }
+  f.add(o.final_now_s, o.final_pending, o.control_messages, o.max_token,
+        o.lease_unique_ok, o.fencing_clean, o.fleet_prefault_frac,
+        o.fleet_end_frac, o.total_sla_violations, o.total_alarms,
+        o.conservation_ok, o.report);
+  return f.value();
+}
+
+std::uint64_t pin(const ChaosFleetOutcome& o) {
+  Fingerprint f;
+  for (const ChaosDcOutcome& d : o.dcs) {
+    f.add(d.generated, d.served, d.dropped, d.backlog, d.forwarded_items,
+          d.received_items, d.epochs);
+  }
+  f.add(o.final_now_s, o.final_pending, o.messages_sent,
+        o.messages_redelivered, o.messages_parked_end, o.fifo_ok,
+        o.conservation_ok, o.conservation_report);
   return f.value();
 }
 
@@ -180,8 +260,98 @@ TEST(FederationFleetStormPin, DefendedAndUndefendedFleet) {
 
 TEST(FederationFleetStormPin, ChaosRecoveryUnderTheReferenceGridScript) {
   const std::uint64_t got = pin(
-      run_chaos_recovery(4, 2000, 42, make_reference_grid_script(), 0.99));
+      run_chaos_recovery(4, 2000, 42, make_reference_grid_script()));
   EXPECT_EQ(0x9983f45cf966c30aULL, got) << "got 0x" << std::hex << got;
+}
+
+// The reference storm of `epmctl faults` and exp_fault_storm: 60 servers a
+// service over six hours, with the storm plan at seed 2009.
+TEST(FaultStormPin, ReferenceStormAtEveryIntensityWithAndWithoutPolicy) {
+  struct Case {
+    double intensity;
+    bool policy;
+    std::uint64_t want;
+  };
+  for (const Case& c : {Case{0.0, false, 0xb5397bbb10ba2ca2ULL},
+                        Case{0.0, true, 0x39ef2447750634efULL},
+                        Case{1.0, false, 0x174b9659424bb2c9ULL},
+                        Case{1.0, true, 0xcc6aca215518d086ULL},
+                        Case{2.0, false, 0x7b25d7f21100e7d9ULL},
+                        Case{2.0, true, 0x22843a651bc65803ULL}}) {
+    StormConfig config = make_reference_storm_config();
+    config.policy_enabled = c.policy;
+    const FaultPlan plan = make_storm_plan(c.intensity, config.horizon_s, 2009,
+                                           config.demand_rps.size(), 1);
+    const std::uint64_t got = pin(run_fault_storm(config, plan));
+    EXPECT_EQ(c.want, got) << "intensity " << c.intensity
+                           << (c.policy ? " policy" : " no policy")
+                           << ": got 0x" << std::hex << got;
+  }
+}
+
+// `epmctl sensing`'s reference point: four hours at seed 2009, the plan at
+// seed 2009 + 17.
+TEST(SensingScenarioPin, NaiveAndHardenedAtIntensityOne) {
+  struct Case {
+    bool hardened;
+    std::uint64_t want;
+  };
+  for (const Case& c : {Case{false, 0x8ee24b9f1ddcc933ULL},
+                        Case{true, 0xbcf948d16065bd08ULL}}) {
+    sensing::DegradedScenarioConfig config;
+    config.hardened = c.hardened;
+    const FaultPlan plan = sensing::make_sensing_fault_plan(
+        1.0, config.horizon_s, config.seed + 17, 2);
+    const std::uint64_t got = pin(sensing::run_degraded_scenario(config, plan));
+    EXPECT_EQ(c.want, got) << (c.hardened ? "hardened" : "naive")
+                           << ": got 0x" << std::hex << got;
+  }
+}
+
+TEST(ControlChaosPin, LeaderKillDrillWithAndWithoutPartition) {
+  struct Case {
+    bool partition;
+    std::uint64_t defended;
+    std::uint64_t naive;
+  };
+  // The naive arm's only controller sits at DC 0, so nothing crosses the
+  // partition into it and both naive runs pin alike.
+  for (const Case& c :
+       {Case{false, 0x22fb8537a9884990ULL, 0x7e0060195494554fULL},
+        Case{true, 0x50a35d07809209b1ULL, 0x7e0060195494554fULL}}) {
+    const ControlLeaderKillReport r = run_leader_kill_drill(4, 2, 7, c.partition);
+    const std::uint64_t defended = pin(r.defended);
+    const std::uint64_t naive = pin(r.naive);
+    EXPECT_EQ(c.defended, defended)
+        << (c.partition ? "partition" : "plain") << " defended: got 0x"
+        << std::hex << defended;
+    EXPECT_EQ(c.naive, naive) << (c.partition ? "partition" : "plain")
+                              << " naive: got 0x" << std::hex << naive;
+    EXPECT_EQ(0.99, r.goodput_threshold);
+    EXPECT_TRUE(r.gate_ok);
+  }
+}
+
+TEST(ControlChaosPin, SplitBrainDrill) {
+  const ControlSplitBrainReport r = run_split_brain_drill(4, 2, 7);
+  const std::uint64_t got = pin(r.outcome);
+  EXPECT_EQ(0x722ccf72eb58666cULL, got) << "got 0x" << std::hex << got;
+  EXPECT_TRUE(r.passed);
+}
+
+TEST(ChaosFleetPin, DefaultsAndPartitionDrill) {
+  const std::uint64_t plain = pin(run_chaos_fleet(ChaosFleetConfig{}));
+  EXPECT_EQ(0x279f573dfbb66373ULL, plain)
+      << "defaults: got 0x" << std::hex << plain;
+  // `epmctl chaos`'s partition drill at the default four datacenters.
+  const ChaosPartitionReport drill =
+      run_chaos_partition_drill(ChaosFleetConfig{}, 15.0, 30.0, 32.0);
+  Fingerprint f;
+  f.add(pin(drill.outcome), drill.parked_at_check, drill.redelivered,
+        drill.parked_seen, drill.drained, drill.zero_loss, drill.fifo_ok,
+        drill.passed);
+  EXPECT_EQ(0x0f6eb81ccd351539ULL, f.value())
+      << "partition drill: got 0x" << std::hex << f.value();
 }
 
 }  // namespace

@@ -11,6 +11,9 @@ using epm::faults::FaultType;
 using epm::macro::DegradationAction;
 using epm::macro::DegradationPolicy;
 using epm::macro::DegradationPolicyConfig;
+using epm::macro::kRequiredRideThroughS;
+using epm::macro::kSetpointDropC;
+using epm::macro::kSetpointRaiseC;
 
 FaultEvent outage(double start_s = 0.0, double duration_s = 600.0) {
   return {FaultType::kUtilityOutage, start_s, duration_s, 0, 1.0};
@@ -35,7 +38,7 @@ TEST(DegradationPolicy, OutageWithThinBatteryShedsAndReroutes) {
   EXPECT_TRUE(policy.on_fault(outage(), true, 0.0));
 
   // Comfortable ride-through: emergency posture but no shedding yet.
-  DegradationAction calm = policy.react(0.0, config.required_ride_through_s * 2);
+  DegradationAction calm = policy.react(0.0, kRequiredRideThroughS * 2);
   EXPECT_TRUE(calm.power_emergency);
   EXPECT_DOUBLE_EQ(calm.shed_scale[config.low_tier_service], 0.0);
   EXPECT_FALSE(calm.throttle);
@@ -43,13 +46,13 @@ TEST(DegradationPolicy, OutageWithThinBatteryShedsAndReroutes) {
   // Thin ride-through: shed the batch tier, re-route interactive, throttle,
   // raise setpoints.
   DegradationAction urgent =
-      policy.react(60.0, config.required_ride_through_s / 10.0);
+      policy.react(60.0, kRequiredRideThroughS / 10.0);
   EXPECT_DOUBLE_EQ(urgent.shed_scale[1], config.low_tier_shed_fraction);
   EXPECT_DOUBLE_EQ(urgent.reroute_scale[0], config.reroute_fraction);
   EXPECT_DOUBLE_EQ(urgent.reroute_scale[1], 0.0);
   EXPECT_TRUE(urgent.throttle);
   EXPECT_TRUE(urgent.consolidation_paused);
-  EXPECT_DOUBLE_EQ(urgent.setpoint_delta_c, config.setpoint_raise_c);
+  EXPECT_DOUBLE_EQ(urgent.setpoint_delta_c, kSetpointRaiseC);
   EXPECT_DOUBLE_EQ(urgent.serve_scale[0], 1.0 - config.reroute_fraction);
   EXPECT_DOUBLE_EQ(urgent.serve_scale[1], 1.0 - config.low_tier_shed_fraction);
 
@@ -72,7 +75,7 @@ TEST(DegradationPolicy, CracFailureTriggersCoolingEmergency) {
   EXPECT_TRUE(action.cooling_emergency);
   EXPECT_FALSE(action.power_emergency);
   EXPECT_DOUBLE_EQ(action.shed_scale[1], config.cooling_shed_fraction);
-  EXPECT_DOUBLE_EQ(action.healthy_setpoint_delta_c, -config.setpoint_drop_c);
+  EXPECT_DOUBLE_EQ(action.healthy_setpoint_delta_c, -kSetpointDropC);
   EXPECT_DOUBLE_EQ(action.reroute_scale[0], 0.0);
 }
 
@@ -84,7 +87,7 @@ TEST(DegradationPolicy, PartialDerateShedsProportionally) {
   EXPECT_DOUBLE_EQ(policy.cooling_loss(), 0.5);
   EXPECT_DOUBLE_EQ(action.shed_scale[1], 0.5 * config.cooling_shed_fraction);
   EXPECT_DOUBLE_EQ(action.healthy_setpoint_delta_c,
-                   -0.5 * config.setpoint_drop_c);
+                   -0.5 * kSetpointDropC);
 
   policy.on_fault({FaultType::kCoolingDerate, 0.0, 600.0, 0, 0.5}, false, 600.0);
   EXPECT_DOUBLE_EQ(policy.cooling_loss(), 0.0);

@@ -26,6 +26,7 @@
 #include "core/units.h"
 #include "faults/chaos_fleet.h"
 #include "faults/control_chaos.h"
+#include "faults/fault_domain.h"
 #include "faults/fault_plan.h"
 #include "faults/fleet_storm.h"
 #include "faults/retry_storm.h"
@@ -51,8 +52,9 @@ using Job = std::function<int()>;
 struct Command {
   std::string_view name;
   std::string_view usage;  ///< the command's lines of `epmctl help`
-  /// Reads and range-checks the flags (a bad one throws UsageError) and
-  /// returns the run, which main starts once no flag is left unread.
+  /// Reads and range-checks the flags and returns the run, which main
+  /// starts once no flag is left unread. A bad flag throws UsageError, or
+  /// std::invalid_argument from a library check of its value (both exit 2).
   Job (*run)(const CliArgs& args);
 };
 
@@ -352,6 +354,7 @@ const Command kCommands[] = {
        config.replications = args.count("reps", 8);
        config.seed = args.seed(2027);
        config.threads = args.threads();
+       cluster::validate_replication_config(config);
        return [=] {
          const auto result = cluster::simulate_replications(config);
          // 95% CI from the independent replication means (t ~ 2 for small K).
@@ -392,20 +395,22 @@ const Command kCommands[] = {
        const std::size_t servers = args.count("servers", 60);
        const std::string plan_spec = args.get("plan", std::string{});
        const bool no_policy = args.get_switch("no-policy");
+       faults::StormConfig config = faults::make_reference_storm_config(servers);
+       config.horizon_s = hours * 3600.0;
+       faults::storm_epochs(config);  // before a plan is sampled over the horizon
+       const faults::FaultPlan plan =
+           plan_spec.empty() ? faults::make_storm_plan(intensity, config.horizon_s, seed,
+                                                       config.demand_rps.size(), 1)
+                             : faults::FaultPlan::parse(plan_spec);
        return [=] {
-         faults::StormConfig config = faults::make_reference_storm_config(servers);
-         config.horizon_s = hours * 3600.0;
-         const faults::FaultPlan plan =
-             plan_spec.empty() ? faults::make_storm_plan(intensity, config.horizon_s,
-                                                         seed, config.demand_rps.size(), 1)
-                               : faults::FaultPlan::parse(plan_spec);
          print_plan("Fault plan", plan, plan_spec.empty(), intensity);
 
          Table table({"arm", "served", "shed", "re-routed", "dropped", "brownout",
                       "trip", "max zone", "min SoC"});
          const auto run_arm = [&](const char* name, bool policy) {
-           config.policy_enabled = policy;
-           const faults::StormOutcome out = faults::run_fault_storm(config, plan);
+           faults::StormConfig arm = config;
+           arm.policy_enabled = policy;
+           const faults::StormOutcome out = faults::run_fault_storm(arm, plan);
            table.add_row({name,
                           fmt_percent((out.served_requests + out.rerouted_requests) /
                                           out.offered_requests,
@@ -463,13 +468,14 @@ const Command kCommands[] = {
        config.seed = args.seed(2009);
        config.servers_per_service = args.count("servers", 64);
        const std::string plan_spec = args.get("plan", std::string{});
+       sensing::degraded_scenario_epochs(config);  // before a plan is sampled
+       const faults::FaultPlan plan =
+           plan_spec.empty()
+               ? sensing::make_sensing_fault_plan(intensity, config.horizon_s,
+                                                  config.seed + 17,
+                                                  /*service_count=*/2)
+               : faults::FaultPlan::parse(plan_spec);
        return [=] {
-         const faults::FaultPlan plan =
-             plan_spec.empty()
-                 ? sensing::make_sensing_fault_plan(intensity, config.horizon_s,
-                                                    config.seed + 17,
-                                                    /*service_count=*/2)
-                 : faults::FaultPlan::parse(plan_spec);
          print_plan("Sensing/actuation fault plan", plan, plan_spec.empty(), intensity);
 
          Table table({"arm", "served", "SLA viol", "alarms", "max zone", "stale max",
@@ -712,12 +718,13 @@ const Command kCommands[] = {
        const std::size_t threads = args.threads();
        const std::string script =
            args.get("script", faults::make_reference_grid_script());
+       faults::DomainFaultPlan::parse(script);
        return [=] {
+         // Drill 1: correlated regional grid event, defended vs naive recovery.
+         // It runs before the header, so a script it refuses prints nothing.
+         const auto rec = faults::run_chaos_recovery(dcs, clients, seed, script);
          std::cout << "Chaos drills: " << dcs << " datacenters x " << clients
                    << " clients, grid script \"" << script << "\":\n";
-
-         // Drill 1: correlated regional grid event, defended vs naive recovery.
-         const auto rec = faults::run_chaos_recovery(dcs, clients, seed, script, 0.99);
          Table recovery({"arm", "prefault", "end", "ratio", "signals", "recovered"});
          for (const bool defended : {true, false}) {
            const auto& arm = defended ? rec.defended : rec.naive;
@@ -962,7 +969,12 @@ int main(int argc, char** argv) {
     if (command == std::end(kCommands)) {
       throw UsageError("unknown command '" + name + "' (see 'epmctl help')");
     }
-    const Job job = command->run(args);
+    Job job;
+    try {
+      job = command->run(args);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(e.what());
+    }
     if (const auto unused = args.unused(); !unused.empty()) {
       throw UsageError("unknown flag --" + unused.front() + " (see 'epmctl help')");
     }
