@@ -36,7 +36,7 @@ int main() {
   const power::MemoryPowerModel memory{power::MemoryConfig{}};  // 8 x 8 GB
   const power::DiskPowerModel disk{power::DiskConfig{}};        // 4 spindles
   const workload::DiurnalModel diurnal{workload::DiurnalConfig{}};
-  const double spindles = static_cast<double>(disk.config().spindles);
+  const double spindles = static_cast<double>(power::kDiskSpindles);
 
   double mem_always = 0.0;
   double mem_banked = 0.0;
@@ -48,7 +48,7 @@ int main() {
     mem_always += memory.power_w(memory.config().banks) / 60.0;
     mem_banked += memory.power_for_working_set_w(working_set_gb(level)) / 60.0;
     const double gap = mean_idle_gap_s(level);
-    disk_always += spindles * disk.config().spinning_w / 60.0;
+    disk_always += spindles * power::kSpinningW / 60.0;
     disk_timeout += spindles * disk.expected_idle_power_w(gap, timeout) / 60.0;
   }
 
@@ -73,7 +73,7 @@ int main() {
   for (double t : {0.0, 2.0, disk.breakeven_idle_s(), 30.0, 120.0, 1.0e9}) {
     const double p = disk.expected_idle_power_w(90.0, t);
     sweep.add_row({t > 1.0e8 ? "never" : fmt(t, 1), fmt(p, 2),
-                   fmt_percent(1.0 - p / disk.config().spinning_w, 0)});
+                   fmt_percent(1.0 - p / power::kSpinningW, 0)});
   }
   std::cout << sweep.render();
 

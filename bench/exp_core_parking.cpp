@@ -45,7 +45,7 @@ double package_power(const power::CmpPowerModel& model, std::size_t active,
   const double busy_at_f =
       cls.idle_power_w + (cls.busy_power_w - cls.idle_power_w) * f * f * f;
   const auto parked = static_cast<double>(cls.count - active);
-  return model.config().uncore_power_w + parked * cls.parked_power_w +
+  return power::kUncorePowerW + parked * power::kParkedPowerW +
          static_cast<double>(active) *
              (cls.idle_power_w + (busy_at_f - cls.idle_power_w) * u);
 }

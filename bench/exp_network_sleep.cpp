@@ -41,7 +41,7 @@ Tally run(network::LinkPolicy policy) {
   const int epochs = 24 * 60;
   for (int m = 0; m < epochs; ++m) {
     const double level = diurnal.demand_at(m * minutes(1.0));
-    double switch_power = model.config().chassis_power_w;
+    double switch_power = network::kChassisPowerW;
     double epoch_delay = 0.0;
     double epoch_awake = 0.0;
     // Server ports.

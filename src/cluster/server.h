@@ -69,12 +69,12 @@ class Server {
     const auto& cfg = model_->config();
     switch (state_) {
       case ServerState::kOff:
-        return cfg.off_power_w;
+        return power::kOffPowerW;
       case ServerState::kBooting:
       case ServerState::kWaking:
         return cfg.boot_power_w;
       case ServerState::kSleeping:
-        return cfg.sleep_power_w;
+        return power::kSleepPowerW;
       case ServerState::kActive:
         return model_->active_power_at(pstate_, utilization_, duty_);
     }

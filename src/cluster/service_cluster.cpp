@@ -8,13 +8,13 @@
 
 namespace epm::cluster {
 
+static_assert(kMaxUtilization > 0.0 && kMaxUtilization < 1.0);
+
 ServiceCluster::ServiceCluster(ServiceClusterConfig config)
     : config_(config), model_(config.server) {
   require(config_.server_count > 0, "ServiceCluster: need at least one server");
   require(config_.initially_active <= config_.server_count,
           "ServiceCluster: initially_active exceeds server_count");
-  require(config_.max_utilization > 0.0 && config_.max_utilization < 1.0,
-          "ServiceCluster: max_utilization outside (0,1)");
   require(config_.sla.target_mean_response_s > 0.0,
           "ServiceCluster: SLA target must be positive");
   servers_.reserve(config_.server_count);
@@ -137,17 +137,17 @@ EpochResult ServiceCluster::run_epoch(double epoch_s, const workload::OfferedLoa
   if (!balanced) {
     // Brown-out: nothing can serve.
     r.dropped_rate_per_s = load.arrival_rate_per_s;
-    r.mean_response_s = config_.sla.overload_response_s;
-    r.p99_response_s = config_.sla.overload_response_s;
+    r.mean_response_s = kOverloadResponseS;
+    r.p99_response_s = kOverloadResponseS;
     r.sla_violated = load.arrival_rate_per_s > 0.0;
   } else {
     double rho = load.arrival_rate_per_s / capacity_rps;
-    if (rho > config_.max_utilization) {
+    if (rho > kMaxUtilization) {
       r.dropped_rate_per_s =
-          load.arrival_rate_per_s - config_.max_utilization * capacity_rps;
-      rho = config_.max_utilization;
-      r.mean_response_s = config_.sla.overload_response_s;
-      r.p99_response_s = config_.sla.overload_response_s;
+          load.arrival_rate_per_s - kMaxUtilization * capacity_rps;
+      rho = kMaxUtilization;
+      r.mean_response_s = kOverloadResponseS;
+      r.p99_response_s = kOverloadResponseS;
       r.sla_violated = true;
     } else {
       // Balanced processor-sharing servers: each sees utilization rho and a

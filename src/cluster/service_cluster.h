@@ -23,11 +23,15 @@
 
 namespace epm::cluster {
 
+/// Response time charged to requests during overload / brown-out epochs.
+inline constexpr double kOverloadResponseS = 5.0;
+/// Per-server utilization is clipped here; arrivals beyond it are shed
+/// ("performances can degrade gracefully when reaching resource limits").
+inline constexpr double kMaxUtilization = 0.98;
+
 struct SlaConfig {
   /// Mean-response-time objective ("users expect sub-second response").
   double target_mean_response_s = 0.5;
-  /// Response time charged to requests during overload / brown-out epochs.
-  double overload_response_s = 5.0;
 };
 
 struct ServiceClusterConfig {
@@ -35,9 +39,6 @@ struct ServiceClusterConfig {
   std::size_t initially_active = 100;
   power::ServerPowerConfig server;
   SlaConfig sla;
-  /// Per-server utilization is clipped here; arrivals beyond it are shed
-  /// ("performances can degrade gracefully when reaching resource limits").
-  double max_utilization = 0.98;
 };
 
 /// Everything a policy can observe about one epoch.

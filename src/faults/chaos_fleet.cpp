@@ -296,13 +296,8 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
 
   const FleetStormConfig base =
       make_reference_fleet_storm_config(dcs, clients_per_dc, seed);
-  std::vector<std::string> names;
-  names.reserve(base.sites.size());
-  for (const macro::SiteConfig& s : base.sites) names.push_back(s.name);
-  const FaultDomainTree tree = make_reference_fault_domains(names);
-  const DomainFaultPlan grid = DomainFaultPlan::parse(grid_script);
   const std::vector<FleetDisruption> disruptions =
-      to_fleet_disruptions(expand_to_datacenters(tree, grid, seed));
+      chaos_grid_disruptions(dcs, seed, grid_script);
 
   const auto run_arm = [&](bool defended) {
     FleetStormConfig c = base;
@@ -316,6 +311,17 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
   rep.naive = run_arm(false);
   rep.gate_ok = rep.defended.recovered && !rep.naive.recovered;
   return rep;
+}
+
+std::vector<FleetDisruption> chaos_grid_disruptions(std::size_t dcs, std::uint64_t seed,
+                                                    const std::string& grid_script) {
+  std::vector<std::string> names;
+  for (const macro::SiteConfig& s : macro::make_reference_fleet_sites(dcs)) {
+    names.push_back(s.name);
+  }
+  const FaultDomainTree tree = make_reference_fault_domains(names);
+  const DomainFaultPlan grid = DomainFaultPlan::parse(grid_script);
+  return to_fleet_disruptions(expand_to_datacenters(tree, grid, seed));
 }
 
 std::string make_reference_grid_script() {

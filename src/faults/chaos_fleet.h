@@ -155,6 +155,13 @@ ChaosRecoveryReport run_chaos_recovery(std::size_t dcs,
                                        std::uint64_t seed,
                                        const std::string& grid_script);
 
+/// The disruptions run_chaos_recovery injects into the reference `dcs`-site
+/// fleet: `grid_script` parsed, resolved against the fleet's fault-domain
+/// tree and fanned out with `seed`'s staggers. A malformed script or an
+/// unknown domain name throws std::invalid_argument.
+std::vector<FleetDisruption> chaos_grid_disruptions(std::size_t dcs, std::uint64_t seed,
+                                                    const std::string& grid_script);
+
 /// The reference grid script used by `epmctl chaos` and the bench: a
 /// regional outage over the americas (taking out every DC in that region
 /// at staggered onsets) plus an EU brownout.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -97,6 +98,18 @@ FaultPlan FaultPlan::scripted(std::vector<FaultEvent> events) {
 FaultPlan FaultPlan::sampled(const FaultPlanConfig& config) {
   if (!(config.horizon_s > 0.0)) {
     throw std::invalid_argument("FaultPlanConfig horizon_s must be > 0");
+  }
+  double expected_events = 0.0;
+  for (const FaultRateSpec& spec : config.rates) {
+    if (spec.rate_per_day > 0.0) {
+      expected_events += spec.rate_per_day / 86400.0 * config.horizon_s;
+    }
+  }
+  if (!(expected_events <= kMaxExpectedEvents)) {
+    char text[96];
+    std::snprintf(text, sizeof text, "FaultPlan: %g expected events exceed the %g bound",
+                  expected_events, kMaxExpectedEvents);
+    throw std::invalid_argument(text);
   }
   std::vector<FaultEvent> events;
   // One independent stream per type: SplitMix64 seeded from the plan seed
@@ -210,12 +223,16 @@ void FaultPlan::validate_targets(std::size_t service_count,
     switch (event.type) {
       case FaultType::kServerCrash:
       case FaultType::kPsuTrip:
-      case FaultType::kSensorDropout:
-      case FaultType::kSensorStuck:
-      case FaultType::kSensorNoise:
       case FaultType::kFlashCrowd:
         if (event.target >= service_count) {
           reject(event, "service", service_count);
+        }
+        break;
+      case FaultType::kSensorDropout:
+      case FaultType::kSensorStuck:
+      case FaultType::kSensorNoise:
+        if (event.target >= service_count) {
+          reject(event, "sensing domain", service_count);
         }
         break;
       case FaultType::kCracFailure:

@@ -59,7 +59,10 @@ class FaultPlan {
   /// Validates and sorts `events` by (start, type, target, duration).
   static FaultPlan scripted(std::vector<FaultEvent> events);
   /// Samples a plan from per-type Poisson processes, one independent
-  /// SplitMix64-derived stream per type.
+  /// SplitMix64-derived stream per type. A config expecting more than
+  /// kMaxExpectedEvents events over its horizon throws
+  /// std::invalid_argument before any is drawn.
+  static constexpr double kMaxExpectedEvents = 1.0e6;
   static FaultPlan sampled(const FaultPlanConfig& config);
   /// Parses the text syntax documented above.
   static FaultPlan parse(const std::string& spec);
@@ -75,8 +78,9 @@ class FaultPlan {
   std::size_t count(FaultType type) const;
 
   /// Rejects events whose target index is outside the facility: service-
-  /// indexed types (crash, psu, sensor faults, surge) must target
-  /// [0, service_count) and CRAC-indexed types (crac, derate) must target
+  /// indexed types (crash, psu, surge) and sensor faults, which target the
+  /// sensing domain of a service, must target [0, service_count) and
+  /// CRAC-indexed types (crac, derate) must target
   /// [0, crac_count). Controller faults (ctl-crash / ctl-hang /
   /// ctl-restart) target a datacenter's controller replica and must target
   /// [0, controller_count) when a count is given; the default kAnyTarget

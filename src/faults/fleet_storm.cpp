@@ -14,6 +14,9 @@ namespace epm::faults {
 
 namespace {
 
+/// Queue bound of a datacenter's naive (undefended) arm.
+constexpr std::size_t kNaiveQueueCapacity = 120000;
+
 /// One datacenter: the storm datacenter every retry-storm world steps, plus
 /// the fleet's forwarding state. Heap-allocated (stable address: event
 /// callbacks capture raw pointers) and touched only by events on its own
@@ -52,7 +55,7 @@ struct FleetDc {
           workload::ClientPopulationConfig pop_cfg, std::size_t dcs)
       : index(idx),
         shard(shard_idx),
-        storm(std::move(pop_cfg), cfg.defense, cfg.naive_queue_capacity),
+        storm(std::move(pop_cfg), cfg.defense, kNaiveQueueCapacity),
         inbox(dcs),
         fwd(dcs),
         resp(dcs),
@@ -92,10 +95,6 @@ class FleetWorld {
             "FleetStorm: SLA fraction outside (0, 1]");
     require(config.recovery_window_epochs >= 1,
             "FleetStorm: recovery window must be at least one epoch");
-    if (!config.defense.enabled) {
-      require(config.naive_queue_capacity >= 1,
-              "FleetStorm: naive queue capacity must be at least 1");
-    }
     require(fabric.shard_count() >= 1 && dcs % fabric.shard_count() == 0,
             "FleetStorm: fabric shard count must divide the datacenter "
             "count (contiguous groups)");

@@ -92,7 +92,6 @@ struct FleetStormConfig {
   /// Per-datacenter admission stack; disabled = naive arm (big queue, no
   /// bucket/breaker).
   RetryStormDefenseConfig defense;
-  std::size_t naive_queue_capacity = 120000;
   /// Fraction of forward-eligible attempts (dark-service arrivals, queue
   /// overflow) re-routed to peers; deterministic fractional accumulator, no
   /// randomness. 0 disables re-routing (every eligible attempt fails

@@ -94,7 +94,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   const std::size_t cracs = facility.room().crac_count();
   // A fat-fingered plan (crash on service 7 of a 2-service facility) must
   // fail loudly before the injector arms anything.
-  plan.validate_targets(services, cracs);
+  validate_storm_plan(config, plan);
   const double epoch_s = facility.epoch_s();
 
   sim::Simulator sim;
@@ -242,8 +242,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
         const double per_server_rps =
             model.relative_capacity(pstate) /
             facility.request_model(s).config().mean_service_demand_s;
-        const double util_target =
-            cl.config().max_utilization / kProvisionHeadroom;
+        const double util_target = cluster::kMaxUtilization / kProvisionHeadroom;
         target = static_cast<std::size_t>(
             std::ceil(local[s] / (per_server_rps * util_target)));
         target = std::min(std::max<std::size_t>(target, 1), cl.available_count());
@@ -351,9 +350,14 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
   return out;
 }
 
+void validate_storm_plan(const StormConfig& config, const FaultPlan& plan) {
+  plan.validate_targets(config.facility.services.size(),
+                        config.facility.room.cracs.size());
+}
+
 std::size_t storm_epochs(const StormConfig& config) {
   require(config.horizon_s > 0.0, "Storm: horizon must be positive");
-  return checked_count(std::ceil(config.horizon_s / config.facility.epoch_s),
+  return checked_count(std::ceil(config.horizon_s / macro::kFacilityEpochS),
                        "Storm: horizon / epoch");
 }
 

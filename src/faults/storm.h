@@ -80,6 +80,10 @@ struct StormOutcome {
 
 StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan);
 
+/// Throws std::invalid_argument where run_fault_storm would refuse `plan`:
+/// a target outside `config`'s facility (FaultPlan::validate_targets).
+void validate_storm_plan(const StormConfig& config, const FaultPlan& plan);
+
 /// The epochs run_fault_storm runs, ceil(horizon / facility epoch); throws
 /// std::invalid_argument where it would refuse the horizon.
 std::size_t storm_epochs(const StormConfig& config);

@@ -251,7 +251,7 @@ void MacroResourceManager::coordinate() {
     // Supply temperature that keeps every zone's *steady state* below the
     // alarm threshold minus the margin — using real per-zone heat, not the
     // CRAC's biased return sensor.
-    double required_supply = crac.config().max_supply_c;
+    double required_supply = thermal::kMaxSupplyC;
     for (std::size_t z = 0; z < room.zone_count(); ++z) {
       const auto& zone = room.zone(z);
       const double limit_c = zone.config().alarm_temp_c - zone_margin_c;
@@ -259,7 +259,7 @@ void MacroResourceManager::coordinate() {
       required_supply = std::min(required_supply, supply_c);
     }
     required_supply =
-        std::clamp(required_supply, crac.config().min_supply_c, crac.config().max_supply_c);
+        std::clamp(required_supply, crac.config().min_supply_c, thermal::kMaxSupplyC);
     issue(sensing::CommandKind::kCracSupply, k, required_supply);
     log_.record({now, DecisionKind::kCoolingControl, crac.config().name,
                  "supply=" + fmt(required_supply, 1) + "C"});

@@ -14,7 +14,6 @@ Facility::Facility(FacilityConfig config)
       room_(config_.room),
       plant_(config_.plant) {
   require(!config_.services.empty(), "Facility: no services");
-  require(config_.epoch_s > 0.0, "Facility: epoch must be positive");
   clusters_.reserve(config_.services.size());
   for (const auto& spec : config_.services) {
     clusters_.emplace_back(spec.cluster);
@@ -86,8 +85,8 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
   zone_heat_.assign(room_.zone_count(), 0.0);
   for (std::size_t i = 0; i < clusters_.size(); ++i) {
     const auto load =
-        request_models_[i].offered_load(demand_per_service[i], config_.epoch_s);
-    const auto result = clusters_[i].run_epoch(config_.epoch_s, load);
+        request_models_[i].offered_load(demand_per_service[i], kFacilityEpochS);
+    const auto result = clusters_[i].run_epoch(kFacilityEpochS, load);
     out.it_power_w += result.server_power_w;
     for (std::size_t z = 0; z < zone_heat_.size(); ++z) {
       zone_heat_[z] += result.server_power_w * zone_shares_[i][z];
@@ -97,7 +96,7 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
 
   // 2. Advance the machine room; all server power becomes heat.
   const std::size_t alarms_before = room_.alarms().size();
-  room_.run_until(now_s_ + config_.epoch_s, zone_heat_);
+  room_.run_until(now_s_ + kFacilityEpochS, zone_heat_);
   out.new_thermal_alarms = room_.alarms().size() - alarms_before;
   alarms_seen_ += out.new_thermal_alarms;
   for (std::size_t z = 0; z < room_.zone_count(); ++z) {
@@ -129,9 +128,9 @@ FacilityStep Facility::step(const std::vector<double>& demand_per_service,
   out.power_overloaded = !report_.overloaded.empty();
   if (out.power_overloaded) ++overload_epochs_;
 
-  it_energy_j_ += out.it_power_w * config_.epoch_s;
-  mech_energy_j_ += out.mechanical_power_w * config_.epoch_s;
-  now_s_ += config_.epoch_s;
+  it_energy_j_ += out.it_power_w * kFacilityEpochS;
+  mech_energy_j_ += out.mechanical_power_w * kFacilityEpochS;
+  now_s_ += kFacilityEpochS;
   ++epochs_run_;
   for (const auto& observer : observers_) {
     observer(out);

@@ -31,12 +31,14 @@ struct MacroServiceSpec {
   std::vector<double> zone_share;
 };
 
+/// A facility steps its services and plant once a minute.
+inline constexpr double kFacilityEpochS = 60.0;
+
 struct FacilityConfig {
   std::vector<MacroServiceSpec> services;
   power::Tier2TopologyConfig power;
   thermal::MachineRoomConfig room;
   thermal::CoolingPlantConfig plant;
-  double epoch_s = 60.0;
 };
 
 /// Per-step outcome across services and the physical plant.
@@ -67,7 +69,7 @@ class Facility {
   const thermal::MachineRoom& room() const { return room_; }
   const thermal::CoolingPlant& plant() const { return plant_; }
   const power::Tier2Topology& power_topology() const { return topology_; }
-  double epoch_s() const { return config_.epoch_s; }
+  double epoch_s() const { return kFacilityEpochS; }
   double now_s() const { return now_s_; }
 
   /// Sets a service's zone heat distribution (normalized internally).

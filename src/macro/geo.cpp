@@ -11,14 +11,17 @@
 
 namespace epm::macro {
 
-GeoCoordinator::GeoCoordinator(std::vector<SiteConfig> sites, GeoPolicyConfig policy)
-    : sites_(std::move(sites)), policy_(policy) {
+/// End-to-end mean latency objective: 2x network + queueing response.
+constexpr double kSlaLatencyS = 0.25;
+/// Utilization each site's active servers are planned for.
+constexpr double kTargetUtilization = 0.70;
+/// Mean CPU demand per request (reference frequency).
+constexpr double kServiceDemandS = 0.01;
+static_assert(kSlaLatencyS > 0.0 && kServiceDemandS > 0.0);
+static_assert(kTargetUtilization > 0.0 && kTargetUtilization < 1.0);
+
+GeoCoordinator::GeoCoordinator(std::vector<SiteConfig> sites) : sites_(std::move(sites)) {
   require(!sites_.empty(), "GeoCoordinator: no sites");
-  require(policy_.sla_latency_s > 0.0, "GeoCoordinator: SLA must be positive");
-  require(policy_.target_utilization > 0.0 && policy_.target_utilization < 1.0,
-          "GeoCoordinator: target utilization outside (0,1)");
-  require(policy_.service_demand_s > 0.0,
-          "GeoCoordinator: service demand must be positive");
   for (const auto& s : sites_) {
     require(s.servers >= 1, "GeoCoordinator: site with no servers");
     require(s.distribution_overhead >= 1.0,
@@ -26,7 +29,6 @@ GeoCoordinator::GeoCoordinator(std::vector<SiteConfig> sites, GeoPolicyConfig po
     require(s.electricity_price_per_kwh > 0.0,
             "GeoCoordinator: price must be positive");
     require(s.network_latency_s >= 0.0, "GeoCoordinator: negative latency");
-    models_.emplace_back(s.server);
     plants_.emplace_back(s.plant);
   }
 }
@@ -37,15 +39,14 @@ const SiteConfig& GeoCoordinator::site(std::size_t i) const {
 }
 
 double GeoCoordinator::site_capacity_rps(std::size_t i) const {
-  return static_cast<double>(sites_[i].servers) / policy_.service_demand_s *
-         policy_.target_utilization;
+  return static_cast<double>(sites_[i].servers) / kServiceDemandS * kTargetUtilization;
 }
 
 bool GeoCoordinator::latency_feasible(std::size_t i) const {
   require(i < sites_.size(), "GeoCoordinator: site index out of range");
-  const double response = cluster::mg1ps_response_time_s(policy_.service_demand_s,
-                                                         policy_.target_utilization);
-  return 2.0 * sites_[i].network_latency_s + response <= policy_.sla_latency_s;
+  const double response =
+      cluster::mg1ps_response_time_s(kServiceDemandS, kTargetUtilization);
+  return 2.0 * sites_[i].network_latency_s + response <= kSlaLatencyS;
 }
 
 SiteAllocation GeoCoordinator::load_site(std::size_t i, double rate, double outside_c,
@@ -57,16 +58,13 @@ SiteAllocation GeoCoordinator::load_site(std::size_t i, double rate, double outs
     alloc.end_to_end_latency_s = 0.0;
     return alloc;
   }
-  const auto& model = models_[i];
   alloc.servers_on = std::min<std::size_t>(
       sites_[i].servers,
-      onoff::servers_for_load(rate, policy_.service_demand_s, 1.0,
-                              policy_.target_utilization));
-  const double capacity =
-      static_cast<double>(alloc.servers_on) / policy_.service_demand_s;
-  const double rho = std::min(rate / capacity, policy_.target_utilization);
+      onoff::servers_for_load(rate, kServiceDemandS, 1.0, kTargetUtilization));
+  const double capacity = static_cast<double>(alloc.servers_on) / kServiceDemandS;
+  const double rho = std::min(rate / capacity, kTargetUtilization);
   alloc.it_power_w = static_cast<double>(alloc.servers_on) *
-                     model.active_power_w(0, rho) * sites_[i].distribution_overhead;
+                     model_.active_power_w(0, rho) * sites_[i].distribution_overhead;
   const auto cooling = plants_[i].power_draw(alloc.it_power_w, 18.0, outside_c,
                                              outside_rh);
   alloc.cooling_power_w = cooling.total_w();
@@ -75,7 +73,7 @@ SiteAllocation GeoCoordinator::load_site(std::size_t i, double rate, double outs
                         sites_[i].electricity_price_per_kwh;
   alloc.end_to_end_latency_s =
       2.0 * sites_[i].network_latency_s +
-      cluster::mg1ps_response_time_s(policy_.service_demand_s, rho);
+      cluster::mg1ps_response_time_s(kServiceDemandS, rho);
   return alloc;
 }
 
@@ -83,12 +81,10 @@ double GeoCoordinator::unit_cost_per_rps(std::size_t i, double outside_c,
                                          double outside_rh) const {
   require(i < sites_.size(), "GeoCoordinator: site index out of range");
   // Cost of one fully-utilized server's worth of requests at this site.
-  const auto& model = models_[i];
-  const double it_w = model.active_power_w(0, policy_.target_utilization) *
+  const double it_w = model_.active_power_w(0, kTargetUtilization) *
                       sites_[i].distribution_overhead;
   const auto cooling = plants_[i].power_draw(it_w, 18.0, outside_c, outside_rh);
-  const double per_server_rps =
-      policy_.target_utilization / policy_.service_demand_s;
+  const double per_server_rps = kTargetUtilization / kServiceDemandS;
   return to_kwh((it_w + cooling.total_w()) * 3600.0) *
          sites_[i].electricity_price_per_kwh / per_server_rps;
 }

@@ -23,7 +23,6 @@ namespace epm::macro {
 struct SiteConfig {
   std::string name;
   std::size_t servers = 1000;
-  power::ServerPowerConfig server;
   thermal::CoolingPlantConfig plant;
   /// Electrical distribution overhead multiplier on IT power (UPS, PDU,
   /// transformer losses), ~1.10-1.18 for a tier-2 site.
@@ -43,13 +42,6 @@ struct SiteConfig {
 /// as the three-site geo-routing study. `count` in [2, 6].
 std::vector<SiteConfig> make_reference_fleet_sites(std::size_t count);
 
-struct GeoPolicyConfig {
-  /// End-to-end mean latency objective: 2x network + queueing response.
-  double sla_latency_s = 0.25;
-  double target_utilization = 0.70;
-  /// Mean CPU demand per request (reference frequency).
-  double service_demand_s = 0.01;
-};
 
 /// What one site is asked to carry, and what it costs.
 struct SiteAllocation {
@@ -75,7 +67,7 @@ struct GeoDecision {
 
 class GeoCoordinator {
  public:
-  GeoCoordinator(std::vector<SiteConfig> sites, GeoPolicyConfig policy = {});
+  explicit GeoCoordinator(std::vector<SiteConfig> sites);
 
   std::size_t site_count() const { return sites_.size(); }
   const SiteConfig& site(std::size_t i) const;
@@ -104,9 +96,9 @@ class GeoCoordinator {
   double site_capacity_rps(std::size_t site) const;
 
   std::vector<SiteConfig> sites_;
-  std::vector<power::ServerPowerModel> models_;
+  /// Every site runs the reference server.
+  power::ServerPowerModel model_{power::ServerPowerConfig{}};
   std::vector<thermal::CoolingPlant> plants_;
-  GeoPolicyConfig policy_;
 };
 
 }  // namespace epm::macro

@@ -8,6 +8,8 @@
 
 namespace epm::macro {
 
+static_assert(kJointMaxUtilization > 0.0 && kJointMaxUtilization < 1.0);
+
 double predicted_cluster_power_w(const power::ServerPowerModel& model,
                                  std::size_t servers, std::size_t pstate,
                                  double arrival_rate, double service_demand_s) {
@@ -28,8 +30,6 @@ JointDecision decide_joint(const power::ServerPowerModel& model,
   require(sla_target_s > 0.0, "decide_joint: SLA target must be positive");
   require(config.response_headroom > 0.0 && config.response_headroom <= 1.0,
           "decide_joint: headroom outside (0,1]");
-  require(config.max_utilization > 0.0 && config.max_utilization < 1.0,
-          "decide_joint: max_utilization outside (0,1)");
 
   const double target_s = sla_target_s * config.response_headroom;
   JointDecision best;
@@ -44,7 +44,7 @@ JointDecision decide_joint(const power::ServerPowerModel& model,
     // Response constraint: service_s / (1 - rho) <= target  =>
     //   rho <= 1 - service_s / target.
     const double rho_limit =
-        std::min(config.max_utilization, 1.0 - service_s / target_s);
+        std::min(kJointMaxUtilization, 1.0 - service_s / target_s);
     if (rho_limit <= 0.0) continue;
     const double per_server_rate = cap / service_demand_s;
     std::size_t n =

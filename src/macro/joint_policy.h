@@ -28,11 +28,13 @@ struct JointDecision {
   bool feasible = false;  ///< false when even (max servers, P0) misses SLA
 };
 
+/// Highest per-server utilization the joint policy plans for.
+inline constexpr double kJointMaxUtilization = 0.90;
+
 struct JointPolicyConfig {
   /// Keep predicted response below target * headroom (slack for prediction
   /// error and epoch-scale variation).
   double response_headroom = 0.8;
-  double max_utilization = 0.90;
   std::size_t min_servers = 1;
   /// Penalty (in joules) charged per server-state change, making the
   /// optimizer reluctant to churn the fleet for marginal wins. Expressed as

@@ -69,8 +69,8 @@ TieredDecision size_tiers_equal_split(const TieredServiceSpec& spec,
   TieredDecision decision;
   decision.feasible = true;
   const double budget = spec.end_to_end_sla_s / static_cast<double>(spec.tiers.size());
+  const power::ServerPowerModel model(power::ServerPowerConfig{});
   for (const auto& tier : spec.tiers) {
-    const power::ServerPowerModel model(tier.server);
     TierAllocation alloc;
     if (!solve_tier(tier, model, external_rate, budget, alloc)) {
       decision.feasible = false;
@@ -87,9 +87,7 @@ TieredDecision size_tiers(const TieredServiceSpec& spec, double external_rate,
   validate(spec, external_rate, config);
 
   const std::size_t tiers = spec.tiers.size();
-  std::vector<power::ServerPowerModel> models;
-  models.reserve(tiers);
-  for (const auto& t : spec.tiers) models.emplace_back(t.server);
+  const power::ServerPowerModel model(power::ServerPowerConfig{});
 
   const double step_s =
       spec.end_to_end_sla_s / static_cast<double>(config.budget_steps);
@@ -104,8 +102,7 @@ TieredDecision size_tiers(const TieredServiceSpec& spec, double external_rate,
     candidate.feasible = true;
     for (std::size_t i = 0; i < tiers; ++i) {
       const double budget = static_cast<double>(split[i]) * step_s;
-      if (!solve_tier(spec.tiers[i], models[i], external_rate, budget,
-                      allocs[i])) {
+      if (!solve_tier(spec.tiers[i], model, external_rate, budget, allocs[i])) {
         candidate.feasible = false;
         break;
       }

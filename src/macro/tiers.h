@@ -29,7 +29,6 @@ struct TierSpec {
   /// Mean CPU demand per internal request at reference frequency.
   double service_demand_s = 0.01;
   std::size_t max_servers = 2000;
-  power::ServerPowerConfig server;
 };
 
 struct TieredServiceSpec {

@@ -7,8 +7,11 @@
 namespace epm::network {
 namespace {
 
-double serialization_delay_s(double packet_bits, double rate_gbps) {
-  return packet_bits / (rate_gbps * 1e9);
+/// Mean packet size for serialization-delay accounting (1500 B).
+constexpr double kPacketBits = 12000.0;
+
+double serialization_delay_s(double rate_gbps) {
+  return kPacketBits / (rate_gbps * 1e9);
 }
 
 }  // namespace
@@ -18,12 +21,10 @@ LinkEvaluation evaluate_link(const SwitchPowerModel& model, LinkPolicy policy,
   require(load_gbps >= 0.0, "evaluate_link: negative load");
   require(load_gbps <= model.max_rate_gbps() + 1e-12,
           "evaluate_link: load exceeds the port's top rate");
-  require(config.burst_interval_s > 0.0 && config.packet_bits > 0.0,
-          "evaluate_link: invalid sleeping configuration");
+  require(config.burst_interval_s > 0.0, "evaluate_link: invalid sleeping configuration");
 
   const std::size_t top = model.rate_count() - 1;
-  const double base_delay =
-      serialization_delay_s(config.packet_bits, model.max_rate_gbps());
+  const double base_delay = serialization_delay_s(model.max_rate_gbps());
 
   LinkEvaluation eval;
   switch (policy) {
@@ -41,14 +42,14 @@ LinkEvaluation evaluate_link(const SwitchPowerModel& model, LinkPolicy policy,
       const double utilization = load_gbps / model.max_rate_gbps();
       const double awake_per_interval =
           utilization * config.burst_interval_s +
-          (load_gbps > 0.0 ? model.config().wake_latency_s : 0.0);
+          (load_gbps > 0.0 ? kPortWakeLatencyS : 0.0);
       eval.awake_fraction = std::min(awake_per_interval / config.burst_interval_s, 1.0);
       eval.power_w = eval.awake_fraction * model.port_power_w(top) +
                      (1.0 - eval.awake_fraction) * model.config().sleep_power_w;
       // A packet waits on average half the burst interval, plus the wake.
       eval.added_delay_s =
           load_gbps > 0.0
-              ? 0.5 * config.burst_interval_s + model.config().wake_latency_s
+              ? 0.5 * config.burst_interval_s + kPortWakeLatencyS
               : 0.0;
       break;
     }
@@ -60,7 +61,7 @@ LinkEvaluation evaluate_link(const SwitchPowerModel& model, LinkPolicy policy,
       // port's utilization at the chosen rate (M/M/1-style inflation).
       const double cap = model.config().rates[eval.rate].capacity_gbps;
       const double rho = std::min(load_gbps / cap, 0.95);
-      const double service = serialization_delay_s(config.packet_bits, cap);
+      const double service = serialization_delay_s(cap);
       eval.added_delay_s = service / (1.0 - rho) - base_delay;
       eval.added_delay_s = std::max(eval.added_delay_s, 0.0);
       break;

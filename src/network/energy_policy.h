@@ -36,8 +36,6 @@ struct SleepingConfig {
   /// Packets are buffered and released in bursts every this many seconds;
   /// the port sleeps between bursts when the load allows.
   double burst_interval_s = 0.01;
-  /// Mean packet size for serialization-delay accounting.
-  double packet_bits = 12000.0;  ///< 1500 B
 };
 
 /// Evaluates one port under `policy` at `load_gbps` offered load.

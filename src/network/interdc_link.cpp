@@ -13,6 +13,8 @@ namespace epm::network {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Sender-side delivery timeout: the base redelivery interval.
+constexpr double kRedeliveryTimeoutS = 0.25;
 
 const char* mode_name(LinkMode mode) {
   switch (mode) {
@@ -46,10 +48,7 @@ InterDcLinkPlan::InterDcLinkPlan(std::size_t sites, LinkPolicy policy)
   require(sites >= 1, "InterDcLinkPlan: need at least one site");
   require(policy.parked_capacity >= 1,
           "InterDcLinkPlan: parked capacity must be at least 1");
-  require(policy.redelivery_timeout_s > 0.0 &&
-              std::isfinite(policy.redelivery_timeout_s),
-          "InterDcLinkPlan: redelivery timeout must be positive and finite");
-  require(policy.backoff_cap_s >= policy.redelivery_timeout_s,
+  require(policy.backoff_cap_s >= kRedeliveryTimeoutS,
           "InterDcLinkPlan: backoff cap below the redelivery timeout");
   require(policy.jitter_frac >= 0.0 && policy.jitter_frac < 1.0,
           "InterDcLinkPlan: jitter fraction outside [0, 1)");
@@ -193,7 +192,7 @@ LinkDelivery InterDcLinkPlan::adjust(std::size_t src, std::size_t dst,
   const LinkWindow* w = covering(*windows, send_s);
   if (w == nullptr || w->mode == LinkMode::kUp) return out;
 
-  const double timeout = policy_.redelivery_timeout_s;
+  const double timeout = kRedeliveryTimeoutS;
   const double cap = policy_.backoff_cap_s;
   const auto backoff = [&](std::uint32_t attempt) {
     // attempt k >= 1: timeout * 2^(k-1), capped, stretched by jitter.

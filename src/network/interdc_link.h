@@ -62,9 +62,8 @@ struct LinkPolicy {
   /// Mailbox parking bound per (src, dst) pair during an open partition;
   /// exceeding it throws (bounded buffering, not silent drop).
   std::size_t parked_capacity = 65536;
-  /// Sender-side delivery timeout: the base redelivery interval.
-  double redelivery_timeout_s = 0.25;
-  /// Exponential backoff cap (pre-jitter).
+  /// Exponential backoff cap (pre-jitter); at least the 0.25 s redelivery
+  /// timeout.
   double backoff_cap_s = 8.0;
   /// Jitter fraction in [0, 1): each backoff stretches by up to this much.
   double jitter_frac = 0.1;

@@ -4,10 +4,13 @@
 
 namespace epm::network {
 
+/// Ports on the switch.
+constexpr std::size_t kSwitchPorts = 48;
+
+static_assert(kChassisPowerW >= 0.0 && kPortWakeLatencyS >= 0.0);
+
 SwitchPowerModel::SwitchPowerModel(SwitchPowerConfig config)
     : config_(std::move(config)) {
-  require(config_.ports >= 1, "SwitchPowerModel: need at least one port");
-  require(config_.chassis_power_w >= 0.0, "SwitchPowerModel: negative chassis power");
   require(!config_.rates.empty(), "SwitchPowerModel: no operating rates");
   double prev_cap = 0.0;
   double prev_power = 0.0;
@@ -22,7 +25,6 @@ SwitchPowerModel::SwitchPowerModel(SwitchPowerConfig config)
   require(config_.sleep_power_w >= 0.0 &&
               config_.sleep_power_w <= config_.rates.front().active_power_w,
           "SwitchPowerModel: sleep power must be in [0, slowest rate]");
-  require(config_.wake_latency_s >= 0.0, "SwitchPowerModel: negative wake latency");
 }
 
 double SwitchPowerModel::port_power_w(std::size_t rate) const {
@@ -40,9 +42,9 @@ std::size_t SwitchPowerModel::rate_for_load(double load_gbps) const {
 
 double SwitchPowerModel::switch_power_w(const std::vector<std::size_t>& port_rates,
                                         std::size_t sleeping_ports) const {
-  require(port_rates.size() + sleeping_ports <= config_.ports,
+  require(port_rates.size() + sleeping_ports <= kSwitchPorts,
           "SwitchPowerModel: more ports than the switch has");
-  double power = config_.chassis_power_w;
+  double power = kChassisPowerW;
   for (std::size_t rate : port_rates) power += port_power_w(rate);
   power += static_cast<double>(sleeping_ports) * config_.sleep_power_w;
   return power;

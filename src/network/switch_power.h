@@ -21,14 +21,16 @@ struct PortRate {
   double active_power_w;  ///< port powered at this rate (load-independent)
 };
 
+/// Chassis floor: fans, fabric, control plane.
+inline constexpr double kChassisPowerW = 90.0;
+/// Time a sleeping port takes to wake.
+inline constexpr double kPortWakeLatencyS = 0.001;
+
 struct SwitchPowerConfig {
-  std::size_t ports = 48;
-  double chassis_power_w = 90.0;  ///< fans, fabric, control plane
   /// Supported operating rates, ascending capacity. Power is dominated by
   /// the PHY/SerDes rate, not by utilization (ref [23]'s key observation).
   std::vector<PortRate> rates{{0.1, 0.7}, {1.0, 1.8}, {10.0, 5.0}};
   double sleep_power_w = 0.1;  ///< per sleeping port
-  double wake_latency_s = 0.001;
 };
 
 class SwitchPowerModel {

@@ -6,13 +6,17 @@
 
 namespace epm::onoff {
 
+/// Learning rate of per-bucket profile updates.
+constexpr double kProfileAlpha = 0.25;
+static_assert(kProfileAlpha > 0.0 && kProfileAlpha <= 1.0);
+/// Learning rate of the residual (level) correction.
+constexpr double kResidualAlpha = 0.3;
+
 SeasonalPredictor::SeasonalPredictor(SeasonalPredictorConfig config)
-    : config_(config), residual_level_(config.residual_alpha) {
+    : config_(config), residual_level_(kResidualAlpha) {
   require(config_.bucket_s > 0.0, "SeasonalPredictor: bucket must be positive");
   require(config_.period_s >= config_.bucket_s,
           "SeasonalPredictor: period shorter than bucket");
-  require(config_.profile_alpha > 0.0 && config_.profile_alpha <= 1.0,
-          "SeasonalPredictor: profile_alpha outside (0,1]");
   require(config_.fallback_period_s >= 0.0,
           "SeasonalPredictor: negative fallback period");
   const auto buckets = static_cast<std::size_t>(config_.period_s / config_.bucket_s);
@@ -38,7 +42,7 @@ void SeasonalPredictor::observe(double time_s, double value) {
     profile_[b] = value;
     warm_[b] = true;
   } else {
-    profile_[b] += config_.profile_alpha * (value - profile_[b]);
+    profile_[b] += kProfileAlpha * (value - profile_[b]);
   }
   residual_level_.add(value - profile_[b]);
   global_.add(value);

@@ -17,10 +17,6 @@ struct SeasonalPredictorConfig {
   double bucket_s = 3600.0;
   /// Seasonal period (one week by default; one day also works).
   double period_s = 7.0 * 86400.0;
-  /// Learning rate of per-bucket profile updates.
-  double profile_alpha = 0.25;
-  /// Learning rate of the residual (level) correction.
-  double residual_alpha = 0.3;
   /// When the exact bucket is still cold, fall back to the same phase one
   /// `fallback_period_s` earlier (daily by default): Tuesday 2pm borrows
   /// Monday 2pm until Tuesdays have been seen. 0 disables the fallback.

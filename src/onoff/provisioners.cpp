@@ -7,6 +7,16 @@
 
 namespace epm::onoff {
 
+/// Utilization the band re-sizes toward, and its upper edge: a fleet running
+/// hotter re-sizes.
+constexpr double kBandTargetUtilization = 0.65;
+constexpr double kUtilizationBandUpper = 0.80;
+static_assert(kBandTargetUtilization < kUtilizationBandUpper && kUtilizationBandUpper < 1.0);
+/// Fewest servers the band and predictive provisioners keep committed.
+constexpr std::size_t kMinServers = 1;
+/// Predictive safety margin in residual standard deviations.
+constexpr double kMarginSigmas = 2.0;
+
 std::size_t servers_for_load(double arrival_rate, double service_demand_s,
                              double capacity_fraction, double target_utilization) {
   require(arrival_rate >= 0.0, "servers_for_load: negative arrival rate");
@@ -51,18 +61,15 @@ std::size_t DelayThresholdProvisioner::decide(const cluster::ServiceCluster& clu
 
 UtilizationBandProvisioner::UtilizationBandProvisioner(UtilizationBandConfig config)
     : config_(config) {
-  require(config_.lower > 0.0 && config_.lower < config_.target_utilization &&
-              config_.target_utilization < config_.upper && config_.upper < 1.0,
+  require(config_.lower > 0.0 && config_.lower < kBandTargetUtilization,
           "UtilizationBandProvisioner: need 0 < lower < target < upper < 1");
-  require(config_.min_servers >= 1,
-          "UtilizationBandProvisioner: min_servers must be >= 1");
 }
 
 std::size_t UtilizationBandProvisioner::decide(const cluster::ServiceCluster& cluster,
                                                const cluster::EpochResult& last) {
   const std::size_t committed = cluster.committed_count();
   ++epochs_since_change_;
-  if (last.utilization >= config_.lower && last.utilization <= config_.upper) {
+  if (last.utilization >= config_.lower && last.utilization <= kUtilizationBandUpper) {
     return committed;  // inside the band: leave the fleet alone
   }
   if (epochs_since_change_ < config_.min_dwell_epochs) return committed;
@@ -70,8 +77,8 @@ std::size_t UtilizationBandProvisioner::decide(const cluster::ServiceCluster& cl
   const double capacity_fraction =
       cluster.power_model().relative_capacity(0);  // sized at full speed
   std::size_t target = servers_for_load(last.arrival_rate_per_s, last.service_demand_s,
-                                        capacity_fraction, config_.target_utilization);
-  target = std::clamp(target, config_.min_servers, cluster.server_count());
+                                        capacity_fraction, kBandTargetUtilization);
+  target = std::clamp(target, kMinServers, cluster.server_count());
   if (target != committed) {
     epochs_since_change_ = 0;
     last_target_ = target;
@@ -83,8 +90,6 @@ PredictiveProvisioner::PredictiveProvisioner(PredictiveConfig config)
     : config_(config), predictor_(config.predictor) {
   require(config_.target_utilization > 0.0 && config_.target_utilization < 1.0,
           "PredictiveProvisioner: target utilization outside (0,1)");
-  require(config_.margin_sigmas >= 0.0, "PredictiveProvisioner: negative margin");
-  require(config_.min_servers >= 1, "PredictiveProvisioner: min_servers must be >= 1");
 }
 
 std::size_t PredictiveProvisioner::decide(const cluster::ServiceCluster& cluster,
@@ -94,13 +99,13 @@ std::size_t PredictiveProvisioner::decide(const cluster::ServiceCluster& cluster
   const double lead_s = cluster.power_model().config().boot_time_s + last.epoch_s;
   const double predicted =
       std::max(0.0, predictor_.predict(last.time_s + lead_s) +
-                        config_.margin_sigmas * predictor_.residual_stddev());
+                        kMarginSigmas * predictor_.residual_stddev());
   const double capacity_fraction = cluster.power_model().relative_capacity(0);
   std::size_t target =
       predicted > 0.0 ? servers_for_load(predicted, last.service_demand_s,
                                          capacity_fraction, config_.target_utilization)
-                      : config_.min_servers;
-  target = std::clamp(target, config_.min_servers, cluster.server_count());
+                      : kMinServers;
+  target = std::clamp(target, kMinServers, cluster.server_count());
   // Hysteresis: prediction jitter of a server or two is not worth a boot.
   const std::size_t committed = cluster.committed_count();
   const std::size_t diff = target > committed ? target - committed : committed - target;

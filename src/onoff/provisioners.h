@@ -68,11 +68,9 @@ class DelayThresholdProvisioner final : public Provisioner {
   std::size_t calm_epochs_ = 0;
 };
 
+/// The utilization band re-sizes toward 0.65 and keeps at least one server.
 struct UtilizationBandConfig {
-  double target_utilization = 0.65;
-  double upper = 0.80;
   double lower = 0.45;
-  std::size_t min_servers = 1;
   std::size_t min_dwell_epochs = 2;  ///< epochs between size changes
 };
 
@@ -91,9 +89,6 @@ class UtilizationBandProvisioner final : public Provisioner {
 
 struct PredictiveConfig {
   double target_utilization = 0.65;
-  /// Safety margin in residual standard deviations.
-  double margin_sigmas = 2.0;
-  std::size_t min_servers = 1;
   /// Ignore target changes of at most this many servers, so prediction
   /// jitter does not translate into boot churn.
   std::size_t hysteresis_servers = 1;

@@ -7,6 +7,9 @@
 
 namespace epm::oversub {
 
+/// Seed of the Monte Carlo overflow draws.
+constexpr std::uint64_t kDrawSeed = 99;
+
 double normal_tail(double z) { return 0.5 * std::erfc(z / std::sqrt(2.0)); }
 
 double overflow_probability_independent(const std::vector<ServicePowerProfile>& services,
@@ -14,7 +17,7 @@ double overflow_probability_independent(const std::vector<ServicePowerProfile>& 
   require(!services.empty(), "overflow_probability: no services");
   require(capacity_w > 0.0, "overflow_probability: capacity must be positive");
   require(config.monte_carlo_draws > 0, "overflow_probability: zero draws");
-  Rng rng(config.seed);
+  Rng rng(kDrawSeed);
   std::size_t overflows = 0;
   for (std::size_t d = 0; d < config.monte_carlo_draws; ++d) {
     double total = 0.0;
@@ -41,7 +44,7 @@ double overflow_probability_aligned(const std::vector<ServicePowerProfile>& serv
     }
     return static_cast<double>(overflows) / static_cast<double>(max_len);
   }
-  Rng rng(config.seed);
+  Rng rng(kDrawSeed);
   std::size_t overflows = 0;
   for (std::size_t d = 0; d < config.monte_carlo_draws; ++d) {
     const auto idx = static_cast<std::size_t>(

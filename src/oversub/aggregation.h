@@ -23,7 +23,6 @@ namespace epm::oversub {
 
 struct RiskConfig {
   std::size_t monte_carlo_draws = 200000;
-  std::uint64_t seed = 99;
 };
 
 /// P(sum of independent draws > capacity).

@@ -7,16 +7,21 @@
 
 namespace epm::power {
 
+constexpr double kBankGb = 8.0;          ///< capacity of one memory bank
+constexpr double kPerBankActiveW = 3.0;  ///< per bank, powered
+/// Energy to spin one spindle back up.
+constexpr double kSpinupEnergyJ = 60.0;
+static_assert(kBankGb > 0.0 && kSpinupEnergyJ >= 0.0);
+
 MemoryPowerModel::MemoryPowerModel(MemoryConfig config) : config_(config) {
   require(config_.banks >= 1, "MemoryPowerModel: need at least one bank");
-  require(config_.bank_gb > 0.0, "MemoryPowerModel: bank size must be positive");
-  require(config_.per_bank_active_w >= config_.per_bank_asleep_w &&
+  require(kPerBankActiveW >= config_.per_bank_asleep_w &&
               config_.per_bank_asleep_w >= 0.0,
           "MemoryPowerModel: need active >= asleep >= 0 power");
 }
 
 double MemoryPowerModel::total_gb() const {
-  return static_cast<double>(config_.banks) * config_.bank_gb;
+  return static_cast<double>(config_.banks) * kBankGb;
 }
 
 std::size_t MemoryPowerModel::banks_for_working_set(double working_set_gb) const {
@@ -24,7 +29,7 @@ std::size_t MemoryPowerModel::banks_for_working_set(double working_set_gb) const
   require(working_set_gb <= total_gb() + 1e-9,
           "MemoryPowerModel: working set exceeds installed memory");
   const auto banks =
-      static_cast<std::size_t>(std::ceil(working_set_gb / config_.bank_gb - 1e-12));
+      static_cast<std::size_t>(std::ceil(working_set_gb / kBankGb - 1e-12));
   return std::clamp<std::size_t>(banks, 1, config_.banks);
 }
 
@@ -32,7 +37,7 @@ double MemoryPowerModel::power_w(std::size_t active_banks) const {
   require(active_banks >= 1 && active_banks <= config_.banks,
           "MemoryPowerModel: active banks outside [1, banks]");
   const auto asleep = static_cast<double>(config_.banks - active_banks);
-  return static_cast<double>(active_banks) * config_.per_bank_active_w +
+  return static_cast<double>(active_banks) * kPerBankActiveW +
          asleep * config_.per_bank_asleep_w;
 }
 
@@ -41,28 +46,25 @@ double MemoryPowerModel::power_for_working_set_w(double working_set_gb) const {
 }
 
 DiskPowerModel::DiskPowerModel(DiskConfig config) : config_(config) {
-  require(config_.spindles >= 1, "DiskPowerModel: need at least one spindle");
-  require(config_.spinning_w > config_.standby_w && config_.standby_w >= 0.0,
+  require(kSpinningW > config_.standby_w && config_.standby_w >= 0.0,
           "DiskPowerModel: need spinning > standby >= 0 power");
-  require(config_.spinup_energy_j >= 0.0 && config_.spinup_latency_s >= 0.0,
-          "DiskPowerModel: negative spin-up costs");
 }
 
 double DiskPowerModel::breakeven_idle_s() const {
-  return config_.spinup_energy_j / (config_.spinning_w - config_.standby_w);
+  return kSpinupEnergyJ / (kSpinningW - config_.standby_w);
 }
 
 double DiskPowerModel::gap_energy_j(double gap_s, double timeout_s) const {
   require(gap_s >= 0.0, "DiskPowerModel: negative gap");
   require(timeout_s >= 0.0, "DiskPowerModel: negative timeout");
-  if (gap_s <= timeout_s) return config_.spinning_w * gap_s;
-  return config_.spinning_w * timeout_s + config_.standby_w * (gap_s - timeout_s) +
-         config_.spinup_energy_j;
+  if (gap_s <= timeout_s) return kSpinningW * gap_s;
+  return kSpinningW * timeout_s + config_.standby_w * (gap_s - timeout_s) +
+         kSpinupEnergyJ;
 }
 
 double DiskPowerModel::gap_energy_spinning_j(double gap_s) const {
   require(gap_s >= 0.0, "DiskPowerModel: negative gap");
-  return config_.spinning_w * gap_s;
+  return kSpinningW * gap_s;
 }
 
 double DiskPowerModel::expected_idle_power_w(double mean_gap_s,
@@ -73,8 +75,8 @@ double DiskPowerModel::expected_idle_power_w(double mean_gap_s,
   const double tail = std::exp(-lambda * timeout_s);  // P(g > T)
   const double e_min = (1.0 - tail) / lambda;         // E[min(g, T)]
   const double e_excess = tail / lambda;              // E[(g - T)+]
-  const double e_energy = config_.spinning_w * e_min + config_.standby_w * e_excess +
-                          config_.spinup_energy_j * tail;
+  const double e_energy = kSpinningW * e_min + config_.standby_w * e_excess +
+                          kSpinupEnergyJ * tail;
   return e_energy / mean_gap_s;
 }
 

@@ -22,8 +22,6 @@ namespace epm::power {
 
 struct MemoryConfig {
   std::size_t banks = 8;
-  double bank_gb = 8.0;
-  double per_bank_active_w = 3.0;
   double per_bank_asleep_w = 0.3;
 };
 
@@ -47,12 +45,13 @@ class MemoryPowerModel {
 
 // ---- disk spindles -----------------------------------------------------
 
+/// Spindles per server.
+inline constexpr std::size_t kDiskSpindles = 4;
+/// Per spindle, spinning (idle or serving).
+inline constexpr double kSpinningW = 8.0;
+
 struct DiskConfig {
-  std::size_t spindles = 4;
-  double spinning_w = 8.0;   ///< per spindle, spinning (idle or serving)
   double standby_w = 0.8;    ///< per spindle, spun down
-  double spinup_energy_j = 60.0;
-  double spinup_latency_s = 6.0;
 };
 
 class DiskPowerModel {
@@ -62,7 +61,7 @@ class DiskPowerModel {
   const DiskConfig& config() const { return config_; }
 
   /// The break-even idle gap: spinning down pays only for gaps longer than
-  /// spinup_energy / (spinning - standby).
+  /// the spin-up energy / (spinning - standby).
   double breakeven_idle_s() const;
 
   /// Energy of one spindle over an idle gap of `gap_s` under a spin-down

@@ -8,15 +8,18 @@
 
 namespace epm::power {
 
+/// Unpark a core when the unparked ones run hotter than this.
+constexpr double kUnparkUtilization = 0.85;
+static_assert(kUnparkUtilization < 1.0 && kParkedPowerW >= 0.0 && kUncorePowerW >= 0.0);
+
 CmpPowerModel::CmpPowerModel(CmpConfig config) : config_(std::move(config)) {
-  require(config_.uncore_power_w >= 0.0, "CmpPowerModel: negative uncore power");
   require(!config_.classes.empty(), "CmpPowerModel: no core classes");
   for (const auto& c : config_.classes) {
     require(c.count >= 1, "CmpPowerModel: empty core class");
     require(c.capacity_weight > 0.0, "CmpPowerModel: capacity weight must be positive");
     require(c.idle_power_w >= 0.0 && c.busy_power_w >= c.idle_power_w,
             "CmpPowerModel: need 0 <= idle <= busy power");
-    require(c.parked_power_w >= 0.0 && c.parked_power_w <= c.idle_power_w,
+    require(kParkedPowerW <= c.idle_power_w,
             "CmpPowerModel: parked power must be in [0, idle]");
     max_capacity_ += static_cast<double>(c.count) * c.capacity_weight;
   }
@@ -45,12 +48,12 @@ double CmpPowerModel::power_w(const ActiveCores& active, double utilization) con
           "CmpPowerModel: utilization outside [0,1]");
   const double cap = capacity(active);  // validates the selection
   (void)cap;
-  double power = config_.uncore_power_w;
+  double power = kUncorePowerW;
   for (std::size_t i = 0; i < active.size(); ++i) {
     const auto& c = config_.classes[i];
     const auto unparked = static_cast<double>(active[i]);
     const auto parked = static_cast<double>(c.count - active[i]);
-    power += parked * c.parked_power_w;
+    power += parked * kParkedPowerW;
     power += unparked * (c.idle_power_w + (c.busy_power_w - c.idle_power_w) * utilization);
   }
   return power;
@@ -104,8 +107,7 @@ CoreParkingPolicy::CoreParkingPolicy(const CmpPowerModel& model,
                                      CoreParkingPolicyConfig config)
     : model_(&model), config_(config), active_(model.all_cores()) {
   require(config_.park_utilization > 0.0 &&
-              config_.park_utilization < config_.unpark_utilization &&
-              config_.unpark_utilization < 1.0,
+              config_.park_utilization < kUnparkUtilization,
           "CoreParkingPolicy: need 0 < park < unpark < 1");
   require(config_.min_cores >= 1, "CoreParkingPolicy: min_cores must be >= 1");
 }
@@ -117,7 +119,7 @@ const ActiveCores& CoreParkingPolicy::decide(double utilization) {
   std::size_t unparked_total = 0;
   for (std::size_t n : active_) unparked_total += n;
 
-  if (utilization > config_.unpark_utilization) {
+  if (utilization > kUnparkUtilization) {
     // Unpark one core of the most efficient (capacity per busy watt) class
     // that still has parked cores.
     double best_eff = -1.0;

@@ -21,6 +21,11 @@
 
 namespace epm::power {
 
+/// Power of one power-gated (parked) core.
+inline constexpr double kParkedPowerW = 0.5;
+/// Power of the shared uncore structures, paid while the package is on.
+inline constexpr double kUncorePowerW = 60.0;
+
 /// One class of cores on the package.
 struct CoreClass {
   std::string name = "core";
@@ -30,11 +35,9 @@ struct CoreClass {
   double capacity_weight = 1.0;
   double idle_power_w = 6.0;    ///< unparked, no work
   double busy_power_w = 22.0;   ///< at full utilization
-  double parked_power_w = 0.5;  ///< power-gated
 };
 
 struct CmpConfig {
-  double uncore_power_w = 60.0;  ///< shared structures; paid while on
   std::vector<CoreClass> classes{CoreClass{}};
 };
 
@@ -76,7 +79,6 @@ class CmpPowerModel {
 /// unparked cores run hot, park when they idle, mirroring the OS "core
 /// parking" feature the paper cites.
 struct CoreParkingPolicyConfig {
-  double unpark_utilization = 0.85;
   double park_utilization = 0.45;
   std::size_t min_cores = 1;
 };

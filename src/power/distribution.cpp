@@ -123,6 +123,13 @@ void PowerDistributionTree::evaluate(DistributionReport& report) const {
   }
 }
 
+// The tier-2 topology's conversion losses and mechanical feed.
+constexpr double kUpsLossFraction = 0.08;  ///< double-conversion UPS
+constexpr double kUpsFixedLossW = 5.0e3;
+constexpr double kTransformerLossFraction = 0.02;
+constexpr double kPduLossFraction = 0.03;
+constexpr double kMechanicalCapacityW = 1.2e6;  ///< chiller/CRAC feed
+
 Tier2Topology build_tier2_topology(const Tier2TopologyConfig& config) {
   require(config.pdu_count > 0 && config.racks_per_pdu > 0,
           "build_tier2_topology: need at least one PDU and one rack");
@@ -133,13 +140,13 @@ Tier2Topology build_tier2_topology(const Tier2TopologyConfig& config) {
   const NodeId xfmr = tree.add_node(
       tree.root(),
       NodeSpec{NodeKind::kTransformer, "transformer",
-               config.critical_capacity_w + config.mechanical_capacity_w, 2.0e3,
-               config.transformer_loss_fraction});
+               config.critical_capacity_w + kMechanicalCapacityW, 2.0e3,
+               kTransformerLossFraction});
   const NodeId ups = tree.add_node(
       xfmr, NodeSpec{NodeKind::kUps, "ups", config.critical_capacity_w,
-                     config.ups_fixed_loss_w, config.ups_loss_fraction});
+                     kUpsFixedLossW, kUpsLossFraction});
   const NodeId mech = tree.add_node(
-      xfmr, NodeSpec{NodeKind::kMechanical, "mechanical", config.mechanical_capacity_w,
+      xfmr, NodeSpec{NodeKind::kMechanical, "mechanical", kMechanicalCapacityW,
                      0.0, 0.0});
 
   Tier2Topology topo{std::move(tree), {}, mech, ups};
@@ -148,7 +155,7 @@ Tier2Topology build_tier2_topology(const Tier2TopologyConfig& config) {
   for (std::size_t p = 0; p < config.pdu_count; ++p) {
     const NodeId pdu = topo.tree.add_node(
         ups, NodeSpec{NodeKind::kPdu, "pdu" + std::to_string(p), pdu_capacity, 500.0,
-                      config.pdu_loss_fraction});
+                      kPduLossFraction});
     for (std::size_t r = 0; r < config.racks_per_pdu; ++r) {
       topo.rack_ids.push_back(topo.tree.add_node(
           pdu, NodeSpec{NodeKind::kRack,

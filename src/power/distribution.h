@@ -98,12 +98,7 @@ struct Tier2TopologyConfig {
   double critical_capacity_w = 1.0e6;  ///< UPS capacity ("defines the DC")
   std::size_t pdu_count = 4;
   std::size_t racks_per_pdu = 10;
-  double ups_loss_fraction = 0.08;       ///< double-conversion UPS
-  double ups_fixed_loss_w = 5.0e3;
-  double transformer_loss_fraction = 0.02;
-  double pdu_loss_fraction = 0.03;
   double rack_capacity_w = 30.0e3;
-  double mechanical_capacity_w = 1.2e6;  ///< chiller/CRAC feed
 };
 
 /// Builds grid -> transformer -> { UPS -> PDUs -> racks, mechanical }.

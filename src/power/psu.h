@@ -9,11 +9,12 @@
 
 namespace epm::power {
 
+/// Best-case conversion efficiency (80 PLUS-ish).
+inline constexpr double kPeakEfficiency = 0.92;
+
 struct PsuConfig {
   double rated_output_w = 450.0;
-  double peak_efficiency = 0.92;      ///< best-case efficiency (80 PLUS-ish)
   double efficiency_at_10pct = 0.78;  ///< light-load efficiency
-  double peak_efficiency_load = 0.5;  ///< load fraction of peak efficiency
 };
 
 class Psu {

@@ -6,12 +6,12 @@
 
 namespace epm::power {
 
+static_assert(kPeakPowerW > 0.0 && kSleepPowerW >= 0.0 && kOffPowerW >= 0.0 &&
+              kReferenceCapacityRps > 0.0);
+
 ServerPowerModel::ServerPowerModel(ServerPowerConfig config) : config_(config) {
-  require(config_.peak_power_w > 0.0, "ServerPowerModel: peak power must be positive");
   require(config_.idle_fraction >= 0.0 && config_.idle_fraction < 1.0,
           "ServerPowerModel: idle_fraction outside [0,1)");
-  require(config_.sleep_power_w >= 0.0 && config_.off_power_w >= 0.0,
-          "ServerPowerModel: negative sleep/off power");
   require(config_.max_frequency_hz > 0.0 &&
               config_.min_frequency_hz > 0.0 &&
               config_.min_frequency_hz <= config_.max_frequency_hz,
@@ -21,11 +21,9 @@ ServerPowerModel::ServerPowerModel(ServerPowerConfig config) : config_(config) {
   require(config_.boot_time_s >= 0.0 && config_.boot_power_w >= 0.0 &&
               config_.wake_from_sleep_s >= 0.0,
           "ServerPowerModel: invalid boot parameters");
-  require(config_.reference_capacity_rps > 0.0,
-          "ServerPowerModel: reference capacity must be positive");
 
-  const double idle_w = config_.peak_power_w * config_.idle_fraction;
-  const double dyn_w = config_.peak_power_w - idle_w;
+  const double idle_w = kPeakPowerW * config_.idle_fraction;
+  const double dyn_w = kPeakPowerW - idle_w;
   pstates_.reserve(config_.pstate_count);
   for (std::size_t i = 0; i < config_.pstate_count; ++i) {
     // Index 0 is the fastest state (P0), matching ACPI convention.
@@ -57,7 +55,7 @@ double ServerPowerModel::busy_power_w(std::size_t pstate) const {
 }
 
 double ServerPowerModel::capacity_rps(std::size_t pstate, double duty) const {
-  return config_.reference_capacity_rps * relative_capacity(pstate, duty);
+  return kReferenceCapacityRps * relative_capacity(pstate, duty);
 }
 
 double ServerPowerModel::relative_capacity(std::size_t pstate, double duty) const {

@@ -38,11 +38,17 @@ struct PState {
   double busy_power_w;    ///< full-utilization power at this state
 };
 
+/// Busy power at the top P-state.
+inline constexpr double kPeakPowerW = 300.0;
+/// Power drawn in S3-style sleep ("turned off components").
+inline constexpr double kSleepPowerW = 9.0;
+/// Power drawn fully off.
+inline constexpr double kOffPowerW = 0.0;
+/// Requests/s at fmax, utilization 1.
+inline constexpr double kReferenceCapacityRps = 100.0;
+
 struct ServerPowerConfig {
-  double peak_power_w = 300.0;   ///< busy power at the top P-state
   double idle_fraction = 0.60;   ///< idle power / peak power (paper: ~60%)
-  double sleep_power_w = 9.0;    ///< S3-style sleep ("turned off components")
-  double off_power_w = 0.0;      ///< fully off
   double max_frequency_hz = 2.4e9;
   /// DVFS exponent for the dynamic term: busy(f) = idle + dyn*(f/fmax)^alpha.
   double dvfs_exponent = 3.0;
@@ -54,7 +60,6 @@ struct ServerPowerConfig {
   double boot_time_s = 120.0;
   double boot_power_w = 280.0;     ///< near-peak draw while booting
   double wake_from_sleep_s = 15.0;
-  double reference_capacity_rps = 100.0;  ///< requests/s at fmax, utilization 1
 };
 
 /// Immutable per-model power/performance curves; shared by all servers of a
@@ -67,8 +72,8 @@ class ServerPowerModel {
   const std::vector<PState>& pstates() const { return pstates_; }
   std::size_t pstate_count() const { return pstates_.size(); }
 
-  double idle_power_w() const { return config_.peak_power_w * config_.idle_fraction; }
-  double peak_power_w() const { return config_.peak_power_w; }
+  double idle_power_w() const { return kPeakPowerW * config_.idle_fraction; }
+  double peak_power_w() const { return kPeakPowerW; }
 
   /// Electrical power at P-state `pstate`, utilization `u` in [0,1], and
   /// T-state duty cycle `duty` in (0,1]. Utilization is measured against the

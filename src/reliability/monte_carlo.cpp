@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/parallel.h"
@@ -14,6 +16,8 @@ namespace epm::reliability {
 namespace {
 
 constexpr double kHoursPerYear = 8760.0;
+/// Seed the replica streams derive from.
+constexpr std::uint64_t kReplicaSeed = 2025;
 
 struct LeafState {
   const ComponentSpec* spec;
@@ -129,19 +133,39 @@ ReplicaOutcome run_replica(const Block& topology,
 
 }  // namespace
 
-MonteCarloResult simulate_availability(const Block& topology,
-                                       const MonteCarloConfig& config) {
+void validate_monte_carlo_config(const Block& topology, const MonteCarloConfig& config) {
   require(config.years > 0.0, "simulate_availability: years must be positive");
   require(config.replicas >= 1, "simulate_availability: need at least one replica");
-
   std::vector<const Block*> leaves;
   topology.collect_leaves(leaves);
   require(!leaves.empty(), "simulate_availability: topology has no components");
+  double per_hour = 0.0;
+  for (const Block* leaf : leaves) {
+    const ComponentSpec& spec = leaf->spec();
+    per_hour += 2.0 / (spec.mtbf_h + spec.mttr_h);
+    if (spec.maintenance_h_per_year > 0.0) per_hour += 2.0 / kHoursPerYear;
+  }
+  const double expected =
+      per_hour * config.years * kHoursPerYear * static_cast<double>(config.replicas);
+  require(expected <= kMaxExpectedTransitions, [&] {
+    char text[112];
+    std::snprintf(text, sizeof text,
+                  "simulate_availability: %g expected transitions exceed the %g bound",
+                  expected, kMaxExpectedTransitions);
+    return std::string(text);
+  });
+}
+
+MonteCarloResult simulate_availability(const Block& topology,
+                                       const MonteCarloConfig& config) {
+  validate_monte_carlo_config(topology, config);
+  std::vector<const Block*> leaves;
+  topology.collect_leaves(leaves);
 
   const double horizon_h = config.years * kHoursPerYear;
   ThreadPool pool(resolve_thread_count(static_cast<std::int64_t>(config.threads)));
   const auto outcomes = pool.parallel_replicate(
-      config.replicas, config.seed, [&](Rng& rng, std::size_t) {
+      config.replicas, kReplicaSeed, [&](Rng& rng, std::size_t) {
         return run_replica(topology, leaves, horizon_h, rng);
       });
 

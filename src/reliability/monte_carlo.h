@@ -12,10 +12,9 @@ namespace epm::reliability {
 struct MonteCarloConfig {
   double years = 50.0;
   std::size_t replicas = 8;
-  std::uint64_t seed = 2025;
   /// Worker threads for the replica fan-out; 0 = default_thread_count().
   /// Results are bit-identical for any value (replica streams are derived
-  /// from `seed` by index and reduced in replica order).
+  /// from one fixed seed by index and reduced in replica order).
   std::size_t threads = 0;
 };
 
@@ -36,6 +35,17 @@ struct MonteCarloResult {
 
   double ci_width() const { return ci_hi - ci_lo; }
 };
+
+/// Bound on the component transitions a run is expected to simulate over
+/// all replicas (a failure and its repair count two, as do the start and
+/// end of a maintenance window). 64 replicas of 5000 years of the busiest
+/// tier topology expect about 4.5e7.
+inline constexpr double kMaxExpectedTransitions = 2.0e8;
+
+/// Throws std::invalid_argument where simulate_availability would refuse
+/// `config` on `topology`: no positive horizon, no replica, no component,
+/// or more than kMaxExpectedTransitions expected transitions.
+void validate_monte_carlo_config(const Block& topology, const MonteCarloConfig& config);
 
 /// Simulates every leaf component as an alternating exponential
 /// up(MTBF)/down(MTTR) renewal process plus one planned maintenance window

@@ -7,6 +7,12 @@
 namespace epm::sensing {
 namespace {
 
+/// Slack for power-tree conservation (absolute watts).
+constexpr double kPowerEpsilonW = 1.0;
+/// Physically plausible zone temperatures.
+constexpr double kTempLoC = -40.0;
+constexpr double kTempHiC = 120.0;
+
 std::string describe(const InvariantViolation& violation) {
   std::ostringstream out;
   out << "[" << violation.name << "] t=" << violation.time_s << "s: "
@@ -68,13 +74,13 @@ void InvariantMonitor::check(const InvariantInputs& in) {
   // Power-tree conservation: the utility feed must cover every downstream
   // load; distribution only adds losses.
   const double load_w = in.it_power_w + in.mechanical_power_w;
-  if (in.utility_draw_w + config_.power_epsilon_w < load_w) {
+  if (in.utility_draw_w + kPowerEpsilonW < load_w) {
     record("energy-conservation", t,
            "utility " + fmt(in.utility_draw_w) + "W < it+mech " + fmt(load_w) +
                "W");
   }
 
-  if (in.it_power_w > config_.power_epsilon_w && in.pue < 1.0) {
+  if (in.it_power_w > kPowerEpsilonW && in.pue < 1.0) {
     record("pue-floor", t, "pue=" + fmt(in.pue));
   }
 
@@ -91,7 +97,7 @@ void InvariantMonitor::check(const InvariantInputs& in) {
   }
 
   const auto out_of_bounds = [&](double temp_c) {
-    return temp_c < config_.temp_lo_c || temp_c > config_.temp_hi_c;
+    return temp_c < kTempLoC || temp_c > kTempHiC;
   };
   if (out_of_bounds(in.max_zone_temp_c)) {
     record("temperature-bounds", t, "max zone at " + fmt(in.max_zone_temp_c) + "C");

@@ -44,10 +44,6 @@ struct InvariantMonitorConfig {
 #else
   bool throw_on_violation = false;
 #endif
-  /// Slack for power-tree conservation (absolute watts).
-  double power_epsilon_w = 1.0;
-  double temp_lo_c = -40.0;
-  double temp_hi_c = 120.0;
   /// Violations kept verbatim; later ones only counted.
   std::size_t max_recorded = 64;
 };

@@ -36,9 +36,8 @@ DegradedScenarioOutcome run_degraded_scenario(
       macro::make_reference_facility(config.servers_per_service));
   const std::size_t services = facility.service_count();
   const double epoch_s = facility.epoch_s();
-  // Sensing targets are sensor domains, one per service plus the plant
-  // domain — a fat-fingered plan beyond that must fail before arming.
-  plan.validate_targets(services + 1, facility.room().crac_count());
+  // A fat-fingered plan must fail before arming.
+  validate_sensing_plan(config, plan);
 
   sim::Simulator sim;
   faults::FaultInjector injector(sim, plan);
@@ -152,13 +151,20 @@ DegradedScenarioOutcome run_degraded_scenario(
   return out;
 }
 
+void validate_sensing_plan(const DegradedScenarioConfig& config,
+                           const faults::FaultPlan& plan) {
+  const macro::FacilityConfig facility =
+      macro::make_reference_facility(config.servers_per_service);
+  // Sensing targets are sensor domains, one per service plus the plant
+  // domain.
+  plan.validate_targets(facility.services.size() + 1, facility.room.cracs.size());
+}
+
 std::size_t degraded_scenario_epochs(const DegradedScenarioConfig& config) {
   require(config.servers_per_service > 0,
           "DegradedScenario: servers_per_service must be positive");
   require(config.horizon_s > 0.0, "DegradedScenario: horizon must be positive");
-  const double epoch_s =
-      macro::make_reference_facility(config.servers_per_service).epoch_s;
-  return checked_count(std::ceil(config.horizon_s / epoch_s),
+  return checked_count(std::ceil(config.horizon_s / macro::kFacilityEpochS),
                        "DegradedScenario: horizon / epoch");
 }
 

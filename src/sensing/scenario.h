@@ -68,6 +68,12 @@ struct DegradedScenarioOutcome {
 DegradedScenarioOutcome run_degraded_scenario(
     const DegradedScenarioConfig& config, const faults::FaultPlan& plan);
 
+/// Throws std::invalid_argument where run_degraded_scenario would refuse
+/// `plan`: a target outside the facility's sensing domains (one per service
+/// plus the plant domain) or its CRACs.
+void validate_sensing_plan(const DegradedScenarioConfig& config,
+                           const faults::FaultPlan& plan);
+
 /// The epochs run_degraded_scenario runs, ceil(horizon / facility epoch);
 /// throws std::invalid_argument where it would refuse the fleet or horizon.
 std::size_t degraded_scenario_epochs(const DegradedScenarioConfig& config);

@@ -6,84 +6,15 @@
 // whose captures live inline (up to kInlineSize bytes) — the common case for
 // event closures, which capture a context pointer plus a couple of ids — so
 // scheduling an event touches no allocator at all. Oversized closures are
-// boxed out-of-line, either on the global heap or, when scheduled through a
-// Simulator, in that simulator's ClosureArena: a size-class freelist that
-// recycles closure blocks for the lifetime of the run.
+// boxed out-of-line on the global heap.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace epm::sim {
-
-/// Size-class freelist allocator for oversized event closures. Blocks are
-/// carved from chunked slabs and recycled on release, so a steady-state
-/// simulation reuses the same few cache-warm blocks instead of hammering
-/// malloc. Blocks larger than the biggest class fall through to operator new.
-/// The arena must outlive every closure allocated from it (the Simulator
-/// owns both, and destroys its events first).
-class ClosureArena {
- public:
-  ClosureArena() = default;
-  ClosureArena(const ClosureArena&) = delete;
-  ClosureArena& operator=(const ClosureArena&) = delete;
-
-  void* allocate(std::size_t bytes) {
-    const std::size_t cls = size_class(bytes);
-    if (cls == kClassCount) return ::operator new(bytes);
-    if (free_[cls] == nullptr) refill(cls);
-    FreeBlock* block = free_[cls];
-    free_[cls] = block->next;
-    return block;
-  }
-
-  void release(void* p, std::size_t bytes) noexcept {
-    const std::size_t cls = size_class(bytes);
-    if (cls == kClassCount) {
-      ::operator delete(p);
-      return;
-    }
-    auto* block = static_cast<FreeBlock*>(p);
-    block->next = free_[cls];
-    free_[cls] = block;
-  }
-
-  /// Slab bytes currently reserved (diagnostics / tests).
-  std::size_t reserved_bytes() const { return chunks_.size() * kChunkBytes; }
-
- private:
-  struct FreeBlock {
-    FreeBlock* next;
-  };
-  static constexpr std::size_t kClassSizes[] = {64, 128, 256, 512, 1024};
-  static constexpr std::size_t kClassCount =
-      sizeof(kClassSizes) / sizeof(kClassSizes[0]);
-  static constexpr std::size_t kChunkBytes = 16 * 1024;
-
-  static std::size_t size_class(std::size_t bytes) {
-    for (std::size_t c = 0; c < kClassCount; ++c) {
-      if (bytes <= kClassSizes[c]) return c;
-    }
-    return kClassCount;
-  }
-
-  void refill(std::size_t cls) {
-    chunks_.push_back(std::make_unique<std::byte[]>(kChunkBytes));
-    std::byte* base = chunks_.back().get();
-    const std::size_t block = kClassSizes[cls];
-    for (std::size_t off = 0; off + block <= kChunkBytes; off += block) {
-      release(base + off, block);
-    }
-  }
-
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  FreeBlock* free_[kClassCount] = {};
-};
 
 /// Move-only `void()` callable with inline storage for small captures.
 /// Construction from a callable is explicit so that overload sets taking
@@ -102,16 +33,7 @@ class EventFn {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   explicit EventFn(F&& fn) {
-    emplace(std::forward<F>(fn), nullptr);
-  }
-
-  /// Boxes `fn` in `arena` when it does not fit inline (the Simulator's
-  /// schedule path); small captures still go inline with no allocation.
-  template <typename F>
-  static EventFn with_arena(ClosureArena& arena, F&& fn) {
-    EventFn out;
-    out.emplace(std::forward<F>(fn), &arena);
-    return out;
+    emplace(std::forward<F>(fn));
   }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
@@ -162,7 +84,6 @@ class EventFn {
 
   struct Boxed {
     void* obj;
-    ClosureArena* arena;  ///< nullptr => plain operator new/delete
   };
 
   template <typename F>
@@ -174,20 +95,13 @@ class EventFn {
       ::new (dst) Boxed(*std::launder(static_cast<Boxed*>(src)));
     }
     static void destroy(void* self) noexcept {
-      Boxed* box = std::launder(static_cast<Boxed*>(self));
-      F* obj = static_cast<F*>(box->obj);
-      if (box->arena != nullptr) {
-        obj->~F();
-        box->arena->release(obj, sizeof(F));
-      } else {
-        delete obj;
-      }
+      delete static_cast<F*>(std::launder(static_cast<Boxed*>(self))->obj);
     }
     static constexpr Ops ops{&invoke, &relocate, &destroy, false};
   };
 
   template <typename F>
-  void emplace(F&& fn, ClosureArena* arena) {
+  void emplace(F&& fn) {
     using D = std::decay_t<F>;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
@@ -195,16 +109,7 @@ class EventFn {
     } else {
       static_assert(alignof(D) <= alignof(std::max_align_t),
                     "EventFn: over-aligned captures are not supported");
-      Boxed box;
-      if (arena != nullptr) {
-        void* raw = arena->allocate(sizeof(D));
-        box.obj = ::new (raw) D(std::forward<F>(fn));
-        box.arena = arena;
-      } else {
-        box.obj = new D(std::forward<F>(fn));
-        box.arena = nullptr;
-      }
-      ::new (static_cast<void*>(buf_)) Boxed(box);
+      ::new (static_cast<void*>(buf_)) Boxed{new D(std::forward<F>(fn))};
       ops_ = &BoxedModel<D>::ops;
     }
   }

@@ -53,8 +53,6 @@ class Fabric {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void send(std::size_t src, std::size_t dst, double delay_s, F&& fn) {
-    // Plain EventFn (no arena): on the sharded fabric the closure crosses
-    // kernels and ClosureArena is not thread-safe.
     send(src, dst, delay_s, EventFn(std::forward<F>(fn)));
   }
 };

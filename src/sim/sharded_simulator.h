@@ -141,9 +141,7 @@ class ShardedSimulator {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   void send(std::size_t src, std::size_t dst, double delay_s, F&& fn) {
-    // Plain EventFn construction, NOT the destination arena: the closure is
-    // built on the sending shard's thread, and ClosureArena is not
-    // thread-safe. Inline captures cost nothing; oversized ones heap-box.
+    // Inline captures cost nothing; oversized ones heap-box.
     send(src, dst, delay_s, EventFn(std::forward<F>(fn)));
   }
 

@@ -14,9 +14,10 @@
 //    near-future wheel (O(1) amortized schedule/fire at any queue size, the
 //    classic Brown result) plus a sorted far-future overflow heap, auto-
 //    resizing on occupancy. Event nodes live in a chunked slab with a
-//    freelist, closures are stored allocation-free (EventFn inline storage,
-//    ClosureArena for oversized captures), and cancellation is an O(1)
-//    status flip on the node — no hash set, no tombstone arithmetic.
+//    freelist, closures up to EventFn::kInlineSize bytes are stored
+//    allocation-free in the node (larger ones are heap-boxed), and
+//    cancellation is an O(1) status flip on the node — no hash set, no
+//    tombstone arithmetic.
 //  * HeapSimulator — the original binary-heap + std::function + hash-set-
 //    tombstone implementation, kept only as a reference: the cross-
 //    validation property suite, the ShardedSimKernel *OnHeap tests and the
@@ -65,15 +66,15 @@ class CalendarSimulator {
   double now() const { return now_s_; }
 
   /// Schedules `fn` at absolute time `when_s` (>= now). Returns a handle
-  /// usable with cancel(). The template routes oversized captures through
-  /// the simulator's closure arena; captures up to EventFn::kInlineSize
-  /// bytes are stored inline in the event node — no allocation.
+  /// usable with cancel(). Captures up to EventFn::kInlineSize bytes are
+  /// stored inline in the event node — no allocation; larger ones are
+  /// heap-boxed.
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventHandle schedule_at(double when_s, F&& fn) {
-    return schedule_at(when_s, EventFn::with_arena(arena_, std::forward<F>(fn)));
+    return schedule_at(when_s, EventFn(std::forward<F>(fn)));
   }
   EventHandle schedule_at(double when_s, EventFn fn);
 
@@ -83,8 +84,7 @@ class CalendarSimulator {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventHandle schedule_after(double delay_s, F&& fn) {
-    return schedule_after(delay_s,
-                          EventFn::with_arena(arena_, std::forward<F>(fn)));
+    return schedule_after(delay_s, EventFn(std::forward<F>(fn)));
   }
   EventHandle schedule_after(double delay_s, EventFn fn);
 
@@ -95,8 +95,7 @@ class CalendarSimulator {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventHandle schedule_periodic(double first_s, double period_s, F&& fn) {
-    return schedule_periodic(first_s, period_s,
-                             EventFn::with_arena(arena_, std::forward<F>(fn)));
+    return schedule_periodic(first_s, period_s, EventFn(std::forward<F>(fn)));
   }
   EventHandle schedule_periodic(double first_s, double period_s, EventFn fn);
 
@@ -229,10 +228,6 @@ class CalendarSimulator {
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;   ///< pending (uncancelled) events
   std::size_t wheel_count_ = 0;  ///< entries in wheel + cur_ (not overflow)
-
-  // Declared before the node slab: undrained boxed closures release into the
-  // arena from Node destructors, so the arena must be destroyed after them.
-  ClosureArena arena_;
 
   // Node slab: chunked so nodes never move (callbacks execute in place even
   // if they schedule new events), with a freelist for O(1) slot recycling.

@@ -69,10 +69,16 @@ double residual_correlation(const TimeSeries& a, const TimeSeries& b, double per
   return pearson_correlation(ra.values(), rb.values());
 }
 
+/// EWMA weight: state half-life ~ ln 2 / alpha samples (0.05 ~ 14 samples,
+/// comparable to detect_spikes' default trailing window).
+constexpr double kEwmaAlpha = 0.05;
+/// Samples observed before the band arms (the batch pass has the same blind
+/// spot: its first `window` samples are never tested).
+constexpr std::uint64_t kWarmupSamples = 32;
+
 void StreamingSpikeDetector::observe_column(const double* times_s, const double* values,
                                             std::size_t n,
                                             std::vector<AnomalyEvent>& events) {
-  const double alpha = config_.alpha;
   // An escape lies above the band and above zero.
   const double band = std::max(config_.sigmas, 0.0);
   double mean = mean_;
@@ -80,7 +86,7 @@ void StreamingSpikeDetector::observe_column(const double* times_s, const double*
   std::uint64_t seen = n_;
   for (std::size_t i = 0; i < n; ++i) {
     const double value = values[i];
-    if (seen >= config_.warmup) {
+    if (seen >= kWarmupSamples) {
       const double sd = std::max(std::sqrt(std::max(var, 0.0)), config_.min_stddev);
       const double z = (value - mean) / sd;
       if (z > band) events.push_back(AnomalyEvent{0, times_s[i], value, z});
@@ -92,9 +98,9 @@ void StreamingSpikeDetector::observe_column(const double* times_s, const double*
       var = 0.0;
     } else {
       const double delta = value - mean;
-      const double incr = alpha * delta;
+      const double incr = kEwmaAlpha * delta;
       mean += incr;
-      var = (1.0 - alpha) * (var + delta * incr);
+      var = (1.0 - kEwmaAlpha) * (var + delta * incr);
     }
     ++seen;
   }

@@ -53,16 +53,10 @@ double residual_correlation(const TimeSeries& a, const TimeSeries& b, double per
 // sealed block, not one query.
 
 struct StreamingAnomalyConfig {
-  /// EWMA weight: state half-life ~ ln 2 / alpha samples (0.05 ~ 14
-  /// samples, comparable to detect_spikes' default trailing window).
-  double alpha = 0.05;
   /// Band half-width in EWMA standard deviations.
   double sigmas = 6.0;
   /// Floor on the stddev estimate so flat series don't alarm on noise.
   double min_stddev = 1e-9;
-  /// Samples observed before the band arms (the batch pass has the same
-  /// blind spot: its first `window` samples are never tested).
-  std::uint32_t warmup = 32;
   bool enabled = true;
 };
 
@@ -84,9 +78,9 @@ class StreamingSpikeDetector {
 
   /// Observes a time-ordered column sample by sample and appends one event
   /// (key 0: the store stamps the counter) per sample that escapes the band
-  /// once armed after warmup. The state update includes band escapes,
-  /// mirroring detect_spikes: a sustained shift stops alarming once the
-  /// EWMA absorbs it. Splitting a column changes nothing.
+  /// once armed after a 32-sample warmup. The state update includes band
+  /// escapes, mirroring detect_spikes: a sustained shift stops alarming once
+  /// the EWMA absorbs it. Splitting a column changes nothing.
   void observe_column(const double* times_s, const double* values, std::size_t n,
                       std::vector<AnomalyEvent>& events);
 

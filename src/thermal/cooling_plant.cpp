@@ -6,11 +6,21 @@
 
 namespace epm::thermal {
 
+/// Supply temperature at which the chiller runs at `cop_at_reference`.
+constexpr double kReferenceSupplyC = 18.0;
+/// COP gain per degree of warmer supply air (warmer water -> better COP).
+constexpr double kCopPerDegree = 0.12;
+/// Fan overhead in economizer mode (more air moved than with chilled coils).
+constexpr double kEconomizerFanFraction = 0.10;
+/// Frost limit: colder outside air is not used directly even though it
+/// could carry the heat (dampers close, chiller takes over).
+constexpr double kMinOutsideC = -15.0;
+static_assert(kEconomizerFanFraction >= 0.0);
+
 CoolingPlant::CoolingPlant(CoolingPlantConfig config) : config_(config) {
   require(config_.cop_at_reference > 0.0, "CoolingPlant: COP must be positive");
   require(config_.min_cop > 0.0, "CoolingPlant: min COP must be positive");
-  require(config_.fan_fraction >= 0.0 && config_.economizer_fan_fraction >= 0.0,
-          "CoolingPlant: negative fan fraction");
+  require(config_.fan_fraction >= 0.0, "CoolingPlant: negative fan fraction");
   require(config_.economizer_approach_c >= 0.0, "CoolingPlant: negative approach");
   require(config_.min_intake_rh >= 0.0 && config_.min_intake_rh < config_.max_intake_rh &&
               config_.max_intake_rh <= 1.0,
@@ -19,13 +29,13 @@ CoolingPlant::CoolingPlant(CoolingPlantConfig config) : config_(config) {
 
 double CoolingPlant::cop_at(double supply_c) const {
   const double cop = config_.cop_at_reference +
-                     config_.cop_per_degree * (supply_c - config_.reference_supply_c);
+                     kCopPerDegree * (supply_c - kReferenceSupplyC);
   return std::max(cop, config_.min_cop);
 }
 
 bool CoolingPlant::economizer_usable(double outside_c, double supply_c) const {
   if (!config_.has_economizer) return false;
-  if (outside_c < config_.min_outside_c) return false;  // frost limit
+  if (outside_c < kMinOutsideC) return false;  // frost limit
   return outside_c <= supply_c - config_.economizer_approach_c;
 }
 
@@ -52,7 +62,7 @@ CoolingDraw CoolingPlant::power_draw(double heat_w, double supply_c, double outs
   }
   CoolingDraw draw;
   draw.economizer_active = true;
-  draw.fan_power_w = heat_w * config_.economizer_fan_fraction;
+  draw.fan_power_w = heat_w * kEconomizerFanFraction;
   return draw;
 }
 
@@ -62,7 +72,7 @@ CoolingDraw CoolingPlant::power_draw(double heat_w, double supply_c,
   CoolingDraw draw;
   if (economizer_usable(outside_c, supply_c)) {
     draw.economizer_active = true;
-    draw.fan_power_w = heat_w * config_.economizer_fan_fraction;
+    draw.fan_power_w = heat_w * kEconomizerFanFraction;
     return draw;
   }
   draw.fan_power_w = heat_w * config_.fan_fraction;

@@ -11,22 +11,15 @@
 namespace epm::thermal {
 
 struct CoolingPlantConfig {
-  /// Chiller coefficient of performance at the reference supply temp.
+  /// Chiller coefficient of performance at the reference supply temp
+  /// (18 C).
   double cop_at_reference = 3.5;
-  double reference_supply_c = 18.0;
-  /// COP gain per degree of warmer supply air (warmer water -> better COP).
-  double cop_per_degree = 0.12;
   double min_cop = 1.2;
   /// CRAC / air-handler fan power as a fraction of removed heat.
   double fan_fraction = 0.06;
   /// Economizer: usable when outside temp <= supply setpoint - approach.
   bool has_economizer = false;
   double economizer_approach_c = 4.0;
-  /// Fan overhead in economizer mode (more air moved than with chilled coils).
-  double economizer_fan_fraction = 0.10;
-  /// ASHRAE-style humidity envelope: outside air beyond these bounds cannot
-  /// be used directly even if cold (dampers close, chiller takes over).
-  double min_outside_c = -15.0;
   /// Relative-humidity envelope for direct outside air (paper §2.2 /
   /// ASHRAE: 30-45% recommended; we allow a wider but bounded intake range
   /// since mixing dampers can condition moderately dry/damp air).

@@ -15,16 +15,18 @@
 
 namespace epm::thermal {
 
+/// Warmest supply air a CRAC blows (and what a fully derated unit blows).
+inline constexpr double kMaxSupplyC = 27.0;
+/// Heat a healthy coil can remove.
+inline constexpr double kCoolingCapacityW = 400.0e3;
+
 struct CracConfig {
   std::string name;
   double control_period_s = 900.0;  ///< paper: reacts every 15 minutes
   double return_setpoint_c = 24.0;  ///< target observed return temperature
-  double deadband_c = 0.5;          ///< no action within setpoint +- deadband
   double gain = 0.8;                ///< supply-temp change per degree of error
   double min_supply_c = 12.0;
-  double max_supply_c = 27.0;
   double initial_supply_c = 18.0;
-  double cooling_capacity_w = 400.0e3;  ///< max heat the coil can remove
   /// Per-zone sensitivity of this CRAC's return-air sensor. Normalized
   /// internally; zones absent from the vector contribute nothing.
   std::vector<double> zone_sensitivity;
@@ -36,7 +38,7 @@ class Crac {
 
   const CracConfig& config() const { return config_; }
   /// Supply temperature the room actually receives: the controlled value
-  /// pushed toward max_supply_c in proportion to the active derate (a fully
+  /// pushed toward kMaxSupplyC in proportion to the active derate (a fully
   /// derated unit blows room-temperature air — it has failed).
   double supply_temp_c() const;
   /// Controller state before derate is applied.
@@ -49,7 +51,7 @@ class Crac {
   double derate() const { return derate_; }
   /// Heat the coil can still remove under the active derate.
   double effective_capacity_w() const {
-    return config_.cooling_capacity_w * (1.0 - derate_);
+    return kCoolingCapacityW * (1.0 - derate_);
   }
 
   /// Degradation hook: moves the return-air setpoint (macro layer raises it

@@ -14,21 +14,20 @@
 
 namespace epm::thermal {
 
+/// Day of year (0-based) of the warmest day: mid-July.
+inline constexpr double kHottestDay = 196.0;
+/// Relative humidity: mean fraction and diurnal swing (RH is lowest at the
+/// warmest hour). "The temperature and humidity of outside air change
+/// continuously" (paper §2.2).
+inline constexpr double kMeanRh = 0.60;
+inline constexpr double kDiurnalRhAmplitude = 0.15;
+
 struct OutsideAirConfig {
   double annual_mean_c = 12.0;       ///< temperate site
   double seasonal_amplitude_c = 11.0;  ///< winter/summer swing around mean
   double diurnal_amplitude_c = 5.0;  ///< day/night swing
-  /// Day of year (0-based) of the warmest day; mid-July by default.
-  double hottest_day = 196.0;
   double hottest_hour = 15.0;        ///< warmest time of day
   double weather_noise_c = 2.0;      ///< slow AR(1) weather deviations
-  double noise_correlation_time_s = 6.0 * 3600.0;
-  /// Relative humidity model: mean fraction, diurnal swing (RH is lowest at
-  /// the warmest hour), and AR(1) weather noise. "The temperature and
-  /// humidity of outside air change continuously" (paper §2.2).
-  double mean_rh = 0.60;
-  double diurnal_rh_amplitude = 0.15;
-  double rh_noise = 0.10;
   std::uint64_t seed = 1234;
 };
 

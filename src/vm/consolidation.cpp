@@ -6,6 +6,9 @@
 
 namespace epm::vm {
 
+/// Per-host limit on IO-intensive tenants in the target packing.
+constexpr std::size_t kMaxIoIntensivePerHost = 1;
+
 ConsolidationPlan plan_consolidation(const std::vector<VmSpec>& vms,
                                      const std::vector<HostSpec>& hosts,
                                      const Placement& current,
@@ -36,8 +39,7 @@ ConsolidationPlan plan_consolidation(const std::vector<VmSpec>& vms,
     return plan;
   }
 
-  const Placement packed = interference_aware(running, hosts, config.interference,
-                                              config.max_io_intensive);
+  const Placement packed = interference_aware(running, hosts, {}, kMaxIoIntensivePerHost);
   // Map the packed assignment back onto the full VM index space; VMs the
   // packer could not place stay where they are.
   plan.target = current;

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "vm/interference.h"
 #include "vm/migration.h"
 #include "vm/placement.h"
 
@@ -27,9 +26,6 @@ struct ConsolidationConfig {
   /// worthwhile (i.e. the freed hosts are expected to stay off this long).
   double payback_horizon_s = 3600.0;
   MigrationCostConfig migration;
-  InterferenceConfig interference;
-  /// Per-host limit on IO-intensive tenants in the target packing.
-  std::size_t max_io_intensive = 1;
 };
 
 struct ConsolidationPlan {

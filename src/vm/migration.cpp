@@ -8,15 +8,14 @@ namespace epm::vm {
 MigrationCost migration_cost(const VmSpec& vm, const MigrationCostConfig& config) {
   require(config.network_gbps > 0.0, "migration_cost: bandwidth must be positive");
   require(config.dirty_factor >= 1.0, "migration_cost: dirty_factor must be >= 1");
-  require(config.overhead_power_w >= 0.0 && config.downtime_s >= 0.0,
-          "migration_cost: negative overheads");
+  require(config.overhead_power_w >= 0.0, "migration_cost: negative overheads");
   MigrationCost cost;
   cost.bytes_moved = vm.memory_gb * 1e9 * config.dirty_factor;
   const double bytes_per_s = config.network_gbps * 1e9 / 8.0;
   cost.duration_s = cost.bytes_moved / bytes_per_s;
   // Overhead is paid on both the source and the destination.
   cost.energy_j = 2.0 * config.overhead_power_w * cost.duration_s;
-  cost.downtime_s = config.downtime_s;
+  cost.downtime_s = kStopAndCopyDowntimeS;
   return cost;
 }
 

@@ -13,6 +13,9 @@
 
 namespace epm::vm {
 
+/// Stop-and-copy blackout at the end of pre-copy.
+inline constexpr double kStopAndCopyDowntimeS = 0.3;
+
 struct MigrationCostConfig {
   double network_gbps = 1.0;        ///< migration link bandwidth
   /// Pre-copy rounds re-send dirtied memory; total bytes moved =
@@ -20,8 +23,6 @@ struct MigrationCostConfig {
   double dirty_factor = 1.3;
   /// Extra CPU+network power on source and destination while migrating.
   double overhead_power_w = 60.0;
-  /// Stop-and-copy blackout at the end of pre-copy.
-  double downtime_s = 0.3;
 };
 
 struct MigrationCost {

@@ -123,10 +123,10 @@ double colocated_peak(const std::vector<VmSpec>& vms,
 }
 
 Placement correlation_aware(const std::vector<VmSpec>& vms,
-                            const std::vector<HostSpec>& hosts,
-                            const CorrelationAwareConfig& config) {
+                            const std::vector<HostSpec>& hosts) {
+  // Peak scores closer than this count as ties.
+  constexpr double kTieEpsilon = 1e-9;
   require(!hosts.empty(), "correlation_aware: no hosts");
-  require(config.tie_epsilon >= 0.0, "correlation_aware: negative tie epsilon");
   std::vector<std::size_t> order(vms.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -150,8 +150,8 @@ Placement correlation_aware(const std::vector<VmSpec>& vms,
       trial.push_back(idx);
       const double after = colocated_peak(vms, trial, 0);
       const bool better =
-          best_host == kUnplaced || after < best_peak - config.tie_epsilon ||
-          (after < best_peak + config.tie_epsilon &&
+          best_host == kUnplaced || after < best_peak - kTieEpsilon ||
+          (after < best_peak + kTieEpsilon &&
            members[h].size() < members[best_host].size());
       if (better) {
         best_peak = after;

@@ -42,18 +42,13 @@ Placement interference_aware(const std::vector<VmSpec>& vms,
                              const InterferenceConfig& config = {},
                              std::size_t max_io_intensive = 1);
 
-struct CorrelationAwareConfig {
-  /// Candidate hosts are scored by the *resulting* co-located load peak (a
-  /// peak-aware worst-fit): the host whose combined profile peaks lowest
-  /// after adding the VM wins, with ties going to the emptier host. This
-  /// both spreads same-phase VMs and pairs anti-correlated ones. Scores
-  /// within `tie_epsilon` count as ties.
-  double tie_epsilon = 1e-9;
-};
-
+/// Candidate hosts are scored by the *resulting* co-located load peak (a
+/// peak-aware worst-fit): the host whose combined profile peaks lowest after
+/// adding the VM wins, with ties going to the emptier host. This both spreads
+/// same-phase VMs and pairs anti-correlated ones. Scores within 1e-9 count as
+/// ties.
 Placement correlation_aware(const std::vector<VmSpec>& vms,
-                            const std::vector<HostSpec>& hosts,
-                            const CorrelationAwareConfig& config = {});
+                            const std::vector<HostSpec>& hosts);
 
 /// The co-located load peak of a host under `assignment`: max over time of
 /// the sum of member profiles (mean demands x profile). Used to compare

@@ -9,6 +9,9 @@ namespace epm::workload {
 
 namespace {
 
+/// Multiplier applied to a spiked sample (on top of baseline + 64).
+constexpr double kSpikeScale = 50.0;
+
 enum class CounterType : std::uint8_t {
   kNearConstant,  // 50%: integer baseline, rare +-1 excursions
   kCumulative,    // 25%: monotone integer accumulator
@@ -114,7 +117,7 @@ FleetCountersBatch synthesize_fleet_counters(const FleetCountersConfig& config) 
            ++counter, ++idx) {
         SeriesState& s = states[idx];
         double value = next_value(s, time_s);
-        if (tick == s.spike_tick) value = (value + 64.0) * config.spike_scale;
+        if (tick == s.spike_tick) value = (value + 64.0) * kSpikeScale;
         batch.samples.push_back(telemetry::Sample{
             telemetry::make_key(server, counter), time_s, value, false});
       }

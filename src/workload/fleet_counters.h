@@ -41,8 +41,6 @@ struct FleetCountersConfig {
   /// Probability that a given (server, counter) pair hosts one injected
   /// spike: a single sample multiplied far outside the detector band.
   double spike_probability = 0.0;
-  /// Multiplier applied to the spiked sample (on top of baseline + 64).
-  double spike_scale = 50.0;
 };
 
 /// One injected ground-truth spike, for scoring the anomaly detector.

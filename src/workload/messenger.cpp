@@ -8,6 +8,9 @@
 
 namespace epm::workload {
 
+/// Exponential decay constant of a flash crowd's extra login rate.
+constexpr double kFlashDecayTimeS = 900.0;
+
 MessengerTrace generate_messenger_trace(const MessengerConfig& config, double horizon_s) {
   require(horizon_s > 0.0, "generate_messenger_trace: horizon must be positive");
   require(config.step_s > 0.0, "generate_messenger_trace: step must be positive");
@@ -32,7 +35,7 @@ MessengerTrace generate_messenger_trace(const MessengerConfig& config, double ho
     double t = flash_rng.exponential(flash_rate_per_s);
     while (t < horizon_s) {
       trace.flash_crowds.push_back(FlashCrowdEvent{
-          t, flash_rng.uniform(config.flash.magnitude_min, config.flash.magnitude_max)});
+          t, flash_rng.uniform(kFlashMagnitudeMin, kFlashMagnitudeMax)});
       t += flash_rng.exponential(flash_rate_per_s);
     }
   }
@@ -59,7 +62,7 @@ MessengerTrace generate_messenger_trace(const MessengerConfig& config, double ho
     for (const auto& fc : trace.flash_crowds) {
       if (t < fc.start_s) break;  // onsets are time-ordered
       const double age = t - fc.start_s;
-      rate *= 1.0 + (fc.magnitude - 1.0) * std::exp(-age / config.flash.decay_time_s);
+      rate *= 1.0 + (fc.magnitude - 1.0) * std::exp(-age / kFlashDecayTimeS);
     }
     if (sigma > 0.0) rate *= noise_rng.lognormal(mu, sigma);
 

@@ -21,11 +21,12 @@
 
 namespace epm::workload {
 
+/// Login-rate multiplier at a flash crowd's onset: uniform between these.
+inline constexpr double kFlashMagnitudeMin = 1.5;
+inline constexpr double kFlashMagnitudeMax = 3.5;
+
 struct FlashCrowdConfig {
   double rate_per_day = 1.0;     ///< expected flash crowds per simulated day
-  double magnitude_min = 1.5;    ///< login-rate multiplier at spike onset, min
-  double magnitude_max = 3.5;    ///< ... and max (uniform between them)
-  double decay_time_s = 900.0;   ///< exponential decay constant of a spike
 };
 
 struct MessengerConfig {

@@ -4,14 +4,16 @@
 
 namespace epm::workload {
 
+/// Seed of the Poisson arrival sampling.
+constexpr std::uint64_t kArrivalSeed = 7;
+
 RequestModel::RequestModel(RequestModelConfig config)
-    : config_(config), rng_(config.seed) {
+    : config_(config), rng_(kArrivalSeed) {
   require(config_.requests_per_demand_unit >= 0.0,
           "RequestModel: negative request rate factor");
   require(config_.fanout >= 1.0, "RequestModel: fanout must be >= 1");
   require(config_.mean_service_demand_s > 0.0,
           "RequestModel: service demand must be positive");
-  require(config_.service_demand_cv >= 0.0, "RequestModel: negative service CV");
 }
 
 OfferedLoad RequestModel::offered_load(double demand, double epoch_s) {

@@ -26,13 +26,8 @@ struct RequestModelConfig {
   /// Mean CPU seconds consumed by one internal request at the reference
   /// (maximum) core frequency.
   double mean_service_demand_s = 0.01;
-  /// Coefficient of variation of service demand (>=0). Exposed because the
-  /// M/G/1-PS response-time approximation is insensitive to it while M/M/n
-  /// is not; tests exercise both.
-  double service_demand_cv = 1.0;
   /// Poisson sampling of per-epoch arrivals (false = fluid/deterministic).
   bool stochastic_arrivals = true;
-  std::uint64_t seed = 7;
 };
 
 /// Offered load for one control epoch.

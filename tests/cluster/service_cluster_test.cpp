@@ -62,7 +62,7 @@ TEST(ServiceCluster, OverloadShedsAndViolatesSla) {
   const auto r = cluster.run_epoch(60.0, load_of(2000.0));  // 2x capacity
   EXPECT_TRUE(r.sla_violated);
   EXPECT_GT(r.dropped_rate_per_s, 900.0);
-  EXPECT_DOUBLE_EQ(r.mean_response_s, cluster.config().sla.overload_response_s);
+  EXPECT_DOUBLE_EQ(r.mean_response_s, kOverloadResponseS);
   EXPECT_GT(cluster.total_dropped_requests(), 0.0);
 }
 
@@ -277,17 +277,17 @@ class NinePassCluster {
 
     if (capacity_rps <= 0.0) {
       r.dropped_rate_per_s = load.arrival_rate_per_s;
-      r.mean_response_s = config_.sla.overload_response_s;
-      r.p99_response_s = config_.sla.overload_response_s;
+      r.mean_response_s = kOverloadResponseS;
+      r.p99_response_s = kOverloadResponseS;
       r.sla_violated = load.arrival_rate_per_s > 0.0;
     } else {
       double rho = load.arrival_rate_per_s / capacity_rps;
-      if (rho > config_.max_utilization) {
+      if (rho > kMaxUtilization) {
         r.dropped_rate_per_s =
-            load.arrival_rate_per_s - config_.max_utilization * capacity_rps;
-        rho = config_.max_utilization;
-        r.mean_response_s = config_.sla.overload_response_s;
-        r.p99_response_s = config_.sla.overload_response_s;
+            load.arrival_rate_per_s - kMaxUtilization * capacity_rps;
+        rho = kMaxUtilization;
+        r.mean_response_s = kOverloadResponseS;
+        r.p99_response_s = kOverloadResponseS;
         r.sla_violated = true;
       } else {
         const double total_capacity_fraction = capacity_rps * load.service_demand_s;
@@ -398,8 +398,8 @@ TEST(ServiceCluster, TwoPassEpochMatchesTheNinePassOracleOnSeededCommands) {
       config.server.wake_from_sleep_s = 20.0;
       ServiceCluster cluster(config);
       NinePassCluster oracle(config);
-      const double full_rps = static_cast<double>(servers) *
-                              cluster.power_model().config().reference_capacity_rps;
+      const double full_rps =
+          static_cast<double>(servers) * power::kReferenceCapacityRps;
       const auto n = static_cast<std::int64_t>(servers);
       for (int step = 0; step < 400; ++step) {
         const std::string where = "seed " + std::to_string(seed) + " servers " +

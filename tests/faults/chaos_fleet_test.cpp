@@ -158,6 +158,9 @@ TEST(ChaosRecovery, UnknownGridTargetsFailWithResolveDiagnostic) {
     EXPECT_NE(std::string::npos, message.find("unknown region 'nowhere'"));
     EXPECT_NE(std::string::npos, message.find("americas"));
   }
+  EXPECT_THROW(chaos_grid_disruptions(4, 42, "outage:region/nowhere@32+16"),
+               std::invalid_argument);
+  EXPECT_FALSE(chaos_grid_disruptions(4, 42, make_reference_grid_script()).empty());
 }
 
 }  // namespace

@@ -257,6 +257,9 @@ TEST(FaultPlanTargets, UnknownTargetsRejectedBeforeInjection) {
   EXPECT_THROW(
       run_fault_storm(config, FaultPlan::parse("crash:99@100+60")),
       std::invalid_argument);
+  EXPECT_THROW(validate_storm_plan(config, FaultPlan::parse("crash:99@100+60")),
+               std::invalid_argument);
+  EXPECT_NO_THROW(validate_storm_plan(config, FaultPlan::parse("crash:1@100+60")));
 }
 
 }  // namespace

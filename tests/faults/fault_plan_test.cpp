@@ -243,6 +243,17 @@ TEST(FaultPlan, SampledRespectsHorizonAndDurationFloor) {
   }
 }
 
+TEST(FaultPlan, SampledRefusesMoreExpectedEventsThanTheBound) {
+  FaultPlanConfig config;
+  config.horizon_s = 86400.0;
+  config.rate(FaultType::kPsuTrip).rate_per_day = FaultPlan::kMaxExpectedEvents;
+  EXPECT_NO_THROW(FaultPlan::sampled(FaultPlanConfig{}));
+  config.rate(FaultType::kServerCrash).rate_per_day = 1.0;
+  EXPECT_THROW(FaultPlan::sampled(config), std::invalid_argument);
+  EXPECT_THROW(epm::faults::make_storm_plan(1e300, 6.0 * 3600.0, 1, 2, 1),
+               std::invalid_argument);
+}
+
 TEST(FaultPlan, MergedWithConcatenatesAndResorts) {
   const FaultPlan early = FaultPlan::parse("outage@100+60");
   const FaultPlan late = FaultPlan::parse("crash:0@10+30x0.2");

@@ -18,7 +18,7 @@ TEST(Psu, PeakEfficiencyAtConfiguredLoadPoint) {
   PsuConfig config;
   Psu psu(config);
   const double at_peak = psu.efficiency_at(config.rated_output_w * 0.5);
-  EXPECT_NEAR(at_peak, config.peak_efficiency, 1e-9);
+  EXPECT_NEAR(at_peak, kPeakEfficiency, 1e-9);
   EXPECT_LT(psu.efficiency_at(config.rated_output_w * 0.1), at_peak);
   EXPECT_LE(psu.efficiency_at(config.rated_output_w), at_peak);
 }

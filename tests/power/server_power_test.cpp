@@ -97,7 +97,7 @@ TEST(ServerPowerModel, SinglePStateModel) {
   ServerPowerModel model(config);
   EXPECT_EQ(model.pstate_count(), 1u);
   EXPECT_DOUBLE_EQ(model.relative_capacity(0), 1.0);
-  EXPECT_DOUBLE_EQ(model.busy_power_w(0), config.peak_power_w);
+  EXPECT_DOUBLE_EQ(model.busy_power_w(0), kPeakPowerW);
 }
 
 TEST(ServerPowerModel, RejectsBadConfig) {
@@ -138,7 +138,7 @@ TEST_P(PowerCurveProperty, BusyPowerWithinBoundsAndMonotone) {
   double prev = model.busy_power_w(0) + 1.0;
   for (std::size_t p = 0; p < model.pstate_count(); ++p) {
     const double w = model.busy_power_w(p);
-    ASSERT_LE(w, config.peak_power_w + 1e-9);
+    ASSERT_LE(w, kPeakPowerW + 1e-9);
     ASSERT_GE(w, model.idle_power_w() - 1e-9);
     ASSERT_LT(w, prev);
     prev = w;

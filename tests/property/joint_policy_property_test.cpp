@@ -26,7 +26,7 @@ TEST_P(JointPolicyProperty, FeasibleDecisionsSatisfyConstraints) {
     if (!d.feasible) continue;
     ASSERT_GE(d.servers, 1u);
     ASSERT_LE(d.servers, max_servers);
-    ASSERT_LT(d.predicted_utilization, config.max_utilization + 1e-9);
+    ASSERT_LT(d.predicted_utilization, kJointMaxUtilization + 1e-9);
     ASSERT_LE(d.predicted_response_s, sla * config.response_headroom + 1e-9)
         << "lambda=" << lambda << " demand=" << demand << " sla=" << sla;
   }
@@ -50,7 +50,7 @@ TEST_P(JointPolicyProperty, NoBruteForceConfigBeatsTheDecision) {
         const double cap = model.relative_capacity(p);
         const double rate = static_cast<double>(n) * cap / demand;
         const double rho = lambda / rate;
-        if (rho >= config.max_utilization) continue;
+        if (rho >= kJointMaxUtilization) continue;
         const double resp = cluster::mg1ps_response_time_s(demand / cap, rho);
         if (resp > target) continue;
         const double power = predicted_cluster_power_w(model, n, p, lambda, demand);

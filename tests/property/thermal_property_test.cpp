@@ -56,7 +56,7 @@ TEST_P(ThermalProperty, CracSupplyAlwaysWithinRange) {
     for (int step = 0; step < 100; ++step) {
       crac.control_step({rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)});
       ASSERT_GE(crac.supply_temp_c(), config.min_supply_c - 1e-12);
-      ASSERT_LE(crac.supply_temp_c(), config.max_supply_c + 1e-12);
+      ASSERT_LE(crac.supply_temp_c(), kMaxSupplyC + 1e-12);
     }
   }
 }

@@ -5,6 +5,25 @@
 namespace epm::reliability {
 namespace {
 
+// A horizon of 1e300 years once ran without end; the transition bound
+// refuses it up front but still admits 64 replicas of 5000 years at every
+// tier.
+TEST(MonteCarlo, ExpectedTransitionBoundRefusesEndlessRuns) {
+  MonteCarloConfig config;
+  config.replicas = 64;
+  config.years = 5000.0;
+  for (int tier = 1; tier <= 4; ++tier) {
+    EXPECT_NO_THROW(validate_monte_carlo_config(make_tier_topology(tier), config))
+        << "tier " << tier;
+  }
+  config.replicas = 1;
+  config.years = 1e300;
+  EXPECT_THROW(validate_monte_carlo_config(make_tier_topology(2), config),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_availability(make_tier_topology(2), config),
+               std::invalid_argument);
+}
+
 TEST(MonteCarlo, SingleComponentMatchesAnalytic) {
   auto block = Block::component({"c", 100.0, 10.0, 0.0});  // A = 10/11
   MonteCarloConfig config;

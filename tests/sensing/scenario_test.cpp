@@ -1,6 +1,7 @@
 #include "sensing/scenario.h"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@ using epm::sensing::DegradedScenarioConfig;
 using epm::sensing::DegradedScenarioOutcome;
 using epm::sensing::make_sensing_fault_plan;
 using epm::sensing::run_degraded_scenario;
+using epm::sensing::validate_sensing_plan;
 
 /// Smaller plant / shorter horizon than the bench so the grid tests stay
 /// cheap; the physics and control paths exercised are identical.
@@ -65,6 +67,20 @@ TEST(SensingScenario, RejectsInvalidConfig) {
   config.horizon_s = 0.0;
   EXPECT_THROW(run_degraded_scenario(config, FaultPlan{}),
                std::invalid_argument);
+}
+
+// Sensor faults target sensing domains: one per service plus the plant
+// domain, so the reference facility's two services give three.
+TEST(SensingScenario, PlanTargetsAreCheckedAgainstSensingDomains) {
+  const DegradedScenarioConfig config;
+  EXPECT_NO_THROW(validate_sensing_plan(config, FaultPlan::parse("sensor-stuck:2@100+60")));
+  try {
+    validate_sensing_plan(config, FaultPlan::parse("sensor-stuck:9@100+60"));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string::npos,
+              std::string(e.what()).find("unknown sensing domain 9 (facility has 3)"));
+  }
 }
 
 TEST(SensingScenario, FaultPlanFactoryIsEmptyAtZeroIntensity) {

@@ -237,7 +237,7 @@ TEST(Simulator, BatchKeepsFifoOrderAtOneTimestamp) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST(Simulator, OversizedCaptureRoutesThroughArena) {
+TEST(Simulator, OversizedCaptureIsHeapBoxed) {
   Simulator sim;
   std::array<double, 16> payload{};  // 128 bytes: over EventFn::kInlineSize
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -268,16 +268,6 @@ TEST(EventFn, InlineAndBoxedCapturesBothInvoke) {
   moved();
   EXPECT_EQ(hits, 3);
   EXPECT_FALSE(static_cast<bool>(boxed));  // NOLINT(bugprone-use-after-move)
-}
-
-TEST(ClosureArena, RecyclesBlocksThroughFreelist) {
-  ClosureArena arena;
-  void* a = arena.allocate(100);  // 128-byte class
-  arena.release(a, 100);
-  void* b = arena.allocate(100);
-  EXPECT_EQ(a, b);  // freelist handed back the same block
-  arena.release(b, 100);
-  EXPECT_GT(arena.reserved_bytes(), 0u);
 }
 
 TEST(CalendarSimulator, WheelGrowsWithOccupancy) {

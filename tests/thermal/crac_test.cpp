@@ -54,7 +54,7 @@ TEST(Crac, SupplyClampedToRange) {
   for (int i = 0; i < 20; ++i) crac.control_step({60.0, 60.0});
   EXPECT_DOUBLE_EQ(crac.supply_temp_c(), c.min_supply_c);
   for (int i = 0; i < 40; ++i) crac.control_step({5.0, 5.0});
-  EXPECT_DOUBLE_EQ(crac.supply_temp_c(), c.max_supply_c);
+  EXPECT_DOUBLE_EQ(crac.supply_temp_c(), kMaxSupplyC);
 }
 
 TEST(Crac, ControlActionCounter) {

@@ -12,8 +12,8 @@ TEST(OutsideAir, SeasonalShape) {
   config.weather_noise_c = 0.0;
   config.diurnal_amplitude_c = 0.0;
   OutsideAirModel model(config);
-  const double summer = model.mean_temperature_c(days(config.hottest_day));
-  const double winter = model.mean_temperature_c(days(config.hottest_day + 182.0));
+  const double summer = model.mean_temperature_c(days(kHottestDay));
+  const double winter = model.mean_temperature_c(days(kHottestDay + 182.0));
   EXPECT_NEAR(summer, config.annual_mean_c + config.seasonal_amplitude_c, 0.1);
   EXPECT_NEAR(winter, config.annual_mean_c - config.seasonal_amplitude_c, 0.1);
 }
@@ -65,7 +65,7 @@ TEST(OutsideAir, HumidityAntiCorrelatesWithTemperature) {
   const double dry = model.mean_relative_humidity(hours(config.hottest_hour));
   const double damp = model.mean_relative_humidity(hours(config.hottest_hour + 12.0));
   EXPECT_LT(dry, damp);
-  EXPECT_NEAR(dry, config.mean_rh - config.diurnal_rh_amplitude, 1e-9);
+  EXPECT_NEAR(dry, kMeanRh - kDiurnalRhAmplitude, 1e-9);
 }
 
 TEST(OutsideAir, WeatherSampleCoupled) {

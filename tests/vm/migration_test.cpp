@@ -29,7 +29,7 @@ TEST(MigrationCost, ClosedForm) {
   EXPECT_DOUBLE_EQ(cost.bytes_moved, 8.0e9 * 1.25);
   EXPECT_DOUBLE_EQ(cost.duration_s, cost.bytes_moved / (10.0e9 / 8.0));
   EXPECT_DOUBLE_EQ(cost.energy_j, 2.0 * config.overhead_power_w * cost.duration_s);
-  EXPECT_DOUBLE_EQ(cost.downtime_s, config.downtime_s);
+  EXPECT_DOUBLE_EQ(cost.downtime_s, kStopAndCopyDowntimeS);
 }
 
 TEST(MigrationCost, RejectsBadConfig) {

@@ -129,8 +129,8 @@ TEST(Messenger, FlashCrowdMagnitudesWithinConfiguredRange) {
   const auto trace = generate_messenger_trace(config, weeks(2.0));
   ASSERT_FALSE(trace.flash_crowds.empty());
   for (const auto& fc : trace.flash_crowds) {
-    EXPECT_GE(fc.magnitude, config.flash.magnitude_min);
-    EXPECT_LE(fc.magnitude, config.flash.magnitude_max);
+    EXPECT_GE(fc.magnitude, kFlashMagnitudeMin);
+    EXPECT_LE(fc.magnitude, kFlashMagnitudeMax);
     EXPECT_GE(fc.start_s, 0.0);
     EXPECT_LT(fc.start_s, weeks(2.0));
   }

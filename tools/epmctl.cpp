@@ -26,7 +26,6 @@
 #include "core/units.h"
 #include "faults/chaos_fleet.h"
 #include "faults/control_chaos.h"
-#include "faults/fault_domain.h"
 #include "faults/fault_plan.h"
 #include "faults/fleet_storm.h"
 #include "faults/retry_storm.h"
@@ -310,8 +309,9 @@ const Command kCommands[] = {
        mc.years = args.positive("years", 50.0);
        mc.replicas = args.count("replicas", 8);
        mc.threads = args.threads();
+       const auto topology = reliability::make_tier_topology(tier);
+       reliability::validate_monte_carlo_config(topology, mc);
        return [=] {
-         const auto topology = reliability::make_tier_topology(tier);
          const double analytic = topology.availability(true);
          const auto simulated = reliability::simulate_availability(topology, mc);
          std::cout << "Tier " << tier << ":\n"
@@ -402,6 +402,7 @@ const Command kCommands[] = {
            plan_spec.empty() ? faults::make_storm_plan(intensity, config.horizon_s, seed,
                                                        config.demand_rps.size(), 1)
                              : faults::FaultPlan::parse(plan_spec);
+       faults::validate_storm_plan(config, plan);
        return [=] {
          print_plan("Fault plan", plan, plan_spec.empty(), intensity);
 
@@ -475,6 +476,7 @@ const Command kCommands[] = {
                                                   config.seed + 17,
                                                   /*service_count=*/2)
                : faults::FaultPlan::parse(plan_spec);
+       sensing::validate_sensing_plan(config, plan);
        return [=] {
          print_plan("Sensing/actuation fault plan", plan, plan_spec.empty(), intensity);
 
@@ -718,10 +720,9 @@ const Command kCommands[] = {
        const std::size_t threads = args.threads();
        const std::string script =
            args.get("script", faults::make_reference_grid_script());
-       faults::DomainFaultPlan::parse(script);
+       faults::chaos_grid_disruptions(dcs, seed, script);
        return [=] {
          // Drill 1: correlated regional grid event, defended vs naive recovery.
-         // It runs before the header, so a script it refuses prints nothing.
          const auto rec = faults::run_chaos_recovery(dcs, clients, seed, script);
          std::cout << "Chaos drills: " << dcs << " datacenters x " << clients
                    << " clients, grid script \"" << script << "\":\n";
