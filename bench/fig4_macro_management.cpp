@@ -82,8 +82,10 @@ int main() {
   std::cout << "\n  First decisions of the week:\n";
   Table sample({"t (h)", "kind", "service", "detail"});
   std::size_t shown = 0;
-  for (const auto& d : manager.log().all()) {
-    sample.add_row({fmt(to_hours(d.time_s), 2), to_string(d.kind), d.service, d.detail});
+  const macro::DecisionLog& log = manager.log();
+  for (const auto& d : log.all()) {
+    sample.add_row(
+        {fmt(to_hours(d.time_s), 2), to_string(d.kind), log.service(d), log.detail(d)});
     if (++shown == 8) break;
   }
   std::cout << sample.render();

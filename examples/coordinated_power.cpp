@@ -55,9 +55,11 @@ int main() {
   std::cout << "\nA mid-day slice of the decision log:\n";
   Table slice({"t (h)", "kind", "service", "detail"});
   std::size_t shown = 0;
-  for (const auto& d : manager.log().all()) {
+  const macro::DecisionLog& log = manager.log();
+  for (const auto& d : log.all()) {
     if (d.time_s < hours(12.0)) continue;
-    slice.add_row({fmt(to_hours(d.time_s), 2), to_string(d.kind), d.service, d.detail});
+    slice.add_row(
+        {fmt(to_hours(d.time_s), 2), to_string(d.kind), log.service(d), log.detail(d)});
     if (++shown == 6) break;
   }
   std::cout << slice.render();

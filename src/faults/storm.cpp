@@ -123,7 +123,7 @@ StormOutcome run_fault_storm(const StormConfig& config, const FaultPlan& plan) {
     return actuators.on_fault(event, onset, now_s);
   });
   actuators.set_logger([&log](double now_s, const std::string& text) {
-    log.record({now_s, macro::DecisionKind::kActuation, "", text});
+    log.record_text(now_s, macro::DecisionKind::kActuation, text);
   });
   actuators.set_applier([&facility](const sensing::ActuatorCommand& command) {
     return macro::apply_actuator_command(facility, command,

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/require.h"
-#include "core/table.h"
 #include "macro/joint_policy.h"
-#include "macro/risk.h"
 #include "power/capping.h"
 
 namespace epm::macro {
@@ -24,8 +21,12 @@ constexpr double kZoneMarginC = 3.0;
 /// the cooling controller's own (efficient) operating point at exactly
 /// alarm - kZoneMarginC.
 constexpr double kPlacementTriggerMarginC = 1.0;
+/// Share of every service's heat that placement moves out of a hot zone,
+/// spread evenly over the other zones.
+constexpr double kPlacementShiftFraction = 0.2;
 static_assert(kCoordinateEveryEpochs >= 1 && kPlacementTriggerMarginC >= 0.0 &&
-              kPlacementTriggerMarginC <= kZoneMarginC);
+              kPlacementTriggerMarginC <= kZoneMarginC &&
+              kPlacementShiftFraction > 0.0 && kPlacementShiftFraction < 1.0);
 
 MacroResourceManager::MacroResourceManager(Facility& facility,
                                            MacroManagerConfig config,
@@ -51,7 +52,7 @@ MacroResourceManager::MacroResourceManager(Facility& facility,
     return apply_actuator_command(facility_, command, /*use_sleep_states=*/true);
   });
   actuators_->set_logger([this](double now_s, const std::string& text) {
-    log_.record({now_s, DecisionKind::kActuation, "", text});
+    log_.record_text(now_s, DecisionKind::kActuation, text);
   });
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
     predictors_.emplace_back(onoff::SeasonalPredictorConfig{});
@@ -60,6 +61,13 @@ MacroResourceManager::MacroResourceManager(Facility& facility,
     // RequestModel default (10 ms per request).
     last_service_demand_s_.push_back(0.01);
     chosen_pstate_.push_back(0);
+  }
+  // Decision subjects: service i is subject i, CRAC k is subject n + k.
+  for (std::size_t i = 0; i < facility_.service_count(); ++i) {
+    log_.add_subject(facility_.service_name(i));
+  }
+  for (std::size_t k = 0; k < facility_.room().crac_count(); ++k) {
+    log_.add_subject(facility_.room().crac(k).config().name);
   }
 }
 
@@ -150,8 +158,10 @@ void MacroResourceManager::coordinate() {
 
   // --- 1+2: joint fleet sizing + DVFS per service, from predicted demand.
   double predicted_it_power = 0.0;
-  std::vector<double> per_service_power(facility_.service_count(), 0.0);
+  std::vector<double>& per_service_power = service_power_w_;
+  per_service_power.assign(facility_.service_count(), 0.0);
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
+    const auto subject = static_cast<std::uint32_t>(i);
     auto& svc = facility_.service(i);
     const auto& model = svc.power_model();
     if (predictors_[i].observations() == 0) {
@@ -180,18 +190,12 @@ void MacroResourceManager::coordinate() {
     per_service_power[i] = decision.predicted_power_w;
     predicted_it_power += decision.predicted_power_w;
 
-    std::ostringstream detail;
-    detail << "servers=" << decision.servers
-           << " pstate=" << power::pstate_name(decision.pstate)
-           << " predicted_lambda=" << fmt(predicted, 1)
-           << "/s predicted_power=" << fmt(decision.predicted_power_w / 1e3, 1) << "kW";
-    log_.record({now, DecisionKind::kServerAllocation, facility_.service_name(i),
-                 detail.str()});
-    log_.record({now, DecisionKind::kDvfs, facility_.service_name(i),
-                 power::pstate_name(decision.pstate)});
+    log_.record(Decision::allocation(now, subject, decision.servers,
+                                     decision.pstate, predicted,
+                                     decision.predicted_power_w));
+    log_.record(Decision::dvfs(now, subject, decision.pstate));
     if (!decision.feasible) {
-      log_.record({now, DecisionKind::kRiskAlert, facility_.service_name(i),
-                   "SLA unreachable even at full fleet/P0"});
+      log_.record(Decision::sla_unreachable(now, subject));
     }
   }
 
@@ -219,16 +223,14 @@ void MacroResourceManager::coordinate() {
       issue(sensing::CommandKind::kPowerCap, i, static_cast<double>(p));
       chosen_pstate_[i] = p;
     }
-    std::ostringstream detail;
-    detail << "budget=" << fmt(budget / 1e3, 0)
-           << "kW capped_to=" << fmt(predicted_it_power / 1e3, 0) << "kW";
-    log_.record({now, DecisionKind::kPowerCapping, "", detail.str()});
+    log_.record(Decision::capping(now, budget, predicted_it_power));
   }
 
   // --- 4: cooling control from server-side heat knowledge. Zone
   // temperatures are sensed, not read: a stale estimate widens the margin.
   auto& room = facility_.room();
-  std::vector<double> zone_temp_est(room.zone_count(), 0.0);
+  std::vector<double>& zone_temp_est = zone_temp_est_c_;
+  zone_temp_est.assign(room.zone_count(), 0.0);
   double zone_age_s = 0.0;
   for (std::size_t z = 0; z < room.zone_count(); ++z) {
     const sensing::Estimate est =
@@ -239,7 +241,8 @@ void MacroResourceManager::coordinate() {
   }
   const double zone_margin_c =
       kZoneMarginC * estimator_.margin_multiplier(zone_age_s);
-  std::vector<double> zone_heat(room.zone_count(), 0.0);
+  std::vector<double>& zone_heat = zone_heat_w_;
+  zone_heat.assign(room.zone_count(), 0.0);
   for (std::size_t i = 0; i < facility_.service_count(); ++i) {
     const auto& share = facility_.zone_share(i);
     for (std::size_t z = 0; z < zone_heat.size(); ++z) {
@@ -261,17 +264,18 @@ void MacroResourceManager::coordinate() {
     required_supply =
         std::clamp(required_supply, crac.config().min_supply_c, thermal::kMaxSupplyC);
     issue(sensing::CommandKind::kCracSupply, k, required_supply);
-    log_.record({now, DecisionKind::kCoolingControl, crac.config().name,
-                 "supply=" + fmt(required_supply, 1) + "C"});
+    log_.record(Decision::cooling_supply(
+        now, static_cast<std::uint32_t>(facility_.service_count() + k),
+        required_supply));
   }
 
   // --- 4b: what-if risk assessment of the committed plan (Fig. 4: "predict
   // performance impacts and risks on resource allocation decisions").
   {
-    std::vector<ServicePlan> plans;
+    plans_.resize(facility_.service_count());
     for (std::size_t i = 0; i < facility_.service_count(); ++i) {
       auto& svc = facility_.service(i);
-      ServicePlan plan;
+      ServicePlan& plan = plans_[i];
       plan.name = facility_.service_name(i);
       plan.model = &svc.power_model();
       plan.servers = std::max<std::size_t>(svc.committed_count(), 1);
@@ -280,20 +284,22 @@ void MacroResourceManager::coordinate() {
       plan.service_demand_s = last_service_demand_s_[i];
       plan.sla_target_s = svc.config().sla.target_mean_response_s;
       plan.zone_share = facility_.zone_share(i);
-      plans.push_back(std::move(plan));
     }
-    FacilityEnvelope envelope;
+    FacilityEnvelope& envelope = envelope_;
     envelope.power_budget_w = budget;
     envelope.zone_margin_c = 0.0;  // alert only on actual alarm exposure
+    envelope.zone_conductance_w_per_c.clear();
+    envelope.zone_alarm_c.clear();
+    envelope.zone_supply_c.clear();
     for (std::size_t z = 0; z < room.zone_count(); ++z) {
       const auto& zone = room.zone(z);
       envelope.zone_conductance_w_per_c.push_back(zone.config().conductance_w_per_c);
       envelope.zone_alarm_c.push_back(zone.config().alarm_temp_c);
       envelope.zone_supply_c.push_back(room.zone_supply_c(z));
     }
-    const auto assessment = assess_plan(plans, envelope);
+    const auto assessment = assess_plan(plans_, envelope);
     for (const auto& finding : assessment.diagnostics) {
-      log_.record({now, DecisionKind::kRiskAlert, "", finding});
+      log_.record_text(now, DecisionKind::kRiskAlert, finding);
     }
   }
 
@@ -305,19 +311,18 @@ void MacroResourceManager::coordinate() {
         zone.config().alarm_temp_c - kPlacementTriggerMarginC) {
       continue;
     }
-    // Move 20% of every service's share out of the hot zone, spread evenly.
     for (std::size_t i = 0; i < facility_.service_count(); ++i) {
       auto share = facility_.zone_share(i);
       if (share[z] <= 0.0 || share.size() < 2) continue;
-      const double moved = share[z] * 0.2;
+      const double moved = share[z] * kPlacementShiftFraction;
       share[z] -= moved;
       const double per_other = moved / static_cast<double>(share.size() - 1);
       for (std::size_t other = 0; other < share.size(); ++other) {
         if (other != z) share[other] += per_other;
       }
       issue(sensing::CommandKind::kZoneShare, i, 0.0, share);
-      log_.record({now, DecisionKind::kPlacement, facility_.service_name(i),
-                   "shifted 20% of heat out of hot zone " + std::to_string(z)});
+      log_.record(Decision::placement_shift(now, static_cast<std::uint32_t>(i), z,
+                                            kPlacementShiftFraction));
     }
   }
 }

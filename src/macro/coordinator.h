@@ -16,7 +16,9 @@
 //      return-air sensors (cooling control), and
 //   5. shifts service zone shares away from zones at thermal risk
 //      (service placement).
-// Every decision lands in the DecisionLog.
+// Every decision lands in the DecisionLog as a typed record whose text is
+// rendered on read, and the per-epoch vectors are members refilled in
+// place, so a coordination epoch formats no text.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,7 @@
 
 #include "macro/decision_log.h"
 #include "macro/facility.h"
+#include "macro/risk.h"
 #include "onoff/predictor.h"
 #include "sensing/actuator_plane.h"
 #include "sensing/estimator.h"
@@ -90,6 +93,12 @@ class MacroResourceManager {
   std::vector<double> last_arrival_rate_;
   std::vector<double> last_service_demand_s_;
   std::vector<std::size_t> chosen_pstate_;
+  // Coordination scratch, refilled every coordination epoch.
+  std::vector<double> service_power_w_;
+  std::vector<double> zone_temp_est_c_;
+  std::vector<double> zone_heat_w_;
+  std::vector<ServicePlan> plans_;
+  FacilityEnvelope envelope_;
   double max_estimate_age_s_ = 0.0;
   std::size_t epoch_count_ = 0;
   std::size_t capping_epochs_ = 0;

@@ -40,12 +40,12 @@ void DegradationPolicy::observe_overload(const OverloadSignal& signal,
       signal.shed_rate_per_s > config_.overload_min_shed_rate_per_s;
   if (log_) {
     if (overload_active_ && !was_overload_) {
-      log_->record({now_s, DecisionKind::kLoadShedding, "",
-                    "overload defense engaged: shed batch tier for "
-                    "interactive headroom"});
+      log_->record_text(now_s, DecisionKind::kLoadShedding,
+                        "overload defense engaged: shed batch tier for "
+                        "interactive headroom");
     } else if (!overload_active_ && was_overload_) {
-      log_->record({now_s, DecisionKind::kLoadShedding, "",
-                    "overload cleared: restore batch tier"});
+      log_->record_text(now_s, DecisionKind::kLoadShedding,
+                        "overload cleared: restore batch tier");
     }
   }
   was_overload_ = overload_active_;
@@ -70,8 +70,8 @@ bool DegradationPolicy::on_fault(const faults::FaultEvent& event, bool onset,
   }
 
   if (log_ && onset) {
-    log_->record({now_s, DecisionKind::kRiskAlert, "",
-                  "fault onset: " + faults::to_string(event.type)});
+    log_->record_text(now_s, DecisionKind::kRiskAlert,
+                      "fault onset: " + faults::to_string(event.type));
   }
 
   switch (event.type) {
@@ -179,37 +179,37 @@ DegradationAction DegradationPolicy::react(double now_s,
 
   if (log_) {
     if (shedding && !was_shedding_) {
-      log_->record({now_s, DecisionKind::kLoadShedding, "",
-                    "power emergency: shed low tier, reroute interactive"});
-      log_->record({now_s, DecisionKind::kLoadBalancing, "",
-                    "reroute interactive traffic to peer site"});
+      log_->record_text(now_s, DecisionKind::kLoadShedding,
+                        "power emergency: shed low tier, reroute interactive");
+      log_->record_text(now_s, DecisionKind::kLoadBalancing,
+                        "reroute interactive traffic to peer site");
       if (action.throttle) {
-        log_->record({now_s, DecisionKind::kPowerCapping, "",
-                      "throttle fleet to deepest P-state"});
+        log_->record_text(now_s, DecisionKind::kPowerCapping,
+                          "throttle fleet to deepest P-state");
       }
     }
     if (action.power_emergency && !was_power_emergency_) {
-      log_->record({now_s, DecisionKind::kCoolingControl, "",
-                    "raise CRAC setpoints for ride-through"});
+      log_->record_text(now_s, DecisionKind::kCoolingControl,
+                        "raise CRAC setpoints for ride-through");
     }
     if (action.region_emergency && !was_region_emergency_) {
-      log_->record({now_s, DecisionKind::kLoadBalancing, "",
-                    "region emergency: evacuate interactive to remote "
-                    "regions"});
-      log_->record({now_s, DecisionKind::kLoadShedding, "",
-                    "region emergency: shed batch tier outright"});
+      log_->record_text(now_s, DecisionKind::kLoadBalancing,
+                        "region emergency: evacuate interactive to remote "
+                        "regions");
+      log_->record_text(now_s, DecisionKind::kLoadShedding,
+                        "region emergency: shed batch tier outright");
     }
     if (action.cooling_emergency && !was_cooling_emergency_) {
-      log_->record({now_s, DecisionKind::kLoadShedding, "",
-                    "cooling emergency: shed low tier heat"});
-      log_->record({now_s, DecisionKind::kCoolingControl, "",
-                    "healthy CRACs cool harder"});
+      log_->record_text(now_s, DecisionKind::kLoadShedding,
+                        "cooling emergency: shed low tier heat");
+      log_->record_text(now_s, DecisionKind::kCoolingControl,
+                        "healthy CRACs cool harder");
     }
     if (action.consolidation_paused &&
         !(was_power_emergency_ || was_cooling_emergency_ || was_shedding_) &&
         (action.power_emergency || action.cooling_emergency)) {
-      log_->record({now_s, DecisionKind::kServerAllocation, "",
-                    "pause consolidation during fault"});
+      log_->record_text(now_s, DecisionKind::kServerAllocation,
+                        "pause consolidation during fault");
     }
   }
   was_shedding_ = shedding;

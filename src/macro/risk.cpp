@@ -23,7 +23,11 @@ RiskAssessment assess_plan(const std::vector<ServicePlan>& plans,
   require(envelope.zone_margin_c >= 0.0, "assess_plan: negative margin");
 
   RiskAssessment out;
-  std::vector<double> zone_heat(zones, 0.0);
+  out.services.reserve(plans.size());
+  // Holds each zone's heat (W) until every plan is summed, then its
+  // predicted steady-state temperature.
+  std::vector<double>& zone_heat = out.predicted_zone_temp_c;
+  zone_heat.assign(zones, 0.0);
 
   for (const auto& plan : plans) {
     require(plan.model != nullptr, "assess_plan: plan without a power model");
@@ -79,7 +83,6 @@ RiskAssessment assess_plan(const std::vector<ServicePlan>& plans,
     out.diagnostics.push_back(os.str());
   }
 
-  out.predicted_zone_temp_c.resize(zones);
   for (std::size_t z = 0; z < zones; ++z) {
     out.predicted_zone_temp_c[z] =
         envelope.zone_supply_c[z] + zone_heat[z] / envelope.zone_conductance_w_per_c[z];

@@ -72,12 +72,6 @@ double ActuatorPlane::failure_probability(CommandKind kind) const {
   return std::clamp(total, 0.0, 1.0);
 }
 
-void ActuatorPlane::log(double now_s, const std::string& text) {
-  if (logger_) {
-    logger_(now_s, text);
-  }
-}
-
 void ActuatorPlane::schedule_retry(PendingCommand& pending, double now_s) {
   double backoff = config_.retry_backoff_s;
   for (std::size_t a = 1; a < pending.attempts; ++a) {
@@ -91,10 +85,12 @@ void ActuatorPlane::schedule_retry(PendingCommand& pending, double now_s) {
                                   0x6a77ULL);
   pending.next_attempt_s = now_s + backoff * jitter;
   ++retries_;
-  log(now_s, "retry " + to_string(pending.command.kind) + ":" +
-                 std::to_string(pending.command.target) + " attempt " +
-                 std::to_string(pending.attempts) + " backoff " +
-                 std::to_string(backoff * jitter) + "s");
+  if (logger_) {
+    logger_(now_s, "retry " + to_string(pending.command.kind) + ":" +
+                       std::to_string(pending.command.target) + " attempt " +
+                       std::to_string(pending.attempts) + " backoff " +
+                       std::to_string(backoff * jitter) + "s");
+  }
 }
 
 bool ActuatorPlane::attempt(PendingCommand& pending, double now_s) {
@@ -113,9 +109,11 @@ bool ActuatorPlane::attempt(PendingCommand& pending, double now_s) {
   }
   if (pending.attempts >= config_.max_attempts) {
     ++failed_;
-    log(now_s, "failed " + to_string(pending.command.kind) + ":" +
-                   std::to_string(pending.command.target) + " after " +
-                   std::to_string(pending.attempts) + " attempts");
+    if (logger_) {
+      logger_(now_s, "failed " + to_string(pending.command.kind) + ":" +
+                         std::to_string(pending.command.target) + " after " +
+                         std::to_string(pending.attempts) + " attempts");
+    }
     return true;  // leaves the queue, as failed
   }
   schedule_retry(pending, now_s);
@@ -154,13 +152,15 @@ std::uint64_t ActuatorPlane::issue_fenced(const ActuatorCommand& command,
     const FencingVerdict verdict = fencing_->admit(token, uid);
     if (verdict != FencingVerdict::kApplied) {
       ++fencing_rejections_;
-      log(now_s,
-          std::string(verdict == FencingVerdict::kStaleToken
-                          ? "fenced stale "
-                          : "fenced duplicate ") +
-              to_string(command.kind) + ":" + std::to_string(command.target) +
-              " token " + std::to_string(token) + " uid " +
-              std::to_string(uid));
+      if (logger_) {
+        logger_(now_s,
+                std::string(verdict == FencingVerdict::kStaleToken
+                                ? "fenced stale "
+                                : "fenced duplicate ") +
+                    to_string(command.kind) + ":" +
+                    std::to_string(command.target) + " token " +
+                    std::to_string(token) + " uid " + std::to_string(uid));
+      }
       return 0;
     }
   }
@@ -171,9 +171,11 @@ void ActuatorPlane::tick(double now_s) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (now_s - it->issued_s >= config_.command_timeout_s) {
       ++failed_;
-      log(now_s, "timeout " + to_string(it->command.kind) + ":" +
-                     std::to_string(it->command.target) + " after " +
-                     std::to_string(it->attempts) + " attempts");
+      if (logger_) {
+        logger_(now_s, "timeout " + to_string(it->command.kind) + ":" +
+                           std::to_string(it->command.target) + " after " +
+                           std::to_string(it->attempts) + " attempts");
+      }
       it = pending_.erase(it);
       continue;
     }

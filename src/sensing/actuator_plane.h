@@ -69,7 +69,8 @@ struct ActuatorPlaneConfig {
 class ActuatorPlane {
  public:
   /// Applier executes a command against the plant; returns false when the
-  /// plant itself rejects it. Logger receives one line per retry/failure.
+  /// plant itself rejects it. Logger receives one line per retry/failure;
+  /// the plane builds a line only while a logger is attached.
   using Applier = std::function<bool(const ActuatorCommand& command)>;
   using Logger = std::function<void(double now_s, const std::string& text)>;
 
@@ -140,7 +141,6 @@ class ActuatorPlane {
   /// One attempt; returns true when acked (command leaves the queue).
   bool attempt(PendingCommand& pending, double now_s);
   void schedule_retry(PendingCommand& pending, double now_s);
-  void log(double now_s, const std::string& text);
 
   ActuatorPlaneConfig config_;
   Applier applier_;

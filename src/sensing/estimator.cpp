@@ -38,26 +38,25 @@ Estimate ValidatedEstimator::fallback(ChannelEstimate& ch, double now_s) {
 }
 
 Estimate ValidatedEstimator::update(ChannelKey channel,
-                                    const std::vector<SensorReading>& readings,
+                                    std::span<const SensorReading> readings,
                                     double now_s) {
   ChannelEstimate& ch = channels_[channel];
 
-  std::vector<double> valid;
-  valid.reserve(readings.size());
+  votes_.clear();
   for (const auto& reading : readings) {
     if (reading.valid) {
-      valid.push_back(reading.value);
+      votes_.push_back(reading.value);
     }
   }
-  if (valid.empty()) {
+  if (votes_.empty()) {
     return fallback(ch, now_s);
   }
 
   double candidate;
   if (config_.validate && config_.use_median) {
-    candidate = median_of(valid);
+    candidate = median_of(votes_);
   } else {
-    candidate = valid.front();
+    candidate = votes_.front();
   }
 
   if (config_.validate) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "sensing/channels.h"
@@ -60,7 +61,7 @@ class ValidatedEstimator {
   explicit ValidatedEstimator(const EstimatorConfig& config = {});
 
   /// Folds one sampling round on `channel` into the channel's estimate.
-  Estimate update(ChannelKey channel, const std::vector<SensorReading>& readings,
+  Estimate update(ChannelKey channel, std::span<const SensorReading> readings,
                   double now_s);
 
   /// Safety-margin widening for an estimate of the given age: exactly 1.0
@@ -89,6 +90,8 @@ class ValidatedEstimator {
 
   EstimatorConfig config_;
   std::map<ChannelKey, ChannelEstimate> channels_;
+  /// The valid readings of the round being folded; reused across updates.
+  std::vector<double> votes_;
   std::uint64_t accepted_ = 0;
   std::uint64_t fallbacks_ = 0;
   std::uint64_t rejected_range_ = 0;

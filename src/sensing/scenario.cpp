@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/require.h"
@@ -153,6 +155,23 @@ DegradedScenarioOutcome run_degraded_scenario(
 
 void validate_sensing_plan(const DegradedScenarioConfig& config,
                            const faults::FaultPlan& plan) {
+  // The run subscribes only its sensor and actuator planes: any other fault
+  // would be injected, never applied, and then reported lost.
+  for (const faults::FaultEvent& event : plan.events()) {
+    switch (event.type) {
+      case faults::FaultType::kSensorDropout:
+      case faults::FaultType::kSensorStuck:
+      case faults::FaultType::kSensorNoise:
+      case faults::FaultType::kActuatorFail:
+        break;
+      default:
+        throw std::invalid_argument(
+            "fault entry '" + faults::to_string(event.type) + ":" +
+            std::to_string(event.target) + "@" + std::to_string(event.start_s) +
+            "' is not a sensing fault (a sensing plan takes sensor-drop, "
+            "sensor-stuck, sensor-noise and actuator-fail faults)");
+    }
+  }
   const macro::FacilityConfig facility =
       macro::make_reference_facility(config.servers_per_service);
   // Sensing targets are sensor domains, one per service plus the plant

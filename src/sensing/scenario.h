@@ -69,8 +69,10 @@ DegradedScenarioOutcome run_degraded_scenario(
     const DegradedScenarioConfig& config, const faults::FaultPlan& plan);
 
 /// Throws std::invalid_argument where run_degraded_scenario would refuse
-/// `plan`: a target outside the facility's sensing domains (one per service
-/// plus the plant domain) or its CRACs.
+/// `plan`: a fault its sensor and actuator planes never apply (anything but
+/// sensor dropout, stuck and noise faults and actuator failures), or a
+/// target outside the facility's sensing domains (one per service plus the
+/// plant domain).
 void validate_sensing_plan(const DegradedScenarioConfig& config,
                            const faults::FaultPlan& plan);
 

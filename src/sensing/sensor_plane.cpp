@@ -16,6 +16,7 @@ SensorPlane::SensorPlane(const SensorPlaneConfig& config) : config_(config) {
     throw std::invalid_argument("SensorPlane: noise/quantization must be >= 0");
   }
   domains_.resize(config_.fault_domains);
+  round_.resize(config_.redundancy);
 }
 
 SensorPlane::ChannelState& SensorPlane::state(ChannelKey channel) {
@@ -36,16 +37,16 @@ const SensorPlane::DomainFaults& SensorPlane::domain(ChannelKey channel) const {
   return domains_[domain_of(channel, config_.fault_domains)];
 }
 
-std::vector<SensorReading> SensorPlane::sample(ChannelKey channel, double truth,
-                                               double now_s) {
+std::span<const SensorReading> SensorPlane::sample(ChannelKey channel,
+                                                   double truth, double now_s) {
   ChannelState& st = state(channel);
   const DomainFaults& faults = domain(channel);
   const double extra_noise = fault_noise_frac(channel);
   const double sigma = (config_.base_noise_frac + extra_noise) * std::abs(truth);
 
-  std::vector<SensorReading> out(config_.redundancy);
   for (std::uint32_t r = 0; r < config_.redundancy; ++r) {
-    SensorReading& reading = out[r];
+    SensorReading& reading = round_[r];
+    reading = SensorReading{};
     reading.time_s = now_s;
     ++readings_;
     if (faults.dropout > 0) {
@@ -75,7 +76,7 @@ std::vector<SensorReading> SensorPlane::sample(ChannelKey channel, double truth,
     }
     st.last[r] = value;
   }
-  return out;
+  return round_;
 }
 
 bool SensorPlane::on_fault(const faults::FaultEvent& event, bool onset,

@@ -14,10 +14,16 @@
 // channels are sampled or in what order — bit-identical across 1/2/8-thread
 // sweeps. With redundancy 1, zero base noise, and zero quantization the
 // plane is exact: readings bit-equal the truth and consume no random draws.
+//
+// A sampling round lands in storage the plane sizes once (redundancy is
+// fixed at construction), so a read after a channel's first allocates
+// nothing; the round returned by sample() is valid until the plane samples
+// again.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -51,8 +57,9 @@ class SensorPlane {
   explicit SensorPlane(const SensorPlaneConfig& config);
 
   /// Samples every redundant sensor on `channel` against `truth` at `now_s`.
-  std::vector<SensorReading> sample(ChannelKey channel, double truth,
-                                    double now_s);
+  /// The readings live in the plane and are overwritten by the next sample.
+  std::span<const SensorReading> sample(ChannelKey channel, double truth,
+                                        double now_s);
 
   /// FaultInjector subscriber: reacts to kSensorDropout / kSensorStuck /
   /// kSensorNoise onset and clear edges; ignores every other type.
@@ -90,6 +97,7 @@ class SensorPlane {
   SensorPlaneConfig config_;
   std::map<ChannelKey, ChannelState> channels_;
   std::vector<DomainFaults> domains_;
+  std::vector<SensorReading> round_;  ///< the last sampling round
   std::uint64_t readings_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t stuck_ = 0;

@@ -5,7 +5,7 @@
 namespace epm::sensing {
 
 bool TelemetryFeed::publish(telemetry::CounterKey key,
-                            const std::vector<SensorReading>& readings,
+                            std::span<const SensorReading> readings,
                             double now_s) {
   if (readings.empty() || !readings.front().valid) {
     store_->record_dropout(1);

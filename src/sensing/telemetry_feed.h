@@ -7,7 +7,7 @@
 // publish on.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "sensing/sensor_plane.h"
 #include "telemetry/store.h"
@@ -22,7 +22,7 @@ class TelemetryFeed {
   /// — the channel's dropout fault is active — is accounted as a dropout
   /// and nothing is stored; a degraded primary is stored and flagged.
   /// Returns true when a sample was stored.
-  bool publish(telemetry::CounterKey key, const std::vector<SensorReading>& readings,
+  bool publish(telemetry::CounterKey key, std::span<const SensorReading> readings,
                double now_s);
 
   /// Trailing-window mean of a published counter over [now - window, now),

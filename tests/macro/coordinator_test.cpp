@@ -105,17 +105,5 @@ TEST(UncoordinatedStack, ReactsToLoad) {
   EXPECT_LT(facility.service(0).committed_count(), 40u);
 }
 
-TEST(DecisionLog, CountsByKind) {
-  DecisionLog log;
-  log.record({0.0, DecisionKind::kDvfs, "web", "P1"});
-  log.record({1.0, DecisionKind::kDvfs, "web", "P2"});
-  log.record({2.0, DecisionKind::kRiskAlert, "", "x"});
-  EXPECT_EQ(log.count(DecisionKind::kDvfs), 2u);
-  EXPECT_EQ(log.count(DecisionKind::kPlacement), 0u);
-  const auto counts = log.counts_by_kind();
-  EXPECT_EQ(counts.at("dvfs"), 2u);
-  EXPECT_EQ(to_string(DecisionKind::kCoolingControl), "cooling-control");
-}
-
 }  // namespace
 }  // namespace epm::macro

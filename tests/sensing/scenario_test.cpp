@@ -83,6 +83,37 @@ TEST(SensingScenario, PlanTargetsAreCheckedAgainstSensingDomains) {
   }
 }
 
+// The sensing world applies only sensor and actuator faults; a plan with
+// any other type fails before arming instead of losing the fault in the run.
+TEST(SensingScenario, PlansWithFaultsTheRunNeverAppliesAreRefused) {
+  const DegradedScenarioConfig config;
+  EXPECT_NO_THROW(validate_sensing_plan(
+      config, FaultPlan::parse("sensor-drop:0@100+60;sensor-stuck:1@100+60;"
+                               "sensor-noise:2@100+60;actuator-fail:1@100+60")));
+  for (const char* spec : {"crash:2@100+60", "psu:0@100+60", "crac:0@100+60",
+                           "derate:0@100+60", "outage:0@100+60",
+                           "surge:0@100+60", "region-loss:0@100+60",
+                           "ctl-crash:0@100+60", "ctl-hang:0@100+60",
+                           "ctl-restart:0@100+60"}) {
+    const FaultPlan plan = FaultPlan::parse(spec);
+    try {
+      validate_sensing_plan(config, plan);
+      ADD_FAILURE() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string::npos,
+                std::string(e.what()).find("is not a sensing fault"))
+          << e.what();
+    }
+    EXPECT_THROW(run_degraded_scenario(config, plan), std::invalid_argument)
+        << spec;
+  }
+  // The sweep's own plans hold only sensing faults at any intensity.
+  for (const double intensity : {0.5, 1.0, 2.0, 4.0}) {
+    EXPECT_NO_THROW(validate_sensing_plan(
+        config, make_sensing_fault_plan(intensity, config.horizon_s, 7, 2)));
+  }
+}
+
 TEST(SensingScenario, FaultPlanFactoryIsEmptyAtZeroIntensity) {
   EXPECT_TRUE(make_sensing_fault_plan(0.0, 14400.0, 1, 2).empty());
   EXPECT_THROW(make_sensing_fault_plan(-1.0, 14400.0, 1, 2),

@@ -1,6 +1,7 @@
 #include "sensing/sensor_plane.h"
 
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@ using epm::sensing::ChannelKind;
 using epm::sensing::make_channel;
 using epm::sensing::SensorPlane;
 using epm::sensing::SensorPlaneConfig;
+using epm::sensing::SensorReading;
 
 TEST(SensingSensorPlane, ExactPlaneIsBitExact) {
   SensorPlane plane(SensorPlaneConfig{});  // redundancy 1, zero noise
@@ -116,7 +118,9 @@ TEST(SensingSensorPlane, StuckFreezesEachSensorAtItsLastValue) {
   SensorPlane plane(config);
   const auto key = make_channel(ChannelKind::kServiceArrival, 0);
 
-  const auto before = plane.sample(key, 10.0, 0.0);
+  // A round lives in the plane until the next sample: keep a copy.
+  const auto first = plane.sample(key, 10.0, 0.0);
+  const std::vector<SensorReading> before(first.begin(), first.end());
   const FaultEvent fault{FaultType::kSensorStuck, 60.0, 600.0, 0, 1.0};
   EXPECT_TRUE(plane.on_fault(fault, true, 60.0));
 
